@@ -16,6 +16,7 @@ from itertools import permutations
 import numpy as np
 
 from .connection import cartan_schouten_chart
+from .exterior import _perm_sign
 from .g2linear import eps7, psi0
 from .octonion import C3
 
@@ -25,17 +26,6 @@ __all__ = [
 ]
 
 C4_SELFDUAL = psi0().comps
-
-
-def _perm_sign(perm) -> int:
-    sign = 1
-    p = list(perm)
-    for i in range(len(p)):
-        while p[i] != i:
-            j = p[i]
-            p[i], p[j] = p[j], p[i]
-            sign = -sign
-    return sign
 
 
 def _alt4(t: np.ndarray) -> np.ndarray:

@@ -3,8 +3,9 @@ and cross-module consistency checks with seeded randomness and JSON
 reports.
 
 Per-trial random streams are counter-based (Philox keyed by a digest of
-seed, suite and trial index), so serial and parallel runs produce
-identical residuals.
+seed, suite and trial index), so trial t of a suite can be replayed alone
+from ``trial_rng(seed, suite, t)``.  Residuals are folded across trials so
+that a NaN or inf in any trial fails the report.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import hashlib
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -32,20 +32,17 @@ def trial_rng(seed: int, suite: str, trial: int) -> np.random.Generator:
 
 
 class RunConfig:
-    """Seed, trial count, tolerance overrides, output path, parallelism."""
+    """Seed, trial count, tolerance overrides, output path."""
 
     def __init__(self, seed: int = 42, trials: int | None = None,
-                 tolerances: dict | None = None, out: str | None = None,
-                 jobs: int = 1) -> None:
-        if jobs < 1:
-            raise BadConfig("jobs must be >= 1")
+                 tolerances: dict | None = None,
+                 out: str | None = None) -> None:
         if trials is not None and trials < 1:
             raise BadConfig("trials must be >= 1")
         self.seed = int(seed)
         self.trials = trials
         self.tolerances = dict(tolerances or {})
         self.out = out
-        self.jobs = jobs
 
     def tol(self, name: str, default: float) -> float:
         return float(self.tolerances.get(name, default))
@@ -59,15 +56,19 @@ def _check(name: str, max_residual: float, tol: float) -> dict:
             "tolerance": float(tol), "pass": bool(max_residual <= tol)}
 
 
-def map_trials(fn, n: int, config: RunConfig, suite: str) -> list:
-    """Evaluate fn(rng, trial) over per-trial streams, threaded if asked."""
-    def run(t):
-        return fn(trial_rng(config.seed, suite, t), t)
+def _worst(values) -> float:
+    """The largest residual, or NaN when any residual is not finite.
 
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            return list(pool.map(run, range(n)))
-    return [run(t) for t in range(n)]
+    Python's max drops a NaN that does not come first, and min keeps inf
+    over NaN, so either would let a broken trial pass its check.
+    """
+    vals = np.fromiter(values, dtype=float)
+    return float(vals.max()) if np.isfinite(vals).all() else float("nan")
+
+
+def map_trials(fn, n: int, config: RunConfig, suite: str) -> list:
+    """Evaluate fn(rng, trial) over the per-trial streams of a suite."""
+    return [fn(trial_rng(config.seed, suite, t), t) for t in range(n)]
 
 
 # -- suites -------------------------------------------------------------------
@@ -89,10 +90,10 @@ def suite_octonion(config: RunConfig) -> list[dict]:
         a, oc.mul_batch(b, b))
     scale = (oc.norm_batch(a) ** 2 * oc.norm_batch(b))[:, None]
     checks.append(_check("alternativity",
-                         max(np.max(np.abs(alt1) / scale),
-                             np.max(np.abs(alt2)
-                                    / (oc.norm_batch(a)
-                                       * oc.norm_batch(b) ** 2)[:, None])),
+                         _worst((np.max(np.abs(alt1) / scale),
+                                 np.max(np.abs(alt2)
+                                        / (oc.norm_batch(a)
+                                           * oc.norm_batch(b) ** 2)[:, None]))),
                          config.tol("alternativity", 1e-13)))
     ai = oc.random_octonions(rng, n, imaginary=True)
     bi = oc.random_octonions(rng, n, imaginary=True)
@@ -170,10 +171,10 @@ def suite_octonion(config: RunConfig) -> list[dict]:
         r4 = abs((left_matrix(bq) @ aq.coeffs) @ cq.coeffs
                  - aq.coeffs @ (left_matrix(conj(bq)) @ cq.coeffs))
         r4 /= bq.norm() * aq.norm() * cq.norm()
-        return max(r1, r2, r3, r4)
+        return _worst((r1, r2, r3, r4))
 
     res = map_trials(one_trial, m, config, "octonion")
-    checks.append(_check("inverse_exp_power_adjoint", max(res),
+    checks.append(_check("inverse_exp_power_adjoint", _worst(res),
                          config.tol("inverse_exp_power_adjoint", 1e-13)))
     return checks
 
@@ -203,20 +204,21 @@ def suite_exterior(config: RunConfig) -> list[dict]:
             c = ext.AltTensor(n, 1, rng.standard_normal(n))
             assoc = (ext.wedge(ext.wedge(c, a), b)
                      - ext.wedge(c, ext.wedge(a, b))).max_abs()
-            worst["wedge"] = max(worst["wedge"],
-                                 assoc / max(sc * c.max_abs(), 1e-30))
+            worst["wedge"] = _worst((worst["wedge"],
+                                     assoc / max(sc * c.max_abs(), 1e-30)))
+        hodge2, defining = [], []
         for k in range(0, n + 1):
             w = ext.AltTensor(n, k, rng.standard_normal((n,) * k))
             hh = ext.hodge(ext.hodge(w, g), g)
-            worst["hodge2"] = max(worst["hodge2"],
-                                  ((hh - ((-1.0) ** (k * (n - k))) * w)
-                                   .max_abs() / max(w.max_abs(), 1e-30)))
+            hodge2.append((hh - ((-1.0) ** (k * (n - k))) * w).max_abs()
+                          / max(w.max_abs(), 1e-30))
             al = ext.AltTensor(n, k, rng.standard_normal((n,) * k))
             lhs = ext.form_inner(w, al, g) * ext.volume_form(g).comps
             rhs = ext.wedge(w, ext.hodge(al, g)).comps
-            worst["defining"] = max(worst["defining"],
-                                    np.max(np.abs(lhs - rhs))
-                                    / max(w.max_abs() * al.max_abs(), 1e-30))
+            defining.append(np.max(np.abs(lhs - rhs))
+                            / max(w.max_abs() * al.max_abs(), 1e-30))
+        worst["hodge2"] = _worst(hodge2)
+        worst["defining"] = _worst(defining)
         x = rng.standard_normal(n)
         a3 = ext.AltTensor(n, min(3, n), rng.standard_normal(
             (n,) * min(3, n)))
@@ -242,7 +244,7 @@ def suite_exterior(config: RunConfig) -> list[dict]:
                      ("defining", 1e-11), ("interior", 1e-13),
                      ("musical", 1e-12), ("interior_star", 1e-11),
                      ("vol_scale", 1e-12), ("antisym_proj", 1e-15)):
-        checks.append(_check(key, max(r[key] for r in rows),
+        checks.append(_check(key, _worst(r[key] for r in rows),
                              config.tol(key, tol)))
     return checks
 
@@ -264,14 +266,15 @@ def suite_g2linear(config: RunConfig) -> list[dict]:
     checks.append(_check("phi_wedge_psi",
                          (wedge(g2.PHI0, psi) - 7.0 * vol0).max_abs(),
                          config.tol("phi_wedge_psi", 1e-13)))
-    checks.append(_check("metric_of_phi0", max(
+    checks.append(_check("metric_of_phi0", _worst((
         np.max(np.abs(data0.g.g - np.eye(7))),
         (data0.vol - vol0).max_abs(),
-        (data0.psi - psi).max_abs()),
+        (data0.psi - psi).max_abs())),
         config.tol("metric_of_phi0", 1e-13)))
     mat = g2.r_operator_matrix(data0)
     eig = np.sort(np.linalg.eigvalsh(0.5 * (mat + mat.T)))
-    spec = max(np.max(np.abs(eig[:14] + 1.0)), np.max(np.abs(eig[14:] - 2.0)))
+    spec = _worst((np.max(np.abs(eig[:14] + 1.0)),
+                   np.max(np.abs(eig[14:] - 2.0))))
     checks.append(_check("r_spectrum", spec, config.tol("r_spectrum", 1e-10)))
 
     n_forms = config.n_trials(100)
@@ -282,21 +285,22 @@ def suite_g2linear(config: RunConfig) -> list[dict]:
                         _skip_antisym=True)
         data = g2.metric_from_3form(phi)
         equiv = np.max(np.abs(data.g.g - a.T @ a)) / np.max(np.abs(a.T @ a))
-        t_suite = max(g2.contraction_identity_residuals(phi, data).values())
+        t_suite = _worst(
+            g2.contraction_identity_residuals(phi, data).values())
         beta = AltTensor(7, 2, rng.standard_normal((7, 7)))
         sp = g2.split2(beta, data)
-        idem = max((g2.split2(sp.part7, data).part14).max_abs(),
-                   (g2.split2(sp.part14, data).part7).max_abs(),
-                   (sp.part7 + sp.part14 - beta).max_abs())
+        idem = _worst(((g2.split2(sp.part7, data).part14).max_abs(),
+                       (g2.split2(sp.part14, data).part7).max_abs(),
+                       (sp.part7 + sp.part14 - beta).max_abs()))
         eta = AltTensor(7, 3, rng.standard_normal((7, 7, 7)))
         s3 = g2.split3(eta, data)
         recon = (s3.part1 + s3.part7 + s3.part27 - eta).max_abs()
-        ortho = max(abs(form_inner(s3.part1, s3.part7, data.g)),
-                    abs(form_inner(s3.part1, s3.part27, data.g)),
-                    abs(form_inner(s3.part7, s3.part27, data.g)))
-        fmap = max(
+        ortho = _worst((abs(form_inner(s3.part1, s3.part7, data.g)),
+                        abs(form_inner(s3.part1, s3.part27, data.g)),
+                        abs(form_inner(s3.part7, s3.part27, data.g))))
+        fmap = _worst((
             (g2.map_f(data.g.g, data) - 3.0 * data.phi).max_abs(),
-            g2.map_f(sp.part14.comps, data).max_abs())
+            g2.map_f(sp.part14.comps, data).max_abs()))
         return {"equivariance": equiv, "contraction_suite": t_suite, "split2": idem,
                 "split3_recon": recon,
                 "split3_orth": ortho / max(eta.max_abs(), 1e-30),
@@ -306,7 +310,7 @@ def suite_g2linear(config: RunConfig) -> list[dict]:
     for key, tol in (("equivariance", 1e-10), ("contraction_suite", 1e-10),
                      ("split2", 1e-11), ("split3_recon", 1e-10),
                      ("split3_orth", 1e-11), ("f_map", 1e-11)):
-        checks.append(_check(key, max(r[key] for r in rows),
+        checks.append(_check(key, _worst(r[key] for r in rows),
                              config.tol(key, tol)))
 
     n_triples = config.n_trials(1000)
@@ -316,18 +320,17 @@ def suite_g2linear(config: RunConfig) -> list[dict]:
         mat = g2.g2_from_triple(h1, h2, h4)
         member = np.max(np.abs(g2.pullback_3form(mat, g2.PHI0.comps)
                                - g2.PHI0.comps))
-        return max(member, abs(np.linalg.det(mat) - 1.0))
+        return _worst((member, abs(np.linalg.det(mat) - 1.0)))
 
     rows = map_trials(triple_trial, n_triples, config, "g2linear-triples")
-    checks.append(_check("g2_from_triple", max(rows),
+    checks.append(_check("g2_from_triple", _worst(rows),
                          config.tol("g2_from_triple", 1e-10)))
 
     rng = trial_rng(config.seed, "g2linear-lemma", 0)
-    worst = 0.0
-    for _ in range(10):
-        res = g2.wedge_star_identity_residuals(data0, rng.standard_normal(7),
-                                    rng.standard_normal(7))
-        worst = max(worst, max(res.values()))
+    worst = _worst(
+        r for _ in range(10)
+        for r in g2.wedge_star_identity_residuals(
+            data0, rng.standard_normal(7), rng.standard_normal(7)).values())
     checks.append(_check("wedge_star_pack", worst,
                          config.tol("wedge_star_pack", 1e-10)))
     return checks
@@ -356,11 +359,11 @@ def suite_deform(config: RunConfig) -> list[dict]:
         r1 = df.deformed_mul(a, b, v).coeffs
         r2 = mul(mul(a, v), mul(df.inverse(v), b)).coeffs
         routes = np.max(np.abs(r1 - r2)) / max(a.norm() * b.norm(), 1e-30)
-        adj = max(df.adjoint_product_residuals(v, a, b).values()) \
+        adj = _worst(df.adjoint_product_residuals(v, a, b).values()) \
             / max(a.norm() * b.norm(), 1e-30)
         m = df.ad_matrix7(v, data0)
-        so7 = max(np.max(np.abs(m.T @ m - np.eye(7))),
-                  abs(np.linalg.det(m) - 1.0))
+        so7 = _worst((np.max(np.abs(m.T @ m - np.eye(7))),
+                      abs(np.linalg.det(m) - 1.0)))
         return {"conjugation_pullback": t_conj, "composition_law": t_comp, "isometry": iso,
                 "routes": routes, "adjoint_ids": adj, "ad_so7": so7}
 
@@ -368,22 +371,20 @@ def suite_deform(config: RunConfig) -> list[dict]:
     for key, tol in (("conjugation_pullback", 1e-11), ("composition_law", 1e-10),
                      ("isometry", 1e-10), ("routes", 1e-13),
                      ("adjoint_ids", 1e-12), ("ad_so7", 1e-10)):
-        checks.append(_check(key, max(r[key] for r in rows),
+        checks.append(_check(key, _worst(r[key] for r in rows),
                              config.tol(key, tol)))
     # fixed-product sweep: sigma_{V^3}(phi0) = phi0 exactly when V^3 real
-    worst_eq = 0.0
-    worst_neq = np.inf
+    fixed, moved = [], []
     for theta, fixes in ((0.0, True), (np.pi / 3, True), (np.pi / 2, False),
                          (2 * np.pi / 3, True), (np.pi, True)):
         vv = exponential(theta * Octonion.basis(1))
         r = (df.sigma(power(vv, 3), g2.PHI0, data0) - g2.PHI0).max_abs()
-        if fixes:
-            worst_eq = max(worst_eq, r)
-        else:
-            worst_neq = min(worst_neq, r)
-    checks.append(_check("v6_sweep_fixed", worst_eq,
+        (fixed if fixes else moved).append(r)
+    # the smallest move as a negated max, so a non-finite move fails too
+    least_move = -_worst(-r for r in moved)
+    checks.append(_check("v6_sweep_fixed", _worst(fixed),
                          config.tol("v6_sweep_fixed", 1e-12)))
-    checks.append(_check("v6_sweep_moved", 1.0 / worst_neq,
+    checks.append(_check("v6_sweep_moved", 1.0 / least_move,
                          config.tol("v6_sweep_moved", 1.0)))
     return checks
 
@@ -407,14 +408,14 @@ def suite_flat_loop(config: RunConfig) -> list[dict]:
         assoc = np.max(np.abs(
             loop_product(chart, e, m_xy, z, h)
             - loop_product(chart, e, x, loop_product(chart, e, y, z, h), h)))
-        units = max(np.max(np.abs(loop_product(chart, e, x, e, h) - x)),
-                    np.max(np.abs(loop_product(chart, e, e, y, h) - y)))
+        units = _worst((np.max(np.abs(loop_product(chart, e, x, e, h) - x)),
+                        np.max(np.abs(loop_product(chart, e, e, y, h) - y))))
         return {"linear": linear, "commutative": comm,
                 "associative": assoc, "units": units}
 
     rows = map_trials(one_trial, n_tr, config, "flat-loop")
     for key in ("linear", "commutative", "associative", "units"):
-        checks.append(_check(key, max(r[key] for r in rows),
+        checks.append(_check(key, _worst(r[key] for r in rows),
                              config.tol(key, 1e-12)))
     return checks
 
@@ -434,8 +435,8 @@ def suite_akivis(config: RunConfig) -> list[dict]:
                          config.tol("cs_r2_at_h", 0.05)))
     # the three-step table decreases down to the solver noise floor
     floor = config.tol("cs_table_floor", 1e-8)
-    table_ok = all(rep["r1"][i + 1] <= max(rep["r1"][i], floor)
-                   and rep["r2"][i + 1] <= max(rep["r2"][i], floor)
+    table_ok = all(rep["r1"][i + 1] <= _worst((rep["r1"][i], floor))
+                   and rep["r2"][i + 1] <= _worst((rep["r2"][i], floor))
                    for i in range(len(h_list) - 1))
     checks.append(_check("cs_table_decreasing", 0.0 if table_ok else 1.0,
                          0.5))
@@ -470,7 +471,8 @@ def suite_akivis(config: RunConfig) -> list[dict]:
 
     errs = [endpoint_error(h) for h in h_list]
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
-    checks.append(_check("integrator_order_low", 4.5 - min(orders),
+    checks.append(_check("integrator_order_low",
+                         _worst(4.5 - o for o in orders),
                          config.tol("integrator_order_low", 1.0)))
     return checks
 
@@ -480,20 +482,19 @@ def suite_cartan(config: RunConfig) -> list[dict]:
     from .g2linear import psi0
     from .octonion import C3
     checks = []
-    worst = 0.0
-    for k in (1.0, 2.0):
-        worst = max(worst, max(cs.self_duality_residuals(k).values()))
+    worst = _worst(r for k in (1.0, 2.0)
+                   for r in cs.self_duality_residuals(k).values())
     checks.append(_check("self_duality", worst,
                          config.tol("self_duality", 1e-12)))
-    worst = max(cs.ch_beta_residual(a) for a in (0.0, 0.25, 1.0))
+    worst = _worst(cs.ch_beta_residual(a) for a in (0.0, 0.25, 1.0))
     checks.append(_check("ch_beta_closed_form", worst,
                          config.tol("ch_beta_closed_form", 1e-12)))
     fp0 = cs.cs_tensors(0.0)
     fp1 = cs.cs_tensors(1.0)
     fph = cs.cs_tensors(0.5)
-    fam = max(np.max(np.abs(fp0.R)),
-              np.max(np.abs(fp1.R - cs._alt4(fp1.R))),
-              np.max(np.abs(fph.S)))
+    fam = _worst((np.max(np.abs(fp0.R)),
+                  np.max(np.abs(fp1.R - cs._alt4(fp1.R))),
+                  np.max(np.abs(fph.S))))
     checks.append(_check("family_points", fam,
                          config.tol("family_points", 1e-12)))
     psi = psi0().comps
@@ -501,7 +502,8 @@ def suite_cartan(config: RunConfig) -> list[dict]:
                             - 6.0 * np.eye(7)))
     c4_contraction = np.max(np.abs(np.einsum("ijkl,ajkl->ia", psi, psi)
                             - 24.0 * np.eye(7)))
-    checks.append(_check("cross_module_contractions", max(c3_contraction, c4_contraction),
+    checks.append(_check("cross_module_contractions",
+                         _worst((c3_contraction, c4_contraction)),
                          config.tol("cross_module_contractions", 1e-12)))
     # chart fit ratio between two family parameters
     from .connection import fit_fundamental_tensors
@@ -552,15 +554,15 @@ def suite_g2field(config: RunConfig) -> list[dict]:
     gi = sw.data(x).g.g_inv
     t1 = fld.g2_torsion(sw, x, 1e-3)
     parts = [t1.t1, t1.t0, t1.t7, t1.t14]
-    ortho = max(abs(np.einsum("ij,kl,ik,jl->", parts[i], parts[j], gi, gi))
-                for i in range(4) for j in range(i + 1, 4))
+    ortho = _worst(abs(np.einsum("ij,kl,ik,jl->", parts[i], parts[j], gi, gi))
+                   for i in range(4) for j in range(i + 1, 4))
     split_sum = np.max(np.abs(sum(parts) - t1.T))
-    checks.append(_check("torsion_split", max(ortho, split_sum),
+    checks.append(_check("torsion_split", _worst((ortho, split_sum)),
                          config.tol("torsion_split", 1e-10)))
     nphi = fld.nabla_phi(sw, x, 1e-3)
     s3 = split3(AltTensor(7, 3, nphi[0], _skip_antisym=True), sw.data(x))
     checks.append(_check("vector_part_only",
-                         max(abs(s3.f), float(np.max(np.abs(s3.h0)))),
+                         _worst((abs(s3.f), np.max(np.abs(s3.h0)))),
                          config.tol("vector_part_only", 1e-7)))
     rng = trial_rng(config.seed, "g2field", 0)
     a = Octonion(rng.standard_normal(8))
@@ -593,11 +595,11 @@ def suite_g2field(config: RunConfig) -> list[dict]:
     # closedness probes across the catalog
     dphi0, dpsi0_ = fld.closedness_probe(cf, x, 1e-3)
     dphi1, dpsi1 = fld.closedness_probe(sw, x, 1e-3)
-    floor = max(dphi0, dpsi0_, 1e-12)
-    checks.append(_check("closedness_constant", max(dphi0, dpsi0_),
+    floor = _worst((dphi0, dpsi0_, 1e-12))
+    checks.append(_check("closedness_constant", _worst((dphi0, dpsi0_)),
                          config.tol("closedness_constant", 1e-10)))
     checks.append(_check("closedness_warp_signal",
-                         floor * 10.0 / max(dphi1, dpsi1),
+                         floor * 10.0 / _worst((dphi1, dpsi1)),
                          config.tol("closedness_warp_signal", 1.0)))
     return checks
 
@@ -616,11 +618,11 @@ def suite_clifford(config: RunConfig) -> list[dict]:
     a1 = cl.CliffordElement.vector(0, 2, [1, 0])
     a2 = cl.CliffordElement.vector(0, 2, [0, 1])
     e12 = cl.clifford_mul(a1, a2)
-    quat = max((cl.clifford_mul(e12, e12)
-                + cl.CliffordElement.scalar(0, 2)).max_abs(),
-               (cl.clifford_mul(a2, e12) - a1).max_abs(),
-               (cl.clifford_mul(e12, a1) - a2).max_abs())
-    checks.append(_check("small_models", max(c_model, quat),
+    quat = _worst(((cl.clifford_mul(e12, e12)
+                    + cl.CliffordElement.scalar(0, 2)).max_abs(),
+                   (cl.clifford_mul(a2, e12) - a1).max_abs(),
+                   (cl.clifford_mul(e12, a1) - a2).max_abs()))
+    checks.append(_check("small_models", _worst((c_model, quat)),
                          config.tol("small_models", 1e-14)))
     n = config.n_trials(100)
 
@@ -677,7 +679,7 @@ def suite_clifford(config: RunConfig) -> list[dict]:
                      ("orth_anticommutator", 1e-13),
                      ("kappa_residual", 1e-13), ("j_isometry", 1e-12),
                      ("j_equivariance", 1e-12)):
-        checks.append(_check(key, max(r[key] for r in rows),
+        checks.append(_check(key, _worst(r[key] for r in rows),
                              config.tol(key, tol)))
     # octonion associator is generically nonzero (paired contrast)
     rng = trial_rng(config.seed, "clifford-contrast", 0)
@@ -795,7 +797,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--trials", type=int, default=None)
     run.add_argument("--tol", action="append", metavar="key=val")
     run.add_argument("--out", default=None)
-    run.add_argument("--jobs", type=int, default=1)
     tab = sub.add_parser("tables", help="emit multiplication tables")
     tab.add_argument("--out", required=True)
     charts = sub.add_parser("charts", help="chart utilities")
@@ -813,11 +814,14 @@ def main(argv=None) -> int:
         if args.command == "verify":
             config = RunConfig(seed=args.seed, trials=args.trials,
                                tolerances=_parse_tol(args.tol),
-                               out=args.out, jobs=args.jobs)
+                               out=args.out)
             report = run_suite(args.suite, config)
             payload = json.dumps(report, indent=1, sort_keys=True)
             if config.out:
-                Path(config.out).write_text(payload + "\n")
+                try:
+                    Path(config.out).write_text(payload + "\n")
+                except OSError as exc:
+                    raise IoError(str(exc)) from exc
             else:
                 print(payload)
             for c in report["checks"]:

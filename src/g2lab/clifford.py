@@ -114,13 +114,6 @@ class CliffordElement:
     def __neg__(self):
         return CliffordElement(self.p, self.q, -self.coeffs)
 
-    def grade(self, k: int) -> "CliffordElement":
-        out = CliffordElement(self.p, self.q)
-        for mask in range(self.coeffs.size):
-            if bin(mask).count("1") == k:
-                out.coeffs[mask] = self.coeffs[mask]
-        return out
-
     def grades(self) -> np.ndarray:
         return np.array([bin(m).count("1") for m in range(self.coeffs.size)])
 

@@ -196,6 +196,15 @@ def parallel_transport(chart: ConnectionChart, path: Path, w0,
     return w
 
 
+def central_diff(f, x, step: float) -> np.ndarray:
+    """Central differences of f at x along every coordinate axis, stacked
+    on a new leading axis: out[m] = (f(x + step e_m) - f(x - step e_m))
+    / (2 step)."""
+    x = np.asarray(x, dtype=float)
+    return np.array([(np.asarray(f(x + dx)) - np.asarray(f(x - dx)))
+                     / (2 * step) for dx in step * np.eye(x.size)])
+
+
 def exp_map(chart: ConnectionChart, e, v, h: float = 1e-3) -> np.ndarray:
     """Geodesic endpoint exp_e(v) at unit time."""
     v = np.asarray(v, dtype=float)
@@ -224,12 +233,8 @@ def exp_inverse(chart: ConnectionChart, e, y, h: float = 1e-3,
         if err <= tol:
             return v
         if jac is None and err > 0.5 * prev:
-            jac = np.empty((chart.n, chart.n))
-            for c in range(chart.n):
-                dv = np.zeros(chart.n)
-                dv[c] = fd_step
-                jac[:, c] = (exp_map(chart, e, v + dv, h)
-                             - exp_map(chart, e, v - dv, h)) / (2 * fd_step)
+            jac = central_diff(lambda w: exp_map(chart, e, w, h), v,
+                               fd_step).T
         step = r if jac is None else np.linalg.solve(jac, r)
         # damp when the full step would overshoot badly
         scale = 1.0
@@ -315,15 +320,6 @@ class _NormalLoop:
                            tol=self.newton_tol)
 
 
-def _raw_loop(chart: ConnectionChart, e, h_ode: float):
-    e = np.asarray(e, dtype=float)
-
-    def product(u, v):
-        return loop_product(chart, e, e + u, e + v, h_ode) - e
-
-    return product
-
-
 def _fit_jets(mu_fn, n: int, h: float):
     """Second-order central-difference estimates of the loop jets."""
     lam = np.zeros((n, n, n))
@@ -376,24 +372,19 @@ def _fit_jets(mu_fn, n: int, h: float):
 
 def fit_fundamental_tensors(chart: ConnectionChart, e, h: float = 1e-2,
                             richardson: bool = True,
-                            normal_coords: bool = True,
                             h_ode: float | None = None) -> LoopExpansionReport:
     """Fit lambda, mu, nu by central differences of the loop product and
     assemble the fundamental tensors alpha and beta.
 
-    With ``normal_coords`` the product is evaluated in exponential normal
-    coordinates at e (required for the torsion/curvature relations); the
-    raw-chart fit is kept for flat-chart diagnostics.
+    The product is evaluated in exponential normal coordinates at e, where
+    the torsion/curvature relations hold.
     """
     n = chart.n
     if h_ode is None:
         # the stencil geodesics have amplitude ~h, so a handful of
         # integrator steps already sits far below the fit truncation
         h_ode = 1.0 / 16.0
-    if normal_coords:
-        mu_fn = _NormalLoop(chart, e, h_ode)
-    else:
-        mu_fn = _raw_loop(chart, e, h_ode)
+    mu_fn = _NormalLoop(chart, e, h_ode)
     lam, mu3, nu3 = _fit_jets(mu_fn, n, h)
     if richardson:
         lam2, mu32, nu32 = _fit_jets(mu_fn, n, h / 2.0)
@@ -404,18 +395,12 @@ def fit_fundamental_tensors(chart: ConnectionChart, e, h: float = 1e-2,
     beta = 0.5 * (nu3 - mu3
                   + np.einsum("mkl,ijm->ijkl", lam, lam)
                   - np.einsum("mjk,iml->ijkl", lam, lam))
+    # measure the underlying round trip; the normal-coordinate product
+    # short-circuits exact unit arguments
     probe = h * np.eye(n)[0]
-    if isinstance(mu_fn, _NormalLoop):
-        # measure the underlying round trip; the normal-coordinate product
-        # short-circuits exact unit arguments
-        z = exp_map(chart, mu_fn.e, probe, mu_fn.h_ode)
-        back = exp_inverse(chart, mu_fn.e, z, mu_fn.h_ode,
-                           tol=mu_fn.newton_tol)
-        unit_law = float(np.max(np.abs(back - probe)))
-    else:
-        zero = np.zeros(n)
-        unit_law = max(float(np.max(np.abs(mu_fn(probe, zero) - probe))),
-                       float(np.max(np.abs(mu_fn(zero, probe) - probe))))
+    z = exp_map(chart, mu_fn.e, probe, mu_fn.h_ode)
+    back = exp_inverse(chart, mu_fn.e, z, mu_fn.h_ode, tol=mu_fn.newton_tol)
+    unit_law = float(np.max(np.abs(back - probe)))
     return LoopExpansionReport(lam, mu3, nu3, alpha, beta, h, richardson,
                                {"unit_law": unit_law})
 
@@ -442,17 +427,11 @@ def levi_civita(metric_field, x, fd_step: float = 1e-5) -> np.ndarray:
     """Christoffel symbols of a metric field by central differences,
     G[k, i, j] = 1/2 g^kl (g_jl,i + g_il,j - g_ij,l)."""
     x = np.asarray(x, dtype=float)
-    n = x.size
     g0 = np.asarray(metric_field(x), dtype=float)
     eig = np.linalg.eigvalsh(0.5 * (g0 + g0.T))
     if eig[0] <= 0:
         raise SingularMetric(f"metric not SPD at {x}, min eig {eig[0]:.3e}")
-    dg = np.empty((n, n, n))
-    for m in range(n):
-        dx = np.zeros(n)
-        dx[m] = fd_step
-        dg[m] = (np.asarray(metric_field(x + dx))
-                 - np.asarray(metric_field(x - dx))) / (2 * fd_step)
+    dg = central_diff(metric_field, x, fd_step)
     gi = np.linalg.inv(g0)
     # dg[m, a, b] = g_ab,m ; combination g_jl,i + g_il,j - g_ij,l
     comb = (dg + np.transpose(dg, (1, 0, 2))
@@ -467,16 +446,14 @@ def curvature_data(chart: ConnectionChart, e,
     contorsion S = Gamma - LeviCivita with the metric-compatibility
     residual of nabla g."""
     e = np.asarray(e, dtype=float)
-    n = chart.n
     g = chart.gamma(e)
     torsion = np.transpose(g, (0, 2, 1)) - g
-    dgam = np.empty((n, n, n, n))
-    for m in range(n):
-        dx = np.zeros(n)
-        dx[m] = fd_step
-        chart.check_inside(e + dx)
-        chart.check_inside(e - dx)
-        dgam[m] = (chart.gamma(e + dx) - chart.gamma(e - dx)) / (2 * fd_step)
+
+    def gamma_inside(y):
+        chart.check_inside(y)
+        return chart.gamma(y)
+
+    dgam = central_diff(gamma_inside, e, fd_step)
     # R^i_jkl = G^m_lj G^i_km - G^m_kj G^i_lm + d_k G^i_lj - d_l G^i_kj
     curv = (np.einsum("mlj,ikm->ijkl", g, g)
             - np.einsum("mkj,ilm->ijkl", g, g)
@@ -493,12 +470,7 @@ def curvature_data(chart: ConnectionChart, e,
         lc = levi_civita(chart.metric_field, e, fd_step)
         contorsion = g - lc
         g0 = np.asarray(chart.metric_field(e), dtype=float)
-        dgm = np.empty((n, n, n))
-        for m in range(n):
-            dx = np.zeros(n)
-            dx[m] = fd_step
-            dgm[m] = (np.asarray(chart.metric_field(e + dx))
-                      - np.asarray(chart.metric_field(e - dx))) / (2 * fd_step)
+        dgm = central_diff(chart.metric_field, e, fd_step)
         nabla_g = (dgm - np.einsum("lki,lj->kij", g, g0)
                    - np.einsum("lkj,il->kij", g, g0))
         metric_residual = float(np.max(np.abs(nabla_g)))
@@ -520,7 +492,7 @@ def akivis_check(chart: ConnectionChart, e, h_list,
     out = {"h": [], "r1": [], "r2": [], "alpha_norm": [], "beta_norm": []}
     for h in h_list:
         rep = fit_fundamental_tensors(chart, e, h=h, richardson=True,
-                                      normal_coords=True, h_ode=h_ode)
+                                      h_ode=h_ode)
         r1 = float(np.max(np.abs(2.0 * rep.alpha + data.torsion)))
         r2 = float(np.max(np.abs(4.0 * rep.beta + data.nabla_torsion
                                  + data.curvature)))

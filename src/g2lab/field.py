@@ -14,6 +14,7 @@ import json
 
 import numpy as np
 
+from .connection import central_diff, levi_civita
 from .deform import bundle_inverse, bundle_mul, sigma
 from .errors import BadConfig, LeftDomain, NormDrift
 from .exterior import AltTensor, antisymmetrize
@@ -62,28 +63,19 @@ class PhiField:
 def levi_civita_at(field: PhiField, x: np.ndarray,
                    fd_step: float = 1e-3) -> np.ndarray:
     """Christoffel symbols of the induced metric by central differences."""
-    x = np.asarray(x, dtype=float)
-    dg = np.empty((7, 7, 7))
-    for m in range(7):
-        dx = np.zeros(7)
-        dx[m] = fd_step
-        field.check_inside(x + dx)
-        field.check_inside(x - dx)
-        dg[m] = (field.metric(x + dx) - field.metric(x - dx)) / (2 * fd_step)
-    gi = field.data(x).g.g_inv
-    comb = dg + np.transpose(dg, (1, 0, 2)) - np.transpose(dg, (1, 2, 0))
-    return 0.5 * np.einsum("kl,ijl->kij", gi, comb)
+
+    def metric_inside(y):
+        field.check_inside(y)
+        return field.metric(y)
+
+    return levi_civita(metric_inside, x, fd_step)
 
 
 def nabla_phi(field: PhiField, x: np.ndarray,
               fd_step: float = 1e-3) -> np.ndarray:
     """Covariant derivative of the 3-form field, nabla_m phi_ijk."""
     x = np.asarray(x, dtype=float)
-    dphi = np.empty((7, 7, 7, 7))
-    for m in range(7):
-        dx = np.zeros(7)
-        dx[m] = fd_step
-        dphi[m] = (field.phi(x + dx) - field.phi(x - dx)) / (2 * fd_step)
+    dphi = central_diff(field.phi, x, fd_step)
     gam = levi_civita_at(field, x, fd_step)
     p = field.phi(x)
     return (dphi
@@ -144,16 +136,12 @@ def covariant_octonion(field: PhiField, a_field, x: np.ndarray,
     coordinate direction vector."""
     x = np.asarray(x, dtype=float)
     direction = np.asarray(direction, dtype=float)
-    da = np.zeros(8)
-    for m in range(7):
-        if direction[m] == 0.0:
-            continue
-        dx = np.zeros(7)
-        dx[m] = fd_step
-        da += direction[m] * (np.asarray(a_field(x + dx))
-                              - np.asarray(a_field(x - dx))) / (2 * fd_step)
+    # one central difference along the direction itself: two evaluations
+    # of the field whatever the direction, and for a coordinate direction
+    # the same stencil points as the axis-wise derivative
+    out = central_diff(lambda s: a_field(x + s[0] * direction), [0.0],
+                       fd_step)[0]
     gam = levi_civita_at(field, x, fd_step)
-    out = da.copy()
     out[1:] += np.einsum("imk,m,k->i", gam, direction,
                          np.asarray(a_field(x))[1:])
     return out
@@ -260,12 +248,7 @@ def torsion_transformation_residuals(field: PhiField, v_field, x: np.ndarray,
 def exterior_derivative_at(form_at, x: np.ndarray, k: int,
                            fd_step: float = 1e-3) -> np.ndarray:
     """d of a k-form field by central differences, full components."""
-    x = np.asarray(x, dtype=float)
-    d = np.empty((7,) * (k + 1))
-    for m in range(7):
-        dx = np.zeros(7)
-        dx[m] = fd_step
-        d[m] = (form_at(x + dx) - form_at(x - dx)) / (2 * fd_step)
+    d = central_diff(form_at, x, fd_step)
     return (k + 1) * antisymmetrize(d)
 
 

@@ -15,23 +15,13 @@ from itertools import permutations
 import numpy as np
 
 from .errors import NotImaginary, ZeroDivisor
+from .exterior import _perm_sign
 
 ZERO_EPS = 1e-24   # squared-norm floor below which inversion is refused
 IMAG_EPS = 1e-12   # relative real-part tolerance for "pure imaginary"
 
 STRUCTURE_CYCLES = ((1, 2, 3), (1, 4, 5), (1, 6, 7), (2, 4, 6),
                     (2, 7, 5), (3, 7, 4), (3, 6, 5))
-
-
-def _perm_sign(perm) -> int:
-    sign = 1
-    p = list(perm)
-    for i in range(len(p)):
-        while p[i] != i:
-            j = p[i]
-            p[i], p[j] = p[j], p[i]
-            sign = -sign
-    return sign
 
 
 def _build_c3() -> np.ndarray:
@@ -317,12 +307,6 @@ class TranslationMatrix:
 
 def mul_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("kij,ni,nj->nk", MUL_TENSOR, a, b)
-
-
-def conj_batch(a: np.ndarray) -> np.ndarray:
-    out = a.copy()
-    out[:, 1:] *= -1.0
-    return out
 
 
 def norm_batch(a: np.ndarray) -> np.ndarray:

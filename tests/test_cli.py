@@ -24,6 +24,8 @@ def test_unknown_suite_exit_code():
 def test_bad_usage_exit_code():
     res = run_cli("verify")
     assert res.returncode == 2
+    res = run_cli("verify", "octonion", "--jobs", "2")
+    assert res.returncode == 2
 
 
 def test_bad_tolerance_exit_code():
@@ -64,16 +66,6 @@ def test_serial_determinism():
     assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
 
 
-def test_parallel_matches_serial():
-    serial = cli.run_suite("deform", cli.RunConfig(seed=3, trials=12))
-    parallel = cli.run_suite("deform", cli.RunConfig(seed=3, trials=12,
-                                                     jobs=4))
-    serial.pop("wall_time_s")
-    parallel.pop("wall_time_s")
-    assert json.dumps(serial, sort_keys=True) \
-        == json.dumps(parallel, sort_keys=True)
-
-
 def test_seed_changes_residuals():
     r1 = cli.run_suite("octonion", cli.RunConfig(seed=1, trials=500))
     r2 = cli.run_suite("octonion", cli.RunConfig(seed=2, trials=500))
@@ -83,8 +75,6 @@ def test_seed_changes_residuals():
 
 
 def test_run_config_validation():
-    with pytest.raises(BadConfig):
-        cli.RunConfig(jobs=0)
     with pytest.raises(BadConfig):
         cli.RunConfig(trials=0)
     with pytest.raises(UnknownSuite):
@@ -132,3 +122,33 @@ def test_cli_verify_writes_report(tmp_path):
     assert report["suite"] == "octonion"
     assert report["seed"] == 5
     assert report["pass"] is True
+
+
+def test_nan_in_later_trial_fails_closed(tmp_path, monkeypatch):
+    # only trial 1 of 3 returns NaN; a max over the trials must not drop it
+    from g2lab import deform
+    real = deform.composition_residual
+    calls = []
+
+    def planted(*args, **kwargs):
+        calls.append(None)
+        return float("nan") if len(calls) == 2 else real(*args, **kwargs)
+
+    monkeypatch.setattr(deform, "composition_residual", planted)
+    report = cli.run_suite("deform", cli.RunConfig(seed=4, trials=3))
+    assert len(calls) == 3
+    assert report["pass"] is False
+    row = next(c for c in report["checks"] if c["name"] == "composition_law")
+    assert row["pass"] is False
+    calls.clear()
+    out = tmp_path / "r.json"
+    assert cli.main(["verify", "deform", "--trials", "3",
+                     "--out", str(out)]) == 1
+    assert json.loads(out.read_text())["pass"] is False
+
+
+def test_unwritable_out_exit_code(tmp_path):
+    out = tmp_path / "missing-dir" / "x.json"
+    assert cli.main(["verify", "octonion", "--trials", "1",
+                     "--out", str(out)]) == 1
+    assert not out.exists()

@@ -34,6 +34,24 @@ def cs_fit():
     return chart, rep
 
 
+def test_central_diff_exact_on_quadratic():
+    rng = np.random.default_rng(1)
+    a = rng.standard_normal((3, 3))
+    c = rng.standard_normal(3)
+    x = rng.standard_normal(3)
+
+    def f(y):
+        return np.array([[y @ a @ y, c @ y], [y[0] * y[1], 3.0]])
+
+    got = cn.central_diff(f, x, 0.25)
+    assert got.shape == (3,) + f(x).shape
+    want = np.zeros((3, 2, 2))
+    want[:, 0, 0] = (a + a.T) @ x
+    want[:, 0, 1] = c
+    want[:, 1, 0] = [x[1], x[0], 0.0]
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
 def test_levi_civita_oracles(sphere):
     x = np.array([1.05, 0.7])
     got = cn.levi_civita(sphere.metric_field, x)
@@ -284,6 +302,14 @@ def test_curvature_data_sphere(sphere):
                          + np.transpose(data.curvature, (0, 1, 3, 2)))) \
         < 1e-8
     assert data.metric_residual < 1e-9
+
+
+def test_curvature_data_stencil_leaves_domain(sphere):
+    # e is inside, but e - fd_step e_theta crosses the theta margin
+    e = np.array([sphere.domain[0, 0] + 5e-6, 0.3])
+    sphere.check_inside(e)
+    with pytest.raises(LeftDomain):
+        cn.curvature_data(sphere, e, fd_step=1e-5)
 
 
 def test_contorsion_consistency():
