@@ -11,12 +11,10 @@ brute-force associator table is its negative.
 
 from __future__ import annotations
 
-from itertools import permutations
-
 import numpy as np
 
 from .connection import cartan_schouten_chart
-from .exterior import _perm_sign
+from .exterior import antisymmetrize
 from .g2linear import eps7, psi0
 from .octonion import C3
 
@@ -26,20 +24,6 @@ __all__ = [
 ]
 
 C4_SELFDUAL = psi0().comps
-
-
-def _alt4(t: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(t)
-    for p in permutations(range(4)):
-        out += _perm_sign(p) * np.transpose(t, p)
-    return out / 24.0
-
-
-def _alt3_last(t: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(t)
-    for p in permutations(range(3)):
-        out += _perm_sign(p) * np.transpose(t, (0,) + tuple(1 + np.array(p)))
-    return out / 6.0
 
 
 class CsFamilyPoint:
@@ -64,7 +48,8 @@ def cs_tensors(alpha_param: float, k_scale: float = 1.0) -> CsFamilyPoint:
     k = 0.5 * k_scale * (1.0 - 2.0 * a)
     s = k * C3
     ss = np.einsum("ijm,klm->ijkl", s, s)
-    r = 4.0 * a * (1.0 - a) * ss - 4.0 * a * (2.0 - 3.0 * a) * _alt4(ss)
+    r = (4.0 * a * (1.0 - a) * ss
+         - 4.0 * a * (2.0 - 3.0 * a) * antisymmetrize(ss))
     h = np.inf if a == 0.5 else 1.0 / (1.0 - 2.0 * a)
     return CsFamilyPoint(a, k, h, s, r)
 
@@ -128,7 +113,9 @@ def ch_beta_residual(alpha_param: float) -> float:
     a = alpha_param
     p = np.einsum("ijm,mkl->ijkl", C3, C3)
     *_, beta = ch_fundamental_tensors(a)
-    rhs = a * (1.0 - a) * p - (1.0 - 3.0 * a + 3.0 * a * a) * _alt3_last(p)
+    # c_m[j c_kl]: antisymmetrize the last three slots of each slice
+    alt = np.array([antisymmetrize(p_i) for p_i in p])
+    rhs = a * (1.0 - a) * p - (1.0 - 3.0 * a + 3.0 * a * a) * alt
     return float(np.max(np.abs(-4.0 * beta - rhs)))
 
 

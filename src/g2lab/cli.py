@@ -60,7 +60,8 @@ def _worst(values) -> float:
     """The largest residual, or NaN when any residual is not finite.
 
     Python's max drops a NaN that does not come first, and min keeps inf
-    over NaN, so either would let a broken trial pass its check.
+    over NaN, so either would let a broken trial pass its check.  Rates
+    divide by _worst((den, 1e-300)): an infinite den gives NaN, not 0.
     """
     vals = np.fromiter(values, dtype=float)
     return float(vals.max()) if np.isfinite(vals).all() else float("nan")
@@ -429,7 +430,8 @@ def suite_akivis(config: RunConfig) -> list[dict]:
     rep = akivis_check(cs, np.zeros(7), h_list, h_ode=1.0 / 16)
     checks.append(_check("cs_r1_at_h", rep["r1"][0],
                          config.tol("cs_r1_at_h", 0.05)))
-    checks.append(_check("cs_r1_rate", rep["r1"][1] / rep["r1"][0],
+    checks.append(_check("cs_r1_rate",
+                         rep["r1"][1] / _worst((rep["r1"][0], 1e-300)),
                          config.tol("cs_r1_rate", 1.0 / 1.8)))
     checks.append(_check("cs_r2_at_h", rep["r2"][0],
                          config.tol("cs_r2_at_h", 0.05)))
@@ -447,7 +449,7 @@ def suite_akivis(config: RunConfig) -> list[dict]:
                          config.tol("torsionless_alpha", 0.05)))
     checks.append(_check("torsionless_alpha_rate",
                          rep_s["alpha_norm"][1]
-                         / max(rep_s["alpha_norm"][0], 1e-300),
+                         / _worst((rep_s["alpha_norm"][0], 1e-300)),
                          config.tol("torsionless_alpha_rate", 1.0 / 1.8)))
     checks.append(_check("torsionless_r2", rep_s["r2"][0],
                          config.tol("torsionless_r2", 1e-3)))
@@ -479,6 +481,7 @@ def suite_akivis(config: RunConfig) -> list[dict]:
 
 def suite_cartan(config: RunConfig) -> list[dict]:
     from . import cartan as cs
+    from .exterior import antisymmetrize
     from .g2linear import psi0
     from .octonion import C3
     checks = []
@@ -493,7 +496,7 @@ def suite_cartan(config: RunConfig) -> list[dict]:
     fp1 = cs.cs_tensors(1.0)
     fph = cs.cs_tensors(0.5)
     fam = _worst((np.max(np.abs(fp0.R)),
-                  np.max(np.abs(fp1.R - cs._alt4(fp1.R))),
+                  np.max(np.abs(fp1.R - antisymmetrize(fp1.R))),
                   np.max(np.abs(fph.S))))
     checks.append(_check("family_points", fam,
                          config.tol("family_points", 1e-12)))
@@ -541,7 +544,8 @@ def suite_g2field(config: RunConfig) -> list[dict]:
     checks.append(_check("torsion_law", res1["const_norm"],
                          config.tol("torsion_law", 1e-6)))
     checks.append(_check("torsion_law_rate",
-                         res2["const_norm"] / max(res1["const_norm"], 1e-300),
+                         res2["const_norm"]
+                         / _worst((res1["const_norm"], 1e-300)),
                          config.tol("torsion_law_rate", 0.4)))
     pw = fld.pullback_warp_field(strength=0.05)
     xs = 0.5 * x
@@ -549,7 +553,7 @@ def suite_g2field(config: RunConfig) -> list[dict]:
     tb = fld.g2_torsion(pw, xs, 5e-4)
     checks.append(_check("defining_rate",
                          tb.defining_residual
-                         / max(ta.defining_residual, 1e-300),
+                         / _worst((ta.defining_residual, 1e-300)),
                          config.tol("defining_rate", 0.4)))
     gi = sw.data(x).g.g_inv
     t1 = fld.g2_torsion(sw, x, 1e-3)

@@ -423,20 +423,21 @@ class CurvatureData:
         self.metric_residual = metric_residual
 
 
-def levi_civita(metric_field, x, fd_step: float = 1e-5) -> np.ndarray:
-    """Christoffel symbols of a metric field by central differences,
-    G[k, i, j] = 1/2 g^kl (g_jl,i + g_il,j - g_ij,l)."""
-    x = np.asarray(x, dtype=float)
-    g0 = np.asarray(metric_field(x), dtype=float)
+def _christoffel(g0: np.ndarray, dg: np.ndarray) -> np.ndarray:
+    """G[k, i, j] = 1/2 g^kl (g_jl,i + g_il,j - g_ij,l) from the metric
+    g0, checked positive definite, and dg[m, a, b] = g_ab,m."""
     eig = np.linalg.eigvalsh(0.5 * (g0 + g0.T))
     if eig[0] <= 0:
-        raise SingularMetric(f"metric not SPD at {x}, min eig {eig[0]:.3e}")
-    dg = central_diff(metric_field, x, fd_step)
-    gi = np.linalg.inv(g0)
-    # dg[m, a, b] = g_ab,m ; combination g_jl,i + g_il,j - g_ij,l
-    comb = (dg + np.transpose(dg, (1, 0, 2))
-            - np.transpose(dg, (1, 2, 0)))
-    return 0.5 * np.einsum("kl,ijl->kij", gi, comb)
+        raise SingularMetric(f"metric not SPD, min eig {eig[0]:.3e}")
+    comb = dg + np.transpose(dg, (1, 0, 2)) - np.transpose(dg, (1, 2, 0))
+    return 0.5 * np.einsum("kl,ijl->kij", np.linalg.inv(g0), comb)
+
+
+def levi_civita(metric_field, x, fd_step: float = 1e-5) -> np.ndarray:
+    """Christoffel symbols of a metric field by central differences."""
+    x = np.asarray(x, dtype=float)
+    return _christoffel(np.asarray(metric_field(x), dtype=float),
+                        central_diff(metric_field, x, fd_step))
 
 
 def curvature_data(chart: ConnectionChart, e,
@@ -467,10 +468,9 @@ def curvature_data(chart: ConnectionChart, e,
     contorsion = None
     metric_residual = None
     if chart.metric_field is not None:
-        lc = levi_civita(chart.metric_field, e, fd_step)
-        contorsion = g - lc
         g0 = np.asarray(chart.metric_field(e), dtype=float)
         dgm = central_diff(chart.metric_field, e, fd_step)
+        contorsion = g - _christoffel(g0, dgm)
         nabla_g = (dgm - np.einsum("lki,lj->kij", g, g0)
                    - np.einsum("lkj,il->kij", g, g0))
         metric_residual = float(np.max(np.abs(nabla_g)))

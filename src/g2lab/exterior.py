@@ -3,10 +3,15 @@
 Forms are stored with all index permutations populated, so a 3-form
 holds its full n^3 component array and the coefficient convention is
 w = (1/k!) w_{i1..ik} dx^{i1} ^ ... ^ dx^{ik}.
+
+One cached table of signed permutations, ``_signed_perms``, drives every
+antisymmetric index operation (antisymmetrization, basis forms, the
+Levi-Civita symbol, the Hodge star) by gather and scatter.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations, permutations
 from math import factorial
 
@@ -15,61 +20,71 @@ import numpy as np
 from .errors import DegreeOverflow, DegreeUnderflow, SingularMetric
 
 
-def _perm_sign(perm) -> int:
-    sign = 1
-    p = list(perm)
-    for i in range(len(p)):
-        while p[i] != i:
-            j = p[i]
-            p[i], p[j] = p[j], p[i]
-            sign = -sign
-    return sign
+def _index_rows(tuples, k: int) -> np.ndarray:
+    rows = list(tuples)
+    return np.array(rows, dtype=np.intp).reshape(len(rows), k)
 
 
-_EPS_CACHE: dict[int, np.ndarray] = {}
+def _flat(index_rows: np.ndarray, n: int) -> np.ndarray:
+    """Row-major positions in an (n,)*k array of rows of k indices."""
+    return index_rows @ (n ** np.arange(index_rows.shape[-1] - 1, -1, -1))
 
 
+@lru_cache(maxsize=None)
+def _signed_perms(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k! permutations of range(k) in itertools order, as a (k!, k)
+    array, and their signs from the parity of the inversion count."""
+    perms = _index_rows(permutations(range(k)), k)
+    inversions = np.triu(perms[:, :, None] > perms[:, None, :], 1).sum((1, 2))
+    return perms, 1.0 - 2.0 * (inversions % 2)
+
+
+@lru_cache(maxsize=None)
+def _slot_table(n: int, k: int) -> np.ndarray:
+    """Row r: flat positions of the k! orderings of the r-th sorted
+    k-tuple, in combinations and ``_signed_perms`` order."""
+    perms, _ = _signed_perms(k)
+    return _flat(_index_rows(combinations(range(n), k), k)[:, perms], n)
+
+
+def _sorted_components(comps: np.ndarray, n: int) -> np.ndarray:
+    """The antisymmetrization of comps at the sorted index tuples: the
+    mean of the k! signed orderings of each."""
+    _, signs = _signed_perms(comps.ndim)
+    vals = comps.reshape(-1)[_slot_table(n, comps.ndim)] * signs
+    first = vals[:, 0]
+    # antisymmetric input keeps its bits, so the projection is idempotent
+    same = (vals == first[:, None]).all(axis=1)
+    return np.where(same, first, vals.sum(axis=1) / len(signs))
+
+
+def _scatter(vals: np.ndarray, n: int, k: int) -> np.ndarray:
+    """Dense antisymmetric (n,)*k array with sorted components vals."""
+    _, signs = _signed_perms(k)
+    out = np.zeros(n ** k)
+    nonzero = vals != 0.0
+    out[_slot_table(n, k)[nonzero]] = vals[nonzero, None] * signs
+    return out.reshape((n,) * k)
+
+
+@lru_cache(maxsize=None)
 def levi_civita_symbol(n: int) -> np.ndarray:
-    """Dense n-index Levi-Civita symbol, cached for n <= 7."""
+    """Dense n-index Levi-Civita symbol, read-only and cached. Refused
+    above n = 7, where it would take 134 MB."""
     if n > 7:
         raise ValueError("dense symbol only kept up to n = 7")
-    eps = _EPS_CACHE.get(n)
-    if eps is None:
-        eps = np.zeros((n,) * n)
-        for perm in permutations(range(n)):
-            eps[perm] = _perm_sign(perm)
-        eps.setflags(write=False)
-        _EPS_CACHE[n] = eps
+    eps = _scatter(np.ones(1), n, n)
+    eps.setflags(write=False)
     return eps
 
 
 def antisymmetrize(comps: np.ndarray) -> np.ndarray:
-    """Full antisymmetrization (a projection), via independent components.
-
-    Iterates sorted index tuples instead of summing k! transposed arrays,
-    which keeps the cost at n!/(n-k)! regardless of degree.
-    """
-    k = comps.ndim
-    n = comps.shape[0] if k else 0
-    if k <= 1:
+    """Full antisymmetrization (a projection): gather the k! signed
+    orderings of each sorted index tuple, average, scatter back."""
+    if comps.ndim <= 1:
         return comps.copy()
-    out = np.zeros_like(comps)
-    fact = factorial(k)
-    for idx in combinations(range(n), k):
-        vals = [_perm_sign(perm) * comps[tuple(idx[p] for p in perm)]
-                for perm in permutations(range(k))]
-        # already-antisymmetric input: keep the value bitwise, so the
-        # operation is exactly idempotent
-        first = vals[0]
-        if all(v == first for v in vals[1:]):
-            val = first
-        else:
-            val = sum(vals) / fact
-        if val == 0.0:
-            continue
-        for perm in permutations(range(k)):
-            out[tuple(idx[p] for p in perm)] = _perm_sign(perm) * val
-    return out
+    n = comps.shape[0]
+    return _scatter(_sorted_components(comps, n), n, comps.ndim)
 
 
 class AltTensor:
@@ -97,10 +112,10 @@ class AltTensor:
     def basis_form(cls, n: int, indices) -> "AltTensor":
         """dx^{i1} ^ ... ^ dx^{ik} for 0-based indices."""
         k = len(indices)
-        comps = np.zeros((n,) * k)
-        for perm in permutations(range(k)):
-            comps[tuple(indices[p] for p in perm)] = _perm_sign(perm)
-        return cls(n, k, comps, _skip_antisym=True)
+        perms, signs = _signed_perms(k)
+        comps = np.zeros(n ** k)
+        comps[_flat(np.asarray(indices, dtype=np.intp)[perms], n)] = signs
+        return cls(n, k, comps.reshape((n,) * k), _skip_antisym=True)
 
     def __add__(self, other: "AltTensor") -> "AltTensor":
         self._check_match(other)
@@ -218,31 +233,29 @@ def volume_form(g: Metric, orientation: int = +1) -> AltTensor:
     return vol * (orientation * g.sqrt_det)
 
 
+@lru_cache(maxsize=None)
+def _shuffle_signs(n: int, k: int) -> np.ndarray:
+    """Sign of (I, J) as a permutation, J the sorted complement of I, for
+    each sorted k-tuple I in combinations order: (I, J) has sum_r (I_r - r)
+    inversions."""
+    return np.array([(-1.0) ** (sum(i) - k * (k - 1) // 2)
+                     for i in combinations(range(n), k)])
+
+
 def hodge(a: AltTensor, g: Metric, orientation: int = +1) -> AltTensor:
-    """Hodge star defined by <w, a> vol = w ^ (star a)."""
+    """Hodge star defined by <w, a> vol = w ^ (star a): component J is
+    sqrt(det g) sign(I, J) times the raised component at the complement I,
+    averaged over the orderings of I."""
     n, k = a.n, a.k
     raised = a.comps
     for _ in range(k):
         raised = np.tensordot(raised, g.g_inv, axes=(0, 0))
     scale = orientation * g.sqrt_det
-    if n <= 7:
-        eps = levi_civita_symbol(n)
-        if k == 0:
-            out = scale * float(raised) * eps
-        else:
-            out = scale / factorial(k) * np.tensordot(raised, eps, axes=k)
-        return AltTensor(n, n - k, out, _skip_antisym=True)
-    out = np.zeros((n,) * (n - k))
-    for idx_out in combinations(range(n), n - k):
-        idx_in = tuple(i for i in range(n) if i not in idx_out)
-        # sign of (idx_in, idx_out) as a permutation of (0 .. n-1)
-        sign = _perm_sign(idx_in + idx_out)
-        val = scale * sign * (raised[idx_in] if k else float(raised))
-        if val == 0.0:
-            continue
-        for perm in permutations(range(n - k)):
-            out[tuple(idx_out[p] for p in perm)] = _perm_sign(perm) * val
-    return AltTensor(n, n - k, out, _skip_antisym=True)
+    vals = scale * _shuffle_signs(n, k) * _sorted_components(raised, n)
+    # the complements of the sorted k-tuples, in combinations order, are
+    # the sorted (n-k)-tuples in reverse combinations order
+    return AltTensor(n, n - k, _scatter(vals[::-1], n, n - k),
+                     _skip_antisym=True)
 
 
 def interior_star_residual(x: np.ndarray, a: AltTensor, g: Metric,

@@ -31,17 +31,21 @@ def psi0() -> AltTensor:
 
 
 class G2MetricData:
-    """Metric, volume form, orientation and 4-form associated to a 3-form."""
+    """Metric, volume scalar, orientation and 4-form of a 3-form."""
 
-    __slots__ = ("phi", "g", "vol", "psi", "orientation")
+    __slots__ = ("phi", "g", "vol_scalar", "psi", "orientation")
 
-    def __init__(self, phi: AltTensor, g: Metric, vol: AltTensor,
+    def __init__(self, phi: AltTensor, g: Metric, vol_scalar: float,
                  psi: AltTensor, orientation: int) -> None:
         self.phi = phi
         self.g = g
-        self.vol = vol
+        self.vol_scalar = vol_scalar
         self.psi = psi
         self.orientation = orientation
+
+    @property
+    def vol(self) -> AltTensor:
+        return AltTensor(7, 7, self.vol_scalar * eps7(), _skip_antisym=True)
 
 
 def bilinear_7form(phi: np.ndarray) -> np.ndarray:
@@ -75,9 +79,8 @@ def metric_from_3form(phi: AltTensor | np.ndarray,
     g = Metric(6.0 ** (-2.0 / 9.0) / root9 * b)
     vol_scalar = 6.0 ** (-7.0 / 9.0) * root9
     orientation = int(np.sign(vol_scalar))
-    vol = AltTensor(7, 7, vol_scalar * eps7(), _skip_antisym=True)
     psi = hodge(phi, g, orientation)
-    return G2MetricData(phi, g, vol, psi, orientation)
+    return G2MetricData(phi, g, vol_scalar, psi, orientation)
 
 
 def pullback_3form(t: np.ndarray, phi: np.ndarray) -> np.ndarray:

@@ -10,12 +10,11 @@ Every sign-sensitive constant downstream (the rank-4 tensor, the model
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
 
 import numpy as np
 
 from .errors import NotImaginary, ZeroDivisor
-from .exterior import _perm_sign
+from .exterior import AltTensor
 
 ZERO_EPS = 1e-24   # squared-norm floor below which inversion is refused
 IMAG_EPS = 1e-12   # relative real-part tolerance for "pure imaginary"
@@ -23,18 +22,8 @@ IMAG_EPS = 1e-12   # relative real-part tolerance for "pure imaginary"
 STRUCTURE_CYCLES = ((1, 2, 3), (1, 4, 5), (1, 6, 7), (2, 4, 6),
                     (2, 7, 5), (3, 7, 4), (3, 6, 5))
 
-
-def _build_c3() -> np.ndarray:
-    c = np.zeros((7, 7, 7))
-    for cycle in STRUCTURE_CYCLES:
-        base = tuple(k - 1 for k in cycle)
-        for perm in permutations(range(3)):
-            idx = tuple(base[p] for p in perm)
-            c[idx] = _perm_sign(perm)
-    return c
-
-
-C3 = _build_c3()
+C3 = sum(AltTensor.basis_form(7, tuple(k - 1 for k in cycle)).comps
+         for cycle in STRUCTURE_CYCLES)
 C3.setflags(write=False)
 
 
@@ -67,12 +56,14 @@ def basis_table() -> list[list[tuple[int, int]]]:
     return table
 
 
+_BASIS_TABLE = basis_table()
+
+
 def mul_exact(a, b):
     """Multiply octonions with Fraction coefficients using the exact table.
 
     Only the integer basis table enters, so results are exact rationals.
     """
-    table = basis_table()
     out = [Fraction(0)] * 8
     for i in range(8):
         if a[i] == 0:
@@ -80,7 +71,7 @@ def mul_exact(a, b):
         for j in range(8):
             if b[j] == 0:
                 continue
-            k, sign = table[i][j]
+            k, sign = _BASIS_TABLE[i][j]
             out[k] += Fraction(a[i]) * Fraction(b[j]) * sign
     return tuple(out)
 

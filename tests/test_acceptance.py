@@ -11,6 +11,11 @@ import numpy as np
 _LINES = []
 
 
+def _worst(values):
+    """Largest residual; a NaN or inf anywhere propagates and fails."""
+    return float(np.max(np.asarray(list(values), dtype=float)))
+
+
 def _report(num, label, ok, detail, budget, elapsed):
     status = "PASS" if ok else "FAIL"
     line = (f"[{status}] criterion {num:2d} ({label}): {detail} "
@@ -28,9 +33,9 @@ def test_criterion_01_model_form_constants():
     id7 = Metric.euclidean(7)
     psi = hodge(PHI0, id7, +1)
     vol = volume_form(id7)
-    r = max(abs(form_inner(PHI0, PHI0, id7) - 7.0),
-            abs(form_inner(psi, psi, id7) - 7.0),
-            (wedge(PHI0, psi) - 7.0 * vol).max_abs())
+    r = _worst((abs(form_inner(PHI0, PHI0, id7) - 7.0),
+                abs(form_inner(psi, psi, id7) - 7.0),
+                (wedge(PHI0, psi) - 7.0 * vol).max_abs()))
     elapsed = time.perf_counter() - start
     _report(1, "phi0/psi0 constants", r <= 1e-13,
             f"max residual {r:.2e} <= 1e-13", 1.0, elapsed)
@@ -41,11 +46,12 @@ def test_criterion_02_contraction_identity_suite():
     from g2lab.g2linear import (metric_from_3form, pullback_3form,
                                 random_gl7, contraction_identity_residuals, PHI0)
     rng = np.random.default_rng(2024)
-    worst = 0.0
+    resids = []
     for _ in range(100):
         a = random_gl7(rng, cond_max=10.0)
         phi = pullback_3form(a, PHI0.comps)
-        worst = max(worst, max(contraction_identity_residuals(phi).values()))
+        resids.extend(contraction_identity_residuals(phi).values())
+    worst = _worst(resids)
     elapsed = time.perf_counter() - start
     _report(2, "six contraction identities", worst <= 1e-10,
             f"max residual {worst:.2e} <= 1e-10 over 100 forms", 10.0,
@@ -58,16 +64,17 @@ def test_criterion_03_metric_recovery():
     from g2lab.g2linear import (metric_from_3form, psi0, pullback_3form,
                                 random_gl7, PHI0)
     data = metric_from_3form(PHI0)
-    exact = max(np.max(np.abs(data.g.g - np.eye(7))),
-                (data.psi - psi0()).max_abs(),
-                (data.vol - volume_form(Metric.euclidean(7))).max_abs())
+    exact = _worst((np.max(np.abs(data.g.g - np.eye(7))),
+                    (data.psi - psi0()).max_abs(),
+                    (data.vol - volume_form(Metric.euclidean(7))).max_abs()))
     rng = np.random.default_rng(3)
-    equiv = 0.0
+    resids = []
     for _ in range(100):
         a = random_gl7(rng)
         d = metric_from_3form(pullback_3form(a, PHI0.comps))
-        equiv = max(equiv, np.max(np.abs(d.g.g - a.T @ a))
-                    / np.max(np.abs(a.T @ a)))
+        resids.append(np.max(np.abs(d.g.g - a.T @ a))
+                      / np.max(np.abs(a.T @ a)))
+    equiv = _worst(resids)
     elapsed = time.perf_counter() - start
     _report(3, "metric from 3-form", exact <= 1e-13 and equiv <= 1e-10,
             f"model {exact:.2e} <= 1e-13, equivariance {equiv:.2e} <= 1e-10",
@@ -79,7 +86,8 @@ def test_criterion_04_r_operator_spectrum():
     from g2lab.g2linear import metric_from_3form, r_operator_matrix, PHI0
     mat = r_operator_matrix(metric_from_3form(PHI0))
     eig = np.sort(np.linalg.eigvalsh(0.5 * (mat + mat.T)))
-    r = max(np.max(np.abs(eig[:14] + 1.0)), np.max(np.abs(eig[14:] - 2.0)))
+    r = _worst((np.max(np.abs(eig[:14] + 1.0)),
+                np.max(np.abs(eig[14:] - 2.0))))
     elapsed = time.perf_counter() - start
     _report(4, "2-form operator spectrum", r <= 1e-10,
             f"eigenvalue residual {r:.2e} <= 1e-10 (-1 x14, 2 x7)", 1.0,
@@ -91,13 +99,13 @@ def test_criterion_05_g2_construction():
     from g2lab.g2linear import (g2_from_triple, pullback_3form,
                                 random_admissible_triple, PHI0)
     rng = np.random.default_rng(5)
-    worst_phi = 0.0
-    worst_det = 0.0
+    phis, dets = [], []
     for _ in range(1000):
         t = g2_from_triple(*random_admissible_triple(rng))
-        worst_phi = max(worst_phi, np.max(np.abs(
+        phis.append(np.max(np.abs(
             pullback_3form(t, PHI0.comps) - PHI0.comps)))
-        worst_det = max(worst_det, abs(np.linalg.det(t) - 1.0))
+        dets.append(abs(np.linalg.det(t) - 1.0))
+    worst_phi, worst_det = _worst(phis), _worst(dets)
     elapsed = time.perf_counter() - start
     _report(5, "group elements from triples",
             worst_phi <= 1e-10 and worst_det <= 1e-10,
@@ -113,16 +121,17 @@ def test_criterion_06_deformation_laws():
     from g2lab.octonion import Octonion
     rng = np.random.default_rng(6)
     data0 = metric_from_3form(PHI0)
-    w36 = w40 = wiso = 0.0
+    r36, r40, riso = [], [], []
     for _ in range(100):
         u, v = (Octonion(w) for w in oc.random_octonions(rng, 2, unit=True))
-        w36 = max(w36, conjugation_pullback_residual(v, PHI0, data0))
-        w40 = max(w40, composition_residual(u, v, PHI0, data0))
+        r36.append(conjugation_pullback_residual(v, PHI0, data0))
+        r40.append(composition_residual(u, v, PHI0, data0))
         phi = random_positive_3form(rng, cond_max=4.0)
         dp = metric_from_3form(phi)
         dv = metric_from_3form(sigma(v, phi, dp))
-        wiso = max(wiso, np.max(np.abs(dv.g.g - dp.g.g))
-                   / np.max(np.abs(dp.g.g)))
+        riso.append(np.max(np.abs(dv.g.g - dp.g.g))
+                    / np.max(np.abs(dp.g.g)))
+    w36, w40, wiso = _worst(r36), _worst(r40), _worst(riso)
     elapsed = time.perf_counter() - start
     _report(6, "deformation laws",
             w36 <= 1e-11 and w40 <= 1e-10 and wiso <= 1e-10,
@@ -136,19 +145,19 @@ def test_criterion_07_flat_loop():
     rng = np.random.default_rng(7)
     chart = flat_chart(4)
     h = 0.25  # the one-step method is exact on a vanishing right side
-    worst = 0.0
+    resids = []
     for _ in range(100):
         e = rng.uniform(-0.3, 0.3, 4)
         x = e + rng.uniform(-0.5, 0.5, 4)
         y = e + rng.uniform(-0.5, 0.5, 4)
         z = e + rng.uniform(-0.5, 0.5, 4)
         mu = loop_product(chart, e, x, y, h)
-        worst = max(worst, np.max(np.abs(mu - (x + y - e))))
-        worst = max(worst, np.max(np.abs(
-            mu - loop_product(chart, e, y, x, h))))
+        resids.append(np.max(np.abs(mu - (x + y - e))))
+        resids.append(np.max(np.abs(mu - loop_product(chart, e, y, x, h))))
         lhs = loop_product(chart, e, mu, z, h)
         rhs = loop_product(chart, e, x, loop_product(chart, e, y, z, h), h)
-        worst = max(worst, np.max(np.abs(lhs - rhs)))
+        resids.append(np.max(np.abs(lhs - rhs)))
+    worst = _worst(resids)
     elapsed = time.perf_counter() - start
     _report(7, "flat geodesic loop", worst <= 1e-12,
             f"abelian-group residual {worst:.2e} <= 1e-12 over 100 triples",
@@ -177,7 +186,8 @@ def test_criterion_08_akivis_convergence():
 def test_criterion_09_self_duality_constants():
     start = time.perf_counter()
     from g2lab.cartan import self_duality_residuals
-    worst = max(max(self_duality_residuals(k).values()) for k in (1.0, 2.0))
+    worst = _worst(r for k in (1.0, 2.0)
+                   for r in self_duality_residuals(k).values())
     elapsed = time.perf_counter() - start
     _report(9, "self-duality constants", worst <= 1e-12,
             f"max residual {worst:.2e} <= 1e-12 at k in {{1, 2}}", 1.0,
@@ -190,8 +200,7 @@ def test_criterion_10_enveloping_relation():
     from g2lab.clifford import ENVELOPING_KAPPA, enveloping_residual
     from g2lab.octonion import Octonion, left_matrix
     rng = np.random.default_rng(10)
-    worst_orth = 0.0
-    worst_kappa = 0.0
+    orth, kappa = [], []
     for _ in range(100):
         q1 = rng.standard_normal(7)
         q1 /= np.linalg.norm(q1)
@@ -200,10 +209,11 @@ def test_criterion_10_enveloping_relation():
         q2 /= np.linalg.norm(q2)
         l1 = left_matrix(Octonion.from_parts(0.0, q1))
         l2 = left_matrix(Octonion.from_parts(0.0, q2))
-        worst_orth = max(worst_orth, np.max(np.abs(l1 @ l2 + l2 @ l1)))
+        orth.append(np.max(np.abs(l1 @ l2 + l2 @ l1)))
         a = Octonion(oc.random_octonions(rng, 1, imaginary=True)[0])
         b = Octonion(oc.random_octonions(rng, 1, imaginary=True)[0])
-        worst_kappa = max(worst_kappa, enveloping_residual(a, b))
+        kappa.append(enveloping_residual(a, b))
+    worst_orth, worst_kappa = _worst(orth), _worst(kappa)
     elapsed = time.perf_counter() - start
     _report(10, "enveloping Clifford relation",
             worst_orth <= 1e-13 and worst_kappa <= 1e-12,
@@ -274,7 +284,7 @@ def test_criterion_12_octonion_identity_pack():
         np.einsum("nk,nk->n", ab_cross, ab_cross)
         - oc.norm_batch(ai) ** 2 * oc.norm_batch(bi) ** 2 + dots_ab ** 2)
         / (oc.norm_batch(ai) * oc.norm_batch(bi)) ** 2)
-    worst = max(norm_mult, alt, e560, e564, e565)
+    worst = _worst((norm_mult, alt, e560, e564, e565))
     elapsed = time.perf_counter() - start
     _report(12, "octonion identity pack", worst <= 1e-12,
             f"max residual {worst:.2e} <= 1e-12 over {n} draws", 5.0,

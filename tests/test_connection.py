@@ -304,6 +304,21 @@ def test_curvature_data_sphere(sphere):
     assert data.metric_residual < 1e-9
 
 
+def test_curvature_data_differentiates_metric_once():
+    chart = cn.sphere2_chart()
+    real = chart.metric_field
+    calls = []
+
+    def counted(x):
+        calls.append(None)
+        return real(x)
+
+    chart.metric_field = counted
+    cn.curvature_data(chart, np.array([1.2, 0.3]))
+    # the metric at e and its central difference at 2 n = 4 points
+    assert len(calls) == 5
+
+
 def test_curvature_data_stencil_leaves_domain(sphere):
     # e is inside, but e - fd_step e_theta crosses the theta margin
     e = np.array([sphere.domain[0, 0] + 5e-6, 0.3])

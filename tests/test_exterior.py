@@ -1,5 +1,8 @@
 """Antisymmetric tensors: wedge, interior, musical maps, Hodge star."""
 
+from itertools import permutations
+from math import factorial
+
 import numpy as np
 import pytest
 
@@ -140,3 +143,52 @@ def test_metric_validation():
         Metric(np.diag([1.0, -1.0]))
     with pytest.raises(SingularMetric):
         Metric(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+
+def _antisymmetrize_oracle(t):
+    # mean of the k! signed transposes, the sign read off a determinant
+    k = t.ndim
+    out = np.zeros_like(t)
+    for p in permutations(range(k)):
+        out += round(np.linalg.det(np.eye(k)[list(p)])) * np.transpose(t, p)
+    return out / factorial(k)
+
+
+def test_antisymmetrize_matches_transpose_oracle():
+    rng = np.random.default_rng(10)
+    for k in range(2, 6):
+        raw = rng.standard_normal((6,) * k)
+        got = ext.antisymmetrize(raw)
+        assert np.max(np.abs(got - _antisymmetrize_oracle(raw))) < 1e-15
+
+
+def test_antisymmetrize_bitwise_idempotent():
+    rng = np.random.default_rng(11)
+    for k in (4, 7):
+        once = ext.antisymmetrize(rng.standard_normal((7,) * k))
+        assert np.array_equal(ext.antisymmetrize(once), once)
+
+
+def test_basis_form_carries_sorting_sign():
+    got = AltTensor.basis_form(7, (4, 1, 6))
+    assert got.comps[4, 1, 6] == 1.0
+    assert got.comps[1, 4, 6] == -1.0
+    assert (got + AltTensor.basis_form(7, (1, 4, 6))).max_abs() == 0.0
+
+
+def test_levi_civita_symbol_refuses_dim8():
+    with pytest.raises(ValueError):
+        ext.levi_civita_symbol(8)
+
+
+def test_hodge_dim8():
+    g = Metric.euclidean(8)
+    got = ext.hodge(AltTensor.basis_form(8, (0, 1)), g)
+    assert (got - AltTensor.basis_form(8, tuple(range(2, 8)))).max_abs() == 0.0
+    rng = np.random.default_rng(12)
+    g = _spd(rng, 8)
+    for k in range(2, 7):
+        a = AltTensor(8, k, rng.standard_normal((8,) * k))
+        hh = ext.hodge(ext.hodge(a, g), g)
+        assert (hh - ((-1.0) ** (k * (8 - k))) * a).max_abs() \
+            < 1e-12 * a.max_abs()
