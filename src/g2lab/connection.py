@@ -17,6 +17,24 @@ T = -2S for antisymmetric S); the chart realization of the parallelized
 7-sphere family then reproduces 2*alpha = (1 - 2*a) c with the plus
 sign.  The curvature components follow
 R^i_jkl = G^m_lj G^i_km - G^m_kj G^i_lm + d_k G^i_lj - d_l G^i_kj.
+
+The ODE engine is one classical fixed-step RK4 stepper, ``_rk4``, over a
+tuple state whose arrays share optional leading batch axes: (x, v) of
+shape (N, n) for geodesics, (x, v, M) with M of shape (N, n, n) for the
+geodesic with its parallel frame, and (w,) for transport along a sampled
+path.  ``integrate_geodesic``, ``geodesic_with_frame`` and
+``parallel_transport`` all step through it, and the two geodesic
+integrators check the whole batch against the domain once per step.
+Every public ODE function takes a single point of shape (n,) or a batch
+of shape (N, n); each row of a batch gets the bits a single-point call
+gives it, because every contraction acts row by row.  ``exp_inverse`` is
+one damped Newton iteration over all rows, with a per-row convergence
+mask and a per-row finite-difference Jacobian fallback (the batched
+``central_diff`` of ``exp_map``); each iteration shoots the rows still
+active through ``exp_map`` in one call.  The loop-jet fit enumerates each
+pass's whole stencil and evaluates it through these batched calls.
+References: Hairer, Norsett & Wanner, Solving ODEs I, II.1 (RK4) and
+II.4 (Richardson extrapolation).
 """
 
 from __future__ import annotations
@@ -30,8 +48,27 @@ from .errors import BadConfig, LeftDomain, NoConvergence, SingularMetric
 from .octonion import C3
 
 
+def _require_inside(domain: np.ndarray, x, name: str) -> None:
+    """Raise LeftDomain unless every point of x, shape (n,) or (..., n),
+    lies in the box domain[:, 0] <= x <= domain[:, 1].  The comparison is
+    written so that a NaN coordinate counts as outside."""
+    x = np.asarray(x)
+    inside = (domain[:, 0] <= x) & (x <= domain[:, 1])
+    if not inside.all():
+        rows = x.reshape(-1, x.shape[-1])
+        bad = rows[~inside.reshape(rows.shape).all(axis=1)][0]
+        raise LeftDomain(f"point {bad} left the domain of {name}")
+
+
 class ConnectionChart:
-    """Coordinate chart carrying Christoffel symbols as a smooth field."""
+    """Coordinate chart carrying Christoffel symbols as a smooth field.
+
+    ``gamma`` maps points x of shape (..., n) to symbols of shape
+    (..., n, n, n), one (n, n, n) block per point; a chart whose symbols
+    do not depend on x may return one constant (n, n, n) array for any
+    batch.  The integrators contract with either form by broadcasting, so
+    they never ask which kind of chart they hold.
+    """
 
     __slots__ = ("n", "gamma", "domain", "metric_field", "normal_radius",
                  "name")
@@ -48,12 +85,15 @@ class ConnectionChart:
         self.name = name
 
     def check_inside(self, x: np.ndarray) -> None:
-        if np.any(x < self.domain[:, 0]) or np.any(x > self.domain[:, 1]):
-            raise LeftDomain(f"point {x} left the domain of {self.name}")
+        _require_inside(self.domain, x, self.name)
 
 
 class Path:
-    """Time-stamped points and velocities of a curve in a chart."""
+    """Time-stamped points and velocities of a curve in a chart.
+
+    ``xs`` and ``vs`` have shape (len(ts), n), or (len(ts), N, n) for a
+    batch of N curves sampled at common times.
+    """
 
     __slots__ = ("ts", "xs", "vs")
 
@@ -107,34 +147,54 @@ def _steps_for(t_end: float, h: float) -> int:
     return max(1, ceil(abs(t_end) / h - 1e-12))
 
 
+def _rk4(rhs, state: tuple, t0: float, dt: float, n_steps: int):
+    """Classical fixed-step RK4 on a tuple of arrays; rhs(t, state)
+    returns the tuple of derivatives.  Yields the state after each step."""
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    t = t0
+    for _ in range(n_steps):
+        d1 = rhs(t, state)
+        d2 = rhs(t + half, tuple([s + half * d for s, d in zip(state, d1)]))
+        d3 = rhs(t + half, tuple([s + half * d for s, d in zip(state, d2)]))
+        d4 = rhs(t + dt, tuple([s + dt * d for s, d in zip(state, d3)]))
+        state = tuple([s + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
+                       for s, k1, k2, k3, k4 in zip(state, d1, d2, d3, d4)])
+        t += dt
+        yield state
+
+
+def _point_pair(x0, v0) -> tuple[np.ndarray, np.ndarray]:
+    """Fresh float copies of x0 and v0 broadcast to one shape."""
+    x, v = np.broadcast_arrays(np.asarray(x0, dtype=float),
+                               np.asarray(v0, dtype=float))
+    return x.copy(), v.copy()
+
+
 def integrate_geodesic(chart: ConnectionChart, x0, v0, t_end: float = 1.0,
                        h: float = 1e-3) -> GeodesicPath:
-    """Classical fixed-step 4th-order integration of the geodesic equation."""
-    x = np.asarray(x0, dtype=float).copy()
-    v = np.asarray(v0, dtype=float).copy()
+    """Classical fixed-step 4th-order integration of the geodesic equation.
+
+    x0 and v0 are one point and velocity, shape (n,), or a batch of N,
+    shape (N, n); xs and vs of the path then have shape (steps + 1, N, n).
+    """
+    gamma = chart.gamma
+
+    def rhs(t, state):
+        x, v = state
+        return v, -np.einsum("...ijk,...j,...k->...i", gamma(x), v, v)
+
+    x, v = _point_pair(x0, v0)
     chart.check_inside(x)
     n_steps = _steps_for(t_end, h)
     dt = t_end / n_steps
-    ts = [0.0]
-    xs = [x.copy()]
-    vs = [v.copy()]
-    gamma = chart.gamma
-
-    def acc(x, v):
-        return -np.einsum("ijk,j,k->i", gamma(x), v, v)
-
-    for step in range(n_steps):
-        k1x, k1v = v, acc(x, v)
-        k2x, k2v = v + 0.5 * dt * k1v, acc(x + 0.5 * dt * k1x, v + 0.5 * dt * k1v)
-        k3x, k3v = v + 0.5 * dt * k2v, acc(x + 0.5 * dt * k2x, v + 0.5 * dt * k2v)
-        k4x, k4v = v + dt * k3v, acc(x + dt * k3x, v + dt * k3v)
-        x = x + dt / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x)
-        v = v + dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
+    xs = np.empty((n_steps + 1,) + x.shape)
+    vs = np.empty_like(xs)
+    xs[0], vs[0] = x, v
+    for i, (x, v) in enumerate(_rk4(rhs, (x, v), 0.0, dt, n_steps), 1):
         chart.check_inside(x)
-        ts.append((step + 1) * dt)
-        xs.append(x.copy())
-        vs.append(v.copy())
-    return GeodesicPath(ts, xs, vs, x0, v0, dt)
+        xs[i], vs[i] = x, v
+    return GeodesicPath(dt * np.arange(n_steps + 1), xs, vs, x0, v0, dt)
 
 
 def geodesic_with_frame(chart: ConnectionChart, x0, v0, t_end: float = 1.0,
@@ -142,75 +202,77 @@ def geodesic_with_frame(chart: ConnectionChart, x0, v0, t_end: float = 1.0,
     """Integrate the geodesic and the parallel frame along it jointly.
 
     Returns (endpoint, end_velocity, M) where M maps a vector at x0 to
-    its parallel transport at the endpoint.
+    its parallel transport at the endpoint; for a batch of N geodesics
+    the three have shapes (N, n), (N, n) and (N, n, n).
     """
-    n = chart.n
-    x = np.asarray(x0, dtype=float).copy()
-    v = np.asarray(v0, dtype=float).copy()
-    m = np.eye(n)
-    chart.check_inside(x)
-    n_steps = _steps_for(t_end, h)
-    dt = t_end / n_steps
     gamma = chart.gamma
 
-    def rhs(state):
+    def rhs(t, state):
         x, v, m = state
         g = gamma(x)
         return (v,
-                -np.einsum("ijk,j,k->i", g, v, v),
-                -np.einsum("ijk,j,kc->ic", g, v, m))
+                -np.einsum("...ijk,...j,...k->...i", g, v, v),
+                -np.einsum("...ijk,...j,...kc->...ic", g, v, m))
 
-    for _ in range(n_steps):
-        s0 = (x, v, m)
-        k1 = rhs(s0)
-        k2 = rhs(tuple(a + 0.5 * dt * b for a, b in zip(s0, k1)))
-        k3 = rhs(tuple(a + 0.5 * dt * b for a, b in zip(s0, k2)))
-        k4 = rhs(tuple(a + dt * b for a, b in zip(s0, k3)))
-        x, v, m = tuple(a + dt / 6.0 * (b1 + 2 * b2 + 2 * b3 + b4)
-                        for a, b1, b2, b3, b4 in zip(s0, k1, k2, k3, k4))
-        chart.check_inside(x)
-    return x, v, m
+    x, v = _point_pair(x0, v0)
+    state = (x, v, np.broadcast_to(np.eye(chart.n), x.shape + (chart.n,)))
+    chart.check_inside(x)
+    n_steps = _steps_for(t_end, h)
+    for state in _rk4(rhs, state, 0.0, t_end / n_steps, n_steps):
+        chart.check_inside(state[0])
+    return state
 
 
 def parallel_transport(chart: ConnectionChart, path: Path, w0,
                        h: float = 1e-3) -> np.ndarray:
-    """Transport w0 along a sampled path (cubic Hermite interpolated)."""
-    w = np.asarray(w0, dtype=float).copy()
-    t0, t1 = float(path.ts[0]), float(path.ts[-1])
-    n_steps = _steps_for(t1 - t0, h)
-    dt = (t1 - t0) / n_steps
+    """Transport w0 along a sampled path (cubic Hermite interpolated).
+
+    w0 is one vector, shape (n,), or N vectors, shape (N, n), carried
+    along the same path or along a batch path of N curves.
+    """
     gamma = chart.gamma
 
-    def rhs(t, w):
+    def rhs(t, state):
         x, v = path.hermite(t)
-        return -np.einsum("ijk,j,k->i", gamma(x), v, w)
+        return (-np.einsum("...ijk,...j,...k->...i", gamma(x), v, state[0]),)
 
-    t = t0
-    for _ in range(n_steps):
-        k1 = rhs(t, w)
-        k2 = rhs(t + 0.5 * dt, w + 0.5 * dt * k1)
-        k3 = rhs(t + 0.5 * dt, w + 0.5 * dt * k2)
-        k4 = rhs(t + dt, w + dt * k3)
-        w = w + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        t += dt
-    return w
+    state = (np.array(w0, dtype=float),)
+    t0, t1 = float(path.ts[0]), float(path.ts[-1])
+    n_steps = _steps_for(t1 - t0, h)
+    for state in _rk4(rhs, state, t0, (t1 - t0) / n_steps, n_steps):
+        pass
+    return state[0]
 
 
 def central_diff(f, x, step: float) -> np.ndarray:
     """Central differences of f at x along every coordinate axis, stacked
     on a new leading axis: out[m] = (f(x + step e_m) - f(x - step e_m))
-    / (2 step)."""
+    / (2 step).  x may be a batch of points, shape (N, n), when f maps
+    such a batch row by row; out then has shape (n, N, ...)."""
     x = np.asarray(x, dtype=float)
     return np.array([(np.asarray(f(x + dx)) - np.asarray(f(x - dx)))
-                     / (2 * step) for dx in step * np.eye(x.size)])
+                     / (2 * step) for dx in step * np.eye(x.shape[-1])])
 
 
 def exp_map(chart: ConnectionChart, e, v, h: float = 1e-3) -> np.ndarray:
-    """Geodesic endpoint exp_e(v) at unit time."""
+    """Geodesic endpoint exp_e(v) at unit time, for one (e, v) pair or
+    for rows of a batch; a row with v = 0 returns its e unintegrated."""
+    e = np.asarray(e, dtype=float)
     v = np.asarray(v, dtype=float)
-    if np.max(np.abs(v)) == 0.0:
-        return np.asarray(e, dtype=float).copy()
-    return integrate_geodesic(chart, e, v, 1.0, h).endpoint
+    moving = np.max(np.abs(v), axis=-1) != 0.0
+    if moving.all():
+        return integrate_geodesic(chart, e, v, 1.0, h).endpoint
+    out, v = _point_pair(e, v)
+    if moving.any():
+        out[moving] = integrate_geodesic(chart, out[moving], v[moving], 1.0,
+                                         h).endpoint
+    return out
+
+
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """Euclidean norm of every row, with the bits np.linalg.norm gives a
+    single row (a dot product)."""
+    return np.sqrt(np.matmul(a[:, None, :], a[:, :, None])[:, 0, 0])
 
 
 def exp_inverse(chart: ConnectionChart, e, y, h: float = 1e-3,
@@ -220,29 +282,53 @@ def exp_inverse(chart: ConnectionChart, e, y, h: float = 1e-3,
 
     Newton iteration on v -> exp_e(v) - y, starting from y - e.  The
     Jacobian starts as the identity (exact at v = 0) and is replaced by a
-    finite-difference Jacobian whenever convergence stalls.
+    finite-difference Jacobian whenever convergence stalls.  e and y are
+    single points or batches of rows; every row iterates on its own, a
+    row stops when its residual is within tol (a NaN residual never is),
+    and NoConvergence is raised when any row is still open after
+    max_iter shots.
     """
     e = np.asarray(e, dtype=float)
     y = np.asarray(y, dtype=float)
+    shape = np.broadcast_shapes(e.shape, y.shape)
+    e = np.broadcast_to(e, shape).reshape(-1, shape[-1])
+    y = np.broadcast_to(y, shape).reshape(-1, shape[-1])
     v = y - e
+    rows = len(v)
     jac = None
-    prev = np.inf
+    has_jac = np.zeros(rows, dtype=bool)
+    prev = np.full(rows, np.inf)
+    active = np.arange(rows)
     for _ in range(max_iter):
-        r = exp_map(chart, e, v, h) - y
-        err = float(np.max(np.abs(r)))
-        if err <= tol:
-            return v
-        if jac is None and err > 0.5 * prev:
-            jac = central_diff(lambda w: exp_map(chart, e, w, h), v,
-                               fd_step).T
-        step = r if jac is None else np.linalg.solve(jac, r)
+        r = exp_map(chart, e[active], v[active], h) - y[active]
+        err = np.max(np.abs(r), axis=1)
+        open_ = ~(err <= tol)
+        active, r, err = active[open_], r[open_], err[open_]
+        if active.size == 0:
+            return v.reshape(shape)
+        stalled = ~has_jac[active] & (err > 0.5 * prev[active])
+        if stalled.any():
+            if jac is None:
+                jac = np.zeros((rows, shape[-1], shape[-1]))
+            fresh = active[stalled]
+            e_fresh = e[fresh]
+            jac[fresh] = np.transpose(central_diff(
+                lambda w: exp_map(chart, e_fresh, w, h), v[fresh], fd_step),
+                (1, 2, 0))
+            has_jac[fresh] = True
+        step = r
+        solved = has_jac[active]
+        if solved.any():
+            step[solved] = np.linalg.solve(jac[active[solved]],
+                                           r[solved][:, :, None])[:, :, 0]
+        va = v[active]
         # damp when the full step would overshoot badly
-        scale = 1.0
-        if np.linalg.norm(step) > 0.5 * max(np.linalg.norm(v), 1.0):
-            scale = 0.5
-        v = v - scale * step
-        prev = err
-    raise NoConvergence(f"exp_inverse stalled at residual {err:.3e}")
+        scale = np.where(_row_norms(step)
+                         > 0.5 * np.maximum(_row_norms(va), 1.0), 0.5, 1.0)
+        v[active] = va - scale[:, None] * step
+        prev[active] = err
+    raise NoConvergence(f"exp_inverse stalled at residual {np.max(err):.3e} "
+                        f"({active.size} of {rows} rows open)")
 
 
 def loop_product(chart: ConnectionChart, e, x, y,
@@ -287,9 +373,17 @@ class LoopExpansionReport:
         self.residuals = residuals or {}
 
 
+# Rows per batched forward shot and Newton solve of a stencil.  Each
+# shot stores its geodesic paths, so memory grows with the block: on the
+# cartan suite's fits, whole passes (about 3000 rows at n = 7) peaked at
+# 57.5 MB RSS, blocks of 1024 rows at 47.5 MB and blocks of 512 at
+# 46.3 MB (45.3 MB one point at a time), all at the same speed.
+_BLOCK_ROWS = 512
+
+
 class _NormalLoop:
     """Loop product re-expressed in exponential normal coordinates at e,
-    with per-v caching of the geodesic/frame integration."""
+    evaluated on a whole stencil of (u, v) rows at once."""
 
     def __init__(self, chart: ConnectionChart, e, h_ode: float,
                  newton_tol: float = 1e-12) -> None:
@@ -297,76 +391,115 @@ class _NormalLoop:
         self.e = np.asarray(e, dtype=float)
         self.h_ode = h_ode
         self.newton_tol = newton_tol
-        self._cache: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
 
-    def _shoot(self, v: np.ndarray):
-        key = v.tobytes()
-        hit = self._cache.get(key)
-        if hit is None:
-            y, _, m = geodesic_with_frame(self.chart, self.e, v, 1.0,
-                                          self.h_ode)
-            hit = (y, m)
-            self._cache[key] = hit
-        return hit
+    def __call__(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+        """mu(us[r], vs[r]) for every row r of two (P, n) arrays.
 
-    def __call__(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        if np.max(np.abs(u)) == 0.0:
-            return v.copy()
-        if np.max(np.abs(v)) == 0.0:
-            return u.copy()
-        y, m = self._shoot(v)
-        z = exp_map(self.chart, y, m @ u, self.h_ode)
-        return exp_inverse(self.chart, self.e, z, self.h_ode,
-                           tol=self.newton_tol)
+        A zero argument returns the other one.  The remaining rows take
+        one geodesic-with-frame integration per distinct v, all in one
+        batch; the distinct v are told apart by their bytes, so +0.0 and
+        -0.0 entries stay apart.  The forward shots and the Newton solves
+        then run in blocks of at most _BLOCK_ROWS rows.
+        """
+        chart, h_ode = self.chart, self.h_ode
+        u_zero = np.max(np.abs(us), axis=1) == 0.0
+        v_zero = np.max(np.abs(vs), axis=1) == 0.0
+        out = vs.copy()
+        out[v_zero & ~u_zero] = us[v_zero & ~u_zero]
+        rows = np.flatnonzero(~u_zero & ~v_zero)
+        if rows.size == 0:
+            return out
+        index: dict[bytes, int] = {}
+        firsts = []
+        which = np.empty(rows.size, dtype=int)
+        for pos, r in enumerate(rows):
+            key = vs[r].tobytes()
+            if key not in index:
+                index[key] = len(firsts)
+                firsts.append(r)
+            which[pos] = index[key]
+        ys, _, ms = geodesic_with_frame(chart, self.e, vs[firsts], 1.0, h_ode)
+        blocks = ceil(rows.size / _BLOCK_ROWS)
+        for b, k in zip(np.array_split(rows, blocks),
+                        np.array_split(which, blocks)):
+            w = np.matmul(ms[k], us[b][:, :, None])[:, :, 0]
+            z = exp_map(chart, ys[k], w, h_ode)
+            out[b] = exp_inverse(chart, self.e, z, h_ode,
+                                 tol=self.newton_tol)
+        return out
+
+
+_SIGNS3 = [(s1, s2, s3) for s1 in (1.0, -1.0) for s2 in (1.0, -1.0)
+           for s3 in (1.0, -1.0)]
+
+
+def _jet_groups(n: int):
+    """Index groups of one fit pass: all n * n pairs (p, q), which are
+    (j, k) for lam and (l, j) for the diagonal third-order terms, and
+    every (l, j, k) with j < k for the off-diagonal ones."""
+    p, q = np.divmod(np.arange(n * n), n)
+    j, k = np.triu_indices(n, 1)
+    return p, q, np.repeat(np.arange(n), j.size), np.tile(j, n), np.tile(k, n)
+
+
+def _jet_stencil(n: int, h: float):
+    """The (u, v) rows of one fit pass, term by term: 4 lam terms, then 6
+    diagonal and 8 off-diagonal terms with mu(a, w), then the same 14
+    with mu(w, a).  Returns U, V of shape (P, n) and each term's row
+    count."""
+    eh = h * np.eye(n)
+    p, q, ol, oj, ok = _jet_groups(n)
+    lam = [(eh[p], eh[q]), (-eh[p], eh[q]), (eh[p], -eh[q]),
+           (-eh[p], -eh[q])]
+    a, w = eh[q], eh[p]      # h e_j and h e_l of the diagonal groups
+    diag = [(a, w), (0 * a, w), (-a, w), (a, -w), (0 * a, -w), (-a, -w)]
+    off = [(s1 * eh[oj] + s2 * eh[ok], s3 * eh[ol]) for s1, s2, s3 in _SIGNS3]
+    terms = lam + diag + off + [(v, u) for u, v in diag + off]
+    return (np.concatenate([u for u, _ in terms]),
+            np.concatenate([v for _, v in terms]),
+            [len(u) for u, _ in terms])
 
 
 def _fit_jets(mu_fn, n: int, h: float):
-    """Second-order central-difference estimates of the loop jets."""
-    lam = np.zeros((n, n, n))
-    for j in range(n):
-        for k in range(n):
-            uj = h * np.eye(n)[j]
-            vk = h * np.eye(n)[k]
-            lam[:, j, k] = (mu_fn(uj, vk) - mu_fn(-uj, vk)
-                            - mu_fn(uj, -vk) + mu_fn(-uj, -vk)) / (4 * h * h)
+    """Second-order central-difference estimates of the loop jets.
 
-    def third(first_double: bool):
+    The pass's whole stencil (``_jet_stencil``) is evaluated by one
+    mu_fn(U, V) call and combined term by term:
+
+    * lam^i_jk from mu(+-h e_j, +-h e_k);
+    * mu^i_jkl (symmetric in j, k) from mu(a, +-h e_l) and nu^i_jkl
+      (symmetric in k, l) from mu(+-h e_l, a), with a = {1, 0, -1} h e_j
+      on the diagonal j = k and a = +-h e_j +- h e_k for j < k.
+    """
+    us, vs, sizes = _jet_stencil(n, h)
+    t = np.split(mu_fn(us, vs), np.cumsum(sizes)[:-1])
+    p, q, ol, oj, ok = _jet_groups(n)
+
+    lam = np.zeros((n, n, n))
+    lam[:, p, q] = ((t[0] - t[1] - t[2] + t[3]) / (4 * h * h)).T
+
+    rows_j = np.concatenate([q, oj])
+    rows_k = np.concatenate([q, ok])
+    rows_l = np.concatenate([p, ol])
+
+    def third(d, o, first_double: bool):
+        val_d = (d[0] - 2 * d[1] + d[2] - d[3] + 2 * d[4] - d[5]) / (2 * h**3)
+        val_o = np.zeros((ol.size, n))
+        for (s1, s2, s3), term in zip(_SIGNS3, o):
+            val_o = val_o + s1 * s2 * s3 * term
+        val_o /= 8 * h**3
+        val = np.concatenate([val_d, val_o]).T
         out = np.zeros((n, n, n, n))
-        for l in range(n):
-            wl = h * np.eye(n)[l]
-            for j in range(n):
-                ej = h * np.eye(n)[j]
-                for k in range(j, n):
-                    ek = h * np.eye(n)[k]
-                    if j == k:
-                        def f(a, b):
-                            return mu_fn(a, b) if first_double else mu_fn(b, a)
-                        val = (f(ej, wl) - 2 * f(0 * ej, wl) + f(-ej, wl)
-                               - f(ej, -wl) + 2 * f(0 * ej, -wl)
-                               - f(-ej, -wl)) / (2 * h**3)
-                    else:
-                        val = np.zeros(n)
-                        for s1 in (1.0, -1.0):
-                            for s2 in (1.0, -1.0):
-                                for s3 in (1.0, -1.0):
-                                    arg1 = s1 * ej + s2 * ek
-                                    arg2 = s3 * wl
-                                    if first_double:
-                                        term = mu_fn(arg1, arg2)
-                                    else:
-                                        term = mu_fn(arg2, arg1)
-                                    val = val + s1 * s2 * s3 * term
-                        val /= 8 * h**3
-                    if first_double:
-                        out[:, j, k, l] = val
-                        out[:, k, j, l] = val
-                    else:
-                        out[:, l, j, k] = val
-                        out[:, l, k, j] = val
+        if first_double:
+            out[:, rows_j, rows_k, rows_l] = val
+            out[:, rows_k, rows_j, rows_l] = val
+        else:
+            out[:, rows_l, rows_j, rows_k] = val
+            out[:, rows_l, rows_k, rows_j] = val
         return out
 
-    mu3 = third(True)    # mu^i_jkl, symmetric in (j, k)
-    nu3 = third(False)   # nu^i_jkl, symmetric in (k, l)
+    mu3 = third(t[4:10], t[10:18], True)    # mu^i_jkl, symmetric in (j, k)
+    nu3 = third(t[18:24], t[24:32], False)  # nu^i_jkl, symmetric in (k, l)
     return lam, mu3, nu3
 
 
@@ -521,12 +654,12 @@ def _sphere2_metric(x: np.ndarray) -> np.ndarray:
 
 
 def _sphere2_gamma(x: np.ndarray) -> np.ndarray:
-    theta = x[0]
-    g = np.zeros((2, 2, 2))
-    g[0, 1, 1] = -np.sin(theta) * np.cos(theta)
+    theta = np.asarray(x)[..., 0]
+    g = np.zeros(theta.shape + (2, 2, 2))
+    g[..., 0, 1, 1] = -np.sin(theta) * np.cos(theta)
     cot = np.cos(theta) / np.sin(theta)
-    g[1, 0, 1] = cot
-    g[1, 1, 0] = cot
+    g[..., 1, 0, 1] = cot
+    g[..., 1, 1, 0] = cot
     return g
 
 
@@ -575,10 +708,17 @@ def levi_civita_chart(metric_field, n: int, domain,
                       fd_step: float = 1e-5,
                       name: str = "levi_civita_of") -> ConnectionChart:
     """Chart whose symbols are the Levi-Civita connection of a metric
-    field, evaluated by central differences."""
-    return ConnectionChart(
-        n, lambda x: levi_civita(metric_field, x, fd_step), domain,
-        metric_field=metric_field, name=name)
+    field, evaluated by central differences (point by point, since the
+    metric field takes one point)."""
+
+    def gamma(x):
+        x = np.asarray(x, dtype=float)
+        rows = [levi_civita(metric_field, p, fd_step)
+                for p in x.reshape(-1, n)]
+        return np.reshape(rows, x.shape[:-1] + (n, n, n))
+
+    return ConnectionChart(n, gamma, domain, metric_field=metric_field,
+                           name=name)
 
 
 def torsion_offset_chart(base: ConnectionChart, s: np.ndarray,
@@ -615,26 +755,41 @@ class GridGamma:
         out = 0.0
         for corner in range(2 ** n):
             bits = [(corner >> b) & 1 for b in range(n)]
-            weight = np.prod([w[b] if bits[b] else 1.0 - w[b]
-                              for b in range(n)])
-            idx = tuple(cell[b] + bits[b] for b in range(n))
-            out = out + weight * self.samples[idx]
+            weight = np.prod([w[..., b] if bits[b] else 1.0 - w[..., b]
+                              for b in range(n)], axis=0)
+            idx = tuple(cell[..., b] + bits[b] for b in range(n))
+            out = out + weight[..., None, None, None] * self.samples[idx]
         return out
+
+
+# Largest grid grid_chart_from builds, in float64 entries (512 MiB).
+_GRID_MAX_ENTRIES = 2 ** 26
 
 
 def grid_chart_from(chart: ConnectionChart, points_per_axis: int,
                     shrink: float = 0.0) -> ConnectionChart:
-    """Sample a closed-form chart onto a regular grid."""
+    """Sample a closed-form chart onto a regular grid.
+
+    Raises BadConfig, before allocating anything, when the samples would
+    exceed _GRID_MAX_ENTRIES float64 entries.
+    """
+    n = chart.n
+    if points_per_axis < 2:
+        raise BadConfig(f"a grid needs at least 2 points per axis, got "
+                        f"{points_per_axis}")
+    entries = points_per_axis ** n * n ** 3
+    if entries > _GRID_MAX_ENTRIES:
+        raise BadConfig(
+            f"a grid of {points_per_axis}^{n} points holds {entries} "
+            f"float64 symbols ({entries * 8 / 2**20:.0f} MiB), over the "
+            f"cap of {_GRID_MAX_ENTRIES} ({_GRID_MAX_ENTRIES * 8 // 2**20} "
+            f"MiB)")
     lo = chart.domain[:, 0] + shrink
     hi = chart.domain[:, 1] - shrink
-    n = chart.n
     axes = [np.linspace(lo[i], hi[i], points_per_axis) for i in range(n)]
-    shape = (points_per_axis,) * n
-    samples = np.zeros(shape + (n, n, n))
-    for flat_idx in range(points_per_axis ** n):
-        idx = np.unravel_index(flat_idx, shape)
-        x = np.array([axes[i][idx[i]] for i in range(n)])
-        samples[idx] = chart.gamma(x)
+    points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    samples = np.broadcast_to(chart.gamma(points),
+                              points.shape[:-1] + (n, n, n)).copy()
     gamma = GridGamma(lo, hi, samples)
     return ConnectionChart(n, gamma, np.stack([lo, hi], axis=1),
                            metric_field=chart.metric_field,

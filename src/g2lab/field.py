@@ -14,9 +14,9 @@ import json
 
 import numpy as np
 
-from .connection import central_diff, levi_civita
+from .connection import _require_inside, central_diff, levi_civita
 from .deform import bundle_inverse, bundle_mul, sigma
-from .errors import BadConfig, LeftDomain, NormDrift
+from .errors import BadConfig, NormDrift
 from .exterior import AltTensor, antisymmetrize
 from .g2linear import (G2MetricData, PHI0, metric_from_3form, pullback_3form,
                        split2)
@@ -36,8 +36,7 @@ class PhiField:
         self._cache: dict[bytes, G2MetricData] = {}
 
     def check_inside(self, x: np.ndarray) -> None:
-        if np.any(x < self.domain[:, 0]) or np.any(x > self.domain[:, 1]):
-            raise LeftDomain(f"point {x} left the domain of {self.name}")
+        _require_inside(self.domain, x, self.name)
 
     def phi(self, x: np.ndarray) -> np.ndarray:
         return self._phi_at(np.asarray(x, dtype=float))

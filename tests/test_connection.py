@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from g2lab import connection as cn
-from g2lab.errors import BadConfig, LeftDomain
+from g2lab.errors import BadConfig, LeftDomain, NoConvergence
 from g2lab.octonion import C3
 
 
@@ -374,3 +374,221 @@ def test_chart_json_config(tmp_path):
                 "params": {"points": 15}}
     grid = cn.chart_from_config(cfg_grid)
     assert grid.name.endswith("grid")
+
+
+# -- the batched engine -------------------------------------------------------
+
+def test_domain_check_fails_closed_on_nan(sphere):
+    with pytest.raises(LeftDomain, match="nan"):
+        sphere.check_inside(np.array([np.nan, 0.3]))
+    with pytest.raises(LeftDomain):
+        cn.integrate_geodesic(sphere, np.array([1.2, 0.3]),
+                              np.array([np.nan, 0.0]), 1.0, 0.25)
+
+
+def test_domain_check_names_the_leaving_row():
+    chart = cn.flat_chart(2, half_width=1.0)
+    xs = np.array([[0.1, 0.2], [0.3, 1.5], [-0.4, 0.9]])
+    with pytest.raises(LeftDomain, match=r"point \[0\.3 1\.5\]"):
+        chart.check_inside(xs)
+    # only the second geodesic crosses x1 = 1 before t = 1
+    vs = np.array([[0.2, 0.1], [0.0, 0.9], [0.1, 0.05]])
+    with pytest.raises(LeftDomain):
+        cn.integrate_geodesic(chart, xs[[0, 0, 2]], vs, 1.0, 0.25)
+    cn.integrate_geodesic(chart, xs[[0, 0, 2]], vs[[0, 0, 2]], 1.0, 0.25)
+
+
+@pytest.mark.parametrize("make, e, spread", [
+    (lambda: cn.flat_chart(4), np.array([0.1, -0.2, 0.3, 0.0]), 0.5),
+    (lambda: cn.cartan_schouten_chart(0.25), np.zeros(7), 0.3),
+    (cn.sphere2_chart, np.array([1.2, 0.3]), 0.2),
+])
+def test_batched_engine_matches_single_rows(make, e, spread):
+    chart = make()
+    h = 1.0 / 16
+    rng = np.random.default_rng(7)
+    xs = e + rng.uniform(-spread, spread, (5, chart.n))
+    vs = rng.uniform(-spread, spread, (5, chart.n))
+    vs[3] = 0.0  # exp_map returns the base point of a zero row unintegrated
+    path = cn.integrate_geodesic(chart, xs, vs, 1.0, h)
+    frame = cn.geodesic_with_frame(chart, xs, vs, 1.0, h)
+    ws = cn.parallel_transport(chart, path, vs[::-1], h)
+    ys = cn.exp_map(chart, e, vs, h)
+    back = cn.exp_inverse(chart, e, ys, h)
+    assert path.xs.shape == (17, 5, chart.n)
+    assert frame[2].shape == (5, chart.n, chart.n)
+    for r in range(5):
+        one = cn.integrate_geodesic(chart, xs[r], vs[r], 1.0, h)
+        assert np.array_equal(path.xs[:, r], one.xs)
+        assert np.array_equal(path.endpoint[r], one.endpoint)
+        for batched, single in zip(frame, cn.geodesic_with_frame(
+                chart, xs[r], vs[r], 1.0, h)):
+            assert np.array_equal(batched[r], single)
+        assert np.array_equal(ws[r], cn.parallel_transport(
+            chart, one, vs[::-1][r], h))
+        assert np.array_equal(ys[r], cn.exp_map(chart, e, vs[r], h))
+        assert np.array_equal(back[r], cn.exp_inverse(chart, e, ys[r], h))
+    assert np.array_equal(ys[3], e) and np.array_equal(back[3], 0 * e)
+
+
+def test_batched_fd_fallback_matches_single_rows(sphere, monkeypatch):
+    es = np.array([1.2, 0.3])
+    # the far row stalls under the identity Jacobian; the near rows do not
+    vs = np.array([[0.027, -0.046], [0.5, 2.0], [-0.092, -0.097]])
+    ys = cn.exp_map(sphere, es, vs, h=1e-2)
+    real = cn.central_diff
+    shapes = []
+
+    def counted(f, x, step):
+        shapes.append(np.shape(x))
+        return real(f, x, step)
+
+    monkeypatch.setattr(cn, "central_diff", counted)
+    back = cn.exp_inverse(sphere, es, ys, h=1e-2)
+    assert shapes == [(1, 2)]
+    assert np.max(np.abs(back - vs)) < 1e-9
+    for r in range(3):
+        assert np.array_equal(back[r], cn.exp_inverse(sphere, es, ys[r],
+                                                      h=1e-2))
+
+
+def test_unreachable_row_raises_no_convergence():
+    # Poincare disk: the unit circle lies at infinite distance from the
+    # origin, so (1, 0) is inside the chart box but no geodesic reaches it
+    eye = np.eye(2)
+
+    def gamma(x):
+        df = 2.0 * x / (1.0 - np.sum(x * x, axis=-1, keepdims=True))
+        return (np.einsum("...i,jk->...kij", df, eye)
+                + np.einsum("...j,ik->...kij", df, eye)
+                - np.einsum("...k,ij->...kij", df, eye))
+
+    disk = cn.ConnectionChart(2, gamma, [[-2.0, 2.0]] * 2, name="disk")
+    ys = np.array([[0.3, 0.1], [1.0, 0.0], [-0.2, 0.4]])
+    reach = cn.exp_inverse(disk, np.zeros(2), ys[[0, 2]], h=0.05)
+    assert np.max(np.abs(cn.exp_map(disk, np.zeros(2), reach, h=0.05)
+                         - ys[[0, 2]])) < 1e-11
+    with pytest.raises(NoConvergence, match="1 of 3 rows"):
+        cn.exp_inverse(disk, np.zeros(2), ys, h=0.05)
+
+
+def test_gamma_contract_batches(sphere):
+    s = np.zeros((2, 2, 2))
+    s[0, 1, 0], s[0, 0, 1] = 0.1, -0.1
+    charts = [sphere, cn.grid_chart_from(sphere, 15),
+              cn.levi_civita_chart(sphere.metric_field, 2, sphere.domain),
+              cn.torsion_offset_chart(sphere, s),
+              cn.conformal_chart(np.array([0.1, 0.0]))]
+    xs = np.array([[[1.2, 0.3], [0.9, -0.4]], [[1.5, 0.1], [2.0, 0.7]]])
+    for chart in charts:
+        batch = np.broadcast_to(chart.gamma(xs), (2, 2, 2, 2, 2))
+        for idx in np.ndindex(2, 2):
+            assert np.array_equal(batch[idx], chart.gamma(xs[idx]))
+
+
+def test_grid_size_checked_before_allocating(sphere):
+    import tracemalloc
+    # 9^7 points x 7^3 symbols would be about 13 GB of float64
+    cfg = {"dim": 7, "kind": "grid", "gamma": "cartan_schouten",
+           "params": {"alpha_param": 0.25}}
+    tracemalloc.start()
+    try:
+        with pytest.raises(BadConfig, match="1640558367"):
+            cn.chart_from_config(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    grid = cn.grid_chart_from(sphere, points_per_axis=41)
+    samples = grid.gamma.samples
+    assert samples.shape == (41, 41, 2, 2, 2)
+    axes = [np.linspace(*sphere.domain[i], 41) for i in range(2)]
+    assert np.array_equal(samples[7, 30],
+                          sphere.gamma(np.array([axes[0][7], axes[1][30]])))
+
+
+def _serial_fit(chart, e, h, richardson, h_ode):
+    """The loop-jet fit evaluated one stencil point at a time through
+    single-point engine calls, with the pointwise difference formulas."""
+    e = np.asarray(e, dtype=float)
+    n = chart.n
+    frames = {}
+
+    def mu_fn(u, v):
+        if np.max(np.abs(u)) == 0.0:
+            return v.copy()
+        if np.max(np.abs(v)) == 0.0:
+            return u.copy()
+        key = v.tobytes()
+        if key not in frames:
+            y, _, m = cn.geodesic_with_frame(chart, e, v, 1.0, h_ode)
+            frames[key] = (y, m)
+        y, m = frames[key]
+        z = cn.exp_map(chart, y, m @ u, h_ode)
+        return cn.exp_inverse(chart, e, z, h_ode, tol=1e-12)
+
+    def jets(h):
+        lam = np.zeros((n, n, n))
+        for j in range(n):
+            for k in range(n):
+                uj = h * np.eye(n)[j]
+                vk = h * np.eye(n)[k]
+                lam[:, j, k] = (mu_fn(uj, vk) - mu_fn(-uj, vk)
+                                - mu_fn(uj, -vk)
+                                + mu_fn(-uj, -vk)) / (4 * h * h)
+
+        def third(first_double):
+            def f(a, b):
+                return mu_fn(a, b) if first_double else mu_fn(b, a)
+
+            out = np.zeros((n, n, n, n))
+            for l in range(n):
+                wl = h * np.eye(n)[l]
+                for j in range(n):
+                    ej = h * np.eye(n)[j]
+                    for k in range(j, n):
+                        ek = h * np.eye(n)[k]
+                        if j == k:
+                            val = (f(ej, wl) - 2 * f(0 * ej, wl) + f(-ej, wl)
+                                   - f(ej, -wl) + 2 * f(0 * ej, -wl)
+                                   - f(-ej, -wl)) / (2 * h**3)
+                        else:
+                            val = np.zeros(n)
+                            for s1 in (1.0, -1.0):
+                                for s2 in (1.0, -1.0):
+                                    for s3 in (1.0, -1.0):
+                                        val = val + s1 * s2 * s3 * f(
+                                            s1 * ej + s2 * ek, s3 * wl)
+                            val /= 8 * h**3
+                        if first_double:
+                            out[:, j, k, l] = out[:, k, j, l] = val
+                        else:
+                            out[:, l, j, k] = out[:, l, k, j] = val
+            return out
+
+        return lam, third(True), third(False)
+
+    lam, mu3, nu3 = jets(h)
+    if richardson:
+        lam2, mu32, nu32 = jets(h / 2.0)
+        lam = (4.0 * lam2 - lam) / 3.0
+        mu3 = (4.0 * mu32 - mu3) / 3.0
+        nu3 = (4.0 * nu32 - nu3) / 3.0
+    alpha = 0.5 * (lam - np.swapaxes(lam, 1, 2))
+    beta = 0.5 * (nu3 - mu3
+                  + np.einsum("mkl,ijm->ijkl", lam, lam)
+                  - np.einsum("mjk,iml->ijkl", lam, lam))
+    return lam, mu3, nu3, alpha, beta
+
+
+@pytest.mark.parametrize("make, e, richardson", [
+    (lambda: cn.cartan_schouten_chart(0.25), np.zeros(7), False),
+    (cn.sphere2_chart, np.array([1.2, 0.3]), True),
+])
+def test_fit_matches_serial_oracle(make, e, richardson):
+    chart = make()
+    rep = cn.fit_fundamental_tensors(chart, e, h=1e-2, richardson=richardson,
+                                     h_ode=1.0 / 16)
+    want = _serial_fit(chart, e, 1e-2, richardson, 1.0 / 16)
+    for got, ref in zip((rep.lam, rep.mu, rep.nu, rep.alpha, rep.beta), want):
+        assert np.array_equal(got, ref)

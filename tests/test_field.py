@@ -184,6 +184,17 @@ def test_domain_and_config():
         fld.field_from_config({"kind": "nope"})
 
 
+def test_domain_check_fails_closed_on_nan():
+    cf = fld.constant_field()
+    x = np.zeros(7)
+    cf.check_inside(x)
+    x[3] = np.nan
+    with pytest.raises(LeftDomain, match="nan"):
+        cf.check_inside(x)
+    with pytest.raises(LeftDomain):
+        fld.g2_torsion(cf, x, 1e-3)
+
+
 def test_field_json_roundtrip(tmp_path):
     import json
     cfg = {"kind": "pullback_warp", "params": {"strength": 0.03},

@@ -1,8 +1,9 @@
-"""Source guard: signed permutations are enumerated in one place.
+"""Source guards: machinery that exists once stays in one place.
 
 exterior._signed_perms is the one table behind every antisymmetric index
 operation; no other module may enumerate permutations or bring back the
-hand-rolled sign and antisymmetrizer helpers.
+hand-rolled sign and antisymmetrizer helpers.  connection._rk4 is the one
+RK4 stepper, and every integrator steps through it.
 """
 
 import re
@@ -24,3 +25,27 @@ def test_only_exterior_enumerates_permutations():
             if name in text:
                 offenders.append(f"{path.name}: {name}")
     assert offenders == []
+
+
+def test_one_rk4_stepper(monkeypatch):
+    import numpy as np
+    from g2lab import connection as cn
+    # a weighted sum a + 2 * b + 2 * c + d is the RK4 combination
+    combo = re.compile(r"\w+\s*\+\s*2\s*\*\s*\w+\s*\+\s*2\s*\*\s*\w+"
+                       r"\s*\+\s*\w+")
+    found = [(path.name, m.group()) for path in sorted(SRC.glob("*.py"))
+             for m in combo.finditer(path.read_text())]
+    assert found == [("connection.py", "k1 + 2 * k2 + 2 * k3 + k4")]
+    real = cn._rk4
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(cn, "_rk4", counted)
+    chart = cn.flat_chart(2)
+    path = cn.integrate_geodesic(chart, np.zeros(2), np.ones(2), 1.0, 0.5)
+    cn.geodesic_with_frame(chart, np.zeros(2), np.ones(2), 1.0, 0.5)
+    cn.parallel_transport(chart, path, np.ones(2), 0.5)
+    assert len(calls) == 3
