@@ -5,6 +5,8 @@ spinor <-> octonion dictionary relative to a unit reference.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .errors import NotImaginary, SignatureMismatch, ZeroReference
@@ -12,7 +14,8 @@ from .exterior import AltTensor
 from .g2linear import G2MetricData, metric_from_3form
 from .octonion import IMAG_EPS, Octonion, inverse, left_matrix, mul
 
-_TABLE_CACHE: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+_TABLE_CACHE: dict[tuple[int, int],
+                   tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
 
 def _reorder_sign(a: int, b: int) -> int:
@@ -36,7 +39,9 @@ def blade_product(mask_a: int, mask_b: int, p: int, q: int) -> tuple[int, int]:
 
 
 def _tables(p: int, q: int):
-    """Dense product tables: result[i, j] and sign[i, j] over blade masks."""
+    """Dense product tables over blade masks: result[a, b] = a ^ b and
+    sign[a, b], plus the gather signs s2[a, c] = sign[a, a ^ c] as floats,
+    so that blade a times blade a ^ c is s2[a, c] * blade c."""
     key = (p, q)
     hit = _TABLE_CACHE.get(key)
     if hit is None:
@@ -46,9 +51,18 @@ def _tables(p: int, q: int):
         for a in range(dim):
             for b in range(dim):
                 res[a, b], sgn[a, b] = blade_product(a, b, p, q)
-        hit = (res, sgn)
+        s2 = np.take_along_axis(sgn, res, axis=1).astype(float)
+        hit = (res, sgn, s2)
         _TABLE_CACHE[key] = hit
     return hit
+
+
+@lru_cache(maxsize=None)
+def _grades(dim: int) -> np.ndarray:
+    """Grade (popcount) of every blade mask below dim, read-only."""
+    g = np.array([bin(m).count("1") for m in range(dim)])
+    g.setflags(write=False)
+    return g
 
 
 class CliffordElement:
@@ -115,7 +129,7 @@ class CliffordElement:
         return CliffordElement(self.p, self.q, -self.coeffs)
 
     def grades(self) -> np.ndarray:
-        return np.array([bin(m).count("1") for m in range(self.coeffs.size)])
+        return _grades(self.coeffs.size)
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.coeffs)))
@@ -129,15 +143,17 @@ class CliffordElement:
 
 
 def clifford_mul(x: CliffordElement, y: CliffordElement) -> CliffordElement:
+    """Geometric product as one dense gather over all blade pairs.
+
+    Output blade c sums x_a sign(a, a ^ c) y_(a ^ c) over a in increasing
+    order.  Zero coefficients are not skipped, so a zero times an inf or
+    NaN coefficient gives NaN: a non-finite operand makes the product
+    non-finite and fails closed.
+    """
     x._check(y)
-    res, sgn = _tables(x.p, x.q)
-    out = CliffordElement(x.p, x.q)
-    xi = np.nonzero(x.coeffs)[0]
-    yi = np.nonzero(y.coeffs)[0]
-    for a in xi:
-        ca = x.coeffs[a]
-        np.add.at(out.coeffs, res[a, yi], ca * sgn[a, yi] * y.coeffs[yi])
-    return out
+    res, _, s2 = _tables(x.p, x.q)
+    terms = (x.coeffs[:, None] * s2) * y.coeffs[res]
+    return CliffordElement(x.p, x.q, terms.sum(axis=0))
 
 
 def reversion(x: CliffordElement) -> CliffordElement:
@@ -172,7 +188,7 @@ def vector_inner(p: int, q: int, u, v) -> float:
 def basis_mul_table(p: int, q: int) -> list[list[dict]]:
     """Full basis-blade multiplication table (for the table emitter)."""
     dim = 1 << (p + q)
-    res, sgn = _tables(p, q)
+    res, sgn, _ = _tables(p, q)
     return [[{"mask": int(res[a, b]), "sign": int(sgn[a, b])}
              for b in range(dim)] for a in range(dim)]
 

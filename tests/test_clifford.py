@@ -186,3 +186,71 @@ def test_basis_mul_table_shape():
     table = cl.basis_mul_table(1, 1)
     assert len(table) == 4 and len(table[0]) == 4
     assert table[0][3] == {"mask": 3, "sign": 1}
+
+
+def _add_at_oracle(x, y):
+    # the blade-by-blade np.add.at product that the dense gather replaced
+    res, sgn, _ = cl._tables(x.p, x.q)
+    out = np.zeros(x.coeffs.size)
+    yi = np.nonzero(y.coeffs)[0]
+    for a in np.nonzero(x.coeffs)[0]:
+        np.add.at(out, res[a, yi], x.coeffs[a] * sgn[a, yi] * y.coeffs[yi])
+    return out
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.int64)
+
+
+@pytest.mark.parametrize("p, q", [(0, 1), (0, 2), (0, 7), (3, 4), (8, 0)])
+def test_clifford_mul_bitwise_equals_add_at_oracle(p, q):
+    rng = np.random.default_rng(20)
+    n, dim = p + q, 1 << (p + q)
+
+    def dense():
+        return cl.CliffordElement(p, q, rng.standard_normal(dim))
+
+    def vector():
+        return cl.CliffordElement.vector(p, q, rng.standard_normal(n))
+
+    def single_blade():
+        mask = int(rng.integers(dim))
+        return cl.CliffordElement.blade(
+            p, q, [i for i in range(n) if mask >> i & 1],
+            value=float(rng.standard_normal()))
+
+    makers = (dense, vector, single_blade)
+    for make_x in makers:
+        for make_y in makers:
+            x, y = make_x(), make_y()
+            got = cl.clifford_mul(x, y).coeffs
+            assert np.array_equal(_bits(got), _bits(_add_at_oracle(x, y)))
+
+
+@pytest.mark.parametrize("p, q", [(0, 1), (1, 1), (0, 3), (2, 2), (1, 4)])
+def test_basis_mul_table_matches_blade_product(p, q):
+    dim = 1 << (p + q)
+    want = [[dict(zip(("mask", "sign"), cl.blade_product(a, b, p, q)))
+             for b in range(dim)] for a in range(dim)]
+    assert cl.basis_mul_table(p, q) == want
+
+
+def test_clifford_mul_zero_times_inf_fails_closed():
+    # the dense gather multiplies every pair, so the zero coefficients of
+    # x meet the inf of y and the product is NaN rather than finite
+    x = cl.CliffordElement.scalar(0, 2, 2.0)
+    y = cl.CliffordElement(0, 2, [1.0, 0.0, 0.0, np.inf])
+    with np.errstate(invalid="ignore"):
+        got = cl.clifford_mul(x, y).coeffs
+    assert np.isnan(got[:3]).all() and got[3] == np.inf
+    # the skipping loop never formed 0 * inf and left these finite
+    assert np.array_equal(_add_at_oracle(x, y), [2.0, 0.0, 0.0, np.inf])
+
+
+def test_grades_cached_read_only():
+    x = cl.CliffordElement(0, 7, np.ones(128))
+    y = cl.CliffordElement(3, 4, np.ones(128))
+    assert x.grades() is y.grades()
+    assert not x.grades().flags.writeable
+    assert x.grades().tolist() == [bin(m).count("1") for m in range(128)]
+    assert x.grades().dtype == np.array([1]).dtype

@@ -183,3 +183,76 @@ def test_generalized_jacobi_resolved_sign():
            + oc.commutator(y, oc.commutator(z, x))
            + oc.commutator(z, oc.commutator(x, y)))
     assert jac.allclose(-6.0 * oc.associator(x, y, z), 1e-12)
+
+
+def _bits(x):
+    # compare float arrays bit for bit, the sign of a zero included
+    return np.ascontiguousarray(x).view(np.int64)
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, oc._BLOCK_ROWS - 1, oc._BLOCK_ROWS,
+                               oc._BLOCK_ROWS + 1, 2 * oc._BLOCK_ROWS + 3])
+def test_mul_batch_bitwise_equals_einsum(n):
+    rng = np.random.default_rng(9)
+    a, b = rng.standard_normal((2, n, 8))
+    got = oc.mul_batch(a, b)
+    assert got.shape == (n, 8)
+    assert np.array_equal(_bits(got), _bits(oc._mul_raw(a, b)))
+    for r in range(min(n, 3)):
+        single = oc.mul(Octonion(a[r]), Octonion(b[r])).coeffs
+        assert np.array_equal(_bits(got[r]), _bits(single))
+
+
+def test_mul_batch_strided_and_fortran_operands():
+    rng = np.random.default_rng(10)
+    n = oc._BLOCK_ROWS + 5
+    a = rng.standard_normal((2 * n, 8))[::2]
+    b = np.asfortranarray(rng.standard_normal((n, 8)))
+    assert not a.flags.c_contiguous and not b.flags.c_contiguous
+    want = oc._mul_raw(a, b)
+    assert np.array_equal(_bits(oc.mul_batch(a, b)), _bits(want))
+    assert np.array_equal(_bits(oc.mul_batch(b, a)),
+                          _bits(oc._mul_raw(b, a)))
+
+
+def test_mul_batch_signed_zeros_match_einsum():
+    # products of +-0 and +-1 only: every term is a signed zero or +-1
+    rng = np.random.default_rng(11)
+    vals = np.array([0.0, -0.0, 1.0, -1.0])
+    a, b = vals[rng.integers(0, 4, (2, 20000, 8))]
+    assert np.array_equal(_bits(oc.mul_batch(a, b)),
+                          _bits(oc._mul_raw(a, b)))
+
+
+def test_mul_batch_basis_pairs_match_table():
+    table = oc.basis_table()
+    eye = np.eye(8)
+    i, j = np.divmod(np.arange(64), 8)
+    got = oc.mul_batch(eye[i], eye[j])
+    for r in range(64):
+        k, sign = table[i[r]][j[r]]
+        assert np.array_equal(got[r], sign * eye[k])
+
+
+def test_mul_batch_inf_row_fails_closed():
+    rng = np.random.default_rng(12)
+    a, b = rng.standard_normal((2, 2 * oc._BLOCK_ROWS, 8))
+    bad = oc._BLOCK_ROWS + 3
+    b[bad, 5] = np.inf
+    got = oc.mul_batch(a, b)
+    finite = np.isfinite(got).all(axis=1)
+    assert not finite[bad]
+    assert finite.sum() == len(finite) - 1
+
+
+@pytest.mark.parametrize("a_shape, b_shape", [
+    ((1, 8), (5, 8)),
+    ((5, 8), (4, 8)),
+    ((8,), (8,)),
+    ((5, 7), (5, 7)),
+    ((2, 5, 8), (2, 5, 8)),
+])
+def test_mul_batch_rejects_other_shapes(a_shape, b_shape):
+    with pytest.raises(ValueError) as err:
+        oc.mul_batch(np.ones(a_shape), np.ones(b_shape))
+    assert str(a_shape) in str(err.value) and str(b_shape) in str(err.value)

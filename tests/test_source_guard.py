@@ -3,9 +3,14 @@
 exterior._signed_perms is the one table behind every antisymmetric index
 operation; no other module may enumerate permutations or bring back the
 hand-rolled sign and antisymmetrizer helpers.  connection._rk4 is the one
-RK4 stepper, and every integrator steps through it.
+RK4 stepper, and every integrator steps through it.  The batch products
+gather signed permutations: octonion.mul_batch reads its terms from the
+basis table derived from STRUCTURE_CYCLES, and clifford_mul is one dense
+gather with no np.add.at loop.
 """
 
+import ast
+import inspect
 import re
 from pathlib import Path
 
@@ -49,3 +54,32 @@ def test_one_rk4_stepper(monkeypatch):
     cn.geodesic_with_frame(chart, np.zeros(2), np.ones(2), 1.0, 0.5)
     cn.parallel_transport(chart, path, np.ones(2), 0.5)
     assert len(calls) == 3
+
+
+def test_mul_batch_gathers_from_the_basis_table():
+    import numpy as np
+    from g2lab import octonion as oc
+    tree = ast.parse(inspect.getsource(oc.mul_batch))
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    attrs = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    assert "MUL_TENSOR" not in names and "einsum" not in attrs
+    assert "_GATHER_TERMS" in names
+    # the terms come from _BASIS_TABLE, with no second hand-written list:
+    # the builder's only numbers are the dimension 8 and the sign test's 0
+    builder = ast.parse(inspect.getsource(oc._gather_terms))
+    assert "_BASIS_TABLE" in {n.id for n in ast.walk(builder)
+                              if isinstance(n, ast.Name)}
+    assert {n.value for n in ast.walk(builder)
+            if isinstance(n, ast.Constant)
+            and isinstance(n.value, int)} <= {0, 8}
+    table = oc.basis_table()
+    for k, terms in enumerate(oc._GATHER_TERMS):
+        assert [i for i, _, _ in terms] == list(range(8))
+        for i, j, accumulate in terms:
+            sign = 1 if accumulate is np.add else -1
+            assert table[i][j] == (k, sign)
+
+
+def test_clifford_has_no_add_at():
+    text = (SRC / "clifford.py").read_text()
+    assert ".add.at" not in text and "np.nonzero" not in text
