@@ -23,6 +23,9 @@ from .errors import BadConfig, G2LabError, IoError, UnknownSuite
 
 SCHEMA_VERSION = 1
 
+# Largest trial count a run accepts (the octonion benchmark runs 1e5).
+MAX_TRIALS = 10 ** 5
+
 
 def trial_rng(seed: int, suite: str, trial: int) -> np.random.Generator:
     digest = hashlib.blake2b(f"{seed}:{suite}:{trial}".encode(),
@@ -37,14 +40,16 @@ class RunConfig:
     def __init__(self, seed: int = 42, trials: int | None = None,
                  tolerances: dict | None = None,
                  out: str | None = None) -> None:
-        if trials is not None and trials < 1:
-            raise BadConfig("trials must be >= 1")
+        if trials is not None and not 1 <= trials <= MAX_TRIALS:
+            raise BadConfig(f"trials must be in 1..{MAX_TRIALS}, got {trials}")
         self.seed = int(seed)
         self.trials = trials
         self.tolerances = dict(tolerances or {})
         self.out = out
+        self._read = set()
 
     def tol(self, name: str, default: float) -> float:
+        self._read.add(name)
         return float(self.tolerances.get(name, default))
 
     def n_trials(self, default: int) -> int:
@@ -72,6 +77,13 @@ def map_trials(fn, n: int, config: RunConfig, suite: str) -> list:
     return [fn(trial_rng(config.seed, suite, t), t) for t in range(n)]
 
 
+def _fold(rows, defaults, config: RunConfig) -> list[dict]:
+    """One check per (key, default tolerance): the worst value of that key
+    over the per-trial rows."""
+    return [_check(key, _worst(r[key] for r in rows), config.tol(key, tol))
+            for key, tol in defaults]
+
+
 # -- suites -------------------------------------------------------------------
 
 def suite_octonion(config: RunConfig) -> list[dict]:
@@ -80,15 +92,15 @@ def suite_octonion(config: RunConfig) -> list[dict]:
     rng = trial_rng(config.seed, "octonion", 0)
     a = oc.random_octonions(rng, n)
     b = oc.random_octonions(rng, n)
-    lhs = oc.norm_batch(oc.mul_batch(a, b))
+    ab = oc.mul_batch(a, b)
+    lhs = oc.norm_batch(ab)
     rhs = oc.norm_batch(a) * oc.norm_batch(b)
     checks = [_check("norm_multiplicativity",
                      np.max(np.abs(lhs - rhs) / rhs),
                      config.tol("norm_multiplicativity", 1e-12))]
-    alt1 = oc.mul_batch(oc.mul_batch(a, a), b) - oc.mul_batch(
-        a, oc.mul_batch(a, b))
-    alt2 = oc.mul_batch(oc.mul_batch(a, b), b) - oc.mul_batch(
-        a, oc.mul_batch(b, b))
+    alt1 = oc.mul_batch(oc.mul_batch(a, a), b) - oc.mul_batch(a, ab)
+    alt2 = oc.mul_batch(ab, b) - oc.mul_batch(a, oc.mul_batch(b, b))
+    del ab  # a reused product is 6.4 MB at 1e5 trials; free it once read
     scale = (oc.norm_batch(a) ** 2 * oc.norm_batch(b))[:, None]
     checks.append(_check("alternativity",
                          _worst((np.max(np.abs(alt1) / scale),
@@ -100,8 +112,10 @@ def suite_octonion(config: RunConfig) -> list[dict]:
     bi = oc.random_octonions(rng, n, imaginary=True)
     ci = oc.random_octonions(rng, n, imaginary=True)
     dots = np.einsum("nk,nk->n", ai, bi)
-    moufang = (oc.mul_batch(ai, oc.mul_batch(bi, ci))
-               + oc.mul_batch(bi, oc.mul_batch(ai, ci))
+    aibi = oc.mul_batch(ai, bi)
+    bici = oc.mul_batch(bi, ci)
+    ai_bici = oc.mul_batch(ai, bici)
+    moufang = (ai_bici + oc.mul_batch(bi, oc.mul_batch(ai, ci))
                + 2.0 * dots[:, None] * ci)
     nscale = (oc.norm_batch(ai) * oc.norm_batch(bi)
               * oc.norm_batch(ci))[:, None]
@@ -109,32 +123,30 @@ def suite_octonion(config: RunConfig) -> list[dict]:
                          np.max(np.abs(moufang) / nscale),
                          config.tol("moufang_adjacent", 1e-12)))
     # expansion of A(BC) for imaginary triples
-    assoc = (oc.mul_batch(oc.mul_batch(ai, bi), ci)
-             - oc.mul_batch(ai, oc.mul_batch(bi, ci)))
-    phi_abc = np.einsum("nk,nk->n", oc.mul_batch(ai, bi), ci)
+    assoc = oc.mul_batch(aibi, ci) - ai_bici
+    phi_abc = np.einsum("nk,nk->n", aibi, ci)
     one = np.zeros((n, 8))
     one[:, 0] = 1.0
-    expansion = (oc.mul_batch(ai, oc.mul_batch(bi, ci))
-                 + 0.5 * assoc + phi_abc[:, None] * one
+    expansion = (ai_bici + 0.5 * assoc + phi_abc[:, None] * one
                  + np.einsum("nk,nk->n", bi, ci)[:, None] * ai
                  - np.einsum("nk,nk->n", ai, ci)[:, None] * bi
                  + dots[:, None] * ci)
+    del ai_bici
     checks.append(_check("product_expansion",
                          np.max(np.abs(expansion) / nscale),
                          config.tol("product_expansion", 1e-12)))
-    # cross product laws
-    cross = oc.mul_batch(ai, bi).copy()
-    cross[:, 0] = 0.0
-    norm_law = (np.einsum("nk,nk->n", cross, cross)
+    # cross product laws; the full products are not read again
+    ab_cross, bc_cross = aibi, bici
+    ab_cross[:, 0] = 0.0
+    bc_cross[:, 0] = 0.0
+    norm_law = (np.einsum("nk,nk->n", ab_cross, ab_cross)
                 - oc.norm_batch(ai) ** 2 * oc.norm_batch(bi) ** 2 + dots ** 2)
     checks.append(_check("cross_norm_law",
                          np.max(np.abs(norm_law)
                                 / (oc.norm_batch(ai)
                                    * oc.norm_batch(bi)) ** 2),
                          config.tol("cross_norm_law", 1e-12)))
-    bc_cross = oc.mul_batch(bi, ci).copy()
-    bc_cross[:, 0] = 0.0
-    double = oc.mul_batch(ai, bc_cross).copy()
+    double = oc.mul_batch(ai, bc_cross)
     double[:, 0] = 0.0
     double_rhs = (-dots[:, None] * ci
                   + np.einsum("nk,nk->n", ai, ci)[:, None] * bi - 0.5 * assoc)
@@ -143,11 +155,9 @@ def suite_octonion(config: RunConfig) -> list[dict]:
                          config.tol("double_cross", 1e-12)))
     # generalized Jacobi: sum_cyc [x,[y,z]] = -6 [x,y,z]
     jac = (oc.mul_batch(ai, bc_cross * 2) - oc.mul_batch(bc_cross * 2, ai))
-    ca_cross = oc.mul_batch(ci, ai).copy()
+    ca_cross = oc.mul_batch(ci, ai)
     ca_cross[:, 0] = 0.0
     jac += (oc.mul_batch(bi, ca_cross * 2) - oc.mul_batch(ca_cross * 2, bi))
-    ab_cross = oc.mul_batch(ai, bi).copy()
-    ab_cross[:, 0] = 0.0
     jac += (oc.mul_batch(ci, ab_cross * 2) - oc.mul_batch(ab_cross * 2, ci))
     checks.append(_check("generalized_jacobi",
                          np.max(np.abs(jac + 6.0 * assoc) / nscale),
@@ -182,7 +192,6 @@ def suite_octonion(config: RunConfig) -> list[dict]:
 
 def suite_exterior(config: RunConfig) -> list[dict]:
     from . import exterior as ext
-    checks = []
     n_tr = config.n_trials(50)
 
     def one_trial(rng, t):
@@ -241,13 +250,11 @@ def suite_exterior(config: RunConfig) -> list[dict]:
         return worst
 
     rows = map_trials(one_trial, n_tr, config, "exterior")
-    for key, tol in (("wedge", 1e-12), ("hodge2", 1e-11),
-                     ("defining", 1e-11), ("interior", 1e-13),
-                     ("musical", 1e-12), ("interior_star", 1e-11),
-                     ("vol_scale", 1e-12), ("antisym_proj", 1e-15)):
-        checks.append(_check(key, _worst(r[key] for r in rows),
-                             config.tol(key, tol)))
-    return checks
+    return _fold(rows, (("wedge", 1e-12), ("hodge2", 1e-11),
+                        ("defining", 1e-11), ("interior", 1e-13),
+                        ("musical", 1e-12), ("interior_star", 1e-11),
+                        ("vol_scale", 1e-12), ("antisym_proj", 1e-15)),
+                 config)
 
 
 def suite_g2linear(config: RunConfig) -> list[dict]:
@@ -308,11 +315,10 @@ def suite_g2linear(config: RunConfig) -> list[dict]:
                 "f_map": fmap}
 
     rows = map_trials(form_trial, n_forms, config, "g2linear")
-    for key, tol in (("equivariance", 1e-10), ("contraction_suite", 1e-10),
-                     ("split2", 1e-11), ("split3_recon", 1e-10),
-                     ("split3_orth", 1e-11), ("f_map", 1e-11)):
-        checks.append(_check(key, _worst(r[key] for r in rows),
-                             config.tol(key, tol)))
+    checks += _fold(rows, (("equivariance", 1e-10),
+                           ("contraction_suite", 1e-10), ("split2", 1e-11),
+                           ("split3_recon", 1e-10), ("split3_orth", 1e-11),
+                           ("f_map", 1e-11)), config)
 
     n_triples = config.n_trials(1000)
 
@@ -342,7 +348,6 @@ def suite_deform(config: RunConfig) -> list[dict]:
     from . import g2linear as g2
     from . import octonion as oc
     from .octonion import Octonion, exponential, mul, power
-    checks = []
     data0 = g2.metric_from_3form(g2.PHI0)
     n = config.n_trials(100)
 
@@ -369,11 +374,10 @@ def suite_deform(config: RunConfig) -> list[dict]:
                 "routes": routes, "adjoint_ids": adj, "ad_so7": so7}
 
     rows = map_trials(one_trial, n, config, "deform")
-    for key, tol in (("conjugation_pullback", 1e-11), ("composition_law", 1e-10),
-                     ("isometry", 1e-10), ("routes", 1e-13),
-                     ("adjoint_ids", 1e-12), ("ad_so7", 1e-10)):
-        checks.append(_check(key, _worst(r[key] for r in rows),
-                             config.tol(key, tol)))
+    checks = _fold(rows, (("conjugation_pullback", 1e-11),
+                          ("composition_law", 1e-10), ("isometry", 1e-10),
+                          ("routes", 1e-13), ("adjoint_ids", 1e-12),
+                          ("ad_so7", 1e-10)), config)
     # fixed-product sweep: sigma_{V^3}(phi0) = phi0 exactly when V^3 real
     fixed, moved = [], []
     for theta, fixes in ((0.0, True), (np.pi / 3, True), (np.pi / 2, False),
@@ -392,33 +396,29 @@ def suite_deform(config: RunConfig) -> list[dict]:
 
 def suite_flat_loop(config: RunConfig) -> list[dict]:
     from .connection import flat_chart, loop_product
-    checks = []
-    n_tr = config.n_trials(100)
+    n, h = 4, 1e-2
+    chart = flat_chart(n)
 
-    def one_trial(rng, t):
-        n = 4
-        chart = flat_chart(n)
+    def draw(rng, t):
         e = rng.uniform(-0.5, 0.5, n)
-        x = e + rng.uniform(-0.5, 0.5, n)
-        y = e + rng.uniform(-0.5, 0.5, n)
-        z = e + rng.uniform(-0.5, 0.5, n)
-        h = 1e-2
-        m_xy = loop_product(chart, e, x, y, h)
-        linear = np.max(np.abs(m_xy - (x + y - e)))
-        comm = np.max(np.abs(m_xy - loop_product(chart, e, y, x, h)))
-        assoc = np.max(np.abs(
-            loop_product(chart, e, m_xy, z, h)
-            - loop_product(chart, e, x, loop_product(chart, e, y, z, h), h)))
-        units = _worst((np.max(np.abs(loop_product(chart, e, x, e, h) - x)),
-                        np.max(np.abs(loop_product(chart, e, e, y, h) - y))))
-        return {"linear": linear, "commutative": comm,
-                "associative": assoc, "units": units}
+        return np.vstack([e, e + rng.uniform(-0.5, 0.5, (3, n))])
 
-    rows = map_trials(one_trial, n_tr, config, "flat-loop")
-    for key in ("linear", "commutative", "associative", "units"):
-        checks.append(_check(key, _worst(r[key] for r in rows),
-                             config.tol(key, 1e-12)))
-    return checks
+    e, x, y, z = np.stack(map_trials(draw, config.n_trials(100), config,
+                                     "flat-loop"), axis=1)
+    # the seven products of every trial in two batched calls: those of
+    # the trial points, then those of the first products
+    xy, yx, yz, xe, ey = np.split(loop_product(
+        chart, np.tile(e, (5, 1)), np.concatenate([x, y, y, x, e]),
+        np.concatenate([y, x, z, e, y]), h), 5)
+    xy_z, x_yz = np.split(loop_product(
+        chart, np.tile(e, (2, 1)), np.concatenate([xy, x]),
+        np.concatenate([z, yz]), h), 2)
+    keys = ("linear", "commutative", "associative", "units")
+    per_trial = [np.max(np.abs(d), axis=1) for d in (
+        xy - (x + y - e), xy - yx, xy_z - x_yz,
+        np.concatenate([xe - x, ey - y], axis=1))]
+    return _fold([dict(zip(keys, r)) for r in zip(*per_trial)],
+                 [(key, 1e-12) for key in keys], config)
 
 
 def suite_akivis(config: RunConfig) -> list[dict]:
@@ -678,13 +678,11 @@ def suite_clifford(config: RunConfig) -> list[dict]:
                 "j_equivariance": equi}
 
     rows = map_trials(one_trial, n, config, "clifford")
-    for key, tol in (("clifford_identity", 1e-13),
-                     ("associativity", 1e-12), ("reversion", 1e-13),
-                     ("orth_anticommutator", 1e-13),
-                     ("kappa_residual", 1e-13), ("j_isometry", 1e-12),
-                     ("j_equivariance", 1e-12)):
-        checks.append(_check(key, _worst(r[key] for r in rows),
-                             config.tol(key, tol)))
+    checks += _fold(rows, (("clifford_identity", 1e-13),
+                           ("associativity", 1e-12), ("reversion", 1e-13),
+                           ("orth_anticommutator", 1e-13),
+                           ("kappa_residual", 1e-13), ("j_isometry", 1e-12),
+                           ("j_equivariance", 1e-12)), config)
     # octonion associator is generically nonzero (paired contrast)
     rng = trial_rng(config.seed, "clifford-contrast", 0)
     a, b, c = (Octonion(w) for w in oc.random_octonions(rng, 3))
@@ -719,9 +717,14 @@ def run_suite(name: str, config: RunConfig) -> dict:
     fn = SUITES.get(name)
     if fn is None:
         raise UnknownSuite(f"unknown suite {name!r}; have {sorted(SUITES)}")
+    config._read.clear()
     start = time.monotonic()
     checks = fn(config)
     wall = time.monotonic() - start
+    unread = sorted(set(config.tolerances) - config._read)
+    if unread:
+        raise BadConfig(f"suite {name!r} reads no tolerance named "
+                        f"{', '.join(unread)}")
     return {
         "schema": SCHEMA_VERSION,
         "suite": name,

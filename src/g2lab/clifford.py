@@ -41,16 +41,22 @@ def blade_product(mask_a: int, mask_b: int, p: int, q: int) -> tuple[int, int]:
 def _tables(p: int, q: int):
     """Dense product tables over blade masks: result[a, b] = a ^ b and
     sign[a, b], plus the gather signs s2[a, c] = sign[a, a ^ c] as floats,
-    so that blade a times blade a ^ c is s2[a, c] * blade c."""
+    so that blade a times blade a ^ c is s2[a, c] * blade c.  The sign is
+    blade_product's for all pairs at once: the parity of the merge
+    transpositions, popcount((a >> k) & b) over k >= 1, plus the shared
+    negative-square generators (bits p .. p + q - 1)."""
     key = (p, q)
     hit = _TABLE_CACHE.get(key)
     if hit is None:
         dim = 1 << (p + q)
-        res = np.empty((dim, dim), dtype=np.int64)
-        sgn = np.empty((dim, dim), dtype=np.int64)
-        for a in range(dim):
-            for b in range(dim):
-                res[a, b], sgn[a, b] = blade_product(a, b, p, q)
+        pop = _grades(dim)
+        a = np.arange(dim)[:, None]
+        b = np.arange(dim)[None, :]
+        flips = pop[a & b & (dim - (1 << p))]
+        for k in range(1, p + q):
+            flips = flips + pop[(a >> k) & b]
+        res = a ^ b
+        sgn = 1 - 2 * (flips & 1)
         s2 = np.take_along_axis(sgn, res, axis=1).astype(float)
         hit = (res, sgn, s2)
         _TABLE_CACHE[key] = hit

@@ -22,17 +22,18 @@ The ODE engine is one classical fixed-step RK4 stepper, ``_rk4``, over a
 tuple state whose arrays share optional leading batch axes: (x, v) of
 shape (N, n) for geodesics, (x, v, M) with M of shape (N, n, n) for the
 geodesic with its parallel frame, and (w,) for transport along a sampled
-path.  ``integrate_geodesic``, ``geodesic_with_frame`` and
-``parallel_transport`` all step through it, and the two geodesic
-integrators check the whole batch against the domain once per step.
-Every public ODE function takes a single point of shape (n,) or a batch
-of shape (N, n); each row of a batch gets the bits a single-point call
-gives it, because every contraction acts row by row.  ``exp_inverse`` is
-one damped Newton iteration over all rows, with a per-row convergence
-mask and a per-row finite-difference Jacobian fallback (the batched
-``central_diff`` of ``exp_map``); each iteration shoots the rows still
-active through ``exp_map`` in one call.  The loop-jet fit enumerates each
-pass's whole stencil and evaluates it through these batched calls.
+path; every integrator steps through it, and the geodesic ones check
+the whole batch against the domain once per step.  ``exp_map`` keeps
+only the current state, where ``integrate_geodesic`` stores the path.
+Every public ODE function and ``loop_product`` take a single point of
+shape (n,) or rows of shape (N, n); each row of a batch gets the bits a
+single-point call gives it, because every contraction acts row by row.
+``exp_inverse`` is one damped Newton iteration over all rows, with a
+per-row convergence mask and a per-row finite-difference Jacobian
+fallback (the batched ``central_diff`` of ``exp_map``); each iteration
+shoots the rows still active through ``exp_map`` in one call.  The
+loop-jet fit evaluates each pass's whole stencil in one batched call of
+each function.
 References: Hairer, Norsett & Wanner, Solving ODEs I, II.1 (RK4) and
 II.4 (Richardson extrapolation).
 """
@@ -106,10 +107,6 @@ class Path:
     def endpoint(self) -> np.ndarray:
         return self.xs[-1].copy()
 
-    @property
-    def end_velocity(self) -> np.ndarray:
-        return self.vs[-1].copy()
-
     def hermite(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """Cubic Hermite value and velocity at parameter t."""
         ts = self.ts
@@ -129,18 +126,6 @@ class Path:
         d11 = 3 * s**2 - 2 * s
         v = (d00 * x0 + d10 * v0 + d01 * x1 + d11 * v1) / dt
         return x, v
-
-
-class GeodesicPath(Path):
-    """Path produced by the geodesic integrator."""
-
-    __slots__ = ("origin", "v0", "h")
-
-    def __init__(self, ts, xs, vs, origin, v0, h) -> None:
-        super().__init__(ts, xs, vs)
-        self.origin = np.asarray(origin, dtype=float)
-        self.v0 = np.asarray(v0, dtype=float)
-        self.h = h
 
 
 def _steps_for(t_end: float, h: float) -> int:
@@ -171,30 +156,37 @@ def _point_pair(x0, v0) -> tuple[np.ndarray, np.ndarray]:
     return x.copy(), v.copy()
 
 
-def integrate_geodesic(chart: ConnectionChart, x0, v0, t_end: float = 1.0,
-                       h: float = 1e-3) -> GeodesicPath:
-    """Classical fixed-step 4th-order integration of the geodesic equation.
-
-    x0 and v0 are one point and velocity, shape (n,), or a batch of N,
-    shape (N, n); xs and vs of the path then have shape (steps + 1, N, n).
-    """
+def _geodesic_steps(chart: ConnectionChart, x, v, t_end: float, h: float):
+    """Yield the geodesic state (x, v) after each _rk4 step, with the
+    batch checked against the domain at the start and after every step."""
     gamma = chart.gamma
 
     def rhs(t, state):
         x, v = state
         return v, -np.einsum("...ijk,...j,...k->...i", gamma(x), v, v)
 
-    x, v = _point_pair(x0, v0)
     chart.check_inside(x)
     n_steps = _steps_for(t_end, h)
-    dt = t_end / n_steps
+    for state in _rk4(rhs, (x, v), 0.0, t_end / n_steps, n_steps):
+        chart.check_inside(state[0])
+        yield state
+
+
+def integrate_geodesic(chart: ConnectionChart, x0, v0, t_end: float = 1.0,
+                       h: float = 1e-3) -> Path:
+    """Classical fixed-step 4th-order integration of the geodesic equation.
+
+    x0 and v0 are one point and velocity, shape (n,), or a batch of N,
+    shape (N, n); xs and vs of the path then have shape (steps + 1, N, n).
+    """
+    x, v = _point_pair(x0, v0)
+    n_steps = _steps_for(t_end, h)
     xs = np.empty((n_steps + 1,) + x.shape)
     vs = np.empty_like(xs)
     xs[0], vs[0] = x, v
-    for i, (x, v) in enumerate(_rk4(rhs, (x, v), 0.0, dt, n_steps), 1):
-        chart.check_inside(x)
+    for i, (x, v) in enumerate(_geodesic_steps(chart, x, v, t_end, h), 1):
         xs[i], vs[i] = x, v
-    return GeodesicPath(dt * np.arange(n_steps + 1), xs, vs, x0, v0, dt)
+    return Path(t_end / n_steps * np.arange(n_steps + 1), xs, vs)
 
 
 def geodesic_with_frame(chart: ConnectionChart, x0, v0, t_end: float = 1.0,
@@ -256,16 +248,14 @@ def central_diff(f, x, step: float) -> np.ndarray:
 
 def exp_map(chart: ConnectionChart, e, v, h: float = 1e-3) -> np.ndarray:
     """Geodesic endpoint exp_e(v) at unit time, for one (e, v) pair or
-    for rows of a batch; a row with v = 0 returns its e unintegrated."""
-    e = np.asarray(e, dtype=float)
-    v = np.asarray(v, dtype=float)
-    moving = np.max(np.abs(v), axis=-1) != 0.0
-    if moving.all():
-        return integrate_geodesic(chart, e, v, 1.0, h).endpoint
+    for rows of a batch; a row with v = 0 returns its e unintegrated.
+    Only the current state is kept while stepping."""
     out, v = _point_pair(e, v)
+    moving = np.max(np.abs(v), axis=-1) != 0.0
     if moving.any():
-        out[moving] = integrate_geodesic(chart, out[moving], v[moving], 1.0,
-                                         h).endpoint
+        for x, _ in _geodesic_steps(chart, out[moving], v[moving], 1.0, h):
+            pass
+        out[moving] = x
     return out
 
 
@@ -334,17 +324,18 @@ def exp_inverse(chart: ConnectionChart, e, y, h: float = 1e-3,
 def loop_product(chart: ConnectionChart, e, x, y,
                  h: float = 1e-3) -> np.ndarray:
     """Geodesic loop product: shoot exp_e^-1(x), transport it along the
-    geodesic from e to y, and shoot from y."""
-    e = np.asarray(e, dtype=float)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    u = exp_inverse(chart, e, x, h)
+    geodesic from e to y, and shoot from y.
+
+    e, x and y are points (n,) or rows (N, n), broadcast together; a row
+    with y = e transports nothing."""
+    e, x, y = np.broadcast_arrays(*(np.asarray(a, dtype=float)
+                                    for a in (e, x, y)))
+    w = exp_inverse(chart, e, x, h)
     vy = exp_inverse(chart, e, y, h)
-    if np.max(np.abs(vy)) == 0.0:
-        w = u
-    else:
-        _, _, m = geodesic_with_frame(chart, e, vy, 1.0, h)
-        w = m @ u
+    moving = np.max(np.abs(vy), axis=-1) != 0.0
+    if moving.any():
+        _, _, m = geodesic_with_frame(chart, e[moving], vy[moving], 1.0, h)
+        w[moving] = (m @ w[moving][..., None])[..., 0]
     return exp_map(chart, y, w, h)
 
 
@@ -373,20 +364,16 @@ class LoopExpansionReport:
         self.residuals = residuals or {}
 
 
-# Rows per batched forward shot and Newton solve of a stencil.  Each
-# shot stores its geodesic paths, so memory grows with the block: on the
-# cartan suite's fits, whole passes (about 3000 rows at n = 7) peaked at
-# 57.5 MB RSS, blocks of 1024 rows at 47.5 MB and blocks of 512 at
-# 46.3 MB (45.3 MB one point at a time), all at the same speed.
-_BLOCK_ROWS = 512
-
-
 class _NormalLoop:
     """Loop product re-expressed in exponential normal coordinates at e,
     evaluated on a whole stencil of (u, v) rows at once."""
 
-    def __init__(self, chart: ConnectionChart, e, h_ode: float,
+    def __init__(self, chart: ConnectionChart, e, h_ode: float | None = None,
                  newton_tol: float = 1e-12) -> None:
+        if h_ode is None:
+            # the stencil geodesics have amplitude ~h, so a handful of
+            # integrator steps already sits far below the fit truncation
+            h_ode = 1.0 / 16.0
         self.chart = chart
         self.e = np.asarray(e, dtype=float)
         self.h_ode = h_ode
@@ -398,8 +385,8 @@ class _NormalLoop:
         A zero argument returns the other one.  The remaining rows take
         one geodesic-with-frame integration per distinct v, all in one
         batch; the distinct v are told apart by their bytes, so +0.0 and
-        -0.0 entries stay apart.  The forward shots and the Newton solves
-        then run in blocks of at most _BLOCK_ROWS rows.
+        -0.0 entries stay apart.  One forward shot and one Newton solve
+        then cover all of those rows.
         """
         chart, h_ode = self.chart, self.h_ode
         u_zero = np.max(np.abs(us), axis=1) == 0.0
@@ -419,13 +406,9 @@ class _NormalLoop:
                 firsts.append(r)
             which[pos] = index[key]
         ys, _, ms = geodesic_with_frame(chart, self.e, vs[firsts], 1.0, h_ode)
-        blocks = ceil(rows.size / _BLOCK_ROWS)
-        for b, k in zip(np.array_split(rows, blocks),
-                        np.array_split(which, blocks)):
-            w = np.matmul(ms[k], us[b][:, :, None])[:, :, 0]
-            z = exp_map(chart, ys[k], w, h_ode)
-            out[b] = exp_inverse(chart, self.e, z, h_ode,
-                                 tol=self.newton_tol)
+        w = np.matmul(ms[which], us[rows][:, :, None])[:, :, 0]
+        z = exp_map(chart, ys[which], w, h_ode)
+        out[rows] = exp_inverse(chart, self.e, z, h_ode, tol=self.newton_tol)
         return out
 
 
@@ -503,6 +486,20 @@ def _fit_jets(mu_fn, n: int, h: float):
     return lam, mu3, nu3
 
 
+def _fundamental_tensors(jets, fine=None):
+    """lam, mu, nu and the fundamental tensors alpha, beta from the jets
+    fitted at h, Richardson-combined with the jets at h/2 when ``fine``
+    holds them."""
+    lam, mu3, nu3 = jets
+    if fine is not None:
+        lam, mu3, nu3 = ((4.0 * f - c) / 3.0 for c, f in zip(jets, fine))
+    alpha = 0.5 * (lam - np.swapaxes(lam, 1, 2))
+    beta = 0.5 * (nu3 - mu3
+                  + np.einsum("mkl,ijm->ijkl", lam, lam)
+                  - np.einsum("mjk,iml->ijkl", lam, lam))
+    return lam, mu3, nu3, alpha, beta
+
+
 def fit_fundamental_tensors(chart: ConnectionChart, e, h: float = 1e-2,
                             richardson: bool = True,
                             h_ode: float | None = None) -> LoopExpansionReport:
@@ -512,25 +509,13 @@ def fit_fundamental_tensors(chart: ConnectionChart, e, h: float = 1e-2,
     The product is evaluated in exponential normal coordinates at e, where
     the torsion/curvature relations hold.
     """
-    n = chart.n
-    if h_ode is None:
-        # the stencil geodesics have amplitude ~h, so a handful of
-        # integrator steps already sits far below the fit truncation
-        h_ode = 1.0 / 16.0
     mu_fn = _NormalLoop(chart, e, h_ode)
-    lam, mu3, nu3 = _fit_jets(mu_fn, n, h)
-    if richardson:
-        lam2, mu32, nu32 = _fit_jets(mu_fn, n, h / 2.0)
-        lam = (4.0 * lam2 - lam) / 3.0
-        mu3 = (4.0 * mu32 - mu3) / 3.0
-        nu3 = (4.0 * nu32 - nu3) / 3.0
-    alpha = 0.5 * (lam - np.swapaxes(lam, 1, 2))
-    beta = 0.5 * (nu3 - mu3
-                  + np.einsum("mkl,ijm->ijkl", lam, lam)
-                  - np.einsum("mjk,iml->ijkl", lam, lam))
+    jets = _fit_jets(mu_fn, chart.n, h)
+    fine = _fit_jets(mu_fn, chart.n, h / 2.0) if richardson else None
+    lam, mu3, nu3, alpha, beta = _fundamental_tensors(jets, fine)
     # measure the underlying round trip; the normal-coordinate product
     # short-circuits exact unit arguments
-    probe = h * np.eye(n)[0]
+    probe = h * np.eye(chart.n)[0]
     z = exp_map(chart, mu_fn.e, probe, mu_fn.h_ode)
     back = exp_inverse(chart, mu_fn.e, z, mu_fn.h_ode, tol=mu_fn.newton_tol)
     unit_law = float(np.max(np.abs(back - probe)))
@@ -622,18 +607,21 @@ def akivis_check(chart: ConnectionChart, e, h_list,
     are reported against the tensors from ``curvature_data``.
     """
     data = curvature_data(chart, e, fd_step)
+    mu_fn = _NormalLoop(chart, e, h_ode)
+    # each distinct scale is fitted once: h/2 is often the next h
+    jets = {h: _fit_jets(mu_fn, chart.n, h)
+            for h in set(h_list) | {h / 2.0 for h in h_list}}
     out = {"h": [], "r1": [], "r2": [], "alpha_norm": [], "beta_norm": []}
     for h in h_list:
-        rep = fit_fundamental_tensors(chart, e, h=h, richardson=True,
-                                      h_ode=h_ode)
-        r1 = float(np.max(np.abs(2.0 * rep.alpha + data.torsion)))
-        r2 = float(np.max(np.abs(4.0 * rep.beta + data.nabla_torsion
+        _, _, _, alpha, beta = _fundamental_tensors(jets[h], jets[h / 2.0])
+        r1 = float(np.max(np.abs(2.0 * alpha + data.torsion)))
+        r2 = float(np.max(np.abs(4.0 * beta + data.nabla_torsion
                                  + data.curvature)))
         out["h"].append(float(h))
         out["r1"].append(r1)
         out["r2"].append(r2)
-        out["alpha_norm"].append(float(np.max(np.abs(rep.alpha))))
-        out["beta_norm"].append(float(np.max(np.abs(rep.beta))))
+        out["alpha_norm"].append(float(np.max(np.abs(alpha))))
+        out["beta_norm"].append(float(np.max(np.abs(beta))))
     out["torsion"] = data.torsion
     return out
 

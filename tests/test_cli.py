@@ -33,6 +33,21 @@ def test_bad_tolerance_exit_code():
     assert res.returncode == 2
 
 
+def test_trial_count_refused_before_allocating():
+    # 1e13 octonion trials would need ~640 TB; the count is refused first
+    assert cli.main(["verify", "octonion", "--trials",
+                     "10000000000000"]) == 2
+    cli.RunConfig(trials=cli.MAX_TRIALS)
+    with pytest.raises(BadConfig, match="trials"):
+        cli.RunConfig(trials=cli.MAX_TRIALS + 1)
+
+
+def test_unread_tolerance_key_exit_code(capsys):
+    assert cli.main(["verify", "octonion", "--trials", "1",
+                     "--tol", "typo_key=1e-300"]) == 2
+    assert "typo_key" in capsys.readouterr().err
+
+
 def test_charts_list():
     res = run_cli("charts", "list")
     assert res.returncode == 0

@@ -227,7 +227,8 @@ def test_clifford_mul_bitwise_equals_add_at_oracle(p, q):
             assert np.array_equal(_bits(got), _bits(_add_at_oracle(x, y)))
 
 
-@pytest.mark.parametrize("p, q", [(0, 1), (1, 1), (0, 3), (2, 2), (1, 4)])
+@pytest.mark.parametrize("p, q", [(0, 0), (0, 1), (1, 1), (0, 3), (2, 2),
+                                  (1, 4), (0, 7), (3, 5), (8, 0)])
 def test_basis_mul_table_matches_blade_product(p, q):
     dim = 1 << (p + q)
     want = [[dict(zip(("mask", "sign"), cl.blade_product(a, b, p, q)))

@@ -219,6 +219,85 @@ def test_loop_product_sphere_noncommutative(sphere):
     assert np.max(np.abs(cn.loop_product(sphere, e, e, y, h) - y)) < 1e-10
 
 
+@pytest.mark.parametrize("make, e, spread", [
+    (lambda: cn.flat_chart(4), np.array([0.1, -0.2, 0.3, 0.0]), 0.5),
+    (cn.sphere2_chart, np.array([1.2, 0.3]), 0.15),
+    (lambda: cn.cartan_schouten_chart(0.25), np.zeros(7), 0.3),
+])
+def test_batched_loop_product_matches_single_rows(make, e, spread):
+    chart = make()
+    h = 1e-2
+    rng = np.random.default_rng(3)
+    xs = e + rng.uniform(-spread, spread, (6, chart.n))
+    ys = e + rng.uniform(-spread, spread, (6, chart.n))
+    ys[1] = e  # nothing to transport: vy = 0
+    xs[2] = e  # the unit on the left
+    xs[4], ys[4] = e, e
+    prods = cn.loop_product(chart, e, xs, ys, h)
+    assert prods.shape == xs.shape
+    for r in range(6):
+        assert np.array_equal(prods[r], cn.loop_product(chart, e, xs[r],
+                                                        ys[r], h))
+    assert np.max(np.abs(prods[1] - xs[1])) < 1e-10
+    assert np.max(np.abs(prods[2] - ys[2])) < 1e-10
+    # a per-row base point broadcasts like the other arguments
+    es = np.broadcast_to(e, xs.shape)
+    assert np.array_equal(cn.loop_product(chart, es, xs, ys, h), prods)
+
+
+def test_exp_map_is_the_path_endpoint(sphere):
+    es = np.array([[1.2, 0.3], [1.0, -0.2], [1.4, 0.1]])
+    vs = np.array([[0.2, -0.15], [-0.1, 0.3], [0.05, 0.02]])
+    for h in (0.3, 1e-2):
+        assert np.array_equal(cn.exp_map(sphere, es, vs, h),
+                              cn.integrate_geodesic(sphere, es, vs, 1.0,
+                                                    h).xs[-1])
+
+
+def test_exp_map_memory_does_not_grow_with_steps():
+    import tracemalloc
+    chart = cn.flat_chart(4)
+    rng = np.random.default_rng(5)
+    es = rng.uniform(-0.5, 0.5, (200, 4))
+    vs = rng.uniform(-0.5, 0.5, (200, 4))
+    peaks = []
+    for h in (1e-1, 1e-3):   # 10 and 1000 steps
+        tracemalloc.start()
+        try:
+            cn.exp_map(chart, es, vs, h)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # a stored path of 1000 steps would hold 2 * 1001 * 200 * 4 float64
+    # entries (12.8 MB); the stepping state is a few (200, 4) arrays
+    assert peaks[1] < 2 * peaks[0] < 2**20
+
+
+def test_akivis_fits_each_scale_once(sphere, monkeypatch):
+    e = np.array([1.2, 0.3])
+    h_list = (1e-2, 5e-3)
+    reps = [cn.fit_fundamental_tensors(sphere, e, h=h, h_ode=1.0 / 16)
+            for h in h_list]
+    real = cn._fit_jets
+    scales = []
+
+    def counted(mu_fn, n, h):
+        scales.append(h)
+        return real(mu_fn, n, h)
+
+    monkeypatch.setattr(cn, "_fit_jets", counted)
+    out = cn.akivis_check(sphere, e, h_list, h_ode=1.0 / 16)
+    assert sorted(scales) == [2.5e-3, 5e-3, 1e-2]
+    data = cn.curvature_data(sphere, e)
+    for i, rep in enumerate(reps):
+        assert out["r1"][i] == float(np.max(np.abs(2.0 * rep.alpha
+                                                   + data.torsion)))
+        assert out["r2"][i] == float(np.max(np.abs(
+            4.0 * rep.beta + data.nabla_torsion + data.curvature)))
+        assert out["alpha_norm"][i] == float(np.max(np.abs(rep.alpha)))
+        assert out["beta_norm"][i] == float(np.max(np.abs(rep.beta)))
+
+
 def test_fit_reports_unit_law_residual(sphere):
     rep = cn.fit_fundamental_tensors(sphere, np.array([1.2, 0.3]), h=1e-2,
                                      richardson=False, h_ode=1.0 / 16)

@@ -3,7 +3,8 @@
 exterior._signed_perms is the one table behind every antisymmetric index
 operation; no other module may enumerate permutations or bring back the
 hand-rolled sign and antisymmetrizer helpers.  connection._rk4 is the one
-RK4 stepper, and every integrator steps through it.  The batch products
+RK4 stepper, and every integrator steps through it; exp_map steps without
+storing a path.  The batch products
 gather signed permutations: octonion.mul_batch reads its terms from the
 basis table derived from STRUCTURE_CYCLES, and clifford_mul is one dense
 gather with no np.add.at loop.
@@ -53,7 +54,18 @@ def test_one_rk4_stepper(monkeypatch):
     path = cn.integrate_geodesic(chart, np.zeros(2), np.ones(2), 1.0, 0.5)
     cn.geodesic_with_frame(chart, np.zeros(2), np.ones(2), 1.0, 0.5)
     cn.parallel_transport(chart, path, np.ones(2), 0.5)
-    assert len(calls) == 3
+    cn.exp_map(chart, np.zeros(2), np.ones(2), 0.5)
+    assert len(calls) == 4
+
+
+def test_exp_map_keeps_no_path():
+    from g2lab import connection as cn
+    text = (SRC / "connection.py").read_text()
+    assert "_BLOCK_ROWS" not in text and "GeodesicPath" not in text
+    tree = ast.parse(inspect.getsource(cn.exp_map))
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    assert "integrate_geodesic" not in names
+    assert "_geodesic_steps" in names
 
 
 def test_mul_batch_gathers_from_the_basis_table():
