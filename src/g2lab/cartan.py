@@ -14,8 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from .connection import cartan_schouten_chart
-from .exterior import antisymmetrize
-from .g2linear import eps7, psi0
+from .exterior import antisymmetrize, levi_civita_symbol
+from .g2linear import psi0
 from .octonion import C3
 
 __all__ = [
@@ -65,7 +65,7 @@ def self_duality_residuals(k_scale: float = 1.0) -> dict[str, float]:
     k = k_scale
     al = k * C3
     be = k * k * C4_SELFDUAL
-    eps = eps7()
+    eps = levi_civita_symbol(7)
     out = {}
     lhs = k * np.einsum("npqlijk,ijk->npql", eps, al)
     out["eps_alpha"] = float(np.max(np.abs(lhs - 6.0 * be)))

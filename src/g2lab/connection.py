@@ -71,18 +71,16 @@ class ConnectionChart:
     they never ask which kind of chart they hold.
     """
 
-    __slots__ = ("n", "gamma", "domain", "metric_field", "normal_radius",
-                 "name")
+    __slots__ = ("n", "gamma", "domain", "metric_field", "name")
 
     def __init__(self, n: int, gamma, domain, metric_field=None,
-                 normal_radius: float = 1.0, name: str = "chart") -> None:
+                 name: str = "chart") -> None:
         self.n = n
         self.gamma = gamma
         self.domain = np.asarray(domain, dtype=float)
         if self.domain.shape != (n, 2):
             raise BadConfig(f"domain must be shape ({n}, 2)")
         self.metric_field = metric_field
-        self.normal_radius = normal_radius
         self.name = name
 
     def check_inside(self, x: np.ndarray) -> None:
@@ -633,8 +631,7 @@ def flat_chart(n: int, half_width: float = 10.0) -> ConnectionChart:
     eye = np.eye(n)
     return ConnectionChart(
         n, lambda x: zero, [[-half_width, half_width]] * n,
-        metric_field=lambda x: eye, normal_radius=half_width,
-        name="flat")
+        metric_field=lambda x: eye, name="flat")
 
 
 def _sphere2_metric(x: np.ndarray) -> np.ndarray:
@@ -655,7 +652,7 @@ def sphere2_chart(margin: float = 0.2) -> ConnectionChart:
     """Round unit 2-sphere in polar coordinates (theta, phi)."""
     return ConnectionChart(
         2, _sphere2_gamma, [[margin, np.pi - margin], [-12.0, 12.0]],
-        metric_field=_sphere2_metric, normal_radius=1.0, name="sphere2")
+        metric_field=_sphere2_metric, name="sphere2")
 
 
 def conformal_chart(grad, half_width: float = 2.0) -> ConnectionChart:
@@ -674,8 +671,7 @@ def conformal_chart(grad, half_width: float = 2.0) -> ConnectionChart:
                 - np.einsum("k,ij->kij", grad, eye))
 
     return ConnectionChart(n, gamma, [[-half_width, half_width]] * n,
-                           metric_field=metric, normal_radius=half_width,
-                           name="conformal")
+                           metric_field=metric, name="conformal")
 
 
 def cartan_schouten_chart(alpha_param: float,
@@ -688,8 +684,7 @@ def cartan_schouten_chart(alpha_param: float,
     eye = np.eye(7)
     return ConnectionChart(
         7, lambda x: const, [[-half_width, half_width]] * 7,
-        metric_field=lambda x: eye, normal_radius=half_width,
-        name=f"cartan_schouten({alpha_param})")
+        metric_field=lambda x: eye, name=f"cartan_schouten({alpha_param})")
 
 
 def levi_civita_chart(metric_field, n: int, domain,
@@ -720,7 +715,6 @@ def torsion_offset_chart(base: ConnectionChart, s: np.ndarray,
 
     return ConnectionChart(base.n, gamma, base.domain,
                            metric_field=base.metric_field,
-                           normal_radius=base.normal_radius,
                            name=name or f"{base.name}+S")
 
 
@@ -781,7 +775,6 @@ def grid_chart_from(chart: ConnectionChart, points_per_axis: int,
     gamma = GridGamma(lo, hi, samples)
     return ConnectionChart(n, gamma, np.stack([lo, hi], axis=1),
                            metric_field=chart.metric_field,
-                           normal_radius=chart.normal_radius,
                            name=f"{chart.name}-grid")
 
 

@@ -19,7 +19,11 @@ _ID7 = np.eye(7)
 def bundle_mul(a: np.ndarray, b: np.ndarray,
                data: G2MetricData) -> np.ndarray:
     """Octonion product on R (+) R^7 defined by a G2-structure's cross
-    product; reduces to the standard product for the model form."""
+    product.  At the model form, data = metric_from_3form(PHI0), it is
+    the standard product up to rounding: |bundle_mul(a, b) - mul(a, b)|
+    stays within 2e-15 |a| |b| in max norm (at most 4.5e-16 |a| |b| over
+    2000 random pairs), since the recovered g is the identity only to
+    one rounding and the two sums run in different orders."""
     g, gi, phi = data.g.g, data.g.g_inv, data.phi.comps
     a0, al = a[0], a[1:]
     b0, be = b[0], b[1:]

@@ -204,15 +204,20 @@ def interior(x: np.ndarray, a: AltTensor) -> AltTensor:
     return AltTensor(a.n, a.k - 1, comps, _skip_antisym=True)
 
 
+def _raise_all(comps: np.ndarray, g: Metric) -> np.ndarray:
+    """Every index of a dense component array raised with g^-1; tensordot
+    cycles the axes, so after k contractions their order is restored."""
+    for _ in range(comps.ndim):
+        comps = np.tensordot(comps, g.g_inv, axes=(0, 0))
+    return comps
+
+
 def form_inner(a: AltTensor, b: AltTensor, g: Metric) -> float:
     """Metric on k-forms, (1/k!) full contraction with the inverse metric."""
     a._check_match(b)
     if a.k == 0:
         return float(a.comps) * float(b.comps)
-    raised = b.comps
-    for axis in range(b.k):
-        raised = np.tensordot(raised, g.g_inv, axes=(0, 0))
-    # tensordot cycles axes, so after k contractions the order is restored
+    raised = _raise_all(b.comps, g)
     return float(np.tensordot(a.comps, raised, axes=a.k) / factorial(a.k))
 
 
@@ -247,9 +252,7 @@ def hodge(a: AltTensor, g: Metric, orientation: int = +1) -> AltTensor:
     sqrt(det g) sign(I, J) times the raised component at the complement I,
     averaged over the orderings of I."""
     n, k = a.n, a.k
-    raised = a.comps
-    for _ in range(k):
-        raised = np.tensordot(raised, g.g_inv, axes=(0, 0))
+    raised = _raise_all(a.comps, g)
     scale = orientation * g.sqrt_det
     vals = scale * _shuffle_signs(n, k) * _sorted_components(raised, n)
     # the complements of the sorted k-tuples, in combinations order, are

@@ -8,20 +8,11 @@ splittings with their projections.
 
 from __future__ import annotations
 
-from itertools import combinations
-
 import numpy as np
 
 from .errors import BadTriple, NotPositive
-from .exterior import AltTensor, Metric, hodge
+from .exterior import AltTensor, Metric, _scatter, _slot_table, hodge
 from .octonion import C3
-
-
-def eps7() -> np.ndarray:
-    """Dense 7-index Levi-Civita symbol (cached)."""
-    from .exterior import levi_civita_symbol
-    return levi_civita_symbol(7)
-
 
 PHI0 = AltTensor(7, 3, C3, _skip_antisym=True)
 
@@ -45,15 +36,20 @@ class G2MetricData:
 
     @property
     def vol(self) -> AltTensor:
-        return AltTensor(7, 7, self.vol_scalar * eps7(), _skip_antisym=True)
+        return AltTensor.basis_form(7, tuple(range(7))) * self.vol_scalar
 
 
 def bilinear_7form(phi: np.ndarray) -> np.ndarray:
-    """Coefficient matrix of (e_i . phi) ^ (e_j . phi) ^ phi on e^{1..7}."""
-    e = eps7()
-    t1 = np.einsum("iab,abcdefg->icdefg", phi, e)
-    t2 = np.einsum("jcd,icdefg->ijefg", phi, t1)
-    return np.einsum("efg,ijefg->ij", phi, t2) / 24.0
+    """Coefficient matrix of (e_i . phi) ^ (e_j . phi) ^ phi on e^{1..7},
+
+        B_ij = (1/4) phi_iab phi_jcd (star0 phi)^{abcd},
+
+    from eps^{abcdefg} phi_efg = 6 (star0 phi)^{abcd}, where star0 is the
+    Euclidean Hodge star, built from the 35 sorted components of phi."""
+    star = hodge(AltTensor(7, 3, phi, _skip_antisym=True),
+                 Metric.euclidean(7)).comps
+    t = np.einsum("jcd,abcd->jab", phi, star)
+    return np.einsum("iab,jab->ij", phi, t) / 4.0
 
 
 def metric_from_3form(phi: AltTensor | np.ndarray,
@@ -213,14 +209,9 @@ def split2(beta: AltTensor, data: G2MetricData) -> FormSplit2:
 
 def r_operator_matrix(data: G2MetricData) -> np.ndarray:
     """R as a 21x21 matrix on the sorted-pair basis of 2-forms."""
-    pairs = list(combinations(range(7), 2))
-    mat = np.zeros((21, 21))
-    for col, (i, j) in enumerate(pairs):
-        b = np.zeros((7, 7))
-        b[i, j], b[j, i] = 1.0, -1.0
-        rb = r_operator(b, data)
-        mat[:, col] = [rb[a, c] for a, c in pairs]
-    return mat
+    slots = _slot_table(7, 2)[:, 0]
+    return np.stack([r_operator(_scatter(unit, 7, 2), data).reshape(-1)[slots]
+                     for unit in np.eye(21)], axis=1)
 
 
 # -- 3-form splitting ---------------------------------------------------------
@@ -260,24 +251,15 @@ def _sym_basis():
     return mats
 
 
-_TRIPLES = list(combinations(range(7), 3))
-
-
-def _vec35(comps: np.ndarray) -> np.ndarray:
-    return np.array([comps[t] for t in _TRIPLES])
-
-
 def split3(eta: AltTensor, data: G2MetricData) -> FormSplit3:
-    """Recover (f, X, h0) with eta = f phi + X . psi + F(h0)."""
-    cols = []
+    """Recover (f, X, h0) with eta = f phi + X . psi + F(h0), by least
+    squares on the components at the sorted triples, read as stored."""
+    slots = _slot_table(7, 3)[:, 0]
     sym = _sym_basis()
-    for m in sym:
-        cols.append(_vec35(map_f(m, data).comps))
-    for l in range(7):
-        cols.append(_vec35(np.einsum("l,lijk->ijk", np.eye(7)[l],
-                                     data.psi.comps)))
+    cols = [map_f(m, data).comps.reshape(-1)[slots] for m in sym]
+    cols += list(data.psi.comps.reshape(7, -1)[:, slots])
     mat = np.stack(cols, axis=1)
-    sol, *_ = np.linalg.lstsq(mat, _vec35(eta.comps), rcond=None)
+    sol, *_ = np.linalg.lstsq(mat, eta.comps.reshape(-1)[slots], rcond=None)
     h = np.zeros((7, 7))
     for coef, m in zip(sol[:28], sym):
         h += coef * m

@@ -150,3 +150,12 @@ def test_fixed_structure_sweep(data0):
     # sigma_V itself fixes phi0 only for real V
     v = exponential(math.pi / 3 * Octonion.basis(1))
     assert (df.sigma(v, g2.PHI0, data0) - g2.PHI0).max_abs() > 0.5
+
+
+def test_bundle_mul_agrees_with_mul_at_model_form(data0):
+    # the bound stated in bundle_mul's docstring
+    rng = np.random.default_rng(5)
+    for _ in range(2000):
+        a, b = rng.standard_normal(8), rng.standard_normal(8)
+        diff = df.bundle_mul(a, b, data0) - mul(Octonion(a), Octonion(b)).coeffs
+        assert np.max(np.abs(diff)) <= 2e-15 * np.linalg.norm(a) * np.linalg.norm(b)

@@ -5,7 +5,8 @@ import pytest
 
 from g2lab import g2linear as g2
 from g2lab.errors import BadTriple, NotPositive
-from g2lab.exterior import AltTensor, Metric, form_inner, volume_form, wedge
+from g2lab.exterior import (AltTensor, Metric, form_inner, levi_civita_symbol,
+                            volume_form, wedge)
 from g2lab.octonion import C3
 
 
@@ -194,3 +195,29 @@ def test_wedge_star_pack(data0):
     res = g2.wedge_star_identity_residuals(data0, rng.standard_normal(7),
                                 rng.standard_normal(7))
     assert max(res.values()) < 1e-11
+
+
+def _bilinear_7form_dense(phi):
+    """The three-fold contraction with the dense 7-index symbol, kept
+    as the reference for the star0-phi form of bilinear_7form."""
+    e = levi_civita_symbol(7)
+    t1 = np.einsum("iab,abcdefg->icdefg", phi, e)
+    t2 = np.einsum("jcd,icdefg->ijefg", phi, t1)
+    return np.einsum("efg,ijefg->ij", phi, t2) / 24.0
+
+
+def test_bilinear_7form_matches_dense_symbol():
+    rng = np.random.default_rng(17)
+    forms = [g2.PHI0.comps] + [g2.random_positive_3form(rng).comps
+                               for _ in range(20)]
+    for phi in forms:
+        ref = _bilinear_7form_dense(phi)
+        err = np.max(np.abs(g2.bilinear_7form(phi) - ref))
+        assert err <= 4e-15 * np.max(np.abs(ref))
+
+
+def test_volume_form_is_scalar_times_basis_form():
+    rng = np.random.default_rng(4)
+    data = g2.metric_from_3form(g2.random_positive_3form(rng))
+    assert np.array_equal(data.vol.comps,
+                          data.vol_scalar * levi_civita_symbol(7))

@@ -7,7 +7,9 @@ RK4 stepper, and every integrator steps through it; exp_map steps without
 storing a path.  The batch products
 gather signed permutations: octonion.mul_batch reads its terms from the
 basis table derived from STRUCTURE_CYCLES, and clifford_mul is one dense
-gather with no np.add.at loop.
+gather with no np.add.at loop.  The G2 layer reads sorted components
+through exterior's slot table, and only exterior and cartan touch the
+dense Levi-Civita symbol.
 """
 
 import ast
@@ -95,3 +97,12 @@ def test_mul_batch_gathers_from_the_basis_table():
 def test_clifford_has_no_add_at():
     text = (SRC / "clifford.py").read_text()
     assert ".add.at" not in text and "np.nonzero" not in text
+
+
+def test_g2linear_has_no_dense_symbol():
+    from g2lab import g2linear as g2
+    for name in ("eps7", "_TRIPLES", "_vec35"):
+        assert not hasattr(g2, name)
+    users = sorted(path.name for path in SRC.glob("*.py")
+                   if "levi_civita_symbol" in path.read_text())
+    assert users == ["cartan.py", "exterior.py"]
