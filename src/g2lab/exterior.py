@@ -1,19 +1,29 @@
-"""Dense antisymmetric k-tensors over an n-dimensional fiber (n <= 8).
+"""Antisymmetric k-tensors over an n-dimensional fiber (n <= 8), stored
+as their sorted components.
 
-Forms are stored with all index permutations populated, so a 3-form
-holds its full n^3 component array and the coefficient convention is
-w = (1/k!) w_{i1..ik} dx^{i1} ^ ... ^ dx^{ik}.
+A k-form keeps its C(n, k) components w_I at the sorted index tuples
+I = (i1 < ... < ik), in ``itertools.combinations`` order, as ``vals``.
+The coefficient convention is w = (1/k!) w_{i1..ik} dx^{i1} ^ ... ^ dx^{ik},
+that is w = sum over sorted I of w_I dx^I.  The dense (n,)*k array
+``comps``, with every index permutation populated, is scattered from
+``vals`` on first read and cached; a dense array passed with
+``_skip_antisym=True`` is kept as that cache, and its ``vals`` are read at
+the sorted positions.  Sums, scalings, ``max_abs`` and the wedge product
+work on ``vals`` alone; the form metric and the Hodge star raise the
+dense array.
 
 One cached table of signed permutations, ``_signed_perms``, drives every
 antisymmetric index operation (antisymmetrization, basis forms, the
-Levi-Civita symbol, the Hodge star) by gather and scatter.
+Levi-Civita symbol, the Hodge star) by gather and scatter, and one cached
+table of signed shuffles per degree pair, ``_shuffle_table``, drives the
+wedge product.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, permutations
-from math import factorial
+from math import comb, factorial
 
 import numpy as np
 
@@ -30,13 +40,19 @@ def _flat(index_rows: np.ndarray, n: int) -> np.ndarray:
     return index_rows @ (n ** np.arange(index_rows.shape[-1] - 1, -1, -1))
 
 
+def _parity_signs(index_rows: np.ndarray) -> np.ndarray:
+    """+-1 for rows of indices with an even or odd inversion count."""
+    inversions = np.triu(index_rows[..., :, None] > index_rows[..., None, :],
+                         1).sum((-2, -1))
+    return 1.0 - 2.0 * (inversions % 2)
+
+
 @lru_cache(maxsize=None)
 def _signed_perms(k: int) -> tuple[np.ndarray, np.ndarray]:
     """The k! permutations of range(k) in itertools order, as a (k!, k)
-    array, and their signs from the parity of the inversion count."""
+    array, and their signs."""
     perms = _index_rows(permutations(range(k)), k)
-    inversions = np.triu(perms[:, :, None] > perms[:, None, :], 1).sum((1, 2))
-    return perms, 1.0 - 2.0 * (inversions % 2)
+    return perms, _parity_signs(perms)
 
 
 @lru_cache(maxsize=None)
@@ -45,6 +61,13 @@ def _slot_table(n: int, k: int) -> np.ndarray:
     k-tuple, in combinations and ``_signed_perms`` order."""
     perms, _ = _signed_perms(k)
     return _flat(_index_rows(combinations(range(n), k), k)[:, perms], n)
+
+
+def _rank(index_rows: np.ndarray, n: int) -> np.ndarray:
+    """Position in combinations order of each sorted index tuple (the
+    last axis); the first column of ``_slot_table`` is ascending."""
+    return np.searchsorted(_slot_table(n, index_rows.shape[-1])[:, 0],
+                           _flat(index_rows, n))
 
 
 def _sorted_components(comps: np.ndarray, n: int) -> np.ndarray:
@@ -88,48 +111,71 @@ def antisymmetrize(comps: np.ndarray) -> np.ndarray:
 
 
 class AltTensor:
-    """Fully antisymmetric k-tensor (k-form) on an n-dimensional fiber."""
+    """Fully antisymmetric k-tensor (k-form) on an n-dimensional fiber,
+    held as its C(n, k) sorted components ``vals``."""
 
-    __slots__ = ("n", "k", "comps")
+    __slots__ = ("n", "k", "vals", "_comps")
 
     def __init__(self, n: int, k: int, comps=None, _skip_antisym: bool = False):
         if not 0 <= k <= n:
             raise ValueError(f"degree {k} outside 0..{n}")
         self.n = n
         self.k = k
+        self._comps = None
         if comps is None:
-            comps = np.zeros((n,) * k)
+            self.vals = np.zeros(comb(n, k))
+            return
         comps = np.asarray(comps, dtype=float)
         if comps.shape != (n,) * k:
             raise ValueError(f"expected shape {(n,) * k}, got {comps.shape}")
-        self.comps = comps if _skip_antisym else antisymmetrize(comps)
+        if _skip_antisym:
+            self._comps = comps
+            self.vals = comps.reshape(-1)[_slot_table(n, k)[:, 0]]
+        else:
+            self.vals = _sorted_components(comps, n)
+
+    @classmethod
+    def _from_vals(cls, n: int, k: int, vals: np.ndarray) -> "AltTensor":
+        """The k-form with sorted components vals, taken as given."""
+        out = cls.__new__(cls)
+        out.n, out.k, out.vals, out._comps = n, k, vals, None
+        return out
+
+    @property
+    def comps(self) -> np.ndarray:
+        """The dense (n,)*k component array, scattered on first read and
+        then cached read-only, so that it cannot drift from vals."""
+        if self._comps is None:
+            self._comps = _scatter(self.vals, self.n, self.k)
+            self._comps.setflags(write=False)
+        return self._comps
 
     @classmethod
     def scalar(cls, n: int, value: float) -> "AltTensor":
-        return cls(n, 0, np.asarray(float(value)), _skip_antisym=True)
+        return cls._from_vals(n, 0, np.array([float(value)]))
 
     @classmethod
     def basis_form(cls, n: int, indices) -> "AltTensor":
-        """dx^{i1} ^ ... ^ dx^{ik} for 0-based indices."""
-        k = len(indices)
-        perms, signs = _signed_perms(k)
-        comps = np.zeros(n ** k)
-        comps[_flat(np.asarray(indices, dtype=np.intp)[perms], n)] = signs
-        return cls(n, k, comps.reshape((n,) * k), _skip_antisym=True)
+        """dx^{i1} ^ ... ^ dx^{ik} for 0-based indices: the sign of the
+        sorting permutation at the sorted tuple, zero for a repeated index."""
+        idx = np.asarray(indices, dtype=np.intp).reshape(-1)
+        if idx.size and not (0 <= idx.min() and idx.max() < n):
+            raise ValueError(f"indices {tuple(indices)} outside 0..{n - 1}")
+        out = cls(n, len(idx))
+        if len(set(idx.tolist())) == len(idx):
+            out.vals[_rank(np.sort(idx), n)] = _parity_signs(idx)
+        return out
 
     def __add__(self, other: "AltTensor") -> "AltTensor":
         self._check_match(other)
-        return AltTensor(self.n, self.k, self.comps + other.comps,
-                         _skip_antisym=True)
+        return AltTensor._from_vals(self.n, self.k, self.vals + other.vals)
 
     def __sub__(self, other: "AltTensor") -> "AltTensor":
         self._check_match(other)
-        return AltTensor(self.n, self.k, self.comps - other.comps,
-                         _skip_antisym=True)
+        return AltTensor._from_vals(self.n, self.k, self.vals - other.vals)
 
     def __mul__(self, scalar) -> "AltTensor":
-        return AltTensor(self.n, self.k, self.comps * float(scalar),
-                         _skip_antisym=True)
+        return AltTensor._from_vals(self.n, self.k, self.vals * float(scalar))
 
     __rmul__ = __mul__
 
@@ -141,11 +187,11 @@ class AltTensor:
             raise ValueError("mismatched fiber dimension or degree")
 
     def max_abs(self) -> float:
-        return float(np.max(np.abs(self.comps))) if self.k else abs(float(self.comps))
+        return float(np.max(np.abs(self.vals)))
 
     def allclose(self, other: "AltTensor", tol: float = 1e-12) -> bool:
         self._check_match(other)
-        return bool(np.max(np.abs(self.comps - other.comps)) <= tol)
+        return bool(np.max(np.abs(self.vals - other.vals)) <= tol)
 
     def __repr__(self) -> str:
         return f"AltTensor(n={self.n}, k={self.k})"
@@ -178,21 +224,42 @@ class Metric:
         return self.g.shape[0]
 
 
+@lru_cache(maxsize=None)
+def _shuffle_signs(n: int, k: int) -> np.ndarray:
+    """Sign of (I, J) as a permutation, J the sorted complement of I, for
+    each sorted k-tuple I in combinations order: (I, J) has sum_r (I_r - r)
+    inversions."""
+    return np.array([(-1.0) ** (sum(i) - k * (k - 1) // 2)
+                     for i in combinations(range(n), k)])
+
+
+@lru_cache(maxsize=None)
+def _shuffle_table(n: int, p: int, q: int):
+    """For each sorted (p+q)-tuple J in combinations order, its C(p+q, p)
+    splits into sorted I and K with I u K = J: the ranks of I among the
+    sorted p-tuples and of K among the sorted q-tuples, each a
+    (C(n, p+q), C(p+q, p)) array, and the signs of (I, K) as permutations
+    of J."""
+    joint = _index_rows(combinations(range(n), p + q), p + q)
+    firsts = _index_rows(combinations(range(p + q), p), p)
+    # the complements of the sorted p-subsets, in combinations order, are
+    # the sorted q-subsets in reverse combinations order
+    rests = _index_rows(combinations(range(p + q), q), q)[::-1]
+    return (_rank(joint[:, firsts], n), _rank(joint[:, rests], n),
+            _shuffle_signs(p + q, p))
+
+
 def wedge(a: AltTensor, b: AltTensor) -> AltTensor:
-    """Wedge product in the (1/k!)-component convention."""
+    """Wedge product in the (1/k!)-component convention:
+    (a ^ b)_J = sum over the splits (I, K) of J of sign(I, K) a_I b_K."""
     if a.n != b.n:
         raise ValueError("mismatched fiber dimensions")
     p, q = a.k, b.k
     if p + q > a.n:
         raise DegreeOverflow(f"degree {p}+{q} exceeds fiber dimension {a.n}")
-    if p == 0:
-        return b * float(a.comps)
-    if q == 0:
-        return a * float(b.comps)
-    prod = np.multiply.outer(a.comps, b.comps)
-    coeff = factorial(p + q) / (factorial(p) * factorial(q))
-    return AltTensor(a.n, p + q, coeff * antisymmetrize(prod),
-                     _skip_antisym=True)
+    first, rest, signs = _shuffle_table(a.n, p, q)
+    vals = (signs * a.vals[first] * b.vals[rest]).sum(axis=1)
+    return AltTensor._from_vals(a.n, p + q, vals)
 
 
 def interior(x: np.ndarray, a: AltTensor) -> AltTensor:
@@ -216,7 +283,7 @@ def form_inner(a: AltTensor, b: AltTensor, g: Metric) -> float:
     """Metric on k-forms, (1/k!) full contraction with the inverse metric."""
     a._check_match(b)
     if a.k == 0:
-        return float(a.comps) * float(b.comps)
+        return float(a.vals[0]) * float(b.vals[0])
     raised = _raise_all(b.comps, g)
     return float(np.tensordot(a.comps, raised, axes=a.k) / factorial(a.k))
 
@@ -238,15 +305,6 @@ def volume_form(g: Metric, orientation: int = +1) -> AltTensor:
     return vol * (orientation * g.sqrt_det)
 
 
-@lru_cache(maxsize=None)
-def _shuffle_signs(n: int, k: int) -> np.ndarray:
-    """Sign of (I, J) as a permutation, J the sorted complement of I, for
-    each sorted k-tuple I in combinations order: (I, J) has sum_r (I_r - r)
-    inversions."""
-    return np.array([(-1.0) ** (sum(i) - k * (k - 1) // 2)
-                     for i in combinations(range(n), k)])
-
-
 def hodge(a: AltTensor, g: Metric, orientation: int = +1) -> AltTensor:
     """Hodge star defined by <w, a> vol = w ^ (star a): component J is
     sqrt(det g) sign(I, J) times the raised component at the complement I,
@@ -257,8 +315,7 @@ def hodge(a: AltTensor, g: Metric, orientation: int = +1) -> AltTensor:
     vals = scale * _shuffle_signs(n, k) * _sorted_components(raised, n)
     # the complements of the sorted k-tuples, in combinations order, are
     # the sorted (n-k)-tuples in reverse combinations order
-    return AltTensor(n, n - k, _scatter(vals[::-1], n, n - k),
-                     _skip_antisym=True)
+    return AltTensor._from_vals(n, n - k, vals[::-1])
 
 
 def interior_star_residual(x: np.ndarray, a: AltTensor, g: Metric,

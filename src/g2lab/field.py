@@ -18,8 +18,8 @@ from .connection import _require_inside, central_diff, levi_civita
 from .deform import bundle_inverse, bundle_mul, sigma
 from .errors import BadConfig, NormDrift
 from .exterior import AltTensor, antisymmetrize
-from .g2linear import (G2MetricData, PHI0, metric_from_3form, pullback_3form,
-                       split2)
+from .g2linear import (G2MetricData, PHI0, _einsum, metric_from_3form,
+                       pullback_3form, split2)
 from .octonion import Octonion, exponential
 
 _EYE7 = np.eye(7)
@@ -105,9 +105,9 @@ def g2_torsion(field: PhiField, x: np.ndarray,
     data = field.data(x)
     nphi = nabla_phi(field, x, fd_step)
     gi = data.g.g_inv
-    psi_raised = np.einsum("nabc,ia,jb,kc->nijk", data.psi.comps, gi, gi, gi, optimize=True)
+    psi_raised = _einsum("nabc,ia,jb,kc->nijk", data.psi.comps, gi, gi, gi)
     t = np.einsum("mijk,nijk->mn", nphi, psi_raised) / 48.0
-    recon = 2.0 * np.einsum("mp,pq,qijk->mijk", t, gi, data.psi.comps, optimize=True)
+    recon = 2.0 * _einsum("mp,pq,qijk->mijk", t, gi, data.psi.comps)
     residual = float(np.max(np.abs(nphi - recon)))
     g = data.g.g
     trace = float(np.einsum("mn,mn->", t, gi))

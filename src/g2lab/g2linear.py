@@ -14,6 +14,21 @@ from .errors import BadTriple, NotPositive
 from .exterior import AltTensor, Metric, _scatter, _slot_table, hodge
 from .octonion import C3
 
+_EINSUM_PATHS: dict[tuple, list] = {}
+
+
+def _einsum(subscripts: str, *operands: np.ndarray) -> np.ndarray:
+    """np.einsum(subscripts, *operands, optimize=True) with the contraction
+    path searched once per subscripts and operand shapes, then reused; the
+    same path gives the same bits."""
+    key = (subscripts,) + tuple(np.shape(op) for op in operands)
+    path = _EINSUM_PATHS.get(key)
+    if path is None:
+        path = np.einsum_path(subscripts, *operands, optimize=True)[0]
+        _EINSUM_PATHS[key] = path
+    return np.einsum(subscripts, *operands, optimize=path)
+
+
 PHI0 = AltTensor(7, 3, C3, _skip_antisym=True)
 
 
@@ -36,7 +51,8 @@ class G2MetricData:
 
     @property
     def vol(self) -> AltTensor:
-        return AltTensor.basis_form(7, tuple(range(7))) * self.vol_scalar
+        """vol_scalar dx^1 ^ ... ^ dx^7: one sorted component."""
+        return AltTensor._from_vals(7, 7, np.array([self.vol_scalar]))
 
 
 def bilinear_7form(phi: np.ndarray) -> np.ndarray:
@@ -81,7 +97,7 @@ def metric_from_3form(phi: AltTensor | np.ndarray,
 
 def pullback_3form(t: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """(T* phi)(u, v, w) = phi(Tu, Tv, Tw), on raw components."""
-    return np.einsum("ijk,im,jn,kp->mnp", phi, t, t, t, optimize=True)
+    return _einsum("ijk,im,jn,kp->mnp", phi, t, t, t)
 
 
 def is_g2_element(t: np.ndarray, tol: float = 1e-10) -> bool:
@@ -149,13 +165,13 @@ def contraction_identity_residuals(phi: AltTensor | np.ndarray,
     g = data.g.g
     gi = data.g.g_inv
     out = {}
-    lhs = np.einsum("ijk,abc,ck->ijab", p, p, gi, optimize=True)
+    lhs = _einsum("ijk,abc,ck->ijab", p, p, gi)
     rhs = np.einsum("ia,jb->ijab", g, g) - np.einsum("ib,ja->ijab", g, g) \
         + q
     out["phiphi_c"] = float(np.max(np.abs(lhs - rhs)))
-    lhs = np.einsum("ijk,abc,bj,ck->ia", p, p, gi, gi, optimize=True)
+    lhs = _einsum("ijk,abc,bj,ck->ia", p, p, gi, gi)
     out["phiphi_bc"] = float(np.max(np.abs(lhs - 6.0 * g)))
-    lhs = np.einsum("ijk,abcd,dk->ijabc", p, q, gi, optimize=True)
+    lhs = _einsum("ijk,abcd,dk->ijabc", p, q, gi)
     rhs = (- np.einsum("ia,jbc->ijabc", g, p)
            - np.einsum("ib,ajc->ijabc", g, p)
            - np.einsum("ic,abj->ijabc", g, p)
@@ -163,13 +179,13 @@ def contraction_identity_residuals(phi: AltTensor | np.ndarray,
            + np.einsum("bj,aic->ijabc", g, p)
            + np.einsum("cj,abi->ijabc", g, p))
     out["phipsi_d"] = float(np.max(np.abs(lhs - rhs)))
-    lhs = np.einsum("ijk,abcd,cj,dk->iab", p, q, gi, gi, optimize=True)
+    lhs = _einsum("ijk,abcd,cj,dk->iab", p, q, gi, gi)
     out["phipsi_cd"] = float(np.max(np.abs(lhs - 4.0 * p)))
-    lhs = np.einsum("ijkl,abcd,ck,dl->ijab", q, q, gi, gi, optimize=True)
+    lhs = _einsum("ijkl,abcd,ck,dl->ijab", q, q, gi, gi)
     rhs = 4.0 * np.einsum("ia,jb->ijab", g, g) \
         - 4.0 * np.einsum("ib,ja->ijab", g, g) + 2.0 * q
     out["psipsi_cd"] = float(np.max(np.abs(lhs - rhs)))
-    lhs = np.einsum("ijkl,abcd,bj,ck,dl->ia", q, q, gi, gi, gi, optimize=True)
+    lhs = _einsum("ijkl,abcd,bj,ck,dl->ia", q, q, gi, gi, gi)
     out["psipsi_bcd"] = float(np.max(np.abs(lhs - 24.0 * g)))
     return out
 
@@ -254,12 +270,11 @@ def _sym_basis():
 def split3(eta: AltTensor, data: G2MetricData) -> FormSplit3:
     """Recover (f, X, h0) with eta = f phi + X . psi + F(h0), by least
     squares on the components at the sorted triples, read as stored."""
-    slots = _slot_table(7, 3)[:, 0]
     sym = _sym_basis()
-    cols = [map_f(m, data).comps.reshape(-1)[slots] for m in sym]
-    cols += list(data.psi.comps.reshape(7, -1)[:, slots])
+    cols = [map_f(m, data).vals for m in sym]
+    cols += list(data.psi.comps.reshape(7, -1)[:, _slot_table(7, 3)[:, 0]])
     mat = np.stack(cols, axis=1)
-    sol, *_ = np.linalg.lstsq(mat, eta.comps.reshape(-1)[slots], rcond=None)
+    sol, *_ = np.linalg.lstsq(mat, eta.vals, rcond=None)
     h = np.zeros((7, 7))
     for coef, m in zip(sol[:28], sym):
         h += coef * m

@@ -221,3 +221,23 @@ def test_volume_form_is_scalar_times_basis_form():
     data = g2.metric_from_3form(g2.random_positive_3form(rng))
     assert np.array_equal(data.vol.comps,
                           data.vol_scalar * levi_civita_symbol(7))
+
+
+def test_einsum_path_searched_once(monkeypatch):
+    real = np.einsum_path
+    searches = []
+
+    def counted(*args, **kwargs):
+        searches.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "einsum_path", counted)
+    monkeypatch.setattr(g2, "_EINSUM_PATHS", {})
+    t = g2.random_gl7(np.random.default_rng(18))
+    first = g2.pullback_3form(t, g2.PHI0.comps)
+    second = g2.pullback_3form(t, g2.PHI0.comps)
+    assert searches == ["ijk,im,jn,kp->mnp"]
+    assert np.array_equal(first, second)
+    # the cached path is the one optimize=True searches: the same bits
+    assert np.array_equal(first, np.einsum("ijk,im,jn,kp->mnp", g2.PHI0.comps,
+                                           t, t, t, optimize=True))

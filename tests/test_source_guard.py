@@ -9,7 +9,8 @@ gather signed permutations: octonion.mul_batch reads its terms from the
 basis table derived from STRUCTURE_CYCLES, and clifford_mul is one dense
 gather with no np.add.at loop.  The G2 layer reads sorted components
 through exterior's slot table, and only exterior and cartan touch the
-dense Levi-Civita symbol.
+dense Levi-Civita symbol.  exterior.wedge works on sorted components
+through its shuffle table, with no dense outer product.
 """
 
 import ast
@@ -106,3 +107,22 @@ def test_g2linear_has_no_dense_symbol():
     users = sorted(path.name for path in SRC.glob("*.py")
                    if "levi_civita_symbol" in path.read_text())
     assert users == ["cartan.py", "exterior.py"]
+
+
+def test_wedge_builds_no_dense_array():
+    import tracemalloc
+    import numpy as np
+    from g2lab import exterior as ext
+    from g2lab.g2linear import psi0
+    text = inspect.getsource(ext.wedge)
+    assert "multiply.outer" not in text and "antisymmetrize" not in text
+    psi = psi0()
+    x = np.random.default_rng(0).standard_normal(7)
+    tracemalloc.start()
+    try:
+        ext.wedge(psi, ext.interior(x, psi)).max_abs()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a dense 7-form would be 7^7 doubles, 6.6 MB
+    assert peak < 64 * 1024
