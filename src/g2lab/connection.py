@@ -27,7 +27,9 @@ the whole batch against the domain once per step.  ``exp_map`` keeps
 only the current state, where ``integrate_geodesic`` stores the path.
 Every public ODE function and ``loop_product`` take a single point of
 shape (n,) or rows of shape (N, n); each row of a batch gets the bits a
-single-point call gives it, because every contraction acts row by row.
+single-point call gives it, because every contraction is a stacked
+product that acts row by row: the symbols meet a velocity only in
+``_gamma_dot``, and each right-hand side applies its A = G·v.
 ``exp_inverse`` is one damped Newton iteration over all rows, with a
 per-row convergence mask and a per-row finite-difference Jacobian
 fallback (the batched ``central_diff`` of ``exp_map``); each iteration
@@ -154,6 +156,19 @@ def _point_pair(x0, v0) -> tuple[np.ndarray, np.ndarray]:
     return x.copy(), v.copy()
 
 
+def _gamma_dot(g: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """A[..., i, k] = G^i_jk v^j for symbols g of shape (n, n, n) or
+    (..., n, n, n) and velocities v of shape (n,) or (..., n).
+
+    One stacked row-vector product per point, v^j against the (n, n * n)
+    block G[j, (i, k)], so each row of a batch gets the bits a
+    single-point call gives it."""
+    n = v.shape[-1]
+    blocks = np.swapaxes(g, -3, -2).reshape(g.shape[:-3] + (n, n * n))
+    a = np.matmul(v[..., None, :], blocks)
+    return a.reshape(a.shape[:-2] + (n, n))
+
+
 def _geodesic_steps(chart: ConnectionChart, x, v, t_end: float, h: float):
     """Yield the geodesic state (x, v) after each _rk4 step, with the
     batch checked against the domain at the start and after every step."""
@@ -161,7 +176,8 @@ def _geodesic_steps(chart: ConnectionChart, x, v, t_end: float, h: float):
 
     def rhs(t, state):
         x, v = state
-        return v, -np.einsum("...ijk,...j,...k->...i", gamma(x), v, v)
+        a = _gamma_dot(gamma(x), v)
+        return v, -np.matmul(a, v[..., None])[..., 0]
 
     chart.check_inside(x)
     n_steps = _steps_for(t_end, h)
@@ -199,10 +215,8 @@ def geodesic_with_frame(chart: ConnectionChart, x0, v0, t_end: float = 1.0,
 
     def rhs(t, state):
         x, v, m = state
-        g = gamma(x)
-        return (v,
-                -np.einsum("...ijk,...j,...k->...i", g, v, v),
-                -np.einsum("...ijk,...j,...kc->...ic", g, v, m))
+        a = _gamma_dot(gamma(x), v)
+        return v, -np.matmul(a, v[..., None])[..., 0], -np.matmul(a, m)
 
     x, v = _point_pair(x0, v0)
     state = (x, v, np.broadcast_to(np.eye(chart.n), x.shape + (chart.n,)))
@@ -224,7 +238,8 @@ def parallel_transport(chart: ConnectionChart, path: Path, w0,
 
     def rhs(t, state):
         x, v = path.hermite(t)
-        return (-np.einsum("...ijk,...j,...k->...i", gamma(x), v, state[0]),)
+        a = _gamma_dot(gamma(x), v)
+        return (-np.matmul(a, state[0][..., None])[..., 0],)
 
     state = (np.array(w0, dtype=float),)
     t0, t1 = float(path.ts[0]), float(path.ts[-1])
@@ -394,16 +409,12 @@ class _NormalLoop:
         rows = np.flatnonzero(~u_zero & ~v_zero)
         if rows.size == 0:
             return out
-        index: dict[bytes, int] = {}
-        firsts = []
-        which = np.empty(rows.size, dtype=int)
-        for pos, r in enumerate(rows):
-            key = vs[r].tobytes()
-            if key not in index:
-                index[key] = len(firsts)
-                firsts.append(r)
-            which[pos] = index[key]
-        ys, _, ms = geodesic_with_frame(chart, self.e, vs[firsts], 1.0, h_ode)
+        keys = np.ascontiguousarray(vs[rows]).view(
+            np.dtype((np.void, vs.itemsize * vs.shape[1])))[:, 0]
+        _, firsts, which = np.unique(keys, return_index=True,
+                                     return_inverse=True)
+        ys, _, ms = geodesic_with_frame(chart, self.e, vs[rows[firsts]], 1.0,
+                                        h_ode)
         w = np.matmul(ms[which], us[rows][:, :, None])[:, :, 0]
         z = exp_map(chart, ys[which], w, h_ode)
         out[rows] = exp_inverse(chart, self.e, z, h_ode, tol=self.newton_tol)

@@ -565,6 +565,99 @@ def test_gamma_contract_batches(sphere):
             assert np.array_equal(batch[idx], chart.gamma(xs[idx]))
 
 
+@pytest.mark.parametrize("rows", [1, 5, 5000])
+def test_gamma_dot_rows_match_single_point(rows):
+    rng = np.random.default_rng(rows)
+    n = 7
+    vs = rng.standard_normal((rows, n))
+    const = rng.standard_normal((n, n, n))
+    field = rng.standard_normal((rows, n, n, n))
+    a_const = cn._gamma_dot(const, vs)
+    a_field = cn._gamma_dot(field, vs)
+    assert a_const.shape == a_field.shape == (rows, n, n)
+    for r in range(rows):
+        assert np.array_equal(a_const[r], cn._gamma_dot(const, vs[r]))
+        assert np.array_equal(a_field[r], cn._gamma_dot(field[r], vs[r]))
+
+
+@pytest.mark.parametrize("n", [2, 4, 7])
+def test_gamma_dot_matches_three_operand_einsums(n):
+    rng = np.random.default_rng(n)
+    rows = 6
+    v = 0.5 * rng.standard_normal((rows, n))
+    w = rng.standard_normal((rows, n))
+    m = rng.standard_normal((rows, n, n))
+    for g in (3.0 * rng.standard_normal((n, n, n)),
+              3.0 * rng.standard_normal((rows, n, n, n))):
+        a = cn._gamma_dot(g, v)
+        scale = 1e-15 * n * n * np.max(np.abs(g)) * np.max(np.abs(v))
+        pairs = [
+            (np.matmul(a, v[..., None])[..., 0],
+             np.einsum("...ijk,...j,...k->...i", g, v, v), np.abs(v)),
+            (np.matmul(a, m),
+             np.einsum("...ijk,...j,...kc->...ic", g, v, m), np.abs(m)),
+            (np.matmul(a, w[..., None])[..., 0],
+             np.einsum("...ijk,...j,...k->...i", g, v, w), np.abs(w)),
+        ]
+        for got, want, other in pairs:
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= scale * np.max(other)
+
+
+@pytest.mark.parametrize("make, e", [
+    (lambda: cn.cartan_schouten_chart(0.25), np.zeros(7)),
+    (cn.sphere2_chart, np.array([1.2, 0.3])),
+])
+def test_transport_broadcasts_vectors_and_paths(make, e):
+    chart = make()
+    h = 1.0 / 16
+    rng = np.random.default_rng(11)
+    ws = rng.uniform(-1.0, 1.0, (5, chart.n))
+    # N vectors along one path
+    one = cn.integrate_geodesic(chart, e, rng.uniform(-0.2, 0.2, chart.n),
+                                1.0, h)
+    got = cn.parallel_transport(chart, one, ws, h)
+    assert got.shape == ws.shape
+    for r in range(5):
+        assert np.array_equal(got[r],
+                              cn.parallel_transport(chart, one, ws[r], h))
+    # one vector along a path of N curves
+    xs = e + rng.uniform(-0.2, 0.2, (5, chart.n))
+    vs = rng.uniform(-0.2, 0.2, (5, chart.n))
+    batch = cn.integrate_geodesic(chart, xs, vs, 1.0, h)
+    got = cn.parallel_transport(chart, batch, ws[0], h)
+    assert got.shape == ws.shape
+    for r in range(5):
+        single = cn.integrate_geodesic(chart, xs[r], vs[r], 1.0, h)
+        assert np.array_equal(got[r],
+                              cn.parallel_transport(chart, single, ws[0], h))
+
+
+def test_normal_loop_integrates_each_distinct_v_once(monkeypatch):
+    chart = cn.cartan_schouten_chart(0.25)
+    mu = cn._NormalLoop(chart, np.zeros(7), h_ode=1.0 / 16)
+    d = 1e-2 * np.eye(7)
+    z = np.zeros(7)
+    neg_zero = d[1] * 1.0
+    neg_zero[0] = -0.0
+    us = np.array([d[0], d[2], -d[0], d[3], d[4], d[5], z])
+    vs = np.array([d[1], d[1], neg_zero, d[6], d[1], d[6], d[2]])
+    real = cn.geodesic_with_frame
+    batches = []
+
+    def counted(chart, x0, v0, t_end=1.0, h=1e-3):
+        batches.append(np.array(v0))
+        return real(chart, x0, v0, t_end, h)
+
+    monkeypatch.setattr(cn, "geodesic_with_frame", counted)
+    got = mu(us, vs)
+    # d[1], -0.0-signed d[1] and d[6]; the zero-u row is integrated never
+    assert len(batches) == 1 and len(batches[0]) == 3
+    assert np.array_equal(got[6], vs[6])
+    for r in range(6):
+        assert np.array_equal(got[r], mu(us[r:r + 1], vs[r:r + 1])[0])
+
+
 def test_grid_size_checked_before_allocating(sphere):
     import tracemalloc
     # 9^7 points x 7^3 symbols would be about 13 GB of float64

@@ -4,7 +4,8 @@ exterior._signed_perms is the one table behind every antisymmetric index
 operation; no other module may enumerate permutations or bring back the
 hand-rolled sign and antisymmetrizer helpers.  connection._rk4 is the one
 RK4 stepper, and every integrator steps through it; exp_map steps without
-storing a path.  The batch products
+storing a path.  Christoffel symbols meet a velocity only in
+connection._gamma_dot, with no three-operand einsum.  The batch products
 gather signed permutations: octonion.mul_batch reads its terms from the
 basis table derived from STRUCTURE_CYCLES, and clifford_mul is one dense
 gather with no np.add.at loop.  The G2 layer reads sorted components
@@ -69,6 +70,32 @@ def test_exp_map_keeps_no_path():
     names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     assert "integrate_geodesic" not in names
     assert "_geodesic_steps" in names
+
+
+def test_symbols_meet_velocities_only_in_gamma_dot():
+    import textwrap
+    from g2lab import connection as cn
+    text = (SRC / "connection.py").read_text()
+    for spec in ('"...ijk,...j,...k', '"...ijk,...j,...kc'):
+        assert spec not in text
+    for fn in (cn._geodesic_steps, cn.geodesic_with_frame,
+               cn.parallel_transport):
+        tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+        attrs = {n.attr for n in ast.walk(tree)
+                 if isinstance(n, ast.Attribute)}
+        assert "einsum" not in attrs
+        # every evaluation of the symbols is an argument of _gamma_dot
+        dots = [n for n in ast.walk(tree) if isinstance(n, ast.Call)
+                and isinstance(n.func, ast.Name)
+                and n.func.id == "_gamma_dot"]
+        inside = {id(a) for d in dots for a in d.args}
+        gammas = [n for n in ast.walk(tree) if isinstance(n, ast.Call)
+                  and isinstance(n.func, ast.Name) and n.func.id == "gamma"]
+        assert dots and gammas
+        assert all(id(g) in inside for g in gammas)
+    tree = ast.parse(inspect.getsource(cn._gamma_dot))
+    attrs = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    assert "matmul" in attrs and "einsum" not in attrs
 
 
 def test_mul_batch_gathers_from_the_basis_table():
