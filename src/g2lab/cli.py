@@ -289,8 +289,7 @@ def suite_g2linear(config: RunConfig) -> list[dict]:
 
     def form_trial(rng, t):
         a = g2.random_gl7(rng)
-        phi = AltTensor(7, 3, g2.pullback_3form(a, g2.PHI0.comps),
-                        _skip_antisym=True)
+        phi = AltTensor(7, 3, g2.pullback_3form(a, g2.PHI0.comps))
         data = g2.metric_from_3form(phi)
         equiv = np.max(np.abs(data.g.g - a.T @ a)) / np.max(np.abs(a.T @ a))
         t_suite = _worst(
@@ -565,7 +564,7 @@ def suite_g2field(config: RunConfig) -> list[dict]:
     checks.append(_check("torsion_split", _worst((ortho, split_sum)),
                          config.tol("torsion_split", 1e-10)))
     nphi = fld.nabla_phi(sw, x, 1e-3)
-    s3 = split3(AltTensor(7, 3, nphi[0], _skip_antisym=True), sw.data(x))
+    s3 = split3(AltTensor(7, 3, nphi[0]), sw.data(x))
     checks.append(_check("vector_part_only",
                          _worst((abs(s3.f), np.max(np.abs(s3.h0)))),
                          config.tol("vector_part_only", 1e-7)))

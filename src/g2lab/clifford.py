@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import NotImaginary, SignatureMismatch, ZeroReference
 from .exterior import AltTensor
-from .g2linear import G2MetricData, metric_from_3form
+from .g2linear import G2MetricData
 from .octonion import IMAG_EPS, Octonion, inverse, left_matrix, mul
 
 _TABLE_CACHE: dict[tuple[int, int],
@@ -256,19 +256,16 @@ def j_inverse(a: Octonion, xi: SpinorPoint) -> SpinorPoint:
     return SpinorPoint(mul(a, xi_oct).coeffs)
 
 
-def reference_structure(xi: SpinorPoint,
-                        data0: G2MetricData | None = None) -> AltTensor:
+def reference_structure(xi: SpinorPoint, data0: G2MetricData) -> AltTensor:
     """The 3-form associated with a unit reference spinor,
-    phi_xi = sigma_xi(phi0)."""
+    phi_xi = sigma_xi(phi0), with data0 the metric data of phi0."""
     from .deform import sigma
     from .g2linear import PHI0
-    if data0 is None:
-        data0 = metric_from_3form(PHI0)
     return sigma(Octonion(xi.comps), PHI0, data0)
 
 
 def sigma_from_spinor(a: Octonion, base_phi: AltTensor,
-                      data: G2MetricData | None = None) -> AltTensor:
+                      data: G2MetricData) -> AltTensor:
     """The structure of the transported spinor A . zeta: sigma_A(phi_zeta)."""
     from .deform import sigma
     return sigma(a, base_phi, data)

@@ -715,8 +715,8 @@ def levi_civita_chart(metric_field, n: int, domain,
                            name=name)
 
 
-def torsion_offset_chart(base: ConnectionChart, s: np.ndarray,
-                         name: str | None = None) -> ConnectionChart:
+def torsion_offset_chart(base: ConnectionChart,
+                         s: np.ndarray) -> ConnectionChart:
     """Gamma = base Gamma + S for a constant tensor S (e.g. a totally
     antisymmetric contorsion added to a Levi-Civita chart)."""
     s = np.asarray(s, dtype=float)
@@ -726,7 +726,7 @@ def torsion_offset_chart(base: ConnectionChart, s: np.ndarray,
 
     return ConnectionChart(base.n, gamma, base.domain,
                            metric_field=base.metric_field,
-                           name=name or f"{base.name}+S")
+                           name=f"{base.name}+S")
 
 
 class GridGamma:

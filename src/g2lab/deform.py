@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ZeroDivisor
-from .exterior import AltTensor
+from .exterior import AltTensor, interior, wedge
 from .g2linear import G2MetricData, metric_from_3form, pullback_3form
 from .octonion import ZERO_EPS, Octonion, conj, inverse, mul, power
 
@@ -56,12 +56,9 @@ def ad(v: Octonion, a: Octonion) -> Octonion:
     return mul(mul(v, a), inverse(v))
 
 
-def ad_matrix7(v: Octonion, data: G2MetricData | None = None) -> np.ndarray:
+def ad_matrix7(v: Octonion, data: G2MetricData) -> np.ndarray:
     """Restriction of Ad_V to imaginary octonions, from the index formula
     ((v0^2 - |v|^2) d^a_b - 2 v0 (v . phi)^a_b + 2 v^a v_b) / |V|^2."""
-    if data is None:
-        from .g2linear import PHI0
-        data = metric_from_3form(PHI0)
     v0 = v.real
     vi = v.imag
     g, gi, phi = data.g.g, data.g.g_inv, data.phi.comps
@@ -88,15 +85,10 @@ def sigma(v: Octonion, phi: AltTensor,
         raise ZeroDivisor("sigma of a zero octonion")
     vc = v.coeffs / np.sqrt(n2)
     v0, vi = vc[0], vc[1:]
-    p, q, g = data.phi.comps, data.psi.comps, data.g.g
-    vpsi = np.einsum("m,mijk->ijk", vi, q)
-    vphi = np.einsum("m,mjk->jk", vi, p)
-    vb = g @ vi
-    wedge_part = (np.einsum("i,jk->ijk", vb, vphi)
-                  + np.einsum("j,ki->ijk", vb, vphi)
-                  + np.einsum("k,ij->ijk", vb, vphi))
-    comps = (v0 ** 2 - vi @ vb) * p - 2.0 * v0 * vpsi + 2.0 * wedge_part
-    return AltTensor(7, 3, comps, _skip_antisym=True)
+    vb = AltTensor(7, 1, data.g.g @ vi)
+    return (data.phi * (v0 ** 2 - vi @ vb.vals)
+            - interior(vi, data.psi) * (2.0 * v0)
+            + wedge(vb, interior(vi, data.phi)) * 2.0)
 
 
 class DeformedProduct:
@@ -123,10 +115,8 @@ def deformed_mul(a: Octonion, b: Octonion, v: Octonion) -> Octonion:
 
 
 def conjugation_pullback_residual(v: Octonion, phi: AltTensor,
-                     data: G2MetricData | None = None) -> float:
+                                  data: G2MetricData) -> float:
     """Max-abs residual of sigma_{V^3}(phi) = phi(Ad_{V^-1} ., ., .)."""
-    if data is None:
-        data = metric_from_3form(phi)
     v3 = power(v, 3)
     lhs = sigma(v3, phi, data).comps
     m = ad_matrix7(inverse(v), data)
@@ -135,12 +125,10 @@ def conjugation_pullback_residual(v: Octonion, phi: AltTensor,
 
 
 def composition_residual(u: Octonion, v: Octonion, phi: AltTensor,
-                     data: G2MetricData | None = None) -> float:
+                         data: G2MetricData) -> float:
     """Max-abs residual of sigma_U(sigma_V(phi)) = sigma_{UV}(phi), with UV
     the product defined by phi (the deformed product gives the same UV
     when the right factor is V)."""
-    if data is None:
-        data = metric_from_3form(phi)
     inner = sigma(v, phi, data)
     lhs = sigma(u, inner, metric_from_3form(inner)).comps
     uv = Octonion(bundle_mul(u.coeffs, v.coeffs, data))

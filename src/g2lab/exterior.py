@@ -4,19 +4,21 @@ as their sorted components.
 A k-form keeps its C(n, k) components w_I at the sorted index tuples
 I = (i1 < ... < ik), in ``itertools.combinations`` order, as ``vals``.
 The coefficient convention is w = (1/k!) w_{i1..ik} dx^{i1} ^ ... ^ dx^{ik},
-that is w = sum over sorted I of w_I dx^I.  The dense (n,)*k array
-``comps``, with every index permutation populated, is scattered from
-``vals`` on first read and cached; a dense array passed with
-``_skip_antisym=True`` is kept as that cache, and its ``vals`` are read at
-the sorted positions.  Sums, scalings, ``max_abs`` and the wedge product
-work on ``vals`` alone; the form metric and the Hodge star raise the
-dense array.
+that is w = sum over sorted I of w_I dx^I.  A dense (n,)*k array passed
+to ``AltTensor`` is projected: each sorted component is the mean of its
+k! signed orderings.  The dense ``comps``, with every index permutation
+populated, is always the scatter of ``vals``, built on first read and
+cached read-only, so it is exactly antisymmetric with exact zeros at
+repeated indices.  Sums, scalings, ``max_abs``, the wedge product and the
+interior product work on ``vals`` alone; the form metric and the Hodge
+star raise the dense array.  This is the only module that knows how a
+form is stored.
 
 One cached table of signed permutations, ``_signed_perms``, drives every
 antisymmetric index operation (antisymmetrization, basis forms, the
 Levi-Civita symbol, the Hodge star) by gather and scatter, and one cached
 table of signed shuffles per degree pair, ``_shuffle_table``, drives the
-wedge product.
+wedge product and, read backwards, the interior product.
 """
 
 from __future__ import annotations
@@ -78,6 +80,8 @@ def _sorted_components(comps: np.ndarray, n: int) -> np.ndarray:
     first = vals[:, 0]
     # antisymmetric input keeps its bits, so the projection is idempotent
     same = (vals == first[:, None]).all(axis=1)
+    if same.all():
+        return first.copy()
     return np.where(same, first, vals.sum(axis=1) / len(signs))
 
 
@@ -85,8 +89,8 @@ def _scatter(vals: np.ndarray, n: int, k: int) -> np.ndarray:
     """Dense antisymmetric (n,)*k array with sorted components vals."""
     _, signs = _signed_perms(k)
     out = np.zeros(n ** k)
-    nonzero = vals != 0.0
-    out[_slot_table(n, k)[nonzero]] = vals[nonzero, None] * signs
+    # + 0.0 turns the -0.0 of a zero component or sign into +0.0
+    out[_slot_table(n, k)] = vals[:, None] * signs + 0.0
     return out.reshape((n,) * k)
 
 
@@ -116,7 +120,7 @@ class AltTensor:
 
     __slots__ = ("n", "k", "vals", "_comps")
 
-    def __init__(self, n: int, k: int, comps=None, _skip_antisym: bool = False):
+    def __init__(self, n: int, k: int, comps=None):
         if not 0 <= k <= n:
             raise ValueError(f"degree {k} outside 0..{n}")
         self.n = n
@@ -128,11 +132,9 @@ class AltTensor:
         comps = np.asarray(comps, dtype=float)
         if comps.shape != (n,) * k:
             raise ValueError(f"expected shape {(n,) * k}, got {comps.shape}")
-        if _skip_antisym:
-            self._comps = comps
-            self.vals = comps.reshape(-1)[_slot_table(n, k)[:, 0]]
-        else:
-            self.vals = _sorted_components(comps, n)
+        # a 0- or 1-form is its own sorted components
+        self.vals = (comps.reshape(-1).copy() if k <= 1
+                     else _sorted_components(comps, n))
 
     @classmethod
     def _from_vals(cls, n: int, k: int, vals: np.ndarray) -> "AltTensor":
@@ -263,12 +265,18 @@ def wedge(a: AltTensor, b: AltTensor) -> AltTensor:
 
 
 def interior(x: np.ndarray, a: AltTensor) -> AltTensor:
-    """Interior product (X . a)(...) = a(X, ...)."""
+    """Interior product (X . a)(...) = a(X, ...): the (1, k-1) shuffle
+    table read backwards, (X . a)_K = sum over i not in K of
+    sign(i, K) X^i a_{i u K}, accumulated in increasing i."""
     if a.k < 1:
         raise DegreeUnderflow("interior product needs degree >= 1")
     x = np.asarray(x, dtype=float)
-    comps = np.tensordot(x, a.comps, axes=(0, 0))
-    return AltTensor(a.n, a.k - 1, comps, _skip_antisym=True)
+    first, rest, signs = _shuffle_table(a.n, 1, a.k - 1)
+    # the rank of a 1-tuple (i,) is i
+    terms = signs * x[first] * a.vals[:, None]
+    vals = np.bincount(rest.reshape(-1), weights=terms.reshape(-1),
+                       minlength=comb(a.n, a.k - 1))
+    return AltTensor._from_vals(a.n, a.k - 1, vals)
 
 
 def _raise_all(comps: np.ndarray, g: Metric) -> np.ndarray:
@@ -324,6 +332,6 @@ def interior_star_residual(x: np.ndarray, a: AltTensor, g: Metric,
     if a.k < 1:
         raise DegreeUnderflow("identity needs degree >= 1")
     lhs = hodge(interior(x, a), g, orientation)
-    xb = AltTensor(a.n, 1, flat(x, g), _skip_antisym=True)
+    xb = AltTensor(a.n, 1, flat(x, g))
     rhs = wedge(xb, hodge(a, g, orientation)) * ((-1.0) ** (a.k + 1))
     return (lhs - rhs).max_abs()

@@ -114,7 +114,7 @@ def g2_torsion(field: PhiField, x: np.ndarray,
     t1 = trace / 7.0 * g
     sym = 0.5 * (t + t.T) - t1
     anti = 0.5 * (t - t.T)
-    parts = split2(AltTensor(7, 2, anti, _skip_antisym=True), data)
+    parts = split2(AltTensor(7, 2, anti), data)
     return G2Torsion(t, t1, sym, parts.part7.comps, parts.part14.comps,
                      residual)
 
@@ -187,15 +187,14 @@ def leibniz_defect(field: PhiField, x: np.ndarray, a: Octonion, b: Octonion,
     return Octonion(defect), Octonion(pred)
 
 
-def sigma_deformed_field(field: PhiField, v_field,
-                         name: str | None = None) -> PhiField:
+def sigma_deformed_field(field: PhiField, v_field) -> PhiField:
     """The field x -> sigma_{V(x)}(phi(x))."""
 
     def phi_at(x):
         data = field.data(x)
         return sigma(Octonion(np.asarray(v_field(x))), data.phi, data).comps
 
-    return PhiField(phi_at, field.domain, name or f"sigma({field.name})")
+    return PhiField(phi_at, field.domain, f"sigma({field.name})")
 
 
 def torsion_transformation_residuals(field: PhiField, v_field, x: np.ndarray,

@@ -8,10 +8,12 @@ splittings with their projections.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 
 from .errors import BadTriple, NotPositive
-from .exterior import AltTensor, Metric, _scatter, _slot_table, hodge
+from .exterior import AltTensor, Metric, hodge, interior
 from .octonion import C3
 
 _EINSUM_PATHS: dict[tuple, list] = {}
@@ -29,7 +31,7 @@ def _einsum(subscripts: str, *operands: np.ndarray) -> np.ndarray:
     return np.einsum(subscripts, *operands, optimize=path)
 
 
-PHI0 = AltTensor(7, 3, C3, _skip_antisym=True)
+PHI0 = AltTensor(7, 3, C3)
 
 
 def psi0() -> AltTensor:
@@ -52,32 +54,31 @@ class G2MetricData:
     @property
     def vol(self) -> AltTensor:
         """vol_scalar dx^1 ^ ... ^ dx^7: one sorted component."""
-        return AltTensor._from_vals(7, 7, np.array([self.vol_scalar]))
+        return AltTensor.basis_form(7, range(7)) * self.vol_scalar
 
 
-def bilinear_7form(phi: np.ndarray) -> np.ndarray:
+def bilinear_7form(phi: AltTensor | np.ndarray) -> np.ndarray:
     """Coefficient matrix of (e_i . phi) ^ (e_j . phi) ^ phi on e^{1..7},
 
         B_ij = (1/4) phi_iab phi_jcd (star0 phi)^{abcd},
 
     from eps^{abcdefg} phi_efg = 6 (star0 phi)^{abcd}, where star0 is the
     Euclidean Hodge star, built from the 35 sorted components of phi."""
-    star = hodge(AltTensor(7, 3, phi, _skip_antisym=True),
-                 Metric.euclidean(7)).comps
-    t = np.einsum("jcd,abcd->jab", phi, star)
-    return np.einsum("iab,jab->ij", phi, t) / 4.0
+    if not isinstance(phi, AltTensor):
+        phi = AltTensor(7, 3, phi)
+    p = phi.comps
+    star = hodge(phi, Metric.euclidean(7)).comps
+    t = np.einsum("jcd,abcd->jab", p, star)
+    return np.einsum("iab,jab->ij", p, t) / 4.0
 
 
 def metric_from_3form(phi: AltTensor | np.ndarray,
                       eig_floor: float = 1e-10) -> G2MetricData:
     """Recover the associated metric, volume form and 4-form of a
     positive 3-form."""
-    if isinstance(phi, AltTensor):
-        phi_arr = phi.comps
-    else:
-        phi_arr = np.asarray(phi, dtype=float)
-        phi = AltTensor(7, 3, phi_arr, _skip_antisym=True)
-    b = bilinear_7form(phi_arr)
+    if not isinstance(phi, AltTensor):
+        phi = AltTensor(7, 3, phi)
+    b = bilinear_7form(phi)
     tr = np.trace(b)
     if tr == 0.0:
         raise NotPositive("bilinear form has zero trace")
@@ -113,13 +114,9 @@ def is_g2_element(t: np.ndarray, tol: float = 1e-10) -> bool:
     return bool(ok)
 
 
-def cross(x: np.ndarray, y: np.ndarray,
-          phi: np.ndarray | None = None,
-          g: Metric | None = None) -> np.ndarray:
-    """Vector cross product, phi(X, Y, Z) = <X x Y, Z>."""
-    phi_arr = C3 if phi is None else np.asarray(phi, dtype=float)
-    w = np.einsum("ijk,i,j->k", phi_arr, x, y)
-    return w if g is None else g.g_inv @ w
+def cross(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Vector cross product of the model form, phi0(X, Y, Z) = <X x Y, Z>."""
+    return np.einsum("ijk,i,j->k", C3, x, y)
 
 
 def random_admissible_triple(rng: np.random.Generator):
@@ -219,15 +216,14 @@ def split2(beta: AltTensor, data: G2MetricData) -> FormSplit2:
     rb = r_operator(b, data)
     b7 = (rb + b) / 3.0
     b14 = (2.0 * b - rb) / 3.0
-    return FormSplit2(AltTensor(7, 2, b7, _skip_antisym=True),
-                      AltTensor(7, 2, b14, _skip_antisym=True))
+    return FormSplit2(AltTensor(7, 2, b7), AltTensor(7, 2, b14))
 
 
 def r_operator_matrix(data: G2MetricData) -> np.ndarray:
     """R as a 21x21 matrix on the sorted-pair basis of 2-forms."""
-    slots = _slot_table(7, 2)[:, 0]
-    return np.stack([r_operator(_scatter(unit, 7, 2), data).reshape(-1)[slots]
-                     for unit in np.eye(21)], axis=1)
+    images = [r_operator(AltTensor.basis_form(7, pair).comps, data)
+              for pair in combinations(range(7), 2)]
+    return np.stack([AltTensor(7, 2, r).vals for r in images], axis=1)
 
 
 # -- 3-form splitting ---------------------------------------------------------
@@ -254,7 +250,7 @@ def map_f(a: np.ndarray, data: G2MetricData) -> AltTensor:
     comps = (np.einsum("lm,lnp->mnp", a_mixed, p)
              + np.einsum("ln,mlp->mnp", a_mixed, p)
              + np.einsum("lp,mnl->mnp", a_mixed, p))
-    return AltTensor(7, 3, comps, _skip_antisym=True)
+    return AltTensor(7, 3, comps)
 
 
 def _sym_basis():
@@ -269,10 +265,10 @@ def _sym_basis():
 
 def split3(eta: AltTensor, data: G2MetricData) -> FormSplit3:
     """Recover (f, X, h0) with eta = f phi + X . psi + F(h0), by least
-    squares on the components at the sorted triples, read as stored."""
+    squares on the sorted components."""
     sym = _sym_basis()
     cols = [map_f(m, data).vals for m in sym]
-    cols += list(data.psi.comps.reshape(7, -1)[:, _slot_table(7, 3)[:, 0]])
+    cols += [interior(e, data.psi).vals for e in np.eye(7)]
     mat = np.stack(cols, axis=1)
     sol, *_ = np.linalg.lstsq(mat, eta.vals, rcond=None)
     h = np.zeros((7, 7))
@@ -283,8 +279,7 @@ def split3(eta: AltTensor, data: G2MetricData) -> FormSplit3:
     f = 3.0 / 7.0 * trace
     h0 = h - trace / 7.0 * data.g.g
     part1 = data.phi * f
-    part7 = AltTensor(7, 3, np.einsum("l,lijk->ijk", x, data.psi.comps),
-                      _skip_antisym=True)
+    part7 = interior(x, data.psi)
     part27 = map_f(h0, data)
     return FormSplit3(f, x, h0, part1, part7, part27)
 
@@ -308,7 +303,7 @@ def random_positive_3form(rng: np.random.Generator,
                           cond_max: float = 10.0) -> AltTensor:
     """A* phi0 for a well-conditioned A; positivity is automatic."""
     a = random_gl7(rng, cond_max=cond_max)
-    return AltTensor(7, 3, pullback_3form(a, C3), _skip_antisym=True)
+    return AltTensor(7, 3, pullback_3form(a, C3))
 
 
 # -- wedge-and-star identity pack ---------------------------------------------
@@ -317,12 +312,12 @@ def wedge_star_identity_residuals(data: G2MetricData, alpha: np.ndarray,
                        x: np.ndarray) -> dict[str, float]:
     """Residuals of the phi/psi wedge-and-star identities for a 1-form
     alpha and vector field X."""
-    from .exterior import flat, form_inner, interior, wedge
+    from .exterior import flat, form_inner, wedge
 
     g, orient = data.g, data.orientation
     phi, psi, vol = data.phi, data.psi, data.vol
-    al = AltTensor(7, 1, alpha, _skip_antisym=True)
-    xb = AltTensor(7, 1, flat(x, g), _skip_antisym=True)
+    al = AltTensor(7, 1, alpha)
+    xb = AltTensor(7, 1, flat(x, g))
     a2 = float(form_inner(al, al, g))
     x2 = float(x @ (g.g @ x))
     st = lambda w: hodge(w, g, orient)

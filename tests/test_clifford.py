@@ -167,8 +167,8 @@ def test_sigma_from_spinor():
     assert cl.sigma_from_spinor(Octonion.one(), g2.PHI0,
                                 data0).allclose(g2.PHI0, 0)
     u, v = (Octonion(w) for w in oc.random_octonions(rng, 2, unit=True))
-    two_step = cl.sigma_from_spinor(
-        u, cl.sigma_from_spinor(v, g2.PHI0, data0))
+    inner = cl.sigma_from_spinor(v, g2.PHI0, data0)
+    two_step = cl.sigma_from_spinor(u, inner, g2.metric_from_3form(inner))
     one_step = cl.sigma_from_spinor(mul(u, v), g2.PHI0, data0)
     assert (two_step - one_step).max_abs() < 1e-10
     # matches the deformation module directly

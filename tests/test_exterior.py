@@ -119,7 +119,7 @@ def test_interior_star_identity():
     assert ext.interior_star_residual(x, a, g) < 1e-12
     # X . vol = star(X-flat)
     lhs = ext.interior(x, ext.volume_form(g))
-    rhs = ext.hodge(AltTensor(7, 1, ext.flat(x, g), _skip_antisym=True), g)
+    rhs = ext.hodge(AltTensor(7, 1, ext.flat(x, g)), g)
     assert (lhs - rhs).max_abs() < 1e-12
 
 
@@ -263,15 +263,39 @@ def test_lazy_comps_is_the_scatter_of_vals():
     assert np.array_equal(dense, ext._scatter(w.vals, 7, 5))
     assert w.comps is dense and not dense.flags.writeable
     assert np.array_equal(a.comps, ext.antisymmetrize(a.comps))
+    # 0- and 1-forms are their own sorted components, copied
+    v = rng.standard_normal(7)
+    one = AltTensor(7, 1, v)
+    assert np.array_equal(one.vals, v) and one.vals is not v
+    assert AltTensor(7, 0, 2.5).vals.tolist() == [2.5]
 
 
-def test_skip_antisym_keeps_its_dense_array():
-    from g2lab import g2linear as g2
-    rng = np.random.default_rng(16)
-    # not antisymmetric to the last bit: kept as given, not projected
-    raw = g2.pullback_3form(g2.random_gl7(rng), g2.PHI0.comps)
-    kept = raw.copy()
-    t = AltTensor(7, 3, raw, _skip_antisym=True)
-    assert np.array_equal(t.comps, kept)
-    sorted_rows = np.array(list(combinations(range(7), 3)))
-    assert np.array_equal(t.vals, kept[tuple(sorted_rows.T)])
+def test_interior_matches_dense_contraction():
+    rng = np.random.default_rng(17)
+    for n in range(2, 9):
+        for k in range(1, n + 1):
+            a = AltTensor._from_vals(n, k, rng.standard_normal(comb(n, k)))
+            x = rng.standard_normal(n)
+            ref = np.tensordot(x, a.comps, axes=(0, 0))
+            got = ext.interior(x, a)
+            assert got.k == k - 1
+            err = np.max(np.abs(got.comps - ref))
+            assert err <= 1e-15 * np.linalg.norm(x) * a.max_abs(), (n, k)
+
+
+def test_interior_builds_no_dense_array():
+    import tracemalloc
+    rng = np.random.default_rng(18)
+    a = ext.wedge(AltTensor(7, 2, rng.standard_normal((7, 7))),
+                  AltTensor(7, 3, rng.standard_normal((7,) * 3)))
+    x = rng.standard_normal(7)
+    ext.interior(x, a)  # builds the cached shuffle table
+    tracemalloc.start()
+    try:
+        ext.interior(x, a).max_abs()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert a._comps is None
+    # the dense 4-form result alone would be 7^4 doubles, 19 kB
+    assert peak < 8 * 7 ** 4

@@ -61,7 +61,7 @@ def test_derivative_in_vector_type_part(warp):
     nphi = fld.nabla_phi(warp, X0, 1e-3)
     data = warp.data(X0)
     for m in (0, 3):
-        sp = split3(AltTensor(7, 3, nphi[m], _skip_antisym=True), data)
+        sp = split3(AltTensor(7, 3, nphi[m]), data)
         assert abs(sp.f) < 1e-7
         assert np.max(np.abs(sp.h0)) < 1e-7
 

@@ -128,8 +128,7 @@ def test_r_operator_spectrum(data0):
 def test_split2(data0):
     rng = np.random.default_rng(7)
     x = rng.standard_normal(7)
-    bxphi = AltTensor(7, 2, np.einsum("k,kij->ij", x, data0.phi.comps),
-                      _skip_antisym=True)
+    bxphi = AltTensor(7, 2, np.einsum("k,kij->ij", x, data0.phi.comps))
     sp = g2.split2(bxphi, data0)
     assert sp.part14.max_abs() < 1e-12
     beta = AltTensor(7, 2, rng.standard_normal((7, 7)))
@@ -148,7 +147,7 @@ def test_split3(data0):
     assert np.max(np.abs(sp.x)) < 1e-12
     assert np.max(np.abs(sp.h0)) < 1e-12
     eta7 = AltTensor(7, 3, np.einsum("l,lijk->ijk", np.eye(7)[4],
-                                     data0.psi.comps), _skip_antisym=True)
+                                     data0.psi.comps))
     sp = g2.split3(eta7, data0)
     assert abs(sp.f) < 1e-12
     assert np.max(np.abs(sp.x - np.eye(7)[4])) < 1e-12
@@ -241,3 +240,40 @@ def test_einsum_path_searched_once(monkeypatch):
     # the cached path is the one optimize=True searches: the same bits
     assert np.array_equal(first, np.einsum("ijk,im,jn,kp->mnp", g2.PHI0.comps,
                                            t, t, t, optimize=True))
+
+
+def test_g2_forms_are_the_scatter_of_their_sorted_components(monkeypatch):
+    from itertools import combinations
+    from g2lab import deform as df
+    from g2lab import exterior as ext
+    from g2lab import field as fld
+    from g2lab.octonion import Octonion
+    rng = np.random.default_rng(19)
+    data = g2.metric_from_3form(g2.pullback_3form(g2.random_gl7(rng), C3))
+    forms = {"phi": data.phi, "psi": data.psi,
+             "map_f": g2.map_f(rng.standard_normal((7, 7)), data)}
+    sp2 = g2.split2(AltTensor(7, 2, rng.standard_normal((7, 7))), data)
+    forms["split2.part7"], forms["split2.part14"] = sp2.part7, sp2.part14
+    sp3 = g2.split3(AltTensor(7, 3, rng.standard_normal((7,) * 3)), data)
+    for part in ("part1", "part7", "part27"):
+        forms[f"split3.{part}"] = getattr(sp3, part)
+    forms["sigma"] = df.sigma(Octonion(rng.standard_normal(8)), data.phi,
+                              data)
+    forms["interior"] = ext.interior(rng.standard_normal(7), data.psi)
+    # the antisymmetric part of the torsion, as g2_torsion splits it
+    seen = []
+    real_split2 = fld.split2
+
+    def recording(beta, d):
+        seen.append(beta)
+        return real_split2(beta, d)
+
+    monkeypatch.setattr(fld, "split2", recording)
+    fld.g2_torsion(fld.pullback_warp_field(), np.full(7, 0.1), 1e-3)
+    forms["g2_torsion"] = seen[0]
+    for name, form in forms.items():
+        dense = form.comps
+        scattered = ext._scatter(form.vals, form.n, form.k)
+        assert dense.tobytes() == scattered.tobytes(), name
+        for i, j in combinations(range(form.k), 2):
+            assert not np.diagonal(dense, axis1=i, axis2=j).any(), name

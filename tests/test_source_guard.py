@@ -8,10 +8,12 @@ storing a path.  Christoffel symbols meet a velocity only in
 connection._gamma_dot, with no three-operand einsum.  The batch products
 gather signed permutations: octonion.mul_batch reads its terms from the
 basis table derived from STRUCTURE_CYCLES, and clifford_mul is one dense
-gather with no np.add.at loop.  The G2 layer reads sorted components
-through exterior's slot table, and only exterior and cartan touch the
-dense Levi-Civita symbol.  exterior.wedge works on sorted components
-through its shuffle table, with no dense outer product.
+gather with no np.add.at loop.  Only exterior knows how a form is
+stored: no other module imports or reads its private names, and
+deform.sigma is written with interior, wedge and form arithmetic.  Only
+exterior and cartan touch the dense Levi-Civita symbol.  exterior.wedge
+and exterior.interior work on sorted components through the shuffle
+table, with no dense outer product.
 """
 
 import ast
@@ -153,3 +155,36 @@ def test_wedge_builds_no_dense_array():
         tracemalloc.stop()
     # a dense 7-form would be 7^7 doubles, 6.6 MB
     assert peak < 64 * 1024
+
+
+def test_only_exterior_knows_how_a_form_is_stored():
+    from g2lab import deform as df
+    from g2lab import exterior as ext
+    flag = "_skip" + "_antisym"
+    for path in sorted(SRC.glob("*.py")) + sorted(
+            Path(__file__).parent.glob("*.py")):
+        assert flag not in path.read_text(), path.name
+
+    def private(names):
+        return {n for n in names if n.startswith("_")
+                and not n.startswith("__")}
+
+    hidden = private(vars(ext)) | private(vars(ext.AltTensor))
+    assert {"_scatter", "_slot_table", "_from_vals"} <= hidden
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "exterior.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and \
+                    (node.module or "").endswith("exterior"):
+                offenders += [f"{path.name}: imports {a.name}"
+                              for a in node.names if a.name in hidden]
+            elif isinstance(node, ast.Attribute) and node.attr in hidden:
+                offenders.append(f"{path.name}: reads {node.attr}")
+    assert offenders == []
+    tree = ast.parse(inspect.getsource(df.sigma))
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    attrs = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    assert "einsum" not in names | attrs
+    assert {"interior", "wedge"} <= names
