@@ -292,8 +292,7 @@ def suite_g2linear(config: RunConfig) -> list[dict]:
         phi = AltTensor(7, 3, g2.pullback_3form(a, g2.PHI0.comps))
         data = g2.metric_from_3form(phi)
         equiv = np.max(np.abs(data.g.g - a.T @ a)) / np.max(np.abs(a.T @ a))
-        t_suite = _worst(
-            g2.contraction_identity_residuals(phi, data).values())
+        t_suite = _worst(g2.contraction_identity_residuals(data).values())
         beta = AltTensor(7, 2, rng.standard_normal((7, 7)))
         sp = g2.split2(beta, data)
         idem = _worst(((g2.split2(sp.part7, data).part14).max_abs(),
@@ -353,11 +352,11 @@ def suite_deform(config: RunConfig) -> list[dict]:
     def one_trial(rng, t):
         v = Octonion(oc.random_octonions(rng, 1, unit=True)[0])
         u = Octonion(oc.random_octonions(rng, 1, unit=True)[0])
-        t_conj = df.conjugation_pullback_residual(v, g2.PHI0, data0)
-        t_comp = df.composition_residual(u, v, g2.PHI0, data0)
+        t_conj = df.conjugation_pullback_residual(v, data0)
+        t_comp = df.composition_residual(u, v, data0)
         phi = g2.random_positive_3form(rng, cond_max=4.0)
         dp = g2.metric_from_3form(phi)
-        sv = df.sigma(v, phi, dp)
+        sv = df.sigma(v, dp)
         iso = np.max(np.abs(g2.metric_from_3form(sv).g.g - dp.g.g)) \
             / np.max(np.abs(dp.g.g))
         a, b = (Octonion(w) for w in oc.random_octonions(rng, 2))
@@ -382,7 +381,7 @@ def suite_deform(config: RunConfig) -> list[dict]:
     for theta, fixes in ((0.0, True), (np.pi / 3, True), (np.pi / 2, False),
                          (2 * np.pi / 3, True), (np.pi, True)):
         vv = exponential(theta * Octonion.basis(1))
-        r = (df.sigma(power(vv, 3), g2.PHI0, data0) - g2.PHI0).max_abs()
+        r = (df.sigma(power(vv, 3), data0) - g2.PHI0).max_abs()
         (fixed if fixes else moved).append(r)
     # the smallest move as a negated max, so a non-finite move fails too
     least_move = -_worst(-r for r in moved)
@@ -692,8 +691,8 @@ def suite_clifford(config: RunConfig) -> list[dict]:
                          config.tol("octonion_nonassoc_contrast", 10.0)))
     data0 = g2.metric_from_3form(g2.PHI0)
     u, w = (Octonion(z) for z in oc.random_octonions(rng, 2, unit=True))
-    comp = (df.sigma(u, df.sigma(w, g2.PHI0, data0))
-            - df.sigma(mul(u, w), g2.PHI0, data0)).max_abs()
+    comp = (df.sigma(u, g2.metric_from_3form(df.sigma(w, data0)))
+            - df.sigma(mul(u, w), data0)).max_abs()
     checks.append(_check("spinor_sigma_composition", comp,
                          config.tol("spinor_sigma_composition", 1e-10)))
     return checks

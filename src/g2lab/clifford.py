@@ -209,10 +209,9 @@ matrix oracle and the polarized square-norm identity both give 2.
 """
 
 
-def enveloping_residual(a: Octonion, b: Octonion,
-                        eps: float = IMAG_EPS) -> float:
+def enveloping_residual(a: Octonion, b: Octonion) -> float:
     """Max-abs residual of the Clifford relation for left translations."""
-    if not a.is_imaginary(eps) or not b.is_imaginary(eps):
+    if not a.is_imaginary(IMAG_EPS) or not b.is_imaginary(IMAG_EPS):
         raise NotImaginary("enveloping relation needs imaginary octonions")
     la, lb = left_matrix(a), left_matrix(b)
     anti = la @ lb + lb @ la
@@ -258,14 +257,6 @@ def j_inverse(a: Octonion, xi: SpinorPoint) -> SpinorPoint:
 
 def reference_structure(xi: SpinorPoint, data0: G2MetricData) -> AltTensor:
     """The 3-form associated with a unit reference spinor,
-    phi_xi = sigma_xi(phi0), with data0 the metric data of phi0."""
+    phi_xi = sigma_xi(phi0), with data0 the G2-structure of phi0."""
     from .deform import sigma
-    from .g2linear import PHI0
-    return sigma(Octonion(xi.comps), PHI0, data0)
-
-
-def sigma_from_spinor(a: Octonion, base_phi: AltTensor,
-                      data: G2MetricData) -> AltTensor:
-    """The structure of the transported spinor A . zeta: sigma_A(phi_zeta)."""
-    from .deform import sigma
-    return sigma(a, base_phi, data)
+    return sigma(Octonion(xi.comps), data0)

@@ -43,10 +43,9 @@ def bundle_norm_sq(a: np.ndarray, data: G2MetricData) -> float:
     return float(a[0] ** 2 + a[1:] @ (data.g.g @ a[1:]))
 
 
-def bundle_inverse(a: np.ndarray, data: G2MetricData,
-                   eps: float = ZERO_EPS) -> np.ndarray:
+def bundle_inverse(a: np.ndarray, data: G2MetricData) -> np.ndarray:
     n2 = bundle_norm_sq(a, data)
-    if n2 < eps:
+    if n2 < ZERO_EPS:
         raise ZeroDivisor("cannot invert near-zero octonion")
     return bundle_conj(a) / n2
 
@@ -70,16 +69,13 @@ def ad_matrix7(v: Octonion, data: G2MetricData) -> np.ndarray:
             + 2.0 * np.outer(vi, g @ vi)) / n2
 
 
-def sigma(v: Octonion, phi: AltTensor,
-          data: G2MetricData | None = None) -> AltTensor:
-    """Deformed 3-form
+def sigma(v: Octonion, data: G2MetricData) -> AltTensor:
+    """Deformed 3-form of the structure data,
     sigma_V(phi) = ((v0^2 - |v|^2) phi - 2 v0 v . psi + 2 v-flat ^ (v . phi)) / |V|^2.
 
     v is unit-normalized internally; the result has the same associated
     metric as phi.
     """
-    if data is None:
-        data = metric_from_3form(phi)
     n2 = bundle_norm_sq(v.coeffs, data)
     if n2 < ZERO_EPS:
         raise ZeroDivisor("sigma of a zero octonion")
@@ -89,18 +85,6 @@ def sigma(v: Octonion, phi: AltTensor,
     return (data.phi * (v0 ** 2 - vi @ vb.vals)
             - interior(vi, data.psi) * (2.0 * v0)
             + wedge(vb, interior(vi, data.phi)) * 2.0)
-
-
-class DeformedProduct:
-    """A base G2-structure, a deforming octonion, and sigma_V(phi)."""
-
-    __slots__ = ("base_phi", "v", "sigma_phi", "base_data")
-
-    def __init__(self, base_phi: AltTensor, v: Octonion) -> None:
-        self.base_phi = base_phi
-        self.v = v
-        self.base_data = metric_from_3form(base_phi)
-        self.sigma_phi = sigma(v, base_phi, self.base_data)
 
 
 def deformed_mul(a: Octonion, b: Octonion, v: Octonion) -> Octonion:
@@ -114,25 +98,23 @@ def deformed_mul(a: Octonion, b: Octonion, v: Octonion) -> Octonion:
     return mul(a, b) - mul(assoc, inverse(v))
 
 
-def conjugation_pullback_residual(v: Octonion, phi: AltTensor,
-                                  data: G2MetricData) -> float:
+def conjugation_pullback_residual(v: Octonion, data: G2MetricData) -> float:
     """Max-abs residual of sigma_{V^3}(phi) = phi(Ad_{V^-1} ., ., .)."""
     v3 = power(v, 3)
-    lhs = sigma(v3, phi, data).comps
+    lhs = sigma(v3, data).comps
     m = ad_matrix7(inverse(v), data)
     rhs = pullback_3form(m, data.phi.comps)
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def composition_residual(u: Octonion, v: Octonion, phi: AltTensor,
+def composition_residual(u: Octonion, v: Octonion,
                          data: G2MetricData) -> float:
     """Max-abs residual of sigma_U(sigma_V(phi)) = sigma_{UV}(phi), with UV
     the product defined by phi (the deformed product gives the same UV
     when the right factor is V)."""
-    inner = sigma(v, phi, data)
-    lhs = sigma(u, inner, metric_from_3form(inner)).comps
+    lhs = sigma(u, metric_from_3form(sigma(v, data))).comps
     uv = Octonion(bundle_mul(u.coeffs, v.coeffs, data))
-    rhs = sigma(uv, phi, data).comps
+    rhs = sigma(uv, data).comps
     return float(np.max(np.abs(lhs - rhs)))
 
 

@@ -181,6 +181,9 @@ class AltTensor:
 
     __rmul__ = __mul__
 
+    def __truediv__(self, scalar) -> "AltTensor":
+        return AltTensor._from_vals(self.n, self.k, self.vals / float(scalar))
+
     def __neg__(self) -> "AltTensor":
         return self * -1.0
 

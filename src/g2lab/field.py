@@ -24,6 +24,9 @@ from .octonion import Octonion, exponential
 
 _EYE7 = np.eye(7)
 
+NORM_TOL = 1e-10
+"""How far |V|^2 may drift from 1 in the torsion transformation law."""
+
 
 class PhiField:
     """A positive 3-form field over an axis-aligned box, with cached
@@ -192,14 +195,13 @@ def sigma_deformed_field(field: PhiField, v_field) -> PhiField:
 
     def phi_at(x):
         data = field.data(x)
-        return sigma(Octonion(np.asarray(v_field(x))), data.phi, data).comps
+        return sigma(Octonion(np.asarray(v_field(x))), data).comps
 
     return PhiField(phi_at, field.domain, f"sigma({field.name})")
 
 
 def torsion_transformation_residuals(field: PhiField, v_field, x: np.ndarray,
-                      fd_step: float = 1e-3,
-                      norm_tol: float = 1e-10) -> dict[str, float]:
+                      fd_step: float = 1e-3) -> dict[str, float]:
     """Compare the torsion of the sigma_V-deformed field against the
     transformation law.
 
@@ -210,8 +212,8 @@ def torsion_transformation_residuals(field: PhiField, v_field, x: np.ndarray,
     data = field.data(x)
     vx = np.asarray(v_field(x))
     n2 = float(vx[0] ** 2 + vx[1:] @ (data.g.g @ vx[1:]))
-    if abs(n2 - 1.0) > norm_tol:
-        raise NormDrift(f"|V|^2 = {n2} drifts from 1 beyond {norm_tol}")
+    if abs(n2 - 1.0) > NORM_TOL:
+        raise NormDrift(f"|V|^2 = {n2} drifts from 1 beyond {NORM_TOL}")
     base_t = g2_torsion(field, x, fd_step)
     deformed = sigma_deformed_field(field, v_field)
     t_v = g2_torsion(deformed, x, fd_step)
@@ -276,7 +278,7 @@ def sigma_warp_field(rate: float = 0.1, axis: int = 0, unit: int = 1,
         return exponential(rate * float(x[axis]) * Octonion.basis(unit)).coeffs
 
     def phi_at(x):
-        return sigma(Octonion(v_at(x)), PHI0, data0).comps
+        return sigma(Octonion(v_at(x)), data0).comps
 
     field = PhiField(phi_at, [[-half_width, half_width]] * 7,
                      name="sigma_warp")

@@ -13,8 +13,16 @@ from itertools import combinations
 import numpy as np
 
 from .errors import BadTriple, NotPositive
-from .exterior import AltTensor, Metric, hodge, interior
+from .exterior import AltTensor, Metric, hodge, interior, wedge
 from .octonion import C3
+
+EIG_FLOOR = 1e-10
+"""A 3-form is positive when its bilinear form's smallest eigenvalue
+exceeds EIG_FLOOR times its largest in magnitude."""
+
+G2_TOL = 1e-10
+"""Max-abs tolerance of G2 membership (the pulled-back model form) and of
+an admissible triple (orthonormality and phi0(h1, h2, h4) = 0)."""
 
 _EINSUM_PATHS: dict[tuple, list] = {}
 
@@ -39,7 +47,10 @@ def psi0() -> AltTensor:
 
 
 class G2MetricData:
-    """Metric, volume scalar, orientation and 4-form of a 3-form."""
+    """A G2-structure: the positive 3-form phi with the metric, volume
+    scalar, orientation and 4-form psi it determines.  Every G2 operation
+    takes this object alone, so phi and its metric cannot be mismatched;
+    build it once with metric_from_3form."""
 
     __slots__ = ("phi", "g", "vol_scalar", "psi", "orientation")
 
@@ -72,8 +83,7 @@ def bilinear_7form(phi: AltTensor | np.ndarray) -> np.ndarray:
     return np.einsum("iab,jab->ij", p, t) / 4.0
 
 
-def metric_from_3form(phi: AltTensor | np.ndarray,
-                      eig_floor: float = 1e-10) -> G2MetricData:
+def metric_from_3form(phi: AltTensor | np.ndarray) -> G2MetricData:
     """Recover the associated metric, volume form and 4-form of a
     positive 3-form."""
     if not isinstance(phi, AltTensor):
@@ -84,7 +94,7 @@ def metric_from_3form(phi: AltTensor | np.ndarray,
         raise NotPositive("bilinear form has zero trace")
     b_norm = b * np.sign(tr)
     eigvals = np.linalg.eigvalsh(b_norm)
-    if eigvals[0] <= eig_floor * abs(eigvals[-1]):
+    if eigvals[0] <= EIG_FLOOR * abs(eigvals[-1]):
         raise NotPositive(f"bilinear form not definite, eigs {eigvals[0]:.3e}"
                           f" .. {eigvals[-1]:.3e}")
     det_b = np.linalg.det(b)
@@ -101,13 +111,13 @@ def pullback_3form(t: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return _einsum("ijk,im,jn,kp->mnp", phi, t, t, t)
 
 
-def is_g2_element(t: np.ndarray, tol: float = 1e-10) -> bool:
+def is_g2_element(t: np.ndarray) -> bool:
     """True iff T preserves the model 3-form; membership in G2."""
     t = np.asarray(t, dtype=float)
-    ok = np.max(np.abs(pullback_3form(t, C3) - C3)) <= tol
+    ok = np.max(np.abs(pullback_3form(t, C3) - C3)) <= G2_TOL
     if ok:
         # preserving the 3-form implies preserving metric and volume
-        loose = max(1e6 * tol, 1e-6)
+        loose = max(1e6 * G2_TOL, 1e-6)
         if np.max(np.abs(t.T @ t - np.eye(7))) > loose or \
                 abs(np.linalg.det(t) - 1.0) > loose:
             raise RuntimeError("phi fixed but metric/volume not: table broken")
@@ -135,16 +145,16 @@ def random_admissible_triple(rng: np.random.Generator):
     return h1, h2, h4
 
 
-def g2_from_triple(h1, h2, h4, tol: float = 1e-10) -> np.ndarray:
+def g2_from_triple(h1, h2, h4) -> np.ndarray:
     """G2 element with columns (h1, h2, h1xh2, h4, h1xh4, h2xh4, h4x(h1xh2))."""
     h1, h2, h4 = (np.asarray(v, dtype=float) for v in (h1, h2, h4))
     gram = np.array([[h1 @ h1, h1 @ h2, h1 @ h4],
                      [h2 @ h1, h2 @ h2, h2 @ h4],
                      [h4 @ h1, h4 @ h2, h4 @ h4]])
-    if np.max(np.abs(gram - np.eye(3))) > tol:
+    if np.max(np.abs(gram - np.eye(3))) > G2_TOL:
         raise BadTriple("triple is not orthonormal")
     h3 = cross(h1, h2)
-    if abs(h3 @ h4) > tol:
+    if abs(h3 @ h4) > G2_TOL:
         raise BadTriple("phi0(h1, h2, h4) must vanish")
     cols = [h1, h2, h3, h4, cross(h1, h4), cross(h2, h4), cross(h4, h3)]
     return np.stack(cols, axis=1)
@@ -152,11 +162,8 @@ def g2_from_triple(h1, h2, h4, tol: float = 1e-10) -> np.ndarray:
 
 # -- the six contraction identities ------------------------------------------
 
-def contraction_identity_residuals(phi: AltTensor | np.ndarray,
-                     data: G2MetricData | None = None) -> dict[str, float]:
+def contraction_identity_residuals(data: G2MetricData) -> dict[str, float]:
     """Max-abs residual of each contraction identity, with the induced metric."""
-    if data is None:
-        data = metric_from_3form(phi)
     p = data.phi.comps
     q = data.psi.comps
     g = data.g.g
@@ -199,31 +206,24 @@ class FormSplit2:
         self.part14 = part14
 
 
-def r_operator(beta: np.ndarray, data: G2MetricData) -> np.ndarray:
-    """R(beta) = star(phi ^ beta) as the contraction
-    (R(beta))_ab = +1/2 psi_abcd g^ci g^dj beta_ij.
-
-    The sign makes R satisfy R^2 = 2 Id + R with eigenvalues {2, -1} and
-    agrees with the direct wedge-and-star evaluation.
-    """
-    return 0.5 * np.einsum("abcd,ci,dj,ij->ab", data.psi.comps,
-                           data.g.g_inv, data.g.g_inv, beta)
+def r_operator(beta: AltTensor, data: G2MetricData) -> AltTensor:
+    """R(beta) = star(phi ^ beta), the Hodge star of the structure's metric
+    and orientation.  R satisfies R^2 = 2 + R, so its eigenvalues are 2 on
+    Omega^2_7 and -1 on Omega^2_14; in components it is the contraction
+    (R(beta))_ab = 1/2 psi_abcd g^ci g^dj beta_ij."""
+    return hodge(wedge(data.phi, beta), data.g, data.orientation)
 
 
 def split2(beta: AltTensor, data: G2MetricData) -> FormSplit2:
     """Split a 2-form using P7 = (R + 1)/3, P14 = (2 - R)/3."""
-    b = beta.comps
-    rb = r_operator(b, data)
-    b7 = (rb + b) / 3.0
-    b14 = (2.0 * b - rb) / 3.0
-    return FormSplit2(AltTensor(7, 2, b7), AltTensor(7, 2, b14))
+    rb = r_operator(beta, data)
+    return FormSplit2((rb + beta) / 3.0, (2.0 * beta - rb) / 3.0)
 
 
 def r_operator_matrix(data: G2MetricData) -> np.ndarray:
     """R as a 21x21 matrix on the sorted-pair basis of 2-forms."""
-    images = [r_operator(AltTensor.basis_form(7, pair).comps, data)
-              for pair in combinations(range(7), 2)]
-    return np.stack([AltTensor(7, 2, r).vals for r in images], axis=1)
+    return np.stack([r_operator(AltTensor.basis_form(7, pair), data).vals
+                     for pair in combinations(range(7), 2)], axis=1)
 
 
 # -- 3-form splitting ---------------------------------------------------------

@@ -49,8 +49,8 @@ def test_criterion_02_contraction_identity_suite():
     resids = []
     for _ in range(100):
         a = random_gl7(rng, cond_max=10.0)
-        phi = pullback_3form(a, PHI0.comps)
-        resids.extend(contraction_identity_residuals(phi).values())
+        data = metric_from_3form(pullback_3form(a, PHI0.comps))
+        resids.extend(contraction_identity_residuals(data).values())
     worst = _worst(resids)
     elapsed = time.perf_counter() - start
     _report(2, "six contraction identities", worst <= 1e-10,
@@ -124,11 +124,11 @@ def test_criterion_06_deformation_laws():
     r36, r40, riso = [], [], []
     for _ in range(100):
         u, v = (Octonion(w) for w in oc.random_octonions(rng, 2, unit=True))
-        r36.append(conjugation_pullback_residual(v, PHI0, data0))
-        r40.append(composition_residual(u, v, PHI0, data0))
+        r36.append(conjugation_pullback_residual(v, data0))
+        r40.append(composition_residual(u, v, data0))
         phi = random_positive_3form(rng, cond_max=4.0)
         dp = metric_from_3form(phi)
-        dv = metric_from_3form(sigma(v, phi, dp))
+        dv = metric_from_3form(sigma(v, dp))
         riso.append(np.max(np.abs(dv.g.g - dp.g.g))
                     / np.max(np.abs(dp.g.g)))
     w36, w40, wiso = _worst(r36), _worst(r40), _worst(riso)

@@ -162,24 +162,19 @@ def test_j_map_equivariance():
 
 
 def test_sigma_from_spinor():
+    # the structure of a transported spinor A . zeta is sigma_A(phi_zeta)
     rng = np.random.default_rng(8)
     data0 = g2.metric_from_3form(g2.PHI0)
-    assert cl.sigma_from_spinor(Octonion.one(), g2.PHI0,
-                                data0).allclose(g2.PHI0, 0)
+    assert df.sigma(Octonion.one(), data0).allclose(g2.PHI0, 0)
     u, v = (Octonion(w) for w in oc.random_octonions(rng, 2, unit=True))
-    inner = cl.sigma_from_spinor(v, g2.PHI0, data0)
-    two_step = cl.sigma_from_spinor(u, inner, g2.metric_from_3form(inner))
-    one_step = cl.sigma_from_spinor(mul(u, v), g2.PHI0, data0)
+    inner = df.sigma(v, data0)
+    two_step = df.sigma(u, g2.metric_from_3form(inner))
+    one_step = df.sigma(mul(u, v), data0)
     assert (two_step - one_step).max_abs() < 1e-10
-    # matches the deformation module directly
-    s1 = cl.sigma_from_spinor(Octonion.basis(1), g2.PHI0, data0)
-    s2 = df.sigma(Octonion.basis(1), g2.PHI0, data0)
-    assert (s1 - s2).max_abs() < 1e-12
     # reference structure of a unit spinor
     xi = cl.SpinorPoint(oc.random_octonions(rng, 1, unit=True)[0])
     phi_xi = cl.reference_structure(xi, data0)
-    assert (phi_xi - df.sigma(Octonion(xi.comps), g2.PHI0,
-                              data0)).max_abs() == 0.0
+    assert (phi_xi - df.sigma(Octonion(xi.comps), data0)).max_abs() == 0.0
 
 
 def test_basis_mul_table_shape():

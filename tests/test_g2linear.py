@@ -100,12 +100,12 @@ def test_cross_product(data0):
 
 
 def test_contraction_identities_model_and_random(data0):
-    res = g2.contraction_identity_residuals(g2.PHI0, data0)
+    res = g2.contraction_identity_residuals(data0)
     assert max(res.values()) < 1e-12
     rng = np.random.default_rng(5)
     for _ in range(10):
-        phi = g2.random_positive_3form(rng)
-        assert max(g2.contraction_identity_residuals(phi).values()) < 1e-10
+        data = g2.metric_from_3form(g2.random_positive_3form(rng))
+        assert max(g2.contraction_identity_residuals(data).values()) < 1e-10
 
 
 def test_contraction_identities_any_positive_form(data0):
@@ -114,7 +114,7 @@ def test_contraction_identities_any_positive_form(data0):
     generic = AltTensor(7, 3, rng.standard_normal((7,) * 3))
     generic = generic * (0.1 / generic.max_abs())
     phi = g2.PHI0 + generic
-    res = g2.contraction_identity_residuals(phi)
+    res = g2.contraction_identity_residuals(g2.metric_from_3form(phi))
     assert max(res.values()) < 1e-10
 
 
@@ -139,6 +139,35 @@ def test_split2(data0):
     assert np.max(np.abs(contraction)) < 1e-12
     assert (g2.split2(sp.part7, data0).part14).max_abs() < 1e-12
     assert (g2.split2(sp.part14, data0).part7).max_abs() < 1e-12
+
+
+def test_r_operator_and_split2_both_orientations():
+    # R = star(phi ^ .) against the contraction 1/2 psi_abcd g^ci g^dj beta_ij
+    rng = np.random.default_rng(20)
+    orientations = []
+    for det_positive in (True, False) * 5:
+        a = g2.random_gl7(rng, det_positive=det_positive)
+        if not det_positive and np.linalg.det(a) > 0:
+            a[:, 0] = -a[:, 0]
+        data = g2.metric_from_3form(g2.pullback_3form(a, C3))
+        orientations.append(data.orientation)
+        gi = data.g.g_inv
+        beta = AltTensor(7, 2, rng.standard_normal((7, 7)))
+        dense = 0.5 * np.einsum("abcd,ci,dj,ij->ab", data.psi.comps, gi, gi,
+                                beta.comps)
+        rb = g2.r_operator(beta, data)
+        assert (rb - AltTensor(7, 2, dense)).max_abs() \
+            <= 1e-13 * np.max(np.abs(dense))
+        sp = g2.split2(beta, data)
+        scale = beta.max_abs()
+        assert (sp.part7 + sp.part14 - beta).max_abs() < 1e-13 * scale
+        again = g2.split2(sp.part7, data)
+        assert (again.part7 - sp.part7).max_abs() < 1e-12 * scale
+        assert again.part14.max_abs() < 1e-12 * scale
+        again = g2.split2(sp.part14, data)
+        assert (again.part14 - sp.part14).max_abs() < 1e-12 * scale
+        assert again.part7.max_abs() < 1e-12 * scale
+    assert sorted(set(orientations)) == [-1, 1]
 
 
 def test_split3(data0):
@@ -257,8 +286,7 @@ def test_g2_forms_are_the_scatter_of_their_sorted_components(monkeypatch):
     sp3 = g2.split3(AltTensor(7, 3, rng.standard_normal((7,) * 3)), data)
     for part in ("part1", "part7", "part27"):
         forms[f"split3.{part}"] = getattr(sp3, part)
-    forms["sigma"] = df.sigma(Octonion(rng.standard_normal(8)), data.phi,
-                              data)
+    forms["sigma"] = df.sigma(Octonion(rng.standard_normal(8)), data)
     forms["interior"] = ext.interior(rng.standard_normal(7), data.psi)
     # the antisymmetric part of the torsion, as g2_torsion splits it
     seen = []

@@ -13,7 +13,10 @@ stored: no other module imports or reads its private names, and
 deform.sigma is written with interior, wedge and form arithmetic.  Only
 exterior and cartan touch the dense Levi-Civita symbol.  exterior.wedge
 and exterior.interior work on sorted components through the shuffle
-table, with no dense outer product.
+table, with no dense outer product.  A G2-structure is passed as its
+G2MetricData alone, never beside a phi it could disagree with, and the
+2-form operator R is defined once, as star(phi ^ .).  The count of
+parameters with defaults may not rise above OPTION_BUDGET.
 """
 
 import ast
@@ -24,6 +27,8 @@ from pathlib import Path
 import g2lab
 
 SRC = Path(g2lab.__file__).parent
+
+OPTION_BUDGET = 77
 
 
 def test_only_exterior_enumerates_permutations():
@@ -188,3 +193,42 @@ def test_only_exterior_knows_how_a_form_is_stored():
     attrs = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
     assert "einsum" not in names | attrs
     assert {"interior", "wedge"} <= names
+
+
+def test_one_g2_structure_argument():
+    from g2lab import clifford as cl
+    from g2lab import deform as df
+    from g2lab import g2linear as g2
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args.posonlyargs + node.args.args \
+                + node.args.kwonlyargs
+            names = {a.arg for a in args}
+            typed = any(a.annotation is not None
+                        and "G2MetricData" in ast.unparse(a.annotation)
+                        for a in args)
+            if typed and names & {"phi", "base_phi"}:
+                offenders.append(f"{path.name}: {node.name}")
+    assert offenders == []
+    assert not hasattr(df, "DeformedProduct")
+    assert not hasattr(cl, "sigma_from_spinor")
+    for fn in (g2.r_operator, g2.split2, g2.r_operator_matrix):
+        text = inspect.getsource(fn)
+        assert "einsum" not in text, fn.__name__
+    names = {n.id for n in ast.walk(ast.parse(inspect.getsource(g2.r_operator)))
+             if isinstance(n, ast.Name)}
+    assert {"hodge", "wedge"} <= names
+
+
+def test_option_count_within_budget():
+    count = 0
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+                count += len(node.args.defaults) + sum(
+                    d is not None for d in node.args.kw_defaults)
+    assert count <= OPTION_BUDGET
