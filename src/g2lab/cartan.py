@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .connection import cartan_schouten_chart
+from .connection import _fundamental_tensors
 from .exterior import antisymmetrize, levi_civita_symbol
 from .g2linear import psi0
 from .octonion import C3
 
 __all__ = [
     "CsFamilyPoint", "cs_tensors", "self_duality_residuals",
-    "ch_fundamental_tensors", "ch_beta_residual", "cs_chart", "C4_SELFDUAL",
+    "ch_fundamental_tensors", "ch_beta_residual", "C4_SELFDUAL",
 ]
 
 C4_SELFDUAL = psi0().comps
@@ -94,11 +94,7 @@ def ch_fundamental_tensors(alpha_param: float):
     q = 1.0 - 6.0 * a + 6.0 * a * a
     mu = (p + np.einsum("ikjl->ijkl", p)) / 12.0
     nu = q * (np.einsum("iklj->ijkl", p) + np.einsum("ilkj->ijkl", p)) / 12.0
-    alpha = 0.5 * (lam - np.swapaxes(lam, 1, 2))
-    beta = 0.5 * (nu - mu
-                  + np.einsum("mkl,ijm->ijkl", lam, lam)
-                  - np.einsum("mjk,iml->ijkl", lam, lam))
-    return lam, mu, nu, alpha, beta
+    return _fundamental_tensors((lam, mu, nu))
 
 
 def ch_beta_residual(alpha_param: float) -> float:
@@ -117,9 +113,3 @@ def ch_beta_residual(alpha_param: float) -> float:
     alt = np.array([antisymmetrize(p_i) for p_i in p])
     rhs = a * (1.0 - a) * p - (1.0 - 3.0 * a + 3.0 * a * a) * alt
     return float(np.max(np.abs(-4.0 * beta - rhs)))
-
-
-def cs_chart(alpha_param: float, half_width: float = 1.0):
-    """Normal-coordinate chart realization; see
-    connection.cartan_schouten_chart."""
-    return cartan_schouten_chart(alpha_param, half_width)

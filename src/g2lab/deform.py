@@ -11,7 +11,8 @@ import numpy as np
 from .errors import ZeroDivisor
 from .exterior import AltTensor, interior, wedge
 from .g2linear import G2MetricData, metric_from_3form, pullback_3form
-from .octonion import ZERO_EPS, Octonion, conj, inverse, mul, power
+from .octonion import (ZERO_EPS, Octonion, associator, conj, inverse, mul,
+                       power)
 
 _ID7 = np.eye(7)
 
@@ -61,7 +62,7 @@ def ad_matrix7(v: Octonion, data: G2MetricData) -> np.ndarray:
     v0 = v.real
     vi = v.imag
     g, gi, phi = data.g.g, data.g.g_inv, data.phi.comps
-    n2 = v0 ** 2 + vi @ (g @ vi)
+    n2 = bundle_norm_sq(v.coeffs, data)
     if n2 < ZERO_EPS:
         raise ZeroDivisor("Ad of a zero octonion")
     vphi = np.einsum("ac,m,mcb->ab", gi, vi, phi)
@@ -94,8 +95,7 @@ def deformed_mul(a: Octonion, b: Octonion, v: Octonion) -> Octonion:
     accounts; the sign here is pinned by the two-route identity and by
     agreement with the product that sigma_V(phi) induces.
     """
-    assoc = mul(mul(a, b), v) - mul(a, mul(b, v))
-    return mul(a, b) - mul(assoc, inverse(v))
+    return mul(a, b) - mul(associator(a, b, v), inverse(v))
 
 
 def conjugation_pullback_residual(v: Octonion, data: G2MetricData) -> float:
@@ -132,7 +132,7 @@ def adjoint_product_residuals(v: Octonion, a: Octonion,
     """
     vi = inverse(v)
     n2 = v.norm_sq()
-    assoc_inv = mul(mul(a, b), vi) - mul(a, mul(b, vi))
+    assoc_inv = associator(a, b, vi)
     out = {}
     lhs = mul(mul(v, a), mul(b, vi))
     rhs = ad(v, mul(a, b)) - mul(assoc_inv, v + conj(v))
@@ -145,8 +145,7 @@ def adjoint_product_residuals(v: Octonion, a: Octonion,
                                  v + conj(v) + power(v, 3) * (1.0 / n2))
     out["adjoint_product"] = float(np.max(np.abs(lhs.coeffs - rhs.coeffs)))
     v3 = power(v, 3)
-    assoc_v3inv = (mul(mul(a, b), inverse(v3))
-                   - mul(a, mul(b, inverse(v3))))
+    assoc_v3inv = associator(a, b, inverse(v3))
     lhs = ad(inverse(v), mul(ad(v, a), ad(v, b)))
     rhs = mul(a, b) - mul(assoc_v3inv, v3)
     out["conjugated_product"] = float(np.max(np.abs(lhs.coeffs - rhs.coeffs)))

@@ -15,7 +15,7 @@ import json
 import numpy as np
 
 from .connection import _require_inside, central_diff, levi_civita
-from .deform import bundle_inverse, bundle_mul, sigma
+from .deform import bundle_inverse, bundle_mul, bundle_norm_sq, sigma
 from .errors import BadConfig, NormDrift
 from .exterior import AltTensor, antisymmetrize
 from .g2linear import (G2MetricData, PHI0, _einsum, metric_from_3form,
@@ -211,7 +211,7 @@ def torsion_transformation_residuals(field: PhiField, v_field, x: np.ndarray,
     x = np.asarray(x, dtype=float)
     data = field.data(x)
     vx = np.asarray(v_field(x))
-    n2 = float(vx[0] ** 2 + vx[1:] @ (data.g.g @ vx[1:]))
+    n2 = bundle_norm_sq(vx, data)
     if abs(n2 - 1.0) > NORM_TOL:
         raise NormDrift(f"|V|^2 = {n2} drifts from 1 beyond {NORM_TOL}")
     base_t = g2_torsion(field, x, fd_step)

@@ -13,7 +13,8 @@ from itertools import combinations
 import numpy as np
 
 from .errors import BadTriple, NotPositive
-from .exterior import AltTensor, Metric, hodge, interior, wedge
+from .exterior import (AltTensor, Metric, flat, form_inner, hodge, interior,
+                       wedge)
 from .octonion import C3
 
 EIG_FLOOR = 1e-10
@@ -68,17 +69,17 @@ class G2MetricData:
         return AltTensor.basis_form(7, range(7)) * self.vol_scalar
 
 
-def bilinear_7form(phi: AltTensor | np.ndarray) -> np.ndarray:
-    """Coefficient matrix of (e_i . phi) ^ (e_j . phi) ^ phi on e^{1..7},
+def bilinear_7form(phi: AltTensor, eta: AltTensor) -> np.ndarray:
+    """Coefficient matrix of (e_i . phi) ^ (e_j . phi) ^ eta on e^{1..7},
 
-        B_ij = (1/4) phi_iab phi_jcd (star0 phi)^{abcd},
+        B_ij = (1/4) phi_iab phi_jcd (star0 eta)^{abcd},
 
-    from eps^{abcdefg} phi_efg = 6 (star0 phi)^{abcd}, where star0 is the
-    Euclidean Hodge star, built from the 35 sorted components of phi."""
-    if not isinstance(phi, AltTensor):
-        phi = AltTensor(7, 3, phi)
+    from eps^{abcdefg} eta_efg = 6 (star0 eta)^{abcd}, where star0 is the
+    Euclidean Hodge star, built from the 35 sorted components of eta.
+    With eta = phi it is 6 g vol_scalar, which fixes the metric; divided
+    by vol_scalar it is Bryant's j_phi(eta)."""
     p = phi.comps
-    star = hodge(phi, Metric.euclidean(7)).comps
+    star = hodge(eta, Metric.euclidean(7)).comps
     t = np.einsum("jcd,abcd->jab", p, star)
     return np.einsum("iab,jab->ij", p, t) / 4.0
 
@@ -88,7 +89,7 @@ def metric_from_3form(phi: AltTensor | np.ndarray) -> G2MetricData:
     positive 3-form."""
     if not isinstance(phi, AltTensor):
         phi = AltTensor(7, 3, phi)
-    b = bilinear_7form(phi)
+    b = bilinear_7form(phi, phi)
     tr = np.trace(b)
     if tr == 0.0:
         raise NotPositive("bilinear form has zero trace")
@@ -253,31 +254,19 @@ def map_f(a: np.ndarray, data: G2MetricData) -> AltTensor:
     return AltTensor(7, 3, comps)
 
 
-def _sym_basis():
-    idx = [(i, j) for i in range(7) for j in range(i, 7)]
-    mats = []
-    for i, j in idx:
-        m = np.zeros((7, 7))
-        m[i, j] = m[j, i] = 1.0
-        mats.append(m)
-    return mats
-
-
 def split3(eta: AltTensor, data: G2MetricData) -> FormSplit3:
-    """Recover (f, X, h0) with eta = f phi + X . psi + F(h0), by least
-    squares on the sorted components."""
-    sym = _sym_basis()
-    cols = [map_f(m, data).vals for m in sym]
-    cols += [interior(e, data.psi).vals for e in np.eye(7)]
-    mat = np.stack(cols, axis=1)
-    sol, *_ = np.linalg.lstsq(mat, eta.vals, rcond=None)
-    h = np.zeros((7, 7))
-    for coef, m in zip(sol[:28], sym):
-        h += coef * m
-    x = sol[28:]
-    trace = float(np.einsum("ij,ij->", h, data.g.g_inv))
-    f = 3.0 / 7.0 * trace
-    h0 = h - trace / 7.0 * data.g.g
+    """Recover (f, X, h0) with eta = f phi + X . psi + F(h0) in closed
+    form (Bryant, arXiv:math/0305124 §2): j = j_phi(eta) is 6 f g + 4 h0
+    and blind to Omega^3_7, so f = tr_g(j) / 42 and h0 = (j - 6 f g) / 4;
+    <Y . psi, Z . psi> = 4 g(Y, Z) and the split is orthogonal, so
+    X-flat_m = <eta, e_m . psi> / 4."""
+    g = data.g
+    j = bilinear_7form(data.phi, eta) / data.vol_scalar
+    f = float(np.einsum("ij,ij->", j, g.g_inv)) / 42.0
+    h0 = (j - 6.0 * f * g.g) / 4.0
+    x_flat = np.array([form_inner(eta, interior(e, data.psi), g)
+                       for e in np.eye(7)]) / 4.0
+    x = g.g_inv @ x_flat
     part1 = data.phi * f
     part7 = interior(x, data.psi)
     part27 = map_f(h0, data)
@@ -312,8 +301,6 @@ def wedge_star_identity_residuals(data: G2MetricData, alpha: np.ndarray,
                        x: np.ndarray) -> dict[str, float]:
     """Residuals of the phi/psi wedge-and-star identities for a 1-form
     alpha and vector field X."""
-    from .exterior import flat, form_inner, wedge
-
     g, orient = data.g, data.orientation
     phi, psi, vol = data.phi, data.psi, data.vol
     al = AltTensor(7, 1, alpha)

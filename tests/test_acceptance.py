@@ -166,9 +166,9 @@ def test_criterion_07_flat_loop():
 
 def test_criterion_08_akivis_convergence():
     start = time.perf_counter()
-    from g2lab.connection import akivis_check, sphere2_chart
-    from g2lab.cartan import cs_chart
-    chart = cs_chart(0.0)
+    from g2lab.connection import (akivis_check, cartan_schouten_chart,
+                                  sphere2_chart)
+    chart = cartan_schouten_chart(0.0)
     rep = akivis_check(chart, np.zeros(7), [1e-2, 5e-3], h_ode=1.0 / 16)
     r1_h, r1_h2 = rep["r1"]
     cs_ok = r1_h <= 0.05 and r1_h2 <= r1_h / 1.8

@@ -4,6 +4,7 @@ self-duality identity suite."""
 import numpy as np
 
 from g2lab import cartan as cs
+from g2lab.connection import cartan_schouten_chart
 from g2lab.exterior import antisymmetrize
 from g2lab.g2linear import psi0
 from g2lab.octonion import C3, C4
@@ -78,6 +79,6 @@ def test_cross_module_contraction_constants():
 
 
 def test_cs_chart_feeds_connection_lab():
-    chart = cs.cs_chart(0.25)
+    chart = cartan_schouten_chart(0.25)
     assert np.max(np.abs(chart.gamma(np.zeros(7)) - 0.25 * C3)) == 0.0
     assert chart.metric_field(np.zeros(7))[0, 0] == 1.0

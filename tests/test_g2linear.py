@@ -5,8 +5,8 @@ import pytest
 
 from g2lab import g2linear as g2
 from g2lab.errors import BadTriple, NotPositive
-from g2lab.exterior import (AltTensor, Metric, form_inner, levi_civita_symbol,
-                            volume_form, wedge)
+from g2lab.exterior import (AltTensor, Metric, form_inner, interior,
+                            levi_civita_symbol, volume_form, wedge)
 from g2lab.octonion import C3
 
 
@@ -141,15 +141,21 @@ def test_split2(data0):
     assert (g2.split2(sp.part14, data0).part7).max_abs() < 1e-12
 
 
+def _random_structure(rng, det_positive):
+    """The structure of A* phi0 for a random A with det A of the given
+    sign, so that both orientations are drawn."""
+    a = g2.random_gl7(rng, det_positive=det_positive)
+    if not det_positive and np.linalg.det(a) > 0:
+        a[:, 0] = -a[:, 0]
+    return g2.metric_from_3form(g2.pullback_3form(a, C3))
+
+
 def test_r_operator_and_split2_both_orientations():
     # R = star(phi ^ .) against the contraction 1/2 psi_abcd g^ci g^dj beta_ij
     rng = np.random.default_rng(20)
     orientations = []
     for det_positive in (True, False) * 5:
-        a = g2.random_gl7(rng, det_positive=det_positive)
-        if not det_positive and np.linalg.det(a) > 0:
-            a[:, 0] = -a[:, 0]
-        data = g2.metric_from_3form(g2.pullback_3form(a, C3))
+        data = _random_structure(rng, det_positive)
         orientations.append(data.orientation)
         gi = data.g.g_inv
         beta = AltTensor(7, 2, rng.standard_normal((7, 7)))
@@ -212,7 +218,6 @@ def test_map_f(data0):
 def test_double_interior_wedge_norm(data0):
     rng = np.random.default_rng(10)
     x = rng.standard_normal(7)
-    from g2lab.exterior import interior
     ixphi = interior(x, data0.phi)
     lhs = wedge(wedge(ixphi, ixphi), data0.phi)
     assert (lhs - 6.0 * (x @ x) * data0.vol).max_abs() < 1e-11 * (x @ x)
@@ -225,23 +230,75 @@ def test_wedge_star_pack(data0):
     assert max(res.values()) < 1e-11
 
 
-def _bilinear_7form_dense(phi):
+def _bilinear_7form_dense(phi, eta):
     """The three-fold contraction with the dense 7-index symbol, kept
-    as the reference for the star0-phi form of bilinear_7form."""
+    as the reference for the star0-eta form of bilinear_7form."""
     e = levi_civita_symbol(7)
     t1 = np.einsum("iab,abcdefg->icdefg", phi, e)
     t2 = np.einsum("jcd,icdefg->ijefg", phi, t1)
-    return np.einsum("efg,ijefg->ij", phi, t2) / 24.0
+    return np.einsum("efg,ijefg->ij", eta, t2) / 24.0
 
 
 def test_bilinear_7form_matches_dense_symbol():
     rng = np.random.default_rng(17)
-    forms = [g2.PHI0.comps] + [g2.random_positive_3form(rng).comps
-                               for _ in range(20)]
+    forms = [g2.PHI0] + [g2.random_positive_3form(rng) for _ in range(20)]
     for phi in forms:
-        ref = _bilinear_7form_dense(phi)
-        err = np.max(np.abs(g2.bilinear_7form(phi) - ref))
-        assert err <= 4e-15 * np.max(np.abs(ref))
+        eta = AltTensor(7, 3, rng.standard_normal((7,) * 3))
+        for other in (phi, eta):
+            ref = _bilinear_7form_dense(phi.comps, other.comps)
+            err = np.max(np.abs(g2.bilinear_7form(phi, other) - ref))
+            assert err <= 4e-15 * np.max(np.abs(ref))
+
+
+def _split3_least_squares(eta, data):
+    """(f, X, h0) by least squares over the 28 map_f columns of the
+    symmetric basis and the 7 columns e_m . psi, kept as the reference
+    for the closed-form split3."""
+    sym = []
+    for i in range(7):
+        for j in range(i, 7):
+            m = np.zeros((7, 7))
+            m[i, j] = m[j, i] = 1.0
+            sym.append(m)
+    cols = [g2.map_f(m, data).vals for m in sym]
+    cols += [interior(e, data.psi).vals for e in np.eye(7)]
+    sol, *_ = np.linalg.lstsq(np.stack(cols, axis=1), eta.vals, rcond=None)
+    h = np.einsum("k,kij->ij", sol[:28], np.array(sym))
+    trace = float(np.einsum("ij,ij->", h, data.g.g_inv))
+    return 3.0 / 7.0 * trace, sol[28:], h - trace / 7.0 * data.g.g
+
+
+def _assert_parts(sp, f, x, h0, rel):
+    assert abs(sp.f - f) <= rel * abs(f)
+    assert np.max(np.abs(sp.x - x)) <= rel * np.max(np.abs(x))
+    assert np.max(np.abs(sp.h0 - h0)) <= rel * np.max(np.abs(h0))
+
+
+def test_split3_recovers_constructed_parts_both_orientations():
+    rng = np.random.default_rng(21)
+    orientations = []
+    for det_positive in (True, False) * 10:
+        data = _random_structure(rng, det_positive)
+        orientations.append(data.orientation)
+        f, x = rng.standard_normal(), rng.standard_normal(7)
+        s = rng.standard_normal((7, 7))
+        s = s + s.T
+        h0 = s - np.einsum("ij,ij->", s, data.g.g_inv) / 7.0 * data.g.g
+        eta = data.phi * f + interior(x, data.psi) + g2.map_f(h0, data)
+        _assert_parts(g2.split3(eta, data), f, x, h0, 1e-12)
+    assert sorted(set(orientations)) == [-1, 1]
+
+
+def test_split3_matches_least_squares_both_orientations():
+    rng = np.random.default_rng(22)
+    orientations = []
+    for det_positive in (True, False) * 25:
+        data = _random_structure(rng, det_positive)
+        orientations.append(data.orientation)
+        eta = AltTensor(7, 3, rng.standard_normal((7,) * 3))
+        _assert_parts(g2.split3(eta, data),
+                      *_split3_least_squares(eta, data), 1e-12)
+    assert sorted(set(orientations)) == [-1, 1]
 
 
 def test_volume_form_is_scalar_times_basis_form():

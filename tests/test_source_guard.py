@@ -15,7 +15,9 @@ exterior and cartan touch the dense Levi-Civita symbol.  exterior.wedge
 and exterior.interior work on sorted components through the shuffle
 table, with no dense outer product.  A G2-structure is passed as its
 G2MetricData alone, never beside a phi it could disagree with, and the
-2-form operator R is defined once, as star(phi ^ .).  The count of
+2-form operator R is defined once, as star(phi ^ .).  split3 is the
+closed form through bilinear_7form, with no least-squares solve, and
+octonion._assoc_raw is the one associator written out.  The count of
 parameters with defaults may not rise above OPTION_BUDGET.
 """
 
@@ -28,7 +30,7 @@ import g2lab
 
 SRC = Path(g2lab.__file__).parent
 
-OPTION_BUDGET = 77
+OPTION_BUDGET = 76
 
 
 def test_only_exterior_enumerates_permutations():
@@ -221,6 +223,32 @@ def test_one_g2_structure_argument():
     names = {n.id for n in ast.walk(ast.parse(inspect.getsource(g2.r_operator)))
              if isinstance(n, ast.Name)}
     assert {"hodge", "wedge"} <= names
+
+
+def test_split3_is_closed_form():
+    from g2lab import cartan as cs
+    from g2lab import g2linear as g2
+    tree = ast.parse(inspect.getsource(g2.split3))
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    attrs = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    assert "lstsq" not in attrs and "bilinear_7form" in names
+    assert not hasattr(g2, "_sym_basis") and not hasattr(cs, "cs_chart")
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        for name in ("_sym_basis", "cs_chart"):
+            assert name not in text, f"{path.name}: {name}"
+
+
+def test_one_associator():
+    # (a b) c - a (b c) written out with any product function
+    arg = r"[^,()]+(?:\([^()]*\))?"
+    assoc = re.compile(
+        rf"(\w*mul\w*)\(\s*\1\(\s*({arg}),\s*({arg})\),\s*({arg})\)\s*-\s*"
+        rf"\1\(\s*\2,\s*\1\(\s*\3,\s*\4\)\)")
+    found = [(path.name, m.group()) for path in sorted(SRC.glob("*.py"))
+             for m in assoc.finditer(path.read_text())]
+    assert found == [("octonion.py", "_mul_raw(_mul_raw(a, b), c)"
+                      " - _mul_raw(a, _mul_raw(b, c))")]
 
 
 def test_option_count_within_budget():
