@@ -63,6 +63,14 @@ def _require_inside(domain: np.ndarray, x, name: str) -> None:
         raise LeftDomain(f"point {bad} left the domain of {name}")
 
 
+def _domain_box(domain, n: int) -> np.ndarray:
+    """domain as an (n, 2) float array of [lo, hi] rows, else BadConfig."""
+    box = np.asarray(domain, dtype=float)
+    if box.shape != (n, 2):
+        raise BadConfig(f"domain must be shape ({n}, 2), got {box.shape}")
+    return box
+
+
 class ConnectionChart:
     """Coordinate chart carrying Christoffel symbols as a smooth field.
 
@@ -79,9 +87,7 @@ class ConnectionChart:
                  name: str = "chart") -> None:
         self.n = n
         self.gamma = gamma
-        self.domain = np.asarray(domain, dtype=float)
-        if self.domain.shape != (n, 2):
-            raise BadConfig(f"domain must be shape ({n}, 2)")
+        self.domain = _domain_box(domain, n)
         self.metric_field = metric_field
         self.name = name
 
@@ -790,41 +796,45 @@ def grid_chart_from(chart: ConnectionChart, points_per_axis: int,
 
 
 _NAMED_METRICS = {
-    "sphere2": (_sphere2_metric, 2),
+    "sphere2": (_sphere2_metric, 2, [[0.2, np.pi - 0.2], [-12, 12]]),
 }
 
 
 def chart_from_config(config: dict) -> ConnectionChart:
-    """Build a chart from the JSON chart-definition schema."""
+    """Build a chart from the JSON chart-definition schema, or BadConfig."""
     try:
         n = int(config["dim"])
         kind = config["kind"]
         gamma_name = config["gamma"]
         params = dict(config.get("params", {}))
         domain = config.get("domain")
-    except (KeyError, TypeError) as exc:
-        raise BadConfig(f"bad chart config: {exc}") from exc
-    grid_points = int(params.pop("points", 9))
-    if gamma_name == "flat":
-        chart = flat_chart(n)
-    elif gamma_name == "sphere2":
-        chart = sphere2_chart(**params)
-    elif gamma_name == "cartan_schouten":
-        chart = cartan_schouten_chart(**params)
-    elif gamma_name == "levi_civita_of":
-        metric_name = params.get("metric", "sphere2")
-        if metric_name == "conformal":
-            chart = conformal_chart(params.get("grad", [0.1, 0.0]))
-        elif metric_name in _NAMED_METRICS:
-            field, nn = _NAMED_METRICS[metric_name]
-            dom = domain or [[0.2, np.pi - 0.2], [-12, 12]]
-            chart = levi_civita_chart(field, nn, dom, name=metric_name)
+        grid_points = int(params.pop("points", 9))
+        if gamma_name == "flat":
+            chart = flat_chart(n)
+        elif gamma_name == "sphere2":
+            chart = sphere2_chart(**params)
+        elif gamma_name == "cartan_schouten":
+            chart = cartan_schouten_chart(**params)
+        elif gamma_name == "levi_civita_of":
+            metric_name = params.pop("metric", "sphere2")
+            if metric_name == "conformal":
+                chart = conformal_chart(params.pop("grad", [0.1, 0.0]))
+            elif metric_name in _NAMED_METRICS:
+                field, nn, dom = _NAMED_METRICS[metric_name]
+                chart = levi_civita_chart(field, nn, dom, name=metric_name)
+            else:
+                raise BadConfig(f"unknown metric {metric_name!r}")
         else:
-            raise BadConfig(f"unknown metric {metric_name!r}")
-    else:
-        raise BadConfig(f"unknown gamma builtin {gamma_name!r}")
+            raise BadConfig(f"unknown gamma builtin {gamma_name!r}")
+        if params and gamma_name in ("flat", "levi_civita_of"):
+            raise BadConfig(f"unknown params {sorted(params)}")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise BadConfig(f"bad chart config: {exc}") from exc
+    if chart.n != n:
+        raise BadConfig(f"gamma {gamma_name!r} builds a {chart.n}-dim "
+                        f"chart, not dim {n}")
     if domain is not None:
-        chart.domain = np.asarray(domain, dtype=float)
+        chart.domain = _domain_box(domain, n)
     if kind == "grid":
         chart = grid_chart_from(chart, grid_points)
     elif kind != "closed_form":

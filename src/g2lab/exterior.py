@@ -10,9 +10,10 @@ k! signed orderings.  The dense ``comps``, with every index permutation
 populated, is always the scatter of ``vals``, built on first read and
 cached read-only, so it is exactly antisymmetric with exact zeros at
 repeated indices.  Sums, scalings, ``max_abs``, the wedge product and the
-interior product work on ``vals`` alone; the form metric and the Hodge
-star raise the dense array.  This is the only module that knows how a
-form is stored.
+interior product work on ``vals`` alone.  The form metric and the Hodge
+star share one raise, ``_raised``, which lowers the complement above
+degree n/2, so it builds no array of more than n^(n//2) entries.  This is
+the only module that knows how a form is stored.
 
 One cached table of signed permutations, ``_signed_perms``, drives every
 antisymmetric index operation (antisymmetrization, basis forms, the
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, permutations
-from math import comb, factorial
+from math import comb
 
 import numpy as np
 
@@ -282,21 +283,34 @@ def interior(x: np.ndarray, a: AltTensor) -> AltTensor:
     return AltTensor._from_vals(a.n, a.k - 1, vals)
 
 
-def _raise_all(comps: np.ndarray, g: Metric) -> np.ndarray:
-    """Every index of a dense component array raised with g^-1; tensordot
-    cycles the axes, so after k contractions their order is restored."""
+def _contract_all(comps: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """Every index of a dense component array contracted with mat;
+    tensordot cycles the axes, so after k passes their order is back."""
     for _ in range(comps.ndim):
-        comps = np.tensordot(comps, g.g_inv, axes=(0, 0))
+        comps = np.tensordot(comps, mat, axes=(0, 0))
     return comps
 
 
+def _raised(a: AltTensor, g: Metric) -> np.ndarray:
+    """The sorted components of a with every index raised by g^-1, with
+    no dense array above n^(n//2) entries.  Above degree n/2 it lowers
+    the complement: star a is the g-lowering of the (n-k)-form holding
+    sign(I, J) a_I / sqrt(det g) at the complement J of I."""
+    n, k = a.n, a.k
+    if 2 * k <= n:
+        return _sorted_components(_contract_all(a.comps, g.g_inv), n)
+    signs = _shuffle_signs(n, k)
+    # the complements of the sorted k-tuples, in combinations order, are
+    # the sorted (n-k)-tuples in reverse combinations order
+    complement = _scatter((signs * a.vals)[::-1], n, n - k)
+    lowered = _sorted_components(_contract_all(complement, g.g), n)
+    return signs * lowered[::-1] / g.sqrt_det ** 2
+
+
 def form_inner(a: AltTensor, b: AltTensor, g: Metric) -> float:
-    """Metric on k-forms, (1/k!) full contraction with the inverse metric."""
+    """Metric on k-forms, the sum over sorted I of a_I b^I."""
     a._check_match(b)
-    if a.k == 0:
-        return float(a.vals[0]) * float(b.vals[0])
-    raised = _raise_all(b.comps, g)
-    return float(np.tensordot(a.comps, raised, axes=a.k) / factorial(a.k))
+    return float(a.vals @ _raised(b, g))
 
 
 def flat(x: np.ndarray, g: Metric) -> np.ndarray:
@@ -318,12 +332,10 @@ def volume_form(g: Metric, orientation: int = +1) -> AltTensor:
 
 def hodge(a: AltTensor, g: Metric, orientation: int = +1) -> AltTensor:
     """Hodge star defined by <w, a> vol = w ^ (star a): component J is
-    sqrt(det g) sign(I, J) times the raised component at the complement I,
-    averaged over the orderings of I."""
+    sqrt(det g) sign(I, J) times the raised component at the complement I."""
     n, k = a.n, a.k
-    raised = _raise_all(a.comps, g)
     scale = orientation * g.sqrt_det
-    vals = scale * _shuffle_signs(n, k) * _sorted_components(raised, n)
+    vals = scale * _shuffle_signs(n, k) * _raised(a, g)
     # the complements of the sorted k-tuples, in combinations order, are
     # the sorted (n-k)-tuples in reverse combinations order
     return AltTensor._from_vals(n, n - k, vals[::-1])

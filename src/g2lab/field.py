@@ -14,7 +14,8 @@ import json
 
 import numpy as np
 
-from .connection import _require_inside, central_diff, levi_civita
+from .connection import (_domain_box, _require_inside, central_diff,
+                         levi_civita)
 from .deform import bundle_inverse, bundle_mul, bundle_norm_sq, sigma
 from .errors import BadConfig, NormDrift
 from .exterior import AltTensor, antisymmetrize
@@ -34,7 +35,7 @@ class PhiField:
 
     def __init__(self, phi_at, domain, name: str = "field") -> None:
         self._phi_at = phi_at
-        self.domain = np.asarray(domain, dtype=float)
+        self.domain = _domain_box(domain, 7)
         self.name = name
         self._cache: dict[bytes, G2MetricData] = {}
 
@@ -303,23 +304,23 @@ def pullback_warp_field(strength: float = 0.05, half_width: float = 0.5,
 
 
 def field_from_config(config: dict) -> PhiField:
-    """Build a field from the JSON field-definition schema."""
+    """Build a field from the JSON field-definition schema, or BadConfig."""
     try:
         kind = config["kind"]
         params = config.get("params", {})
         domain = config.get("domain")
-    except (KeyError, TypeError) as exc:
+        if kind == "constant":
+            field = constant_field(**params)
+        elif kind == "sigma_warp":
+            field = sigma_warp_field(**params)
+        elif kind == "pullback_warp":
+            field = pullback_warp_field(**params)
+        else:
+            raise BadConfig(f"unknown field kind {kind!r}")
+        if domain is not None:
+            field.domain = _domain_box(domain, 7)
+    except (KeyError, TypeError, ValueError) as exc:
         raise BadConfig(f"bad field config: {exc}") from exc
-    if kind == "constant":
-        field = constant_field(**params)
-    elif kind == "sigma_warp":
-        field = sigma_warp_field(**params)
-    elif kind == "pullback_warp":
-        field = pullback_warp_field(**params)
-    else:
-        raise BadConfig(f"unknown field kind {kind!r}")
-    if domain is not None:
-        field.domain = np.asarray(domain, dtype=float)
     return field
 
 

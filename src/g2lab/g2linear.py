@@ -41,10 +41,11 @@ def _einsum(subscripts: str, *operands: np.ndarray) -> np.ndarray:
 
 
 PHI0 = AltTensor(7, 3, C3)
+_EUCLIDEAN7 = Metric.euclidean(7)
 
 
 def psi0() -> AltTensor:
-    return hodge(PHI0, Metric.euclidean(7), +1)
+    return hodge(PHI0, _EUCLIDEAN7, +1)
 
 
 class G2MetricData:
@@ -79,7 +80,7 @@ def bilinear_7form(phi: AltTensor, eta: AltTensor) -> np.ndarray:
     With eta = phi it is 6 g vol_scalar, which fixes the metric; divided
     by vol_scalar it is Bryant's j_phi(eta)."""
     p = phi.comps
-    star = hodge(eta, Metric.euclidean(7)).comps
+    star = hodge(eta, _EUCLIDEAN7).comps
     t = np.einsum("jcd,abcd->jab", p, star)
     return np.einsum("iab,jab->ij", p, t) / 4.0
 
@@ -258,14 +259,12 @@ def split3(eta: AltTensor, data: G2MetricData) -> FormSplit3:
     """Recover (f, X, h0) with eta = f phi + X . psi + F(h0) in closed
     form (Bryant, arXiv:math/0305124 §2): j = j_phi(eta) is 6 f g + 4 h0
     and blind to Omega^3_7, so f = tr_g(j) / 42 and h0 = (j - 6 f g) / 4;
-    <Y . psi, Z . psi> = 4 g(Y, Z) and the split is orthogonal, so
-    X-flat_m = <eta, e_m . psi> / 4."""
+    X-flat = -star(phi ^ eta) / 4, which sees only the Omega^3_7 part."""
     g = data.g
     j = bilinear_7form(data.phi, eta) / data.vol_scalar
     f = float(np.einsum("ij,ij->", j, g.g_inv)) / 42.0
     h0 = (j - 6.0 * f * g.g) / 4.0
-    x_flat = np.array([form_inner(eta, interior(e, data.psi), g)
-                       for e in np.eye(7)]) / 4.0
+    x_flat = -hodge(wedge(data.phi, eta), g, data.orientation).vals / 4.0
     x = g.g_inv @ x_flat
     part1 = data.phi * f
     part7 = interior(x, data.psi)

@@ -271,29 +271,6 @@ def right_matrix(b: Octonion) -> np.ndarray:
     return np.einsum("kij,j->ki", MUL_TENSOR, b.coeffs)
 
 
-class TranslationMatrix:
-    """A left or right translation operator as an 8x8 matrix."""
-
-    __slots__ = ("m", "side")
-
-    def __init__(self, m: np.ndarray, side: str) -> None:
-        if side not in ("left", "right"):
-            raise ValueError("side must be 'left' or 'right'")
-        self.m = np.asarray(m, dtype=float)
-        self.side = side
-
-    @classmethod
-    def left(cls, b: Octonion) -> "TranslationMatrix":
-        return cls(left_matrix(b), "left")
-
-    @classmethod
-    def right(cls, b: Octonion) -> "TranslationMatrix":
-        return cls(right_matrix(b), "right")
-
-    def __call__(self, a: Octonion) -> Octonion:
-        return Octonion(self.m @ a.coeffs)
-
-
 # -- batched helpers on (N, 8) coefficient arrays ---------------------------
 
 # Rows per block of mul_batch; a block's column buffers take 0.8 MB.  On a

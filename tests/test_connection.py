@@ -304,18 +304,6 @@ def test_fit_reports_unit_law_residual(sphere):
     assert rep.residuals["unit_law"] < 1e-10
 
 
-def test_translation_matrix_type():
-    from g2lab.octonion import Octonion, TranslationMatrix, mul
-    rng = np.random.default_rng(2)
-    b, a = (Octonion(v) for v in rng.standard_normal((2, 8)))
-    left = TranslationMatrix.left(b)
-    right = TranslationMatrix.right(b)
-    assert left.side == "left" and right.side == "right"
-    assert left(a).allclose(mul(b, a), 1e-13)
-    assert right(a).allclose(mul(a, b), 1e-13)
-    assert left(Octonion.one()).allclose(b, 1e-15)
-
-
 def test_fit_flat_chart_vanishes():
     chart = cn.flat_chart(3)
     rep = cn.fit_fundamental_tensors(chart, np.zeros(3), h=1e-2,
@@ -453,6 +441,38 @@ def test_chart_json_config(tmp_path):
                 "params": {"points": 15}}
     grid = cn.chart_from_config(cfg_grid)
     assert grid.name.endswith("grid")
+
+
+_SPHERE = {"dim": 2, "kind": "closed_form", "gamma": "sphere2"}
+
+
+@pytest.mark.parametrize("cfg", [
+    {**_SPHERE, "dim": "seven"},
+    {**_SPHERE, "kind": "grid", "params": {"points": "many"}},
+    {**_SPHERE, "params": {"radius": 2.0}},
+    {**_SPHERE, "dim": 3},
+    {"dim": 4, "kind": "closed_form", "gamma": "cartan_schouten",
+     "params": {"alpha_param": 0.25}},
+    {**_SPHERE, "domain": [[0.2, 3.0]]},
+    {"dim": 2, "kind": "closed_form", "gamma": "flat",
+     "params": {"half_width": 3.0}},
+    {"dim": 2, "kind": "closed_form", "gamma": "levi_civita_of",
+     "params": {"metric": "sphere2", "fd_step": 1e-3}},
+    {"dim": 2, "kind": "closed_form", "gamma": "levi_civita_of",
+     "params": {"metric": "conformal", "half_width": 3.0}},
+], ids=["non_numeric_dim", "non_numeric_points", "unknown_param",
+        "dim_mismatch_sphere2", "dim_mismatch_cartan_schouten",
+        "domain_shape", "flat_extra_param", "named_metric_extra_param",
+        "conformal_extra_param"])
+def test_chart_config_fails_closed(cfg):
+    with pytest.raises(BadConfig):
+        cn.chart_from_config(cfg)
+
+
+def test_chart_config_names_dim_mismatch_before_domain():
+    cfg = {**_SPHERE, "dim": 3, "domain": [[0.2, 3.0], [-1.0, 1.0]]}
+    with pytest.raises(BadConfig, match="2-dim chart, not dim 3"):
+        cn.chart_from_config(cfg)
 
 
 # -- the batched engine -------------------------------------------------------

@@ -299,3 +299,78 @@ def test_interior_builds_no_dense_array():
     assert a._comps is None
     # the dense 4-form result alone would be 7^4 doubles, 19 kB
     assert peak < 8 * 7 ** 4
+
+
+# -- the one raise -------------------------------------------------------------
+
+def _cond100(rng, n):
+    """A random metric whose eigenvalues span 0.1 .. 10, condition 100."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    lam = rng.permutation(np.geomspace(0.1, 10.0, n))
+    g = (q * lam) @ q.T
+    return Metric(0.5 * (g + g.T))
+
+
+def _dense_raised(a, g):
+    """Every index of the dense array raised by g^-1, read at the sorted
+    tuples.  At k = n the dense array would hold 8^8 entries at n = 8, so
+    the one component a^{1..n} = a_{1..n} / det g is taken instead."""
+    n, k = a.n, a.k
+    if k == n:
+        return a.vals / np.linalg.det(g.g)
+    comps = a.comps
+    for _ in range(k):
+        comps = np.tensordot(comps, g.g_inv, axes=(0, 0))
+    return np.array([comps[i] for i in combinations(range(n), k)])
+
+
+def _complement_sign(i, n):
+    perm = list(i) + [j for j in range(n) if j not in i]
+    return np.round(np.linalg.det(np.eye(n)[perm]))
+
+
+def test_hodge_and_form_inner_match_dense_raise():
+    rng = np.random.default_rng(19)
+    worst = 0.0
+    for n in range(2, 9):
+        g = _cond100(rng, n)
+        for k in range(n + 1):
+            a = AltTensor._from_vals(n, k, rng.standard_normal(comb(n, k)))
+            b = AltTensor._from_vals(n, k, rng.standard_normal(comb(n, k)))
+            raised = _dense_raised(a, g)
+            inner = b.vals @ raised
+            got = ext.form_inner(b, a, g)
+            err = abs(got - inner) / np.linalg.norm(b.vals * raised)
+            signs = np.array([_complement_sign(i, n)
+                              for i in combinations(range(n), k)])
+            for orientation in (+1, -1):
+                ref = (orientation * g.sqrt_det * signs * raised)[::-1]
+                star = ext.hodge(a, g, orientation)
+                assert star.k == n - k
+                err = max(err, np.max(np.abs(star.vals - ref))
+                          / np.max(np.abs(ref)))
+            assert err <= 1e-13, (n, k, err)
+            worst = max(worst, err)
+    assert worst > 0.0
+
+
+def test_hodge_and_form_inner_stay_below_half_degree_arrays():
+    import tracemalloc
+    rng = np.random.default_rng(20)
+    cases = [(7, k) for k in range(4, 8)] + [(8, k) for k in range(5, 9)]
+    forms = [(AltTensor._from_vals(n, k, rng.standard_normal(comb(n, k))),
+              _cond100(rng, n)) for n, k in cases]
+    for a, g in forms:  # builds the cached tables
+        ext.hodge(a, g)
+        ext.form_inner(a, a, g)
+    tracemalloc.start()
+    try:
+        for a, g in forms:
+            ext.hodge(a, g, -1)
+            ext.form_inner(a, a, g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(a._comps is None for a, _ in forms)
+    # one dense 8^4 array alone would be 32 kB
+    assert peak < 64_000

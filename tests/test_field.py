@@ -184,6 +184,17 @@ def test_domain_and_config():
         fld.field_from_config({"kind": "nope"})
 
 
+@pytest.mark.parametrize("cfg", [
+    {"kind": "sigma_warp", "params": {"speed": 0.2}},
+    {"kind": "sigma_warp", "params": [0.2]},
+    {"kind": "constant", "domain": [[-1, 1]]},
+    {"kind": "constant", "domain": [[-1, 1]] * 3},
+], ids=["unknown_param", "list_params", "broadcast_domain", "short_domain"])
+def test_field_config_fails_closed(cfg):
+    with pytest.raises(BadConfig):
+        fld.field_from_config(cfg)
+
+
 def test_domain_check_fails_closed_on_nan():
     cf = fld.constant_field()
     x = np.zeros(7)

@@ -17,7 +17,8 @@ table, with no dense outer product.  A G2-structure is passed as its
 G2MetricData alone, never beside a phi it could disagree with, and the
 2-form operator R is defined once, as star(phi ^ .).  split3 is the
 closed form through bilinear_7form, with no least-squares solve, and
-octonion._assoc_raw is the one associator written out.  The count of
+octonion._assoc_raw is the one associator written out.  The Hodge star
+and the form metric share exterior._raised, the one raise of a form.  The count of
 parameters with defaults may not rise above OPTION_BUDGET.
 """
 
@@ -260,3 +261,16 @@ def test_option_count_within_budget():
                 count += len(node.args.defaults) + sum(
                     d is not None for d in node.args.kw_defaults)
     assert count <= OPTION_BUDGET
+
+
+def test_one_raise_behind_hodge_and_form_inner():
+    from g2lab import exterior as ext
+    assert "_raise_all" not in (SRC / "exterior.py").read_text()
+    for fn in (ext.hodge, ext.form_inner):
+        tree = ast.parse(inspect.getsource(fn))
+        names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        attrs = {n.attr for n in ast.walk(tree)
+                 if isinstance(n, ast.Attribute)}
+        assert "_raised" in names
+        assert not {"tensordot", "factorial", "_contract_all"} & (names
+                                                                  | attrs)
