@@ -6,6 +6,9 @@ Per-trial random streams are counter-based (Philox keyed by a digest of
 seed, suite and trial index), so trial t of a suite can be replayed alone
 from ``trial_rng(seed, suite, t)``.  Residuals are folded across trials so
 that a NaN or inf in any trial fails the report.
+
+Each suite declares its pinned tolerances once, where it is registered,
+and every check row is built in one place, ``RunConfig.row``.
 """
 
 from __future__ import annotations
@@ -35,7 +38,8 @@ def trial_rng(seed: int, suite: str, trial: int) -> np.random.Generator:
 
 
 class RunConfig:
-    """Seed, trial count, tolerance overrides, output path."""
+    """Seed, trial count, tolerance overrides, output path, and the pinned
+    tolerances of the suite being run, set by run_suite."""
 
     def __init__(self, seed: int = 42, trials: int | None = None,
                  tolerances: dict | None = None,
@@ -46,14 +50,17 @@ class RunConfig:
         self.trials = trials
         self.tolerances = dict(tolerances or {})
         self.out = out
-        self._read = set()
-
-    def tol(self, name: str, default: float) -> float:
-        self._read.add(name)
-        return float(self.tolerances.get(name, default))
+        self.pinned = {}
 
     def n_trials(self, default: int) -> int:
         return int(self.trials if self.trials is not None else default)
+
+    def row(self, name: str, residuals) -> dict:
+        """The check row of name against its pinned tolerance: a scalar
+        residual as it is, an iterable of residuals folded by _worst."""
+        if not np.isscalar(residuals):
+            residuals = _worst(residuals)
+        return _check(name, residuals, self.pinned[name])
 
 
 def _check(name: str, max_residual: float, tol: float) -> dict:
@@ -77,15 +84,30 @@ def map_trials(fn, n: int, config: RunConfig, suite: str) -> list:
     return [fn(trial_rng(config.seed, suite, t), t) for t in range(n)]
 
 
-def _fold(rows, defaults, config: RunConfig) -> list[dict]:
-    """One check per (key, default tolerance): the worst value of that key
-    over the per-trial rows."""
-    return [_check(key, _worst(r[key] for r in rows), config.tol(key, tol))
-            for key, tol in defaults]
+def _fold(rows, config: RunConfig) -> list[dict]:
+    """One row per key of the per-trial dicts, in their order: the worst
+    value of that key over the trials."""
+    return [config.row(key, (r[key] for r in rows)) for key in rows[0]]
 
 
 # -- suites -------------------------------------------------------------------
 
+SUITES = {}
+
+
+def _suite(name: str, **tolerances: float):
+    """Register a suite under name with its pinned tolerances, the keys
+    that --tol may override."""
+    def register(fn):
+        SUITES[name] = (fn, tolerances)
+        return fn
+    return register
+
+
+@_suite("octonion", norm_multiplicativity=1e-12, alternativity=1e-13,
+        moufang_adjacent=1e-12, product_expansion=1e-12,
+        cross_norm_law=1e-12, double_cross=1e-12, generalized_jacobi=1e-12,
+        inverse_exp_power_adjoint=1e-13)
 def suite_octonion(config: RunConfig) -> list[dict]:
     from . import octonion as oc
     n = config.n_trials(10000)
@@ -95,19 +117,16 @@ def suite_octonion(config: RunConfig) -> list[dict]:
     ab = oc.mul_batch(a, b)
     lhs = oc.norm_batch(ab)
     rhs = oc.norm_batch(a) * oc.norm_batch(b)
-    checks = [_check("norm_multiplicativity",
-                     np.max(np.abs(lhs - rhs) / rhs),
-                     config.tol("norm_multiplicativity", 1e-12))]
+    checks = [config.row("norm_multiplicativity",
+                         np.max(np.abs(lhs - rhs) / rhs))]
     alt1 = oc.mul_batch(oc.mul_batch(a, a), b) - oc.mul_batch(a, ab)
     alt2 = oc.mul_batch(ab, b) - oc.mul_batch(a, oc.mul_batch(b, b))
     del ab  # a reused product is 6.4 MB at 1e5 trials; free it once read
     scale = (oc.norm_batch(a) ** 2 * oc.norm_batch(b))[:, None]
-    checks.append(_check("alternativity",
-                         _worst((np.max(np.abs(alt1) / scale),
-                                 np.max(np.abs(alt2)
-                                        / (oc.norm_batch(a)
-                                           * oc.norm_batch(b) ** 2)[:, None]))),
-                         config.tol("alternativity", 1e-13)))
+    checks.append(config.row("alternativity", (
+        np.max(np.abs(alt1) / scale),
+        np.max(np.abs(alt2)
+               / (oc.norm_batch(a) * oc.norm_batch(b) ** 2)[:, None]))))
     ai = oc.random_octonions(rng, n, imaginary=True)
     bi = oc.random_octonions(rng, n, imaginary=True)
     ci = oc.random_octonions(rng, n, imaginary=True)
@@ -119,9 +138,8 @@ def suite_octonion(config: RunConfig) -> list[dict]:
                + 2.0 * dots[:, None] * ci)
     nscale = (oc.norm_batch(ai) * oc.norm_batch(bi)
               * oc.norm_batch(ci))[:, None]
-    checks.append(_check("moufang_adjacent",
-                         np.max(np.abs(moufang) / nscale),
-                         config.tol("moufang_adjacent", 1e-12)))
+    checks.append(config.row("moufang_adjacent",
+                             np.max(np.abs(moufang) / nscale)))
     # expansion of A(BC) for imaginary triples
     assoc = oc.mul_batch(aibi, ci) - ai_bici
     phi_abc = np.einsum("nk,nk->n", aibi, ci)
@@ -132,36 +150,30 @@ def suite_octonion(config: RunConfig) -> list[dict]:
                  - np.einsum("nk,nk->n", ai, ci)[:, None] * bi
                  + dots[:, None] * ci)
     del ai_bici
-    checks.append(_check("product_expansion",
-                         np.max(np.abs(expansion) / nscale),
-                         config.tol("product_expansion", 1e-12)))
+    checks.append(config.row("product_expansion",
+                             np.max(np.abs(expansion) / nscale)))
     # cross product laws; the full products are not read again
     ab_cross, bc_cross = aibi, bici
     ab_cross[:, 0] = 0.0
     bc_cross[:, 0] = 0.0
     norm_law = (np.einsum("nk,nk->n", ab_cross, ab_cross)
                 - oc.norm_batch(ai) ** 2 * oc.norm_batch(bi) ** 2 + dots ** 2)
-    checks.append(_check("cross_norm_law",
-                         np.max(np.abs(norm_law)
-                                / (oc.norm_batch(ai)
-                                   * oc.norm_batch(bi)) ** 2),
-                         config.tol("cross_norm_law", 1e-12)))
+    checks.append(config.row("cross_norm_law", np.max(
+        np.abs(norm_law) / (oc.norm_batch(ai) * oc.norm_batch(bi)) ** 2)))
     double = oc.mul_batch(ai, bc_cross)
     double[:, 0] = 0.0
     double_rhs = (-dots[:, None] * ci
                   + np.einsum("nk,nk->n", ai, ci)[:, None] * bi - 0.5 * assoc)
-    checks.append(_check("double_cross",
-                         np.max(np.abs(double - double_rhs) / nscale),
-                         config.tol("double_cross", 1e-12)))
+    checks.append(config.row("double_cross",
+                             np.max(np.abs(double - double_rhs) / nscale)))
     # generalized Jacobi: sum_cyc [x,[y,z]] = -6 [x,y,z]
     jac = (oc.mul_batch(ai, bc_cross * 2) - oc.mul_batch(bc_cross * 2, ai))
     ca_cross = oc.mul_batch(ci, ai)
     ca_cross[:, 0] = 0.0
     jac += (oc.mul_batch(bi, ca_cross * 2) - oc.mul_batch(ca_cross * 2, bi))
     jac += (oc.mul_batch(ci, ab_cross * 2) - oc.mul_batch(ab_cross * 2, ci))
-    checks.append(_check("generalized_jacobi",
-                         np.max(np.abs(jac + 6.0 * assoc) / nscale),
-                         config.tol("generalized_jacobi", 1e-12)))
+    checks.append(config.row("generalized_jacobi",
+                             np.max(np.abs(jac + 6.0 * assoc) / nscale)))
     # inverse, exponential, power, adjointness on a looped sample
     m = min(200, n)
 
@@ -184,12 +196,13 @@ def suite_octonion(config: RunConfig) -> list[dict]:
         r4 /= bq.norm() * aq.norm() * cq.norm()
         return _worst((r1, r2, r3, r4))
 
-    res = map_trials(one_trial, m, config, "octonion")
-    checks.append(_check("inverse_exp_power_adjoint", _worst(res),
-                         config.tol("inverse_exp_power_adjoint", 1e-13)))
-    return checks
+    return checks + [config.row("inverse_exp_power_adjoint",
+                                map_trials(one_trial, m, config, "octonion"))]
 
 
+@_suite("exterior", wedge=1e-12, hodge2=1e-11, defining=1e-11,
+        interior=1e-13, musical=1e-12, interior_star=1e-11, vol_scale=1e-12,
+        antisym_proj=1e-15)
 def suite_exterior(config: RunConfig) -> list[dict]:
     from . import exterior as ext
     n_tr = config.n_trials(50)
@@ -249,41 +262,34 @@ def suite_exterior(config: RunConfig) -> list[dict]:
                                               - once))
         return worst
 
-    rows = map_trials(one_trial, n_tr, config, "exterior")
-    return _fold(rows, (("wedge", 1e-12), ("hodge2", 1e-11),
-                        ("defining", 1e-11), ("interior", 1e-13),
-                        ("musical", 1e-12), ("interior_star", 1e-11),
-                        ("vol_scale", 1e-12), ("antisym_proj", 1e-15)),
-                 config)
+    return _fold(map_trials(one_trial, n_tr, config, "exterior"), config)
 
 
+@_suite("g2linear", phi0_norm=1e-13, psi0_norm=1e-13, phi_wedge_psi=1e-13,
+        metric_of_phi0=1e-13, r_spectrum=1e-10, equivariance=1e-10,
+        contraction_suite=1e-10, split2=1e-11, split3_recon=1e-10,
+        split3_orth=1e-11, f_map=1e-11, g2_from_triple=1e-10,
+        wedge_star_pack=1e-10)
 def suite_g2linear(config: RunConfig) -> list[dict]:
     from . import g2linear as g2
     from .exterior import AltTensor, form_inner, volume_form, Metric, wedge
-    checks = []
     data0 = g2.metric_from_3form(g2.PHI0)
     id7 = Metric.euclidean(7)
     psi = g2.psi0()
-    checks.append(_check("phi0_norm",
-                         abs(form_inner(g2.PHI0, g2.PHI0, id7) - 7.0),
-                         config.tol("phi0_norm", 1e-13)))
-    checks.append(_check("psi0_norm",
-                         abs(form_inner(psi, psi, id7) - 7.0),
-                         config.tol("psi0_norm", 1e-13)))
+    checks = [
+        config.row("phi0_norm", abs(form_inner(g2.PHI0, g2.PHI0, id7) - 7.0)),
+        config.row("psi0_norm", abs(form_inner(psi, psi, id7) - 7.0))]
     vol0 = volume_form(id7)
-    checks.append(_check("phi_wedge_psi",
-                         (wedge(g2.PHI0, psi) - 7.0 * vol0).max_abs(),
-                         config.tol("phi_wedge_psi", 1e-13)))
-    checks.append(_check("metric_of_phi0", _worst((
+    checks.append(config.row("phi_wedge_psi",
+                             (wedge(g2.PHI0, psi) - 7.0 * vol0).max_abs()))
+    checks.append(config.row("metric_of_phi0", (
         np.max(np.abs(data0.g.g - np.eye(7))),
         (data0.vol - vol0).max_abs(),
-        (data0.psi - psi).max_abs())),
-        config.tol("metric_of_phi0", 1e-13)))
+        (data0.psi - psi).max_abs())))
     mat = g2.r_operator_matrix(data0)
     eig = np.sort(np.linalg.eigvalsh(0.5 * (mat + mat.T)))
-    spec = _worst((np.max(np.abs(eig[:14] + 1.0)),
-                   np.max(np.abs(eig[14:] - 2.0))))
-    checks.append(_check("r_spectrum", spec, config.tol("r_spectrum", 1e-10)))
+    checks.append(config.row("r_spectrum", (np.max(np.abs(eig[:14] + 1.0)),
+                                            np.max(np.abs(eig[14:] - 2.0)))))
 
     n_forms = config.n_trials(100)
 
@@ -312,11 +318,8 @@ def suite_g2linear(config: RunConfig) -> list[dict]:
                 "split3_orth": ortho / max(eta.max_abs(), 1e-30),
                 "f_map": fmap}
 
-    rows = map_trials(form_trial, n_forms, config, "g2linear")
-    checks += _fold(rows, (("equivariance", 1e-10),
-                           ("contraction_suite", 1e-10), ("split2", 1e-11),
-                           ("split3_recon", 1e-10), ("split3_orth", 1e-11),
-                           ("f_map", 1e-11)), config)
+    checks += _fold(map_trials(form_trial, n_forms, config, "g2linear"),
+                    config)
 
     n_triples = config.n_trials(1000)
 
@@ -327,20 +330,19 @@ def suite_g2linear(config: RunConfig) -> list[dict]:
                                - g2.PHI0.comps))
         return _worst((member, abs(np.linalg.det(mat) - 1.0)))
 
-    rows = map_trials(triple_trial, n_triples, config, "g2linear-triples")
-    checks.append(_check("g2_from_triple", _worst(rows),
-                         config.tol("g2_from_triple", 1e-10)))
+    checks.append(config.row("g2_from_triple", map_trials(
+        triple_trial, n_triples, config, "g2linear-triples")))
 
     rng = trial_rng(config.seed, "g2linear-lemma", 0)
-    worst = _worst(
+    return checks + [config.row("wedge_star_pack", (
         r for _ in range(10)
         for r in g2.wedge_star_identity_residuals(
-            data0, rng.standard_normal(7), rng.standard_normal(7)).values())
-    checks.append(_check("wedge_star_pack", worst,
-                         config.tol("wedge_star_pack", 1e-10)))
-    return checks
+            data0, rng.standard_normal(7), rng.standard_normal(7)).values()))]
 
 
+@_suite("deform", conjugation_pullback=1e-11, composition_law=1e-10,
+        isometry=1e-10, routes=1e-13, adjoint_ids=1e-12, ad_so7=1e-10,
+        v6_sweep_fixed=1e-12, v6_sweep_moved=1.0)
 def suite_deform(config: RunConfig) -> list[dict]:
     from . import deform as df
     from . import g2linear as g2
@@ -371,11 +373,7 @@ def suite_deform(config: RunConfig) -> list[dict]:
         return {"conjugation_pullback": t_conj, "composition_law": t_comp, "isometry": iso,
                 "routes": routes, "adjoint_ids": adj, "ad_so7": so7}
 
-    rows = map_trials(one_trial, n, config, "deform")
-    checks = _fold(rows, (("conjugation_pullback", 1e-11),
-                          ("composition_law", 1e-10), ("isometry", 1e-10),
-                          ("routes", 1e-13), ("adjoint_ids", 1e-12),
-                          ("ad_so7", 1e-10)), config)
+    checks = _fold(map_trials(one_trial, n, config, "deform"), config)
     # fixed-product sweep: sigma_{V^3}(phi0) = phi0 exactly when V^3 real
     fixed, moved = [], []
     for theta, fixes in ((0.0, True), (np.pi / 3, True), (np.pi / 2, False),
@@ -385,13 +383,12 @@ def suite_deform(config: RunConfig) -> list[dict]:
         (fixed if fixes else moved).append(r)
     # the smallest move as a negated max, so a non-finite move fails too
     least_move = -_worst(-r for r in moved)
-    checks.append(_check("v6_sweep_fixed", _worst(fixed),
-                         config.tol("v6_sweep_fixed", 1e-12)))
-    checks.append(_check("v6_sweep_moved", 1.0 / least_move,
-                         config.tol("v6_sweep_moved", 1.0)))
-    return checks
+    return checks + [config.row("v6_sweep_fixed", fixed),
+                     config.row("v6_sweep_moved", 1.0 / least_move)]
 
 
+@_suite("flat-loop", linear=1e-12, commutative=1e-12, associative=1e-12,
+        units=1e-12)
 def suite_flat_loop(config: RunConfig) -> list[dict]:
     from .connection import flat_chart, loop_product
     n, h = 4, 1e-2
@@ -411,46 +408,41 @@ def suite_flat_loop(config: RunConfig) -> list[dict]:
     xy_z, x_yz = np.split(loop_product(
         chart, np.tile(e, (2, 1)), np.concatenate([xy, x]),
         np.concatenate([z, yz]), h), 2)
-    keys = ("linear", "commutative", "associative", "units")
-    per_trial = [np.max(np.abs(d), axis=1) for d in (
-        xy - (x + y - e), xy - yx, xy_z - x_yz,
-        np.concatenate([xe - x, ey - y], axis=1))]
-    return _fold([dict(zip(keys, r)) for r in zip(*per_trial)],
-                 [(key, 1e-12) for key in keys], config)
+    return [config.row(key, np.max(np.abs(d), axis=1)) for key, d in (
+        ("linear", xy - (x + y - e)), ("commutative", xy - yx),
+        ("associative", xy_z - x_yz),
+        ("units", np.concatenate([xe - x, ey - y], axis=1)))]
 
 
+# cs_table_floor is the noise floor of the cs_table_decreasing row, whose
+# own 0.5 only separates its 0/1 verdict
+@_suite("akivis", cs_r1_at_h=0.05, cs_r1_rate=1.0 / 1.8, cs_r2_at_h=0.05,
+        cs_table_floor=1e-8, torsionless_alpha=0.05,
+        torsionless_alpha_rate=1.0 / 1.8, torsionless_r2=1e-3,
+        integrator_order_low=1.0)
 def suite_akivis(config: RunConfig) -> list[dict]:
     from .connection import (akivis_check, cartan_schouten_chart,
                              integrate_geodesic, sphere2_chart)
-    checks = []
     h_list = (1e-2, 5e-3, 2.5e-3)
-    cs = cartan_schouten_chart(0.0)
-    rep = akivis_check(cs, np.zeros(7), h_list, h_ode=1.0 / 16)
-    checks.append(_check("cs_r1_at_h", rep["r1"][0],
-                         config.tol("cs_r1_at_h", 0.05)))
-    checks.append(_check("cs_r1_rate",
-                         rep["r1"][1] / _worst((rep["r1"][0], 1e-300)),
-                         config.tol("cs_r1_rate", 1.0 / 1.8)))
-    checks.append(_check("cs_r2_at_h", rep["r2"][0],
-                         config.tol("cs_r2_at_h", 0.05)))
+    rep = akivis_check(cartan_schouten_chart(0.0), np.zeros(7), h_list)
+    checks = [config.row("cs_r1_at_h", rep["r1"][0]),
+              config.row("cs_r1_rate",
+                         rep["r1"][1] / _worst((rep["r1"][0], 1e-300))),
+              config.row("cs_r2_at_h", rep["r2"][0])]
     # the three-step table decreases down to the solver noise floor
-    floor = config.tol("cs_table_floor", 1e-8)
+    floor = config.pinned["cs_table_floor"]
     table_ok = all(rep["r1"][i + 1] <= _worst((rep["r1"][i], floor))
                    and rep["r2"][i + 1] <= _worst((rep["r2"][i], floor))
                    for i in range(len(h_list) - 1))
     checks.append(_check("cs_table_decreasing", 0.0 if table_ok else 1.0,
                          0.5))
     sp = sphere2_chart()
-    rep_s = akivis_check(sp, np.array([1.2, 0.3]), h_list[:2],
-                         h_ode=1.0 / 16)
-    checks.append(_check("torsionless_alpha", rep_s["alpha_norm"][0],
-                         config.tol("torsionless_alpha", 0.05)))
-    checks.append(_check("torsionless_alpha_rate",
-                         rep_s["alpha_norm"][1]
-                         / _worst((rep_s["alpha_norm"][0], 1e-300)),
-                         config.tol("torsionless_alpha_rate", 1.0 / 1.8)))
-    checks.append(_check("torsionless_r2", rep_s["r2"][0],
-                         config.tol("torsionless_r2", 1e-3)))
+    rep_s = akivis_check(sp, np.array([1.2, 0.3]), h_list[:2])
+    checks += [config.row("torsionless_alpha", rep_s["alpha_norm"][0]),
+               config.row("torsionless_alpha_rate",
+                          rep_s["alpha_norm"][1]
+                          / _worst((rep_s["alpha_norm"][0], 1e-300))),
+               config.row("torsionless_r2", rep_s["r2"][0])]
     # integrator order on the sphere oracle
     x0 = np.array([1.1, 0.4])
     v0 = np.array([0.3, 0.5])
@@ -471,110 +463,98 @@ def suite_akivis(config: RunConfig) -> list[dict]:
 
     errs = [endpoint_error(h) for h in h_list]
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
-    checks.append(_check("integrator_order_low",
-                         _worst(4.5 - o for o in orders),
-                         config.tol("integrator_order_low", 1.0)))
-    return checks
+    return checks + [config.row("integrator_order_low",
+                                (4.5 - o for o in orders))]
 
 
+@_suite("cartan", self_duality=1e-12, ch_beta_closed_form=1e-12,
+        family_points=1e-12, cross_module_contractions=1e-12, fit_ratio=0.05,
+        fit_alpha_param0=0.05)
 def suite_cartan(config: RunConfig) -> list[dict]:
     from . import cartan as cs
     from .exterior import antisymmetrize
     from .g2linear import psi0
     from .octonion import C3
-    checks = []
-    worst = _worst(r for k in (1.0, 2.0)
-                   for r in cs.self_duality_residuals(k).values())
-    checks.append(_check("self_duality", worst,
-                         config.tol("self_duality", 1e-12)))
-    worst = _worst(cs.ch_beta_residual(a) for a in (0.0, 0.25, 1.0))
-    checks.append(_check("ch_beta_closed_form", worst,
-                         config.tol("ch_beta_closed_form", 1e-12)))
+    checks = [
+        config.row("self_duality",
+                   (r for k in (1.0, 2.0)
+                    for r in cs.self_duality_residuals(k).values())),
+        config.row("ch_beta_closed_form",
+                   (cs.ch_beta_residual(a) for a in (0.0, 0.25, 1.0)))]
     fp0 = cs.cs_tensors(0.0)
     fp1 = cs.cs_tensors(1.0)
     fph = cs.cs_tensors(0.5)
-    fam = _worst((np.max(np.abs(fp0.R)),
-                  np.max(np.abs(fp1.R - antisymmetrize(fp1.R))),
-                  np.max(np.abs(fph.S))))
-    checks.append(_check("family_points", fam,
-                         config.tol("family_points", 1e-12)))
+    checks.append(config.row("family_points", (
+        np.max(np.abs(fp0.R)),
+        np.max(np.abs(fp1.R - antisymmetrize(fp1.R))),
+        np.max(np.abs(fph.S)))))
     psi = psi0().comps
-    c3_contraction = np.max(np.abs(np.einsum("ijk,ajk->ia", C3, C3)
-                            - 6.0 * np.eye(7)))
-    c4_contraction = np.max(np.abs(np.einsum("ijkl,ajkl->ia", psi, psi)
-                            - 24.0 * np.eye(7)))
-    checks.append(_check("cross_module_contractions",
-                         _worst((c3_contraction, c4_contraction)),
-                         config.tol("cross_module_contractions", 1e-12)))
+    checks.append(config.row("cross_module_contractions", (
+        np.max(np.abs(np.einsum("ijk,ajk->ia", C3, C3) - 6.0 * np.eye(7))),
+        np.max(np.abs(np.einsum("ijkl,ajkl->ia", psi, psi)
+                      - 24.0 * np.eye(7))))))
     # chart fit ratio between two family parameters
     from .connection import cartan_schouten_chart, fit_fundamental_tensors
     reps = {}
     for a in (0.0, 0.25):
         rep = fit_fundamental_tensors(cartan_schouten_chart(a), np.zeros(7),
-                                      h=1e-2, richardson=False,
-                                      h_ode=1.0 / 16)
+                                      h=1e-2, richardson=False)
         reps[a] = rep.alpha
     mask = np.abs(C3) > 0.5
     ratio = reps[0.25][mask] / reps[0.0][mask]
     expect = (1.0 - 2 * 0.25) / (1.0 - 2 * 0.0)
-    checks.append(_check("fit_ratio",
-                         float(np.max(np.abs(ratio - expect))) / expect,
-                         config.tol("fit_ratio", 0.05)))
-    checks.append(_check("fit_alpha_param0",
-                         float(np.max(np.abs(2 * reps[0.0] - C3))),
-                         config.tol("fit_alpha_param0", 0.05)))
-    return checks
+    return checks + [
+        config.row("fit_ratio",
+                   float(np.max(np.abs(ratio - expect))) / expect),
+        config.row("fit_alpha_param0",
+                   float(np.max(np.abs(2 * reps[0.0] - C3))))]
 
 
+@_suite("g2field", constant_torsion=1e-9, torsion_law=1e-6,
+        torsion_law_rate=0.4, defining_rate=0.4, torsion_split=1e-10,
+        vector_part_only=1e-7, leibniz_defect=1e-6, d_metric_compat=1e-6,
+        closedness_constant=1e-10, closedness_warp_signal=1.0)
 def suite_g2field(config: RunConfig) -> list[dict]:
     from . import field as fld
     from .connection import central_diff
     from .g2linear import split3
     from .exterior import AltTensor
     from .octonion import Octonion
-    checks = []
     x = np.array([0.05, -0.1, 0.2, 0.0, 0.1, -0.05, 0.15])
     cf = fld.constant_field()
     t0 = fld.g2_torsion(cf, x, 1e-3)
-    checks.append(_check("constant_torsion", np.max(np.abs(t0.T)),
-                         config.tol("constant_torsion", 1e-9)))
+    checks = [config.row("constant_torsion", np.max(np.abs(t0.T)))]
     sw = fld.sigma_warp_field(rate=0.1)
     res1 = fld.torsion_transformation_residuals(cf, sw.v_at, x, 1e-3)
     res2 = fld.torsion_transformation_residuals(cf, sw.v_at, x, 5e-4)
-    checks.append(_check("torsion_law", res1["const_norm"],
-                         config.tol("torsion_law", 1e-6)))
-    checks.append(_check("torsion_law_rate",
-                         res2["const_norm"]
-                         / _worst((res1["const_norm"], 1e-300)),
-                         config.tol("torsion_law_rate", 0.4)))
+    checks += [config.row("torsion_law", res1["const_norm"]),
+               config.row("torsion_law_rate",
+                          res2["const_norm"]
+                          / _worst((res1["const_norm"], 1e-300)))]
     pw = fld.pullback_warp_field(strength=0.05)
     xs = 0.5 * x
     ta = fld.g2_torsion(pw, xs, 1e-3)
     tb = fld.g2_torsion(pw, xs, 5e-4)
-    checks.append(_check("defining_rate",
-                         tb.defining_residual
-                         / _worst((ta.defining_residual, 1e-300)),
-                         config.tol("defining_rate", 0.4)))
+    checks.append(config.row("defining_rate",
+                             tb.defining_residual
+                             / _worst((ta.defining_residual, 1e-300))))
     gi = sw.data(x).g.g_inv
     t1 = fld.g2_torsion(sw, x, 1e-3)
     parts = [t1.t1, t1.t0, t1.t7, t1.t14]
     ortho = _worst(abs(np.einsum("ij,kl,ik,jl->", parts[i], parts[j], gi, gi))
                    for i in range(4) for j in range(i + 1, 4))
     split_sum = np.max(np.abs(sum(parts) - t1.T))
-    checks.append(_check("torsion_split", _worst((ortho, split_sum)),
-                         config.tol("torsion_split", 1e-10)))
+    checks.append(config.row("torsion_split", (ortho, split_sum)))
     nphi = fld.nabla_phi(sw, x, 1e-3)
     s3 = split3(AltTensor(7, 3, nphi[0]), sw.data(x))
-    checks.append(_check("vector_part_only",
-                         _worst((abs(s3.f), np.max(np.abs(s3.h0)))),
-                         config.tol("vector_part_only", 1e-7)))
+    checks.append(config.row("vector_part_only",
+                             (abs(s3.f), np.max(np.abs(s3.h0)))))
     rng = trial_rng(config.seed, "g2field", 0)
     a = Octonion(rng.standard_normal(8))
     b = Octonion(rng.standard_normal(8))
     defect, pred = fld.leibniz_defect(sw, x, a, b, np.eye(7)[0], 1e-3)
-    checks.append(_check("leibniz_defect",
-                         float(np.max(np.abs(defect.coeffs - pred.coeffs))),
-                         config.tol("leibniz_defect", 1e-6)))
+    checks.append(config.row(
+        "leibniz_defect", float(np.max(np.abs(defect.coeffs - pred.coeffs)))))
     # metric compatibility of D on the warp field
     data = sw.data(x)
     afield = lambda y: a.coeffs + 0.3 * y[1] * np.eye(8)[3]
@@ -592,29 +572,28 @@ def suite_g2field(config: RunConfig) -> list[dict]:
         return inner(afield(y), bfield(y), sw.data(y))
 
     lhs = central_diff(inner_along_e0, [0.0], 1e-3)[0]
-    compat = abs(lhs - inner(da.coeffs, bfield(x), data)
-                 - inner(afield(x), db.coeffs, data))
-    checks.append(_check("d_metric_compat", compat,
-                         config.tol("d_metric_compat", 1e-6)))
+    checks.append(config.row("d_metric_compat", abs(
+        lhs - inner(da.coeffs, bfield(x), data)
+        - inner(afield(x), db.coeffs, data))))
     # closedness probes across the catalog
     dphi0, dpsi0_ = fld.closedness_probe(cf, x, 1e-3)
     dphi1, dpsi1 = fld.closedness_probe(sw, x, 1e-3)
     floor = _worst((dphi0, dpsi0_, 1e-12))
-    checks.append(_check("closedness_constant", _worst((dphi0, dpsi0_)),
-                         config.tol("closedness_constant", 1e-10)))
-    checks.append(_check("closedness_warp_signal",
-                         floor * 10.0 / _worst((dphi1, dpsi1)),
-                         config.tol("closedness_warp_signal", 1.0)))
-    return checks
+    return checks + [config.row("closedness_constant", (dphi0, dpsi0_)),
+                     config.row("closedness_warp_signal",
+                                floor * 10.0 / _worst((dphi1, dpsi1)))]
 
 
+@_suite("clifford", small_models=1e-14, clifford_identity=1e-13,
+        associativity=1e-12, reversion=1e-13, orth_anticommutator=1e-13,
+        kappa_residual=1e-13, j_isometry=1e-12, j_equivariance=1e-12,
+        octonion_nonassoc_contrast=10.0, spinor_sigma_composition=1e-10)
 def suite_clifford(config: RunConfig) -> list[dict]:
     from . import clifford as cl
     from . import deform as df
     from . import g2linear as g2
     from . import octonion as oc
     from .octonion import Octonion, left_matrix, mul
-    checks = []
     # small-signature structural checks
     e1 = cl.CliffordElement.vector(0, 1, [1.0])
     c_model = (cl.clifford_mul(e1, e1)
@@ -626,8 +605,7 @@ def suite_clifford(config: RunConfig) -> list[dict]:
                     + cl.CliffordElement.scalar(0, 2)).max_abs(),
                    (cl.clifford_mul(a2, e12) - a1).max_abs(),
                    (cl.clifford_mul(e12, a1) - a2).max_abs()))
-    checks.append(_check("small_models", _worst((c_model, quat)),
-                         config.tol("small_models", 1e-14)))
+    checks = [config.row("small_models", (c_model, quat))]
     n = config.n_trials(100)
 
     def one_trial(rng, t):
@@ -677,53 +655,37 @@ def suite_clifford(config: RunConfig) -> list[dict]:
                 "kappa_residual": kappa, "j_isometry": j_iso,
                 "j_equivariance": equi}
 
-    rows = map_trials(one_trial, n, config, "clifford")
-    checks += _fold(rows, (("clifford_identity", 1e-13),
-                           ("associativity", 1e-12), ("reversion", 1e-13),
-                           ("orth_anticommutator", 1e-13),
-                           ("kappa_residual", 1e-13), ("j_isometry", 1e-12),
-                           ("j_equivariance", 1e-12)), config)
+    checks += _fold(map_trials(one_trial, n, config, "clifford"), config)
     # octonion associator is generically nonzero (paired contrast)
     rng = trial_rng(config.seed, "clifford-contrast", 0)
     a, b, c = (Octonion(w) for w in oc.random_octonions(rng, 3))
     assoc_oct = np.max(np.abs(oc.associator(a, b, c).coeffs))
-    checks.append(_check("octonion_nonassoc_contrast", 1.0 / assoc_oct,
-                         config.tol("octonion_nonassoc_contrast", 10.0)))
+    checks.append(config.row("octonion_nonassoc_contrast", 1.0 / assoc_oct))
     data0 = g2.metric_from_3form(g2.PHI0)
     u, w = (Octonion(z) for z in oc.random_octonions(rng, 2, unit=True))
     comp = (df.sigma(u, g2.metric_from_3form(df.sigma(w, data0)))
             - df.sigma(mul(u, w), data0)).max_abs()
-    checks.append(_check("spinor_sigma_composition", comp,
-                         config.tol("spinor_sigma_composition", 1e-10)))
-    return checks
-
-
-SUITES = {
-    "octonion": suite_octonion,
-    "exterior": suite_exterior,
-    "g2linear": suite_g2linear,
-    "deform": suite_deform,
-    "flat-loop": suite_flat_loop,
-    "akivis": suite_akivis,
-    "cartan": suite_cartan,
-    "g2field": suite_g2field,
-    "clifford": suite_clifford,
-}
+    return checks + [config.row("spinor_sigma_composition", comp)]
 
 
 def run_suite(name: str, config: RunConfig) -> dict:
-    """Run a registered suite and assemble its report."""
-    fn = SUITES.get(name)
-    if fn is None:
+    """Run a registered suite and assemble its report.
+
+    A --tol key the suite does not declare is refused before it runs;
+    the others are laid over its pinned tolerances.
+    """
+    if name not in SUITES:
         raise UnknownSuite(f"unknown suite {name!r}; have {sorted(SUITES)}")
-    config._read.clear()
+    fn, pinned = SUITES[name]
+    unknown = sorted(set(config.tolerances) - set(pinned))
+    if unknown:
+        raise BadConfig(f"suite {name!r} declares no tolerance named "
+                        f"{', '.join(unknown)}")
+    config.pinned = {key: float(config.tolerances.get(key, tol))
+                     for key, tol in pinned.items()}
     start = time.monotonic()
     checks = fn(config)
     wall = time.monotonic() - start
-    unread = sorted(set(config.tolerances) - config._read)
-    if unread:
-        raise BadConfig(f"suite {name!r} reads no tolerance named "
-                        f"{', '.join(unread)}")
     return {
         "schema": SCHEMA_VERSION,
         "suite": name,

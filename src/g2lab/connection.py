@@ -368,35 +368,32 @@ class LoopExpansionReport:
     combination 2*(nu - mu + lam lam - lam lam) of the fitted jets.
     """
 
-    __slots__ = ("lam", "mu", "nu", "alpha", "beta", "fit_scale",
-                 "richardson", "residuals")
+    __slots__ = ("lam", "mu", "nu", "alpha", "beta", "residuals")
 
-    def __init__(self, lam, mu, nu, alpha, beta, fit_scale, richardson,
-                 residuals=None):
+    def __init__(self, lam, mu, nu, alpha, beta, residuals):
         self.lam = lam
         self.mu = mu
         self.nu = nu
         self.alpha = alpha
         self.beta = beta
-        self.fit_scale = fit_scale
-        self.richardson = richardson
-        self.residuals = residuals or {}
+        self.residuals = residuals
+
+
+# Newton tolerance of the loop product's exp_inverse solves.
+_NEWTON_TOL = 1e-12
 
 
 class _NormalLoop:
     """Loop product re-expressed in exponential normal coordinates at e,
     evaluated on a whole stencil of (u, v) rows at once."""
 
-    def __init__(self, chart: ConnectionChart, e, h_ode: float | None = None,
-                 newton_tol: float = 1e-12) -> None:
-        if h_ode is None:
-            # the stencil geodesics have amplitude ~h, so a handful of
-            # integrator steps already sits far below the fit truncation
-            h_ode = 1.0 / 16.0
+    # the stencil geodesics have amplitude ~h, so a handful of integrator
+    # steps (h_ode = 1/16) already sits far below the fit truncation
+    def __init__(self, chart: ConnectionChart, e,
+                 h_ode: float = 1.0 / 16) -> None:
         self.chart = chart
         self.e = np.asarray(e, dtype=float)
         self.h_ode = h_ode
-        self.newton_tol = newton_tol
 
     def __call__(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """mu(us[r], vs[r]) for every row r of two (P, n) arrays.
@@ -423,7 +420,7 @@ class _NormalLoop:
                                         h_ode)
         w = np.matmul(ms[which], us[rows][:, :, None])[:, :, 0]
         z = exp_map(chart, ys[which], w, h_ode)
-        out[rows] = exp_inverse(chart, self.e, z, h_ode, tol=self.newton_tol)
+        out[rows] = exp_inverse(chart, self.e, z, h_ode, tol=_NEWTON_TOL)
         return out
 
 
@@ -517,7 +514,7 @@ def _fundamental_tensors(jets, fine=None):
 
 def fit_fundamental_tensors(chart: ConnectionChart, e, h: float = 1e-2,
                             richardson: bool = True,
-                            h_ode: float | None = None) -> LoopExpansionReport:
+                            h_ode: float = 1.0 / 16) -> LoopExpansionReport:
     """Fit lambda, mu, nu by central differences of the loop product and
     assemble the fundamental tensors alpha and beta.
 
@@ -532,9 +529,9 @@ def fit_fundamental_tensors(chart: ConnectionChart, e, h: float = 1e-2,
     # short-circuits exact unit arguments
     probe = h * np.eye(chart.n)[0]
     z = exp_map(chart, mu_fn.e, probe, mu_fn.h_ode)
-    back = exp_inverse(chart, mu_fn.e, z, mu_fn.h_ode, tol=mu_fn.newton_tol)
+    back = exp_inverse(chart, mu_fn.e, z, mu_fn.h_ode, tol=_NEWTON_TOL)
     unit_law = float(np.max(np.abs(back - probe)))
-    return LoopExpansionReport(lam, mu3, nu3, alpha, beta, h, richardson,
+    return LoopExpansionReport(lam, mu3, nu3, alpha, beta,
                                {"unit_law": unit_law})
 
 
@@ -612,7 +609,7 @@ def curvature_data(chart: ConnectionChart, e,
 
 def akivis_check(chart: ConnectionChart, e, h_list,
                  fd_step: float = 1e-5,
-                 h_ode: float | None = None) -> dict:
+                 h_ode: float = 1.0 / 16) -> dict:
     """Convergence study of the loop/connection relations at e.
 
     For each fit scale h the loop product is fitted in normal
@@ -637,7 +634,6 @@ def akivis_check(chart: ConnectionChart, e, h_list,
         out["r2"].append(r2)
         out["alpha_norm"].append(float(np.max(np.abs(alpha))))
         out["beta_norm"].append(float(np.max(np.abs(beta))))
-    out["torsion"] = data.torsion
     return out
 
 
@@ -795,6 +791,9 @@ def grid_chart_from(chart: ConnectionChart, points_per_axis: int,
                            name=f"{chart.name}-grid")
 
 
+# Largest chart dimension the loader accepts: the octonions' 8.
+_MAX_DIM = 8
+
 _NAMED_METRICS = {
     "sphere2": (_sphere2_metric, 2, [[0.2, np.pi - 0.2], [-12, 12]]),
 }
@@ -809,6 +808,8 @@ def chart_from_config(config: dict) -> ConnectionChart:
         params = dict(config.get("params", {}))
         domain = config.get("domain")
         grid_points = int(params.pop("points", 9))
+        if not 1 <= n <= _MAX_DIM:
+            raise BadConfig(f"dim must be in 1..{_MAX_DIM}, got {n}")
         if gamma_name == "flat":
             chart = flat_chart(n)
         elif gamma_name == "sphere2":
@@ -818,7 +819,11 @@ def chart_from_config(config: dict) -> ConnectionChart:
         elif gamma_name == "levi_civita_of":
             metric_name = params.pop("metric", "sphere2")
             if metric_name == "conformal":
-                chart = conformal_chart(params.pop("grad", [0.1, 0.0]))
+                grad = params.pop("grad", [0.1, 0.0])
+                if np.shape(grad) != (n,):
+                    raise BadConfig(f"grad must hold dim = {n} entries, "
+                                    f"got shape {np.shape(grad)}")
+                chart = conformal_chart(grad)
             elif metric_name in _NAMED_METRICS:
                 field, nn, dom = _NAMED_METRICS[metric_name]
                 chart = levi_civita_chart(field, nn, dom, name=metric_name)

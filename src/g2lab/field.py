@@ -221,7 +221,6 @@ def torsion_transformation_residuals(field: PhiField, v_field, x: np.ndarray,
 
     out_const = 0.0
     out_general = 0.0
-    real_part = 0.0
     for m in range(7):
         dvm = octonion_covariant_derivative(
             field, x, _EYE7[m], v_field, fd_step, torsion=base_t).coeffs
@@ -229,7 +228,6 @@ def torsion_transformation_residuals(field: PhiField, v_field, x: np.ndarray,
         lhs = torsion_octonion(t_v.T, _EYE7[m], data)
         out_const = max(out_const, float(np.max(np.abs(lhs[1:]
                                                        - rhs_const[1:]))))
-        real_part = max(real_part, abs(rhs_const[0]))
         # general law: Ad_V T(X) + V nabla_X(V^-1)
         tb = torsion_octonion(base_t.T, _EYE7[m], data)
         ad_t = bundle_mul(bundle_mul(vx, tb, data),
@@ -241,9 +239,7 @@ def torsion_transformation_residuals(field: PhiField, v_field, x: np.ndarray,
         rhs_gen = ad_t + bundle_mul(vx, nvinv, data)
         out_general = max(out_general, float(np.max(np.abs(lhs[1:]
                                                            - rhs_gen[1:]))))
-    return {"const_norm": out_const, "general": out_general,
-            "real_part": real_part,
-            "deformed_defining": t_v.defining_residual}
+    return {"const_norm": out_const, "general": out_general}
 
 
 def exterior_derivative_at(form_at, x: np.ndarray, k: int,

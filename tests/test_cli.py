@@ -48,6 +48,34 @@ def test_unread_tolerance_key_exit_code(capsys):
     assert "typo_key" in capsys.readouterr().err
 
 
+def test_undeclared_tolerance_key_refused_before_the_suite_runs(monkeypatch,
+                                                              capsys):
+    from g2lab import connection
+
+    def never(*args, **kwargs):
+        raise AssertionError("the suite ran")
+
+    monkeypatch.setattr(connection, "akivis_check", never)
+    assert cli.main(["verify", "akivis", "--tol", "typo_key=1"]) == 2
+    assert "typo_key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", list(cli.SUITES))
+def test_declared_tolerances_are_the_rows(name):
+    # a declared key that is no row would be an override that does nothing;
+    # cs_table_floor is the one that feeds a row of a fixed tolerance
+    _, pinned = cli.SUITES[name]
+    report = cli.run_suite(name, cli.RunConfig(seed=3, trials=2))
+    names = [c["name"] for c in report["checks"]]
+    assert len(set(names)) == len(names)
+    fixed = {"cs_table_decreasing"} if name == "akivis" else set()
+    extra = {"cs_table_floor"} if name == "akivis" else set()
+    assert set(pinned) == set(names) - fixed | extra
+    for c in report["checks"]:
+        if c["name"] not in fixed:
+            assert c["tolerance"] == pinned[c["name"]]
+
+
 def test_charts_list():
     res = run_cli("charts", "list")
     assert res.returncode == 0

@@ -460,10 +460,14 @@ _SPHERE = {"dim": 2, "kind": "closed_form", "gamma": "sphere2"}
      "params": {"metric": "sphere2", "fd_step": 1e-3}},
     {"dim": 2, "kind": "closed_form", "gamma": "levi_civita_of",
      "params": {"metric": "conformal", "half_width": 3.0}},
+    # both would ask for terabytes if they reached a builder
+    {"dim": 10 ** 6, "kind": "closed_form", "gamma": "flat"},
+    {"dim": 2, "kind": "closed_form", "gamma": "levi_civita_of",
+     "params": {"metric": "conformal", "grad": [0.1] * 10 ** 6}},
 ], ids=["non_numeric_dim", "non_numeric_points", "unknown_param",
         "dim_mismatch_sphere2", "dim_mismatch_cartan_schouten",
         "domain_shape", "flat_extra_param", "named_metric_extra_param",
-        "conformal_extra_param"])
+        "conformal_extra_param", "huge_dim", "grad_length_not_dim"])
 def test_chart_config_fails_closed(cfg):
     with pytest.raises(BadConfig):
         cn.chart_from_config(cfg)

@@ -18,7 +18,9 @@ G2MetricData alone, never beside a phi it could disagree with, and the
 2-form operator R is defined once, as star(phi ^ .).  split3 is the
 closed form through bilinear_7form, with no least-squares solve, and
 octonion._assoc_raw is the one associator written out.  The Hodge star
-and the form metric share exterior._raised, the one raise of a form.  The count of
+and the form metric share exterior._raised, the one raise of a form.  Every
+check row of the CLI is built by RunConfig.row from the tolerances its
+suite declares, save the one row of fixed tolerance.  The count of
 parameters with defaults may not rise above OPTION_BUDGET.
 """
 
@@ -31,7 +33,7 @@ import g2lab
 
 SRC = Path(g2lab.__file__).parent
 
-OPTION_BUDGET = 76
+OPTION_BUDGET = 74
 
 
 def test_only_exterior_enumerates_permutations():
@@ -274,3 +276,21 @@ def test_one_raise_behind_hodge_and_form_inner():
         assert "_raised" in names
         assert not {"tensordot", "factorial", "_contract_all"} & (names
                                                                   | attrs)
+
+
+def test_rows_are_built_in_one_place():
+    text = (SRC / "cli.py").read_text()
+    assert "config.tol(" not in text and "_read" not in text
+    tree = ast.parse(text)
+
+    def is_check(node):
+        return isinstance(node, ast.Call) and \
+            isinstance(node.func, ast.Name) and node.func.id == "_check"
+
+    callers = sorted((fn.name, ast.unparse(call.args[0]))
+                     for fn in ast.walk(tree)
+                     if isinstance(fn, ast.FunctionDef)
+                     for call in ast.walk(fn) if is_check(call))
+    assert callers == [("row", "name"),
+                       ("suite_akivis", "'cs_table_decreasing'")]
+    assert sum(map(is_check, ast.walk(tree))) == 2
