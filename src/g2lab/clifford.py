@@ -14,10 +14,6 @@ from .exterior import AltTensor
 from .g2linear import G2MetricData
 from .octonion import IMAG_EPS, Octonion, inverse, left_matrix, mul
 
-_TABLE_CACHE: dict[tuple[int, int],
-                   tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-
 def _reorder_sign(a: int, b: int) -> int:
     """Sign from counting transpositions when merging two blades."""
     a >>= 1
@@ -38,29 +34,27 @@ def blade_product(mask_a: int, mask_b: int, p: int, q: int) -> tuple[int, int]:
     return mask_a ^ mask_b, sign
 
 
+@lru_cache(maxsize=None)
 def _tables(p: int, q: int):
-    """Dense product tables over blade masks: result[a, b] = a ^ b and
-    sign[a, b], plus the gather signs s2[a, c] = sign[a, a ^ c] as floats,
-    so that blade a times blade a ^ c is s2[a, c] * blade c.  The sign is
-    blade_product's for all pairs at once: the parity of the merge
-    transpositions, popcount((a >> k) & b) over k >= 1, plus the shared
-    negative-square generators (bits p .. p + q - 1)."""
-    key = (p, q)
-    hit = _TABLE_CACHE.get(key)
-    if hit is None:
-        dim = 1 << (p + q)
-        pop = _grades(dim)
-        a = np.arange(dim)[:, None]
-        b = np.arange(dim)[None, :]
-        flips = pop[a & b & (dim - (1 << p))]
-        for k in range(1, p + q):
-            flips = flips + pop[(a >> k) & b]
-        res = a ^ b
-        sgn = 1 - 2 * (flips & 1)
-        s2 = np.take_along_axis(sgn, res, axis=1).astype(float)
-        hit = (res, sgn, s2)
-        _TABLE_CACHE[key] = hit
-    return hit
+    """Dense product tables over blade masks, read-only: result[a, b] =
+    a ^ b and sign[a, b], plus the gather signs s2[a, c] = sign[a, a ^ c]
+    as floats, so that blade a times blade a ^ c is s2[a, c] * blade c.
+    The sign is blade_product's for all pairs at once: the parity of the
+    merge transpositions, popcount((a >> k) & b) over k >= 1, plus the
+    shared negative-square generators (bits p .. p + q - 1)."""
+    dim = 1 << (p + q)
+    pop = _grades(dim)
+    a = np.arange(dim)[:, None]
+    b = np.arange(dim)[None, :]
+    flips = pop[a & b & (dim - (1 << p))]
+    for k in range(1, p + q):
+        flips = flips + pop[(a >> k) & b]
+    res = a ^ b
+    sgn = 1 - 2 * (flips & 1)
+    s2 = np.take_along_axis(sgn, res, axis=1).astype(float)
+    for table in (res, sgn, s2):
+        table.setflags(write=False)
+    return res, sgn, s2
 
 
 @lru_cache(maxsize=None)

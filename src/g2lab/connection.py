@@ -175,19 +175,22 @@ def _gamma_dot(g: np.ndarray, v: np.ndarray) -> np.ndarray:
     return a.reshape(a.shape[:-2] + (n, n))
 
 
-def _geodesic_steps(chart: ConnectionChart, x, v, t_end: float, h: float):
-    """Yield the geodesic state (x, v) after each _rk4 step, with the
-    batch checked against the domain at the start and after every step."""
+def _geodesic_steps(chart: ConnectionChart, state: tuple, t_end: float,
+                    h: float):
+    """Yield the geodesic state (x, v), or (x, v, M) with the parallel
+    frame M carried along, after each _rk4 step, with the batch checked
+    against the domain at the start and after every step."""
     gamma = chart.gamma
 
     def rhs(t, state):
-        x, v = state
+        x, v, *frame = state
         a = _gamma_dot(gamma(x), v)
-        return v, -np.matmul(a, v[..., None])[..., 0]
+        return (v, -np.matmul(a, v[..., None])[..., 0],
+                *[-np.matmul(a, m) for m in frame])
 
-    chart.check_inside(x)
+    chart.check_inside(state[0])
     n_steps = _steps_for(t_end, h)
-    for state in _rk4(rhs, (x, v), 0.0, t_end / n_steps, n_steps):
+    for state in _rk4(rhs, state, 0.0, t_end / n_steps, n_steps):
         chart.check_inside(state[0])
         yield state
 
@@ -204,7 +207,7 @@ def integrate_geodesic(chart: ConnectionChart, x0, v0, t_end: float = 1.0,
     xs = np.empty((n_steps + 1,) + x.shape)
     vs = np.empty_like(xs)
     xs[0], vs[0] = x, v
-    for i, (x, v) in enumerate(_geodesic_steps(chart, x, v, t_end, h), 1):
+    for i, (x, v) in enumerate(_geodesic_steps(chart, (x, v), t_end, h), 1):
         xs[i], vs[i] = x, v
     return Path(t_end / n_steps * np.arange(n_steps + 1), xs, vs)
 
@@ -217,19 +220,10 @@ def geodesic_with_frame(chart: ConnectionChart, x0, v0, t_end: float = 1.0,
     its parallel transport at the endpoint; for a batch of N geodesics
     the three have shapes (N, n), (N, n) and (N, n, n).
     """
-    gamma = chart.gamma
-
-    def rhs(t, state):
-        x, v, m = state
-        a = _gamma_dot(gamma(x), v)
-        return v, -np.matmul(a, v[..., None])[..., 0], -np.matmul(a, m)
-
     x, v = _point_pair(x0, v0)
     state = (x, v, np.broadcast_to(np.eye(chart.n), x.shape + (chart.n,)))
-    chart.check_inside(x)
-    n_steps = _steps_for(t_end, h)
-    for state in _rk4(rhs, state, 0.0, t_end / n_steps, n_steps):
-        chart.check_inside(state[0])
+    for state in _geodesic_steps(chart, state, t_end, h):
+        pass
     return state
 
 
@@ -272,7 +266,8 @@ def exp_map(chart: ConnectionChart, e, v, h: float = 1e-3) -> np.ndarray:
     out, v = _point_pair(e, v)
     moving = np.max(np.abs(v), axis=-1) != 0.0
     if moving.any():
-        for x, _ in _geodesic_steps(chart, out[moving], v[moving], 1.0, h):
+        for x, _ in _geodesic_steps(chart, (out[moving], v[moving]), 1.0,
+                                    h):
             pass
         out[moving] = x
     return out
@@ -389,8 +384,7 @@ class _NormalLoop:
 
     # the stencil geodesics have amplitude ~h, so a handful of integrator
     # steps (h_ode = 1/16) already sits far below the fit truncation
-    def __init__(self, chart: ConnectionChart, e,
-                 h_ode: float = 1.0 / 16) -> None:
+    def __init__(self, chart: ConnectionChart, e, h_ode: float) -> None:
         self.chart = chart
         self.e = np.asarray(e, dtype=float)
         self.h_ode = h_ode

@@ -24,13 +24,18 @@ def bundle_mul(a: np.ndarray, b: np.ndarray,
     the standard product up to rounding: |bundle_mul(a, b) - mul(a, b)|
     stays within 2e-15 |a| |b| in max norm (at most 4.5e-16 |a| |b| over
     2000 random pairs), since the recovered g is the identity only to
-    one rounding and the two sums run in different orders."""
+    one rounding and the two sums run in different orders.
+
+    a and b may also be stacks of octonions, shape (..., 8), multiplied
+    row by row with broadcasting; each row gets the bits a single call
+    gives it."""
     g, gi, phi = data.g.g, data.g.g_inv, data.phi.comps
-    a0, al = a[0], a[1:]
-    b0, be = b[0], b[1:]
-    out = np.empty(8)
-    out[0] = a0 * b0 - al @ (g @ be)
-    out[1:] = a0 * be + b0 * al + gi @ np.einsum("ijk,i,j->k", phi, al, be)
+    a0, al = a[..., :1], a[..., 1:]
+    b0, be = b[..., :1], b[..., 1:]
+    cross = np.einsum("ijk,...i,...j->...k", phi, al, be)
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    out[..., :1] = a0 * b0 - (al[..., None, :] @ (g @ be[..., None]))[..., 0]
+    out[..., 1:] = a0 * be + b0 * al + (gi @ cross[..., None])[..., 0]
     return out
 
 

@@ -212,6 +212,8 @@ class Metric:
         g = np.asarray(g, dtype=float)
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise ValueError("metric must be a square matrix")
+        if not np.all(np.isfinite(g)):
+            raise SingularMetric("metric is not finite")
         if np.max(np.abs(g - g.T)) > 1e-12 * max(np.max(np.abs(g)), 1.0):
             raise SingularMetric("metric is not symmetric")
         eigvals = np.linalg.eigvalsh(g)

@@ -5,7 +5,10 @@ covariant derivative of phi, the full torsion 2-tensor with its
 four-part splitting, the octonion covariant derivative, and the torsion
 transformation law under the isometric deformations.
 
-All manifold derivatives are second-order central differences.
+All manifold derivatives are second-order central differences along
+every coordinate axis at once: a derivative of an octonion field returns
+row m for axis m, from one Levi-Civita evaluation.  D takes the torsion
+it uses, and every function takes its finite-difference step.
 """
 
 from __future__ import annotations
@@ -22,8 +25,6 @@ from .exterior import AltTensor, antisymmetrize
 from .g2linear import (G2MetricData, PHI0, _einsum, metric_from_3form,
                        pullback_3form, split2)
 from .octonion import Octonion, exponential
-
-_EYE7 = np.eye(7)
 
 NORM_TOL = 1e-10
 """How far |V|^2 may drift from 1 in the torsion transformation law."""
@@ -64,7 +65,7 @@ class PhiField:
 
 
 def levi_civita_at(field: PhiField, x: np.ndarray,
-                   fd_step: float = 1e-3) -> np.ndarray:
+                   fd_step: float) -> np.ndarray:
     """Christoffel symbols of the induced metric by central differences."""
 
     def metric_inside(y):
@@ -74,8 +75,7 @@ def levi_civita_at(field: PhiField, x: np.ndarray,
     return levi_civita(metric_inside, x, fd_step)
 
 
-def nabla_phi(field: PhiField, x: np.ndarray,
-              fd_step: float = 1e-3) -> np.ndarray:
+def nabla_phi(field: PhiField, x: np.ndarray, fd_step: float) -> np.ndarray:
     """Covariant derivative of the 3-form field, nabla_m phi_ijk."""
     x = np.asarray(x, dtype=float)
     dphi = central_diff(field.phi, x, fd_step)
@@ -102,8 +102,7 @@ class G2Torsion:
         self.defining_residual = defining_residual
 
 
-def g2_torsion(field: PhiField, x: np.ndarray,
-               fd_step: float = 1e-3) -> G2Torsion:
+def g2_torsion(field: PhiField, x: np.ndarray, fd_step: float) -> G2Torsion:
     """T_mn = (1/48) nabla_m phi_ijk psi_n^ijk, with the residual of
     nabla_m phi = 2 T_m^q psi_q... reported alongside."""
     data = field.data(x)
@@ -123,72 +122,58 @@ def g2_torsion(field: PhiField, x: np.ndarray,
                      residual)
 
 
-def torsion_octonion(t: np.ndarray, direction: np.ndarray,
-                     data: G2MetricData) -> np.ndarray:
-    """T(X) as a pure imaginary octonion, T(X)^q = X^m T_mp g^pq."""
-    vec = np.einsum("m,mp,pq->q", direction, t, data.g.g_inv)
-    out = np.zeros(8)
-    out[1:] = vec
+def torsion_octonions(t: np.ndarray, data: G2MetricData) -> np.ndarray:
+    """T(e_m) for every axis m as pure imaginary octonions, the rows of
+    t g^-1: T(e_m)^q = T_mp g^pq."""
+    out = np.zeros((7, 8))
+    out[:, 1:] = t @ data.g.g_inv
     return out
 
 
 def covariant_octonion(field: PhiField, a_field, x: np.ndarray,
-                       direction: np.ndarray,
-                       fd_step: float = 1e-3) -> np.ndarray:
-    """Levi-Civita covariant derivative of an octonion field along a
-    coordinate direction vector."""
+                       fd_step: float) -> np.ndarray:
+    """Levi-Civita covariant derivative of an octonion field along every
+    coordinate axis: row m is nabla_m A."""
     x = np.asarray(x, dtype=float)
-    direction = np.asarray(direction, dtype=float)
-    # one central difference along the direction itself: two evaluations
-    # of the field whatever the direction, and for a coordinate direction
-    # the same stencil points as the axis-wise derivative
-    out = central_diff(lambda s: a_field(x + s[0] * direction), [0.0],
-                       fd_step)[0]
+    out = central_diff(a_field, x, fd_step)
     gam = levi_civita_at(field, x, fd_step)
-    out[1:] += np.einsum("imk,m,k->i", gam, direction,
-                         np.asarray(a_field(x))[1:])
+    out[:, 1:] += np.einsum("imk,k->mi", gam, np.asarray(a_field(x))[1:])
     return out
 
 
-def octonion_covariant_derivative(field: PhiField, x: np.ndarray,
-                                  direction: np.ndarray, a_field,
-                                  fd_step: float = 1e-3,
-                                  torsion: G2Torsion | None = None) -> Octonion:
-    """D_X A = nabla_X A - A T(X)."""
-    if torsion is None:
-        torsion = g2_torsion(field, x, fd_step)
+def octonion_covariant_derivative(field: PhiField, x: np.ndarray, a_field,
+                                  torsion: G2Torsion,
+                                  fd_step: float) -> np.ndarray:
+    """D_m A = nabla_m A - A T(e_m) for every axis m, one row each."""
     data = field.data(x)
-    na = covariant_octonion(field, a_field, x, direction, fd_step)
-    tx = torsion_octonion(torsion.T, direction, data)
-    return Octonion(na - bundle_mul(np.asarray(a_field(x)), tx, data))
+    na = covariant_octonion(field, a_field, x, fd_step)
+    return na - bundle_mul(np.asarray(a_field(x)),
+                           torsion_octonions(torsion.T, data), data)
 
 
 def leibniz_defect(field: PhiField, x: np.ndarray, a: Octonion, b: Octonion,
-                   direction: np.ndarray,
-                   fd_step: float = 1e-3) -> tuple[Octonion, Octonion]:
-    """Measured defect nabla_X(AB) - (nabla_X A)B - A(nabla_X B) for
-    constant-coefficient octonions, and its prediction [T(X), A, B].
+                   fd_step: float) -> tuple[np.ndarray, np.ndarray]:
+    """Measured defect nabla_m(AB) - (nabla_m A)B - A(nabla_m B) for
+    constant-coefficient octonions, and its prediction [T(e_m), A, B],
+    one row per axis m.
 
     The associator orientation of this structure-constant table makes
     the defect equal +[T(X), A, B]; the same identity with the 4-form's
     orientation reads -2 psi(T(X), ., ., .)-sharp."""
     x = np.asarray(x, dtype=float)
-
-    def prod_field(y):
-        return bundle_mul(a.coeffs, b.coeffs, field.data(y))
-
-    nab_prod = covariant_octonion(field, prod_field, x, direction, fd_step)
-    # constant coefficients: nabla_X A has only the Gamma correction
-    na = covariant_octonion(field, lambda y: a.coeffs, x, direction, fd_step)
-    nb = covariant_octonion(field, lambda y: b.coeffs, x, direction, fd_step)
+    nab_prod = covariant_octonion(
+        field, lambda y: bundle_mul(a.coeffs, b.coeffs, field.data(y)), x,
+        fd_step)
+    # constant coefficients: nabla_m A has only the Gamma correction
+    na = covariant_octonion(field, lambda y: a.coeffs, x, fd_step)
+    nb = covariant_octonion(field, lambda y: b.coeffs, x, fd_step)
     data = field.data(x)
     defect = (nab_prod - bundle_mul(na, b.coeffs, data)
               - bundle_mul(a.coeffs, nb, data))
-    t = g2_torsion(field, x, fd_step)
-    tx = torsion_octonion(t.T, direction, data)
+    tx = torsion_octonions(g2_torsion(field, x, fd_step).T, data)
     pred = (bundle_mul(bundle_mul(tx, a.coeffs, data), b.coeffs, data)
             - bundle_mul(tx, bundle_mul(a.coeffs, b.coeffs, data), data))
-    return Octonion(defect), Octonion(pred)
+    return defect, pred
 
 
 def sigma_deformed_field(field: PhiField, v_field) -> PhiField:
@@ -202,9 +187,9 @@ def sigma_deformed_field(field: PhiField, v_field) -> PhiField:
 
 
 def torsion_transformation_residuals(field: PhiField, v_field, x: np.ndarray,
-                      fd_step: float = 1e-3) -> dict[str, float]:
+                                     fd_step: float) -> dict[str, float]:
     """Compare the torsion of the sigma_V-deformed field against the
-    transformation law.
+    transformation law along every coordinate axis.
 
     For unit-norm V the constant-norm form T_V = -(DV) V^-1 is checked;
     the general form Im(Ad_V T + V (nabla V^-1)) is reported as well.
@@ -215,42 +200,32 @@ def torsion_transformation_residuals(field: PhiField, v_field, x: np.ndarray,
     n2 = bundle_norm_sq(vx, data)
     if abs(n2 - 1.0) > NORM_TOL:
         raise NormDrift(f"|V|^2 = {n2} drifts from 1 beyond {NORM_TOL}")
+    vinv = bundle_inverse(vx, data)
     base_t = g2_torsion(field, x, fd_step)
-    deformed = sigma_deformed_field(field, v_field)
-    t_v = g2_torsion(deformed, x, fd_step)
-
-    out_const = 0.0
-    out_general = 0.0
-    for m in range(7):
-        dvm = octonion_covariant_derivative(
-            field, x, _EYE7[m], v_field, fd_step, torsion=base_t).coeffs
-        rhs_const = -bundle_mul(dvm, bundle_inverse(vx, data), data)
-        lhs = torsion_octonion(t_v.T, _EYE7[m], data)
-        out_const = max(out_const, float(np.max(np.abs(lhs[1:]
-                                                       - rhs_const[1:]))))
-        # general law: Ad_V T(X) + V nabla_X(V^-1)
-        tb = torsion_octonion(base_t.T, _EYE7[m], data)
-        ad_t = bundle_mul(bundle_mul(vx, tb, data),
-                          bundle_inverse(vx, data), data)
-        nvinv = covariant_octonion(
-            field, lambda y: bundle_inverse(np.asarray(v_field(y)),
-                                            field.data(y)), x, _EYE7[m],
-            fd_step)
-        rhs_gen = ad_t + bundle_mul(vx, nvinv, data)
-        out_general = max(out_general, float(np.max(np.abs(lhs[1:]
-                                                           - rhs_gen[1:]))))
-    return {"const_norm": out_const, "general": out_general}
+    lhs = torsion_octonions(
+        g2_torsion(sigma_deformed_field(field, v_field), x, fd_step).T, data)
+    dv = octonion_covariant_derivative(field, x, v_field, base_t, fd_step)
+    rhs_const = -bundle_mul(dv, vinv, data)
+    # general law: Ad_V T(e_m) + V nabla_m(V^-1)
+    ad_t = bundle_mul(bundle_mul(vx, torsion_octonions(base_t.T, data),
+                                 data), vinv, data)
+    nvinv = covariant_octonion(
+        field, lambda y: bundle_inverse(np.asarray(v_field(y)),
+                                        field.data(y)), x, fd_step)
+    rhs_gen = ad_t + bundle_mul(vx, nvinv, data)
+    return {"const_norm": float(np.max(np.abs(lhs - rhs_const)[:, 1:])),
+            "general": float(np.max(np.abs(lhs - rhs_gen)[:, 1:]))}
 
 
 def exterior_derivative_at(form_at, x: np.ndarray, k: int,
-                           fd_step: float = 1e-3) -> np.ndarray:
+                           fd_step: float) -> np.ndarray:
     """d of a k-form field by central differences, full components."""
     d = central_diff(form_at, x, fd_step)
     return (k + 1) * antisymmetrize(d)
 
 
 def closedness_probe(field: PhiField, x: np.ndarray,
-                     fd_step: float = 1e-3) -> tuple[float, float]:
+                     fd_step: float) -> tuple[float, float]:
     """Max-abs finite-difference d(phi) and d(psi) at a point."""
     dphi = exterior_derivative_at(field.phi, x, 3, fd_step)
     dpsi = exterior_derivative_at(field.psi, x, 4, fd_step)

@@ -91,6 +91,8 @@ def metric_from_3form(phi: AltTensor | np.ndarray) -> G2MetricData:
     if not isinstance(phi, AltTensor):
         phi = AltTensor(7, 3, phi)
     b = bilinear_7form(phi, phi)
+    if not np.all(np.isfinite(b)):
+        raise NotPositive("bilinear form is not finite")
     tr = np.trace(b)
     if tr == 0.0:
         raise NotPositive("bilinear form has zero trace")

@@ -148,3 +148,17 @@ def test_bundle_mul_agrees_with_mul_at_model_form(data0):
         a, b = rng.standard_normal(8), rng.standard_normal(8)
         diff = df.bundle_mul(a, b, data0) - mul(Octonion(a), Octonion(b)).coeffs
         assert np.max(np.abs(diff)) <= 2e-15 * np.linalg.norm(a) * np.linalg.norm(b)
+
+
+def test_bundle_mul_rows_keep_single_call_bits():
+    rng = np.random.default_rng(6)
+    data = g2.metric_from_3form(g2.pullback_3form(g2.random_gl7(rng), oc.C3))
+    a_rows, b_rows = rng.standard_normal((2, 7, 8))
+    a_rows[:, 0] = -0.0
+    a, b = a_rows[0], b_rows[0]
+    for lhs, rhs in ((a_rows, b_rows), (a_rows, b), (a, b_rows)):
+        got = df.bundle_mul(lhs, rhs, data)
+        want = [df.bundle_mul(x, y, data)
+                for x, y in zip(*np.broadcast_arrays(lhs, rhs))]
+        assert got.shape == (7, 8)
+        assert got.tobytes() == np.array(want).tobytes()

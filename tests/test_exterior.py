@@ -145,6 +145,13 @@ def test_metric_validation():
         Metric(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_metric_fails_closed(bad):
+    for g in (np.diag([1.0, bad, 1.0]), np.full((3, 3), bad)):
+        with np.errstate(all="ignore"), pytest.raises(SingularMetric):
+            Metric(g)
+
+
 def _antisymmetrize_oracle(t):
     # mean of the k! signed transposes, the sign read off a determinant
     k = t.ndim

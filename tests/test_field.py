@@ -4,8 +4,10 @@ derivative, and the deformation law for the torsion."""
 import numpy as np
 import pytest
 
+from g2lab import cli
 from g2lab import field as fld
-from g2lab.errors import BadConfig, LeftDomain, NormDrift
+from g2lab.connection import central_diff
+from g2lab.errors import BadConfig, LeftDomain, NormDrift, NotPositive
 from g2lab.exterior import AltTensor
 from g2lab.g2linear import split3
 from g2lab.octonion import Octonion
@@ -68,21 +70,22 @@ def test_derivative_in_vector_type_part(warp):
 
 def test_covariant_derivative_examples(warp, warp_torsion):
     cf = fld.constant_field()
+    t_cf = fld.g2_torsion(cf, X0, 1e-3)
     # constant field, constant octonion
     d0 = fld.octonion_covariant_derivative(
-        cf, X0, np.eye(7)[0], lambda y: Octonion.one().coeffs, 1e-3)
-    assert np.max(np.abs(d0.coeffs)) < 1e-12
-    # plain derivative when torsion-free
+        cf, X0, lambda y: Octonion.one().coeffs, t_cf, 1e-3)
+    assert d0.shape == (7, 8)
+    assert np.max(np.abs(d0)) < 1e-12
+    # plain derivative when torsion-free: row m is d/dx^m
     a_field = lambda y: y[0] * Octonion.basis(2).coeffs
-    d1 = fld.octonion_covariant_derivative(cf, X0, np.eye(7)[0], a_field,
-                                           1e-3)
-    assert np.max(np.abs(d1.coeffs - Octonion.basis(2).coeffs)) < 1e-10
-    # D_X 1 = -T(X) on the torsionful field
+    d1 = fld.octonion_covariant_derivative(cf, X0, a_field, t_cf, 1e-3)
+    assert np.max(np.abs(d1[0] - Octonion.basis(2).coeffs)) < 1e-10
+    assert np.max(np.abs(d1[1:])) < 1e-10
+    # D_m 1 = -T(e_m) on the torsionful field
     d2 = fld.octonion_covariant_derivative(
-        warp, X0, np.eye(7)[0], lambda y: Octonion.one().coeffs, 1e-3,
-        torsion=warp_torsion)
-    tx = fld.torsion_octonion(warp_torsion.T, np.eye(7)[0], warp.data(X0))
-    assert np.max(np.abs(d2.coeffs + tx)) < 1e-7
+        warp, X0, lambda y: Octonion.one().coeffs, warp_torsion, 1e-3)
+    tx = fld.torsion_octonions(warp_torsion.T, warp.data(X0))
+    assert np.max(np.abs(d2 + tx)) < 1e-7
 
 
 def test_quasi_derivation_and_metric_compat(warp, warp_torsion):
@@ -92,27 +95,26 @@ def test_quasi_derivation_and_metric_compat(warp, warp_torsion):
     afield = lambda y: ca + 0.3 * y[1] * np.eye(8)[3]
     bfield = lambda y: cb + 0.2 * y[0] * np.eye(8)[5]
     prod = lambda y: fld.bundle_mul(afield(y), bfield(y), warp.data(y))
-    dab = fld.octonion_covariant_derivative(warp, X0, np.eye(7)[0], prod,
-                                            1e-3, torsion=warp_torsion)
-    na = fld.covariant_octonion(warp, afield, X0, np.eye(7)[0], 1e-3)
-    db = fld.octonion_covariant_derivative(warp, X0, np.eye(7)[0], bfield,
-                                           1e-3, torsion=warp_torsion)
+    dab = fld.octonion_covariant_derivative(warp, X0, prod, warp_torsion,
+                                            1e-3)
+    na = fld.covariant_octonion(warp, afield, X0, 1e-3)
+    db = fld.octonion_covariant_derivative(warp, X0, bfield, warp_torsion,
+                                           1e-3)
     rhs = fld.bundle_mul(na, bfield(X0), data) \
-        + fld.bundle_mul(afield(X0), db.coeffs, data)
-    assert np.max(np.abs(dab.coeffs - rhs)) < 1e-6
+        + fld.bundle_mul(afield(X0), db, data)
+    assert np.max(np.abs(dab - rhs)) < 1e-6
 
     def inner(u, v, dat):
         return u[0] * v[0] + u[1:] @ (dat.g.g @ v[1:])
 
-    da = fld.octonion_covariant_derivative(warp, X0, np.eye(7)[0], afield,
-                                           1e-3, torsion=warp_torsion)
-    h = 1e-3
-    dx = h * np.eye(7)[0]
-    lhs = (inner(afield(X0 + dx), bfield(X0 + dx), warp.data(X0 + dx))
-           - inner(afield(X0 - dx), bfield(X0 - dx),
-                   warp.data(X0 - dx))) / (2 * h)
-    assert abs(lhs - inner(da.coeffs, bfield(X0), data)
-               - inner(afield(X0), db.coeffs, data)) < 1e-6
+    da = fld.octonion_covariant_derivative(warp, X0, afield, warp_torsion,
+                                           1e-3)
+    # d_m <A, B> = <D_m A, B> + <A, D_m B> along every axis m
+    lhs = central_diff(
+        lambda y: inner(afield(y), bfield(y), warp.data(y)), X0, 1e-3)
+    rhs = [inner(da[m], bfield(X0), data) + inner(afield(X0), db[m], data)
+           for m in range(7)]
+    assert np.max(np.abs(lhs - rhs)) < 1e-6
 
 
 def test_leibniz_defect(warp):
@@ -120,15 +122,57 @@ def test_leibniz_defect(warp):
     rng = np.random.default_rng(1)
     a = Octonion(rng.standard_normal(8))
     b = Octonion(rng.standard_normal(8))
-    d0, p0 = fld.leibniz_defect(cf, X0, a, b, np.eye(7)[0], 1e-3)
-    assert np.max(np.abs(d0.coeffs)) < 1e-9
+    d0, p0 = fld.leibniz_defect(cf, X0, a, b, 1e-3)
+    assert d0.shape == p0.shape == (7, 8)
+    assert np.max(np.abs(d0)) < 1e-9
     # real argument kills the associator
     ar = Octonion.from_parts(1.3, np.zeros(7))
-    d1, _ = fld.leibniz_defect(warp, X0, ar, b, np.eye(7)[0], 1e-3)
-    assert np.max(np.abs(d1.coeffs)) < 1e-9
-    d2, p2 = fld.leibniz_defect(warp, X0, a, b, np.eye(7)[0], 1e-3)
-    assert np.max(np.abs(d2.coeffs)) > 1e-3
-    assert np.max(np.abs(d2.coeffs - p2.coeffs)) < 1e-6
+    d1, _ = fld.leibniz_defect(warp, X0, ar, b, 1e-3)
+    assert np.max(np.abs(d1)) < 1e-9
+    d2, p2 = fld.leibniz_defect(warp, X0, a, b, 1e-3)
+    assert np.max(np.abs(d2)) > 1e-3
+    assert np.max(np.abs(d2 - p2)) < 1e-6
+
+
+@pytest.mark.parametrize("make", [
+    lambda: fld.sigma_warp_field(rate=0.1),
+    lambda: fld.pullback_warp_field(strength=0.05),
+], ids=["sigma_warp", "pullback_warp"])
+def test_axis_rows_match_directional_formulas(make):
+    # row m of the whole-axis derivatives against the formulas along e_m
+    field = make()
+    x = 0.5 * X0
+    h = 1e-3
+    data = field.data(x)
+    t = fld.g2_torsion(field, x, h).T
+    gam = fld.levi_civita_at(field, x, h)
+    a_field = lambda y: (np.arange(8.0) - 3.0) * (1.0 + y @ np.arange(7.0))
+    nabla = fld.covariant_octonion(field, a_field, x, h)
+    t_rows = fld.torsion_octonions(t, data)
+    for m, e_m in enumerate(np.eye(7)):
+        nabla_e = (a_field(x + h * e_m) - a_field(x - h * e_m)) / (2 * h)
+        nabla_e[1:] += np.einsum("imk,m,k->i", gam, e_m, a_field(x)[1:])
+        t_e = np.zeros(8)
+        t_e[1:] = np.einsum("m,mp,pq->q", e_m, t, data.g.g_inv)
+        for row, ref in ((nabla[m], nabla_e), (t_rows[m], t_e)):
+            assert np.max(np.abs(row - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+def test_levi_civita_evaluations_counted(monkeypatch, warp):
+    calls = []
+    real = fld.levi_civita
+
+    def counted(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(fld, "levi_civita", counted)
+    fld.torsion_transformation_residuals(fld.constant_field(), warp.v_at, X0,
+                                         1e-3)
+    assert len(calls) <= 4
+    calls.clear()
+    cli.run_suite("g2field", cli.RunConfig(seed=42))
+    assert len(calls) <= 19
 
 
 def test_torsion_law(warp):
@@ -193,6 +237,14 @@ def test_domain_and_config():
 def test_field_config_fails_closed(cfg):
     with pytest.raises(BadConfig):
         fld.field_from_config(cfg)
+
+
+def test_overflowing_field_config_fails_closed():
+    # valid JSON whose forms overflow to inf: a package error, not numpy's
+    field = fld.field_from_config({"kind": "pullback_warp",
+                                   "params": {"strength": 1e200}})
+    with np.errstate(all="ignore"), pytest.raises(NotPositive):
+        fld.g2_torsion(field, np.full(7, 0.1), 1e-3)
 
 
 def test_domain_check_fails_closed_on_nan():

@@ -66,6 +66,14 @@ def test_not_positive_raises():
         g2.metric_from_3form(bad)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_form_fails_closed(bad):
+    phi = C3.copy()
+    phi[0, 1, 2] = bad
+    with np.errstate(all="ignore"), pytest.raises(NotPositive):
+        g2.metric_from_3form(phi)
+
+
 def test_is_g2_element(data0):
     assert g2.is_g2_element(np.eye(7))
     flip = np.diag([-1.0, 1, 1, 1, 1, 1, 1])

@@ -4,7 +4,8 @@ exterior._signed_perms is the one table behind every antisymmetric index
 operation; no other module may enumerate permutations or bring back the
 hand-rolled sign and antisymmetrizer helpers.  connection._rk4 is the one
 RK4 stepper, and every integrator steps through it; exp_map steps without
-storing a path.  Christoffel symbols meet a velocity only in
+storing a path, and geodesic_with_frame carries its frame through
+_geodesic_steps with no right-hand side of its own.  Christoffel symbols meet a velocity only in
 connection._gamma_dot, with no three-operand einsum.  The batch products
 gather signed permutations: octonion.mul_batch reads its terms from the
 basis table derived from STRUCTURE_CYCLES, and clifford_mul is one dense
@@ -20,7 +21,10 @@ closed form through bilinear_7form, with no least-squares solve, and
 octonion._assoc_raw is the one associator written out.  The Hodge star
 and the form metric share exterior._raised, the one raise of a form.  Every
 check row of the CLI is built by RunConfig.row from the tolerances its
-suite declares, save the one row of fixed tolerance.  The count of
+suite declares, save the one row of fixed tolerance.  The field
+derivatives take every coordinate axis at once: no field function takes a
+direction vector or a default torsion, and
+torsion_transformation_residuals runs no loop.  The count of
 parameters with defaults may not rise above OPTION_BUDGET.
 """
 
@@ -33,7 +37,7 @@ import g2lab
 
 SRC = Path(g2lab.__file__).parent
 
-OPTION_BUDGET = 74
+OPTION_BUDGET = 63
 
 
 def test_only_exterior_enumerates_permutations():
@@ -90,8 +94,7 @@ def test_symbols_meet_velocities_only_in_gamma_dot():
     text = (SRC / "connection.py").read_text()
     for spec in ('"...ijk,...j,...k', '"...ijk,...j,...kc'):
         assert spec not in text
-    for fn in (cn._geodesic_steps, cn.geodesic_with_frame,
-               cn.parallel_transport):
+    for fn in (cn._geodesic_steps, cn.parallel_transport):
         tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
         attrs = {n.attr for n in ast.walk(tree)
                  if isinstance(n, ast.Attribute)}
@@ -108,6 +111,11 @@ def test_symbols_meet_velocities_only_in_gamma_dot():
     tree = ast.parse(inspect.getsource(cn._gamma_dot))
     attrs = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
     assert "matmul" in attrs and "einsum" not in attrs
+    # the frame rides on the geodesic's own right-hand side
+    tree = ast.parse(inspect.getsource(cn.geodesic_with_frame))
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    defs = {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+    assert "_geodesic_steps" in names and "rhs" not in defs
 
 
 def test_mul_batch_gathers_from_the_basis_table():
@@ -294,3 +302,25 @@ def test_rows_are_built_in_one_place():
     assert callers == [("row", "name"),
                        ("suite_akivis", "'cs_table_decreasing'")]
     assert sum(map(is_check, ast.walk(tree))) == 2
+
+
+def test_field_derivatives_take_every_axis():
+    from g2lab import field as fld
+    offenders = []
+    for node in ast.walk(ast.parse((SRC / "field.py").read_text())):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+        defaults = dict(zip([a.arg for a in args][::-1],
+                            node.args.defaults[::-1]))
+        defaults.update((a.arg, d) for a, d in zip(node.args.kwonlyargs,
+                                                   node.args.kw_defaults)
+                        if d is not None)
+        if "direction" in {a.arg for a in args}:
+            offenders.append(f"{node.name}: direction")
+        if "torsion" in defaults:
+            offenders.append(f"{node.name}: torsion default")
+    assert offenders == []
+    tree = ast.parse(inspect.getsource(fld.torsion_transformation_residuals))
+    assert not [n for n in ast.walk(tree)
+                if isinstance(n, (ast.For, ast.comprehension))]
