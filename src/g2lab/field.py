@@ -78,8 +78,12 @@ def levi_civita_at(field: PhiField, x: np.ndarray,
 def nabla_phi(field: PhiField, x: np.ndarray, fd_step: float) -> np.ndarray:
     """Covariant derivative of the 3-form field, nabla_m phi_ijk."""
     x = np.asarray(x, dtype=float)
+    return _nabla_phi(field, x, fd_step, levi_civita_at(field, x, fd_step))
+
+
+def _nabla_phi(field: PhiField, x: np.ndarray, fd_step: float,
+               gam: np.ndarray) -> np.ndarray:
     dphi = central_diff(field.phi, x, fd_step)
-    gam = levi_civita_at(field, x, fd_step)
     p = field.phi(x)
     return (dphi
             - np.einsum("lmi,ljk->mijk", gam, p)
@@ -105,8 +109,14 @@ class G2Torsion:
 def g2_torsion(field: PhiField, x: np.ndarray, fd_step: float) -> G2Torsion:
     """T_mn = (1/48) nabla_m phi_ijk psi_n^ijk, with the residual of
     nabla_m phi = 2 T_m^q psi_q... reported alongside."""
+    x = np.asarray(x, dtype=float)
+    return _g2_torsion(field, x, fd_step, levi_civita_at(field, x, fd_step))
+
+
+def _g2_torsion(field: PhiField, x: np.ndarray, fd_step: float,
+                gam: np.ndarray) -> G2Torsion:
     data = field.data(x)
-    nphi = nabla_phi(field, x, fd_step)
+    nphi = _nabla_phi(field, x, fd_step, gam)
     gi = data.g.g_inv
     psi_raised = _einsum("nabc,ia,jb,kc->nijk", data.psi.comps, gi, gi, gi)
     t = np.einsum("mijk,nijk->mn", nphi, psi_raised) / 48.0
@@ -135,8 +145,13 @@ def covariant_octonion(field: PhiField, a_field, x: np.ndarray,
     """Levi-Civita covariant derivative of an octonion field along every
     coordinate axis: row m is nabla_m A."""
     x = np.asarray(x, dtype=float)
+    return _covariant_octonion(a_field, x, fd_step,
+                               levi_civita_at(field, x, fd_step))
+
+
+def _covariant_octonion(a_field, x: np.ndarray, fd_step: float,
+                        gam: np.ndarray) -> np.ndarray:
     out = central_diff(a_field, x, fd_step)
-    gam = levi_civita_at(field, x, fd_step)
     out[:, 1:] += np.einsum("imk,k->mi", gam, np.asarray(a_field(x))[1:])
     return out
 
@@ -161,16 +176,18 @@ def leibniz_defect(field: PhiField, x: np.ndarray, a: Octonion, b: Octonion,
     the defect equal +[T(X), A, B]; the same identity with the 4-form's
     orientation reads -2 psi(T(X), ., ., .)-sharp."""
     x = np.asarray(x, dtype=float)
-    nab_prod = covariant_octonion(
-        field, lambda y: bundle_mul(a.coeffs, b.coeffs, field.data(y)), x,
-        fd_step)
+    # one Levi-Civita evaluation serves all three derivatives and T
+    gam = levi_civita_at(field, x, fd_step)
+    nab_prod = _covariant_octonion(
+        lambda y: bundle_mul(a.coeffs, b.coeffs, field.data(y)), x, fd_step,
+        gam)
     # constant coefficients: nabla_m A has only the Gamma correction
-    na = covariant_octonion(field, lambda y: a.coeffs, x, fd_step)
-    nb = covariant_octonion(field, lambda y: b.coeffs, x, fd_step)
+    na = _covariant_octonion(lambda y: a.coeffs, x, fd_step, gam)
+    nb = _covariant_octonion(lambda y: b.coeffs, x, fd_step, gam)
     data = field.data(x)
     defect = (nab_prod - bundle_mul(na, b.coeffs, data)
               - bundle_mul(a.coeffs, nb, data))
-    tx = torsion_octonions(g2_torsion(field, x, fd_step).T, data)
+    tx = torsion_octonions(_g2_torsion(field, x, fd_step, gam).T, data)
     pred = (bundle_mul(bundle_mul(tx, a.coeffs, data), b.coeffs, data)
             - bundle_mul(tx, bundle_mul(a.coeffs, b.coeffs, data), data))
     return defect, pred
@@ -268,7 +285,10 @@ def pullback_warp_field(strength: float = 0.05, half_width: float = 0.5,
 
     def phi_at(x):
         a = np.eye(7) + strength * np.einsum("m,mij->ij", x, cs)
-        return pullback_3form(a, C3)
+        # a strength that overflows the pullback gives a non-finite form,
+        # which metric_from_3form refuses as NotPositive
+        with np.errstate(over="ignore", invalid="ignore"):
+            return pullback_3form(a, C3)
 
     return PhiField(phi_at, [[-half_width, half_width]] * 7,
                     name="pullback_warp")

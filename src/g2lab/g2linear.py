@@ -78,11 +78,14 @@ def bilinear_7form(phi: AltTensor, eta: AltTensor) -> np.ndarray:
     from eps^{abcdefg} eta_efg = 6 (star0 eta)^{abcd}, where star0 is the
     Euclidean Hodge star, built from the 35 sorted components of eta.
     With eta = phi it is 6 g vol_scalar, which fixes the metric; divided
-    by vol_scalar it is Bryant's j_phi(eta)."""
+    by vol_scalar it is Bryant's j_phi(eta).  A non-finite or overflowing
+    form gives a non-finite B without a numpy warning: metric_from_3form
+    refuses it as NotPositive."""
     p = phi.comps
-    star = hodge(eta, _EUCLIDEAN7).comps
-    t = np.einsum("jcd,abcd->jab", p, star)
-    return np.einsum("iab,jab->ij", p, t) / 4.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        star = hodge(eta, _EUCLIDEAN7).comps
+        t = np.einsum("jcd,abcd->jab", p, star)
+        return np.einsum("iab,jab->ij", p, t) / 4.0
 
 
 def metric_from_3form(phi: AltTensor | np.ndarray) -> G2MetricData:

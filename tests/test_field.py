@@ -1,6 +1,8 @@
 """G2-structure fields: finite-difference torsion, the octonion covariant
 derivative, and the deformation law for the torsion."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -172,7 +174,36 @@ def test_levi_civita_evaluations_counted(monkeypatch, warp):
     assert len(calls) <= 4
     calls.clear()
     cli.run_suite("g2field", cli.RunConfig(seed=42))
-    assert len(calls) <= 19
+    assert len(calls) <= 16
+
+
+def test_leibniz_defect_takes_one_levi_civita(monkeypatch, warp):
+    rng = np.random.default_rng(3)
+    a, b = Octonion(rng.standard_normal(8)), Octonion(rng.standard_normal(8))
+    # the same defect through the public derivatives, one Gamma each
+    nab = fld.covariant_octonion(
+        warp, lambda y: fld.bundle_mul(a.coeffs, b.coeffs, warp.data(y)), X0,
+        1e-3)
+    na = fld.covariant_octonion(warp, lambda y: a.coeffs, X0, 1e-3)
+    nb = fld.covariant_octonion(warp, lambda y: b.coeffs, X0, 1e-3)
+    data = warp.data(X0)
+    defect = (nab - fld.bundle_mul(na, b.coeffs, data)
+              - fld.bundle_mul(a.coeffs, nb, data))
+    tx = fld.torsion_octonions(fld.g2_torsion(warp, X0, 1e-3).T, data)
+    calls = []
+    real = fld.levi_civita
+
+    def counted(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(fld, "levi_civita", counted)
+    got, pred = fld.leibniz_defect(warp, X0, a, b, 1e-3)
+    assert len(calls) == 1
+    assert np.array_equal(got, defect)
+    ta = fld.bundle_mul(fld.bundle_mul(tx, a.coeffs, data), b.coeffs, data)
+    assert np.array_equal(pred, ta - fld.bundle_mul(
+        tx, fld.bundle_mul(a.coeffs, b.coeffs, data), data))
 
 
 def test_torsion_law(warp):
@@ -245,6 +276,17 @@ def test_overflowing_field_config_fails_closed():
                                    "params": {"strength": 1e200}})
     with np.errstate(all="ignore"), pytest.raises(NotPositive):
         fld.g2_torsion(field, np.full(7, 0.1), 1e-3)
+
+
+def test_overflowing_field_fails_closed_quietly():
+    # the pullback overflows to a non-finite form: NotPositive, and no
+    # numpy warning on the way
+    field = fld.pullback_warp_field(strength=1e200)
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        with pytest.raises(NotPositive):
+            fld.g2_torsion(field, np.full(7, 0.1), 1e-3)
+    assert seen == []
 
 
 def test_domain_check_fails_closed_on_nan():
