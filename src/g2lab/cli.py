@@ -768,8 +768,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", default=None)
     tab = sub.add_parser("tables", help="emit multiplication tables")
     tab.add_argument("--out", required=True)
-    charts = sub.add_parser("charts", help="chart utilities")
-    charts.add_argument("action", choices=["list"])
     return parser
 
 
@@ -802,12 +800,6 @@ def main(argv=None) -> int:
         if args.command == "tables":
             for path in emit_tables(args.out):
                 print(path)
-            return 0
-        if args.command == "charts":
-            from .connection import BUILTIN_CHARTS
-            from .field import FIELD_KINDS
-            print("charts:", ", ".join(BUILTIN_CHARTS))
-            print("fields:", ", ".join(FIELD_KINDS))
             return 0
     except (UnknownSuite, BadConfig) as exc:
         print(f"error: {exc}", file=sys.stderr)

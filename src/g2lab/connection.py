@@ -42,7 +42,6 @@ II.4 (Richardson extrapolation).
 
 from __future__ import annotations
 
-import json
 from math import ceil
 
 import numpy as np
@@ -694,23 +693,6 @@ def cartan_schouten_chart(alpha_param: float,
         metric_field=lambda x: eye, name=f"cartan_schouten({alpha_param})")
 
 
-def levi_civita_chart(metric_field, n: int, domain,
-                      fd_step: float = 1e-5,
-                      name: str = "levi_civita_of") -> ConnectionChart:
-    """Chart whose symbols are the Levi-Civita connection of a metric
-    field, evaluated by central differences (point by point, since the
-    metric field takes one point)."""
-
-    def gamma(x):
-        x = np.asarray(x, dtype=float)
-        rows = [levi_civita(metric_field, p, fd_step)
-                for p in x.reshape(-1, n)]
-        return np.reshape(rows, x.shape[:-1] + (n, n, n))
-
-    return ConnectionChart(n, gamma, domain, metric_field=metric_field,
-                           name=name)
-
-
 def torsion_offset_chart(base: ConnectionChart,
                          s: np.ndarray) -> ConnectionChart:
     """Gamma = base Gamma + S for a constant tensor S (e.g. a totally
@@ -723,127 +705,3 @@ def torsion_offset_chart(base: ConnectionChart,
     return ConnectionChart(base.n, gamma, base.domain,
                            metric_field=base.metric_field,
                            name=f"{base.name}+S")
-
-
-class GridGamma:
-    """Multilinear interpolation of Christoffel symbols sampled on a
-    regular grid over a box."""
-
-    def __init__(self, lo, hi, samples: np.ndarray) -> None:
-        self.lo = np.asarray(lo, dtype=float)
-        self.hi = np.asarray(hi, dtype=float)
-        self.samples = np.asarray(samples, dtype=float)
-        self.shape = np.array(self.samples.shape[:len(self.lo)])
-        self.spacing = (self.hi - self.lo) / (self.shape - 1)
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        rel = (np.asarray(x, dtype=float) - self.lo) / self.spacing
-        cell = np.clip(np.floor(rel).astype(int), 0, self.shape - 2)
-        w = rel - cell
-        n = len(self.lo)
-        out = 0.0
-        for corner in range(2 ** n):
-            bits = [(corner >> b) & 1 for b in range(n)]
-            weight = np.prod([w[..., b] if bits[b] else 1.0 - w[..., b]
-                              for b in range(n)], axis=0)
-            idx = tuple(cell[..., b] + bits[b] for b in range(n))
-            out = out + weight[..., None, None, None] * self.samples[idx]
-        return out
-
-
-# Largest grid grid_chart_from builds, in float64 entries (512 MiB).
-_GRID_MAX_ENTRIES = 2 ** 26
-
-
-def grid_chart_from(chart: ConnectionChart, points_per_axis: int,
-                    shrink: float = 0.0) -> ConnectionChart:
-    """Sample a closed-form chart onto a regular grid.
-
-    Raises BadConfig, before allocating anything, when the samples would
-    exceed _GRID_MAX_ENTRIES float64 entries.
-    """
-    n = chart.n
-    if points_per_axis < 2:
-        raise BadConfig(f"a grid needs at least 2 points per axis, got "
-                        f"{points_per_axis}")
-    entries = points_per_axis ** n * n ** 3
-    if entries > _GRID_MAX_ENTRIES:
-        raise BadConfig(
-            f"a grid of {points_per_axis}^{n} points holds {entries} "
-            f"float64 symbols ({entries * 8 / 2**20:.0f} MiB), over the "
-            f"cap of {_GRID_MAX_ENTRIES} ({_GRID_MAX_ENTRIES * 8 // 2**20} "
-            f"MiB)")
-    lo = chart.domain[:, 0] + shrink
-    hi = chart.domain[:, 1] - shrink
-    axes = [np.linspace(lo[i], hi[i], points_per_axis) for i in range(n)]
-    points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    samples = np.broadcast_to(chart.gamma(points),
-                              points.shape[:-1] + (n, n, n)).copy()
-    gamma = GridGamma(lo, hi, samples)
-    return ConnectionChart(n, gamma, np.stack([lo, hi], axis=1),
-                           metric_field=chart.metric_field,
-                           name=f"{chart.name}-grid")
-
-
-# Largest chart dimension the loader accepts: the octonions' 8.
-_MAX_DIM = 8
-
-_NAMED_METRICS = {
-    "sphere2": (_sphere2_metric, 2, [[0.2, np.pi - 0.2], [-12, 12]]),
-}
-
-
-def chart_from_config(config: dict) -> ConnectionChart:
-    """Build a chart from the JSON chart-definition schema, or BadConfig."""
-    try:
-        n = int(config["dim"])
-        kind = config["kind"]
-        gamma_name = config["gamma"]
-        params = dict(config.get("params", {}))
-        domain = config.get("domain")
-        grid_points = int(params.pop("points", 9))
-        if not 1 <= n <= _MAX_DIM:
-            raise BadConfig(f"dim must be in 1..{_MAX_DIM}, got {n}")
-        if gamma_name == "flat":
-            chart = flat_chart(n)
-        elif gamma_name == "sphere2":
-            chart = sphere2_chart(**params)
-        elif gamma_name == "cartan_schouten":
-            chart = cartan_schouten_chart(**params)
-        elif gamma_name == "levi_civita_of":
-            metric_name = params.pop("metric", "sphere2")
-            if metric_name == "conformal":
-                grad = params.pop("grad", [0.1, 0.0])
-                if np.shape(grad) != (n,):
-                    raise BadConfig(f"grad must hold dim = {n} entries, "
-                                    f"got shape {np.shape(grad)}")
-                chart = conformal_chart(grad)
-            elif metric_name in _NAMED_METRICS:
-                field, nn, dom = _NAMED_METRICS[metric_name]
-                chart = levi_civita_chart(field, nn, dom, name=metric_name)
-            else:
-                raise BadConfig(f"unknown metric {metric_name!r}")
-        else:
-            raise BadConfig(f"unknown gamma builtin {gamma_name!r}")
-        if params and gamma_name in ("flat", "levi_civita_of"):
-            raise BadConfig(f"unknown params {sorted(params)}")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise BadConfig(f"bad chart config: {exc}") from exc
-    if chart.n != n:
-        raise BadConfig(f"gamma {gamma_name!r} builds a {chart.n}-dim "
-                        f"chart, not dim {n}")
-    if domain is not None:
-        chart.domain = _domain_box(domain, n)
-    if kind == "grid":
-        chart = grid_chart_from(chart, grid_points)
-    elif kind != "closed_form":
-        raise BadConfig(f"unknown chart kind {kind!r}")
-    return chart
-
-
-def chart_from_json(path) -> ConnectionChart:
-    with open(path, "r", encoding="utf-8") as fh:
-        return chart_from_config(json.load(fh))
-
-
-BUILTIN_CHARTS = ("flat", "sphere2", "cartan_schouten", "levi_civita_of")

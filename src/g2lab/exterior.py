@@ -221,7 +221,11 @@ class Metric:
             raise SingularMetric(f"metric not positive definite, min eig {eigvals[0]:.3e}")
         self.g = 0.5 * (g + g.T)
         self.g_inv = np.linalg.inv(self.g)
-        self.sqrt_det = float(np.sqrt(np.linalg.det(self.g)))
+        with np.errstate(over="ignore"):
+            self.sqrt_det = float(np.sqrt(np.linalg.det(self.g)))
+        if not 0.0 < self.sqrt_det < np.inf:
+            # det overflowed or underflowed, but its square root need not
+            self.sqrt_det = float(np.exp(np.linalg.slogdet(self.g)[1] / 2))
 
     @classmethod
     def euclidean(cls, n: int) -> "Metric":

@@ -13,14 +13,12 @@ it uses, and every function takes its finite-difference step.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from .connection import (_domain_box, _require_inside, central_diff,
                          levi_civita)
 from .deform import bundle_inverse, bundle_mul, bundle_norm_sq, sigma
-from .errors import BadConfig, NormDrift
+from .errors import NormDrift
 from .exterior import AltTensor, antisymmetrize
 from .g2linear import (G2MetricData, PHI0, _einsum, metric_from_3form,
                        pullback_3form, split2)
@@ -292,32 +290,3 @@ def pullback_warp_field(strength: float = 0.05, half_width: float = 0.5,
 
     return PhiField(phi_at, [[-half_width, half_width]] * 7,
                     name="pullback_warp")
-
-
-def field_from_config(config: dict) -> PhiField:
-    """Build a field from the JSON field-definition schema, or BadConfig."""
-    try:
-        kind = config["kind"]
-        params = config.get("params", {})
-        domain = config.get("domain")
-        if kind == "constant":
-            field = constant_field(**params)
-        elif kind == "sigma_warp":
-            field = sigma_warp_field(**params)
-        elif kind == "pullback_warp":
-            field = pullback_warp_field(**params)
-        else:
-            raise BadConfig(f"unknown field kind {kind!r}")
-        if domain is not None:
-            field.domain = _domain_box(domain, 7)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise BadConfig(f"bad field config: {exc}") from exc
-    return field
-
-
-def field_from_json(path) -> PhiField:
-    with open(path, "r", encoding="utf-8") as fh:
-        return field_from_config(json.load(fh))
-
-
-FIELD_KINDS = ("constant", "sigma_warp", "pullback_warp")

@@ -104,8 +104,13 @@ def metric_from_3form(phi: AltTensor | np.ndarray) -> G2MetricData:
     if eigvals[0] <= EIG_FLOOR * abs(eigvals[-1]):
         raise NotPositive(f"bilinear form not definite, eigs {eigvals[0]:.3e}"
                           f" .. {eigvals[-1]:.3e}")
-    det_b = np.linalg.det(b)
+    with np.errstate(over="ignore"):
+        det_b = np.linalg.det(b)
     root9 = np.sign(det_b) * abs(det_b) ** (1.0 / 9.0)
+    if not 0.0 < abs(root9) < np.inf:
+        # det overflowed or underflowed, but its ninth root need not
+        sign, logdet = np.linalg.slogdet(b)
+        root9 = sign * np.exp(logdet / 9.0)
     g = Metric(6.0 ** (-2.0 / 9.0) / root9 * b)
     vol_scalar = 6.0 ** (-7.0 / 9.0) * root9
     orientation = int(np.sign(vol_scalar))

@@ -414,69 +414,9 @@ def test_akivis_flat_all_h():
     assert max(rep["r2"]) < 1e-8
 
 
-def test_grid_chart_matches_closed_form(sphere):
-    grid = cn.grid_chart_from(sphere, points_per_axis=41)
-    x = np.array([1.03, 0.41])
-    assert np.max(np.abs(grid.gamma(x) - sphere.gamma(x))) < 5e-3
-    end_a = cn.integrate_geodesic(grid, np.array([1.2, 0.3]),
-                                  np.array([0.2, 0.1]), 1.0, 1e-2).endpoint
-    end_b = cn.integrate_geodesic(sphere, np.array([1.2, 0.3]),
-                                  np.array([0.2, 0.1]), 1.0, 1e-2).endpoint
-    assert np.max(np.abs(end_a - end_b)) < 1e-3
-
-
-def test_chart_json_config(tmp_path):
-    import json
-    cfg = {"dim": 7, "kind": "closed_form", "gamma": "cartan_schouten",
-           "params": {"alpha_param": 0.25},
-           "domain": [[-1, 1]] * 7}
-    path = tmp_path / "chart.json"
-    path.write_text(json.dumps(cfg))
-    chart = cn.chart_from_json(path)
-    assert np.max(np.abs(chart.gamma(np.zeros(7)) - 0.25 * C3)) < 1e-15
-    cfg_bad = {"dim": 2, "kind": "closed_form", "gamma": "nope"}
-    with pytest.raises(BadConfig):
-        cn.chart_from_config(cfg_bad)
-    cfg_grid = {"dim": 2, "kind": "grid", "gamma": "sphere2",
-                "params": {"points": 15}}
-    grid = cn.chart_from_config(cfg_grid)
-    assert grid.name.endswith("grid")
-
-
-_SPHERE = {"dim": 2, "kind": "closed_form", "gamma": "sphere2"}
-
-
-@pytest.mark.parametrize("cfg", [
-    {**_SPHERE, "dim": "seven"},
-    {**_SPHERE, "kind": "grid", "params": {"points": "many"}},
-    {**_SPHERE, "params": {"radius": 2.0}},
-    {**_SPHERE, "dim": 3},
-    {"dim": 4, "kind": "closed_form", "gamma": "cartan_schouten",
-     "params": {"alpha_param": 0.25}},
-    {**_SPHERE, "domain": [[0.2, 3.0]]},
-    {"dim": 2, "kind": "closed_form", "gamma": "flat",
-     "params": {"half_width": 3.0}},
-    {"dim": 2, "kind": "closed_form", "gamma": "levi_civita_of",
-     "params": {"metric": "sphere2", "fd_step": 1e-3}},
-    {"dim": 2, "kind": "closed_form", "gamma": "levi_civita_of",
-     "params": {"metric": "conformal", "half_width": 3.0}},
-    # both would ask for terabytes if they reached a builder
-    {"dim": 10 ** 6, "kind": "closed_form", "gamma": "flat"},
-    {"dim": 2, "kind": "closed_form", "gamma": "levi_civita_of",
-     "params": {"metric": "conformal", "grad": [0.1] * 10 ** 6}},
-], ids=["non_numeric_dim", "non_numeric_points", "unknown_param",
-        "dim_mismatch_sphere2", "dim_mismatch_cartan_schouten",
-        "domain_shape", "flat_extra_param", "named_metric_extra_param",
-        "conformal_extra_param", "huge_dim", "grad_length_not_dim"])
-def test_chart_config_fails_closed(cfg):
-    with pytest.raises(BadConfig):
-        cn.chart_from_config(cfg)
-
-
-def test_chart_config_names_dim_mismatch_before_domain():
-    cfg = {**_SPHERE, "dim": 3, "domain": [[0.2, 3.0], [-1.0, 1.0]]}
-    with pytest.raises(BadConfig, match="2-dim chart, not dim 3"):
-        cn.chart_from_config(cfg)
+def test_chart_domain_fails_closed(sphere):
+    with pytest.raises(BadConfig, match=r"shape \(2, 2\)"):
+        cn.ConnectionChart(2, sphere.gamma, [[0.2, 3.0]])
 
 
 # -- the batched engine -------------------------------------------------------
@@ -578,9 +518,7 @@ def test_unreachable_row_raises_no_convergence():
 def test_gamma_contract_batches(sphere):
     s = np.zeros((2, 2, 2))
     s[0, 1, 0], s[0, 0, 1] = 0.1, -0.1
-    charts = [sphere, cn.grid_chart_from(sphere, 15),
-              cn.levi_civita_chart(sphere.metric_field, 2, sphere.domain),
-              cn.torsion_offset_chart(sphere, s),
+    charts = [sphere, cn.torsion_offset_chart(sphere, s),
               cn.conformal_chart(np.array([0.1, 0.0]))]
     xs = np.array([[[1.2, 0.3], [0.9, -0.4]], [[1.5, 0.1], [2.0, 0.7]]])
     for chart in charts:
@@ -680,27 +618,6 @@ def test_normal_loop_integrates_each_distinct_v_once(monkeypatch):
     assert np.array_equal(got[6], vs[6])
     for r in range(6):
         assert np.array_equal(got[r], mu(us[r:r + 1], vs[r:r + 1])[0])
-
-
-def test_grid_size_checked_before_allocating(sphere):
-    import tracemalloc
-    # 9^7 points x 7^3 symbols would be about 13 GB of float64
-    cfg = {"dim": 7, "kind": "grid", "gamma": "cartan_schouten",
-           "params": {"alpha_param": 0.25}}
-    tracemalloc.start()
-    try:
-        with pytest.raises(BadConfig, match="1640558367"):
-            cn.chart_from_config(cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
-    grid = cn.grid_chart_from(sphere, points_per_axis=41)
-    samples = grid.gamma.samples
-    assert samples.shape == (41, 41, 2, 2, 2)
-    axes = [np.linspace(*sphere.domain[i], 41) for i in range(2)]
-    assert np.array_equal(samples[7, 30],
-                          sphere.gamma(np.array([axes[0][7], axes[1][30]])))
 
 
 def _serial_fit(chart, e, h, richardson, h_ode):

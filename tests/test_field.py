@@ -11,7 +11,7 @@ from g2lab import field as fld
 from g2lab.connection import central_diff
 from g2lab.errors import BadConfig, LeftDomain, NormDrift, NotPositive
 from g2lab.exterior import AltTensor
-from g2lab.g2linear import split3
+from g2lab.g2linear import PHI0, split3
 from g2lab.octonion import Octonion
 
 X0 = np.array([0.05, -0.1, 0.2, 0.0, 0.1, -0.05, 0.15])
@@ -251,31 +251,13 @@ def test_domain_and_config():
     cf = fld.constant_field(half_width=0.2)
     with pytest.raises(LeftDomain):
         fld.g2_torsion(cf, np.full(7, 0.1999), 1e-2)
-    field = fld.field_from_config({"kind": "sigma_warp",
-                                   "params": {"rate": 0.2},
-                                   "domain": [[-2, 2]] * 7})
-    assert field.domain[0, 1] == 2.0
-    with pytest.raises(BadConfig):
-        fld.field_from_config({"kind": "nope"})
 
 
-@pytest.mark.parametrize("cfg", [
-    {"kind": "sigma_warp", "params": {"speed": 0.2}},
-    {"kind": "sigma_warp", "params": [0.2]},
-    {"kind": "constant", "domain": [[-1, 1]]},
-    {"kind": "constant", "domain": [[-1, 1]] * 3},
-], ids=["unknown_param", "list_params", "broadcast_domain", "short_domain"])
-def test_field_config_fails_closed(cfg):
-    with pytest.raises(BadConfig):
-        fld.field_from_config(cfg)
-
-
-def test_overflowing_field_config_fails_closed():
-    # valid JSON whose forms overflow to inf: a package error, not numpy's
-    field = fld.field_from_config({"kind": "pullback_warp",
-                                   "params": {"strength": 1e200}})
-    with np.errstate(all="ignore"), pytest.raises(NotPositive):
-        fld.g2_torsion(field, np.full(7, 0.1), 1e-3)
+@pytest.mark.parametrize("domain", [[[-1, 1]], [[-1, 1]] * 3],
+                         ids=["broadcast_domain", "short_domain"])
+def test_field_domain_fails_closed(domain):
+    with pytest.raises(BadConfig, match=r"shape \(7, 2\)"):
+        fld.PhiField(lambda x: PHI0, domain)
 
 
 def test_overflowing_field_fails_closed_quietly():
@@ -298,14 +280,3 @@ def test_domain_check_fails_closed_on_nan():
         cf.check_inside(x)
     with pytest.raises(LeftDomain):
         fld.g2_torsion(cf, x, 1e-3)
-
-
-def test_field_json_roundtrip(tmp_path):
-    import json
-    cfg = {"kind": "pullback_warp", "params": {"strength": 0.03},
-           "domain": [[-0.4, 0.4]] * 7}
-    path = tmp_path / "field.json"
-    path.write_text(json.dumps(cfg))
-    field = fld.field_from_json(path)
-    assert field.name == "pullback_warp"
-    assert fld.g2_torsion(field, np.zeros(7), 1e-3).T.shape == (7, 7)

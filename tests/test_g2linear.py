@@ -81,6 +81,28 @@ def test_non_finite_form_fails_closed(bad):
     assert seen == []
 
 
+@pytest.mark.parametrize("scale", [1e40, 1e90, 1e-40, 1e-90])
+def test_scaled_positive_form_keeps_its_metric(scale, data0):
+    # det of the bilinear form overflows (underflows), and at 1e90 (1e-90)
+    # so does det g; their roots do not, so the metric is scale^(2/3) delta
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        data = g2.metric_from_3form(scale * C3)
+    assert seen == []
+    assert np.max(np.abs(data.g.g / scale ** (2 / 3) - np.eye(7))) < 1e-13
+    assert np.max(np.abs(data.psi.comps / scale ** (4 / 3)
+                         - data0.psi.comps)) < 1e-13
+    assert data.orientation == data0.orientation
+
+
+def test_overflowing_bilinear_form_is_not_positive():
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        with pytest.raises(NotPositive):
+            g2.metric_from_3form(1e110 * C3)
+    assert seen == []
+
+
 def test_is_g2_element(data0):
     assert g2.is_g2_element(np.eye(7))
     flip = np.diag([-1.0, 1, 1, 1, 1, 1, 1])

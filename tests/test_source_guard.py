@@ -18,7 +18,9 @@ table, with no dense outer product.  A G2-structure is passed as its
 G2MetricData alone, never beside a phi it could disagree with, and the
 2-form operator R is defined once, as star(phi ^ .).  split3 is the
 closed form through bilinear_7form, with no least-squares solve, and
-octonion._assoc_raw is the one associator written out.  The Hodge star
+octonion._assoc_raw is the one associator written out.  Charts and
+fields are built in code: no chart or field config loader, grid chart or
+per-row Levi-Civita chart comes back.  The Hodge star
 and the form metric share exterior._raised, the one raise of a form.  Every
 check row of the CLI is built by RunConfig.row from the tolerances its
 suite declares, save the one row of fixed tolerance.  The field
@@ -37,7 +39,7 @@ import g2lab
 
 SRC = Path(g2lab.__file__).parent
 
-OPTION_BUDGET = 63
+OPTION_BUDGET = 60
 
 
 def test_only_exterior_enumerates_permutations():
@@ -244,9 +246,13 @@ def test_split3_is_closed_form():
     attrs = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
     assert "lstsq" not in attrs and "bilinear_7form" in names
     assert not hasattr(g2, "_sym_basis") and not hasattr(cs, "cs_chart")
+    # nor does the chart and field config layer, which no suite read
+    gone = ("_sym_basis", "cs_chart", "chart_from_config", "grid_chart_from",
+            "GridGamma", "levi_civita_chart", "field_from_config",
+            "BUILTIN_CHARTS", "FIELD_KINDS")
     for path in sorted(SRC.glob("*.py")):
         text = path.read_text()
-        for name in ("_sym_basis", "cs_chart"):
+        for name in gone:
             assert name not in text, f"{path.name}: {name}"
 
 
