@@ -33,16 +33,21 @@ product that acts row by row: the symbols meet a velocity only in
 ``exp_inverse`` is one damped Newton iteration over all rows, with a
 per-row convergence mask and a per-row finite-difference Jacobian
 fallback (the batched ``central_diff`` of ``exp_map``); each iteration
-shoots the rows still active through ``exp_map`` in one call.  The
-loop-jet fit evaluates each pass's whole stencil in one batched call of
-each function.
+shoots the rows still active through ``exp_map`` in one call.
+``loop_product`` runs that iteration once over both targets x and y,
+with each shot carrying the parallel frame through
+``geodesic_with_frame``.  A row keeps the frame of the shot it converged
+on, whose geodesic is the one from e to y, so the product takes two
+integrations: that solve, then one ``exp_map`` from y of the
+transported exp_e^-1(x).  The loop-jet fit evaluates each pass's whole
+stencil in one batched call of each function.
 References: Hairer, Norsett & Wanner, Solving ODEs I, II.1 (RK4) and
 II.4 (Richardson extrapolation).
 """
 
 from __future__ import annotations
 
-from math import ceil
+from math import ceil, inf
 
 import numpy as np
 
@@ -134,6 +139,10 @@ class Path:
 
 
 def _steps_for(t_end: float, h: float) -> int:
+    """RK4 steps over t_end at step h; BadConfig unless h is finite and
+    positive (a NaN h fails the comparison too)."""
+    if not 0.0 < h < inf:
+        raise BadConfig(f"step size h must be finite and positive, got {h}")
     return max(1, ceil(abs(t_end) / h - 1e-12))
 
 
@@ -175,10 +184,11 @@ def _gamma_dot(g: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _geodesic_steps(chart: ConnectionChart, state: tuple, t_end: float,
-                    h: float):
+                    n_steps: int):
     """Yield the geodesic state (x, v), or (x, v, M) with the parallel
-    frame M carried along, after each _rk4 step, with the batch checked
-    against the domain at the start and after every step."""
+    frame M carried along, after each of n_steps _rk4 steps over t_end,
+    with the batch checked against the domain at the start and after
+    every step."""
     gamma = chart.gamma
 
     def rhs(t, state):
@@ -188,7 +198,6 @@ def _geodesic_steps(chart: ConnectionChart, state: tuple, t_end: float,
                 *[-np.matmul(a, m) for m in frame])
 
     chart.check_inside(state[0])
-    n_steps = _steps_for(t_end, h)
     for state in _rk4(rhs, state, 0.0, t_end / n_steps, n_steps):
         chart.check_inside(state[0])
         yield state
@@ -201,12 +210,13 @@ def integrate_geodesic(chart: ConnectionChart, x0, v0, t_end: float = 1.0,
     x0 and v0 are one point and velocity, shape (n,), or a batch of N,
     shape (N, n); xs and vs of the path then have shape (steps + 1, N, n).
     """
-    x, v = _point_pair(x0, v0)
     n_steps = _steps_for(t_end, h)
+    x, v = _point_pair(x0, v0)
     xs = np.empty((n_steps + 1,) + x.shape)
     vs = np.empty_like(xs)
     xs[0], vs[0] = x, v
-    for i, (x, v) in enumerate(_geodesic_steps(chart, (x, v), t_end, h), 1):
+    for i, (x, v) in enumerate(_geodesic_steps(chart, (x, v), t_end,
+                                               n_steps), 1):
         xs[i], vs[i] = x, v
     return Path(t_end / n_steps * np.arange(n_steps + 1), xs, vs)
 
@@ -219,9 +229,10 @@ def geodesic_with_frame(chart: ConnectionChart, x0, v0, t_end: float = 1.0,
     its parallel transport at the endpoint; for a batch of N geodesics
     the three have shapes (N, n), (N, n) and (N, n, n).
     """
+    n_steps = _steps_for(t_end, h)
     x, v = _point_pair(x0, v0)
     state = (x, v, np.broadcast_to(np.eye(chart.n), x.shape + (chart.n,)))
-    for state in _geodesic_steps(chart, state, t_end, h):
+    for state in _geodesic_steps(chart, state, t_end, n_steps):
         pass
     return state
 
@@ -240,9 +251,9 @@ def parallel_transport(chart: ConnectionChart, path: Path, w0,
         a = _gamma_dot(gamma(x), v)
         return (-np.matmul(a, state[0][..., None])[..., 0],)
 
-    state = (np.array(w0, dtype=float),)
     t0, t1 = float(path.ts[0]), float(path.ts[-1])
     n_steps = _steps_for(t1 - t0, h)
+    state = (np.array(w0, dtype=float),)
     for state in _rk4(rhs, state, t0, (t1 - t0) / n_steps, n_steps):
         pass
     return state[0]
@@ -262,14 +273,28 @@ def exp_map(chart: ConnectionChart, e, v, h: float = 1e-3) -> np.ndarray:
     """Geodesic endpoint exp_e(v) at unit time, for one (e, v) pair or
     for rows of a batch; a row with v = 0 returns its e unintegrated.
     Only the current state is kept while stepping."""
+    n_steps = _steps_for(1.0, h)
     out, v = _point_pair(e, v)
     moving = np.max(np.abs(v), axis=-1) != 0.0
     if moving.any():
         for x, _ in _geodesic_steps(chart, (out[moving], v[moving]), 1.0,
-                                    h):
+                                    n_steps):
             pass
         out[moving] = x
     return out
+
+
+def _exp_with_frame(chart: ConnectionChart, e: np.ndarray, v: np.ndarray,
+                    h: float) -> tuple[np.ndarray, np.ndarray]:
+    """exp_e(v) and the parallel frame along the geodesic for rows e, v
+    of shape (N, n); a row with v = 0 keeps its e and the identity."""
+    out = e.copy()
+    frames = np.tile(np.eye(e.shape[-1]), (len(e), 1, 1))
+    moving = np.max(np.abs(v), axis=-1) != 0.0
+    if moving.any():
+        out[moving], _, frames[moving] = geodesic_with_frame(
+            chart, e[moving], v[moving], 1.0, h)
+    return out, frames
 
 
 def _row_norms(a: np.ndarray) -> np.ndarray:
@@ -278,41 +303,42 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.matmul(a[:, None, :], a[:, :, None])[:, 0, 0])
 
 
-def exp_inverse(chart: ConnectionChart, e, y, h: float = 1e-3,
-                tol: float = 1e-11, max_iter: int = 50,
-                fd_step: float = 1e-6) -> np.ndarray:
-    """Invert the exponential map by damped shooting.
+def _solve_exp(chart: ConnectionChart, e: np.ndarray, y: np.ndarray,
+               h: float, tol: float, max_iter: int, fd_step: float,
+               frame: bool):
+    """Damped Newton shooting for exp_e(v) = y over rows e, y of shape
+    (N, n); returns v, and with frame set also the parallel frame along
+    the shot on which each row converged (the identity where v = 0).
 
-    Newton iteration on v -> exp_e(v) - y, starting from y - e.  The
-    Jacobian starts as the identity (exact at v = 0) and is replaced by a
-    finite-difference Jacobian whenever convergence stalls.  e and y are
-    single points or batches of rows; every row iterates on its own, a
-    row stops when its residual is within tol (a NaN residual never is),
-    and NoConvergence is raised when any row is still open after
-    max_iter shots.
+    A converged row keeps the v of its last shot, so its frame is the one
+    geodesic_with_frame(e, v) gives.  Without frame the shots go through
+    exp_map; the finite-difference Jacobian never carries a frame.
     """
-    e = np.asarray(e, dtype=float)
-    y = np.asarray(y, dtype=float)
-    shape = np.broadcast_shapes(e.shape, y.shape)
-    e = np.broadcast_to(e, shape).reshape(-1, shape[-1])
-    y = np.broadcast_to(y, shape).reshape(-1, shape[-1])
+    if max_iter < 1:
+        raise BadConfig(f"max_iter must be at least 1, got {max_iter}")
     v = y - e
-    rows = len(v)
+    rows, n = v.shape
+    frames = np.empty((rows, n, n)) if frame else None
     jac = None
     has_jac = np.zeros(rows, dtype=bool)
     prev = np.full(rows, np.inf)
     active = np.arange(rows)
     for _ in range(max_iter):
-        r = exp_map(chart, e[active], v[active], h) - y[active]
+        if frame:
+            end, frames[active] = _exp_with_frame(chart, e[active],
+                                                  v[active], h)
+        else:
+            end = exp_map(chart, e[active], v[active], h)
+        r = end - y[active]
         err = np.max(np.abs(r), axis=1)
         open_ = ~(err <= tol)
         active, r, err = active[open_], r[open_], err[open_]
         if active.size == 0:
-            return v.reshape(shape)
+            return v, frames
         stalled = ~has_jac[active] & (err > 0.5 * prev[active])
         if stalled.any():
             if jac is None:
-                jac = np.zeros((rows, shape[-1], shape[-1]))
+                jac = np.zeros((rows, n, n))
             fresh = active[stalled]
             e_fresh = e[fresh]
             jac[fresh] = np.transpose(central_diff(
@@ -334,22 +360,49 @@ def exp_inverse(chart: ConnectionChart, e, y, h: float = 1e-3,
                         f"({active.size} of {rows} rows open)")
 
 
+def exp_inverse(chart: ConnectionChart, e, y, h: float = 1e-3,
+                tol: float = 1e-11, max_iter: int = 50,
+                fd_step: float = 1e-6) -> np.ndarray:
+    """Invert the exponential map by damped shooting.
+
+    Newton iteration on v -> exp_e(v) - y, starting from y - e.  The
+    Jacobian starts as the identity (exact at v = 0) and is replaced by a
+    finite-difference Jacobian whenever convergence stalls.  e and y are
+    single points or batches of rows; every row iterates on its own, a
+    row stops when its residual is within tol (a NaN residual never is),
+    and NoConvergence is raised when any row is still open after
+    max_iter shots (at least 1, else BadConfig).
+    """
+    e = np.asarray(e, dtype=float)
+    y = np.asarray(y, dtype=float)
+    shape = np.broadcast_shapes(e.shape, y.shape)
+    e = np.broadcast_to(e, shape).reshape(-1, shape[-1])
+    y = np.broadcast_to(y, shape).reshape(-1, shape[-1])
+    v, _ = _solve_exp(chart, e, y, h, tol, max_iter, fd_step, frame=False)
+    return v.reshape(shape)
+
+
 def loop_product(chart: ConnectionChart, e, x, y,
                  h: float = 1e-3) -> np.ndarray:
     """Geodesic loop product: shoot exp_e^-1(x), transport it along the
     geodesic from e to y, and shoot from y.
 
     e, x and y are points (n,) or rows (N, n), broadcast together; a row
-    with y = e transports nothing."""
+    with y = e transports nothing.  One Newton solve covers the targets x
+    and y and keeps the frame of each converged shot, so the geodesic
+    from e to y is not integrated again for the transport."""
     e, x, y = np.broadcast_arrays(*(np.asarray(a, dtype=float)
                                     for a in (e, x, y)))
-    w = exp_inverse(chart, e, x, h)
-    vy = exp_inverse(chart, e, y, h)
+    n = e.shape[-1]
+    # exp_inverse's tol, max_iter and fd_step
+    v, frames = _solve_exp(chart, np.concatenate([e, e]).reshape(-1, n),
+                           np.concatenate([x, y]).reshape(-1, n), h, 1e-11,
+                           50, 1e-6, frame=True)
+    w, vy = np.split(v, 2)
     moving = np.max(np.abs(vy), axis=-1) != 0.0
-    if moving.any():
-        _, _, m = geodesic_with_frame(chart, e[moving], vy[moving], 1.0, h)
-        w[moving] = (m @ w[moving][..., None])[..., 0]
-    return exp_map(chart, y, w, h)
+    m = np.split(frames, 2)[1][moving]
+    w[moving] = (m @ w[moving][..., None])[..., 0]
+    return exp_map(chart, y, w.reshape(e.shape), h)
 
 
 # -- loop Taylor coefficients -------------------------------------------------

@@ -245,6 +245,118 @@ def test_batched_loop_product_matches_single_rows(make, e, spread):
     assert np.array_equal(cn.loop_product(chart, es, xs, ys, h), prods)
 
 
+def _four_integration_loop_product(chart, e, x, y, h):
+    """The loop product as two exp_inverse solves, the geodesic with its
+    frame from e to y, and the closing exp_map: the reference bits."""
+    e, x, y = np.broadcast_arrays(*(np.asarray(a, dtype=float)
+                                    for a in (e, x, y)))
+    w = cn.exp_inverse(chart, e, x, h)
+    vy = cn.exp_inverse(chart, e, y, h)
+    moving = np.max(np.abs(vy), axis=-1) != 0.0
+    if moving.any():
+        _, _, m = cn.geodesic_with_frame(chart, e[moving], vy[moving], 1.0, h)
+        w[moving] = (m @ w[moving][..., None])[..., 0]
+    return cn.exp_map(chart, y, w, h)
+
+
+@pytest.mark.parametrize("make, e, spread", [
+    (lambda: cn.flat_chart(4), np.array([0.1, -0.2, 0.3, 0.0]), 0.5),
+    (cn.sphere2_chart, np.array([1.2, 0.3]), 0.15),
+    (lambda: cn.cartan_schouten_chart(0.25), np.zeros(7), 0.3),
+])
+def test_loop_product_keeps_the_four_integration_bits(make, e, spread):
+    chart = make()
+    h = 1e-2
+    rng = np.random.default_rng(17)
+    xs = e + rng.uniform(-spread, spread, (5, chart.n))
+    ys = e + rng.uniform(-spread, spread, (5, chart.n))
+    ys[1] = e
+    xs[2] = e
+    xs[4], ys[4] = e, e
+    assert np.array_equal(cn.loop_product(chart, e, xs, ys, h),
+                          _four_integration_loop_product(chart, e, xs, ys, h))
+    for r in range(5):
+        assert np.array_equal(
+            cn.loop_product(chart, e, xs[r], ys[r], h),
+            _four_integration_loop_product(chart, e, xs[r], ys[r], h))
+
+
+def test_loop_product_runs_two_integrations(monkeypatch):
+    chart = cn.flat_chart(4)
+    rng = np.random.default_rng(2)
+    e = rng.uniform(-0.3, 0.3, 4)
+    xs = e + rng.uniform(-0.5, 0.5, (3, 4))
+    ys = e + rng.uniform(-0.5, 0.5, (3, 4))
+    real = cn._rk4
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(cn, "_rk4", counted)
+    cn.loop_product(chart, e, xs, ys, 0.25)
+    # one framed Newton shot for both targets, then the closing exp_map
+    assert len(calls) == 2
+
+
+def test_framed_solver_keeps_the_converged_frame(sphere, monkeypatch):
+    e = np.array([1.2, 0.3])
+    h = 1e-2
+    vs = np.array([[0.01, 0.02], [0.3, -0.2], [0.0, 0.0], [0.5, 0.6],
+                   [-0.4, 0.1]])
+    ys = cn.exp_map(sphere, e, vs, h)
+    real = cn.geodesic_with_frame
+    batches = []
+
+    def counted(chart, x0, v0, t_end=1.0, h=1e-3):
+        batches.append(len(v0))
+        return real(chart, x0, v0, t_end, h)
+
+    monkeypatch.setattr(cn, "geodesic_with_frame", counted)
+    es = np.tile(e, (len(vs), 1))
+    v, frames = cn._solve_exp(sphere, es, ys, h, 1e-11, 50, 1e-6,
+                              frame=True)
+    monkeypatch.undo()
+    # every shot carries the moving open rows, and they close one by one
+    assert len(batches) > 1 and batches[0] == 4 and len(set(batches)) > 2
+    assert np.array_equal(v[2], 0 * e) and np.array_equal(frames[2],
+                                                          np.eye(2))
+    for r in (0, 1, 3, 4):
+        assert np.array_equal(frames[r],
+                              cn.geodesic_with_frame(sphere, e, v[r], 1.0,
+                                                     h)[2])
+    plain, none = cn._solve_exp(sphere, es, ys, h, 1e-11, 50, 1e-6,
+                                frame=False)
+    assert none is None and np.array_equal(plain, v)
+
+
+@pytest.mark.parametrize("h", [0.0, -1e-3, np.inf, np.nan])
+def test_bad_step_size_is_refused(sphere, h):
+    e = np.array([1.2, 0.3])
+    v = np.array([0.1, -0.05])
+    y = e + v
+    path = cn.integrate_geodesic(sphere, e, v, 1.0, 0.1)
+    calls = [
+        lambda: cn.integrate_geodesic(sphere, e, v, 1.0, h),
+        lambda: cn.geodesic_with_frame(sphere, e, v, 1.0, h),
+        lambda: cn.parallel_transport(sphere, path, v, h),
+        lambda: cn.exp_map(sphere, e, v, h),
+        lambda: cn.exp_inverse(sphere, e, y, h),
+        lambda: cn.loop_product(sphere, e, y, e - v, h),
+    ]
+    for call in calls:
+        with pytest.raises(BadConfig, match="step size"):
+            call()
+
+
+@pytest.mark.parametrize("max_iter", [0, -1])
+def test_exp_inverse_needs_a_shot(sphere, max_iter):
+    with pytest.raises(BadConfig, match="max_iter"):
+        cn.exp_inverse(sphere, np.array([1.2, 0.3]), np.array([1.3, 0.2]),
+                       1e-2, max_iter=max_iter)
+
+
 def test_exp_map_is_the_path_endpoint(sphere):
     es = np.array([[1.2, 0.3], [1.0, -0.2], [1.4, 0.1]])
     vs = np.array([[0.2, -0.15], [-0.1, 0.3], [0.05, 0.02]])
