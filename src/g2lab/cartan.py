@@ -41,11 +41,11 @@ class CsFamilyPoint:
         self.R = r
 
 
-def cs_tensors(alpha_param: float, k_scale: float = 1.0) -> CsFamilyPoint:
-    """Torsion S = k c with k = k_scale (1 - 2 a)/2 and the curvature
+def cs_tensors(alpha_param: float) -> CsFamilyPoint:
+    """Torsion S = k c with k = (1 - 2 a)/2 and the curvature
     R_ijkl = 4 a (1 - a) S_ij^m S_klm - 4 a (2 - 3 a) S_[ij^m S_kl]m."""
     a = alpha_param
-    k = 0.5 * k_scale * (1.0 - 2.0 * a)
+    k = 0.5 * (1.0 - 2.0 * a)
     s = k * C3
     ss = np.einsum("ijm,klm->ijkl", s, s)
     r = (4.0 * a * (1.0 - a) * ss

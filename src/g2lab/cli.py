@@ -38,18 +38,16 @@ def trial_rng(seed: int, suite: str, trial: int) -> np.random.Generator:
 
 
 class RunConfig:
-    """Seed, trial count, tolerance overrides, output path, and the pinned
-    tolerances of the suite being run, set by run_suite."""
+    """Seed, trial count, tolerance overrides, and the pinned tolerances
+    of the suite being run, set by run_suite."""
 
     def __init__(self, seed: int = 42, trials: int | None = None,
-                 tolerances: dict | None = None,
-                 out: str | None = None) -> None:
+                 tolerances: dict | None = None) -> None:
         if trials is not None and not 1 <= trials <= MAX_TRIALS:
             raise BadConfig(f"trials must be in 1..{MAX_TRIALS}, got {trials}")
         self.seed = int(seed)
         self.trials = trials
         self.tolerances = dict(tolerances or {})
-        self.out = out
         self.pinned = {}
 
     def n_trials(self, default: int) -> int:
@@ -531,7 +529,7 @@ def suite_g2field(config: RunConfig) -> list[dict]:
     cf = fld.constant_field()
     t0 = fld.g2_torsion(cf, x, 1e-3)
     checks = [config.row("constant_torsion", np.max(np.abs(t0.T)))]
-    sw = fld.sigma_warp_field(rate=0.1)
+    sw = fld.sigma_warp_field()
     res1 = fld.torsion_transformation_residuals(cf, sw.v_at, x, 1e-3)
     res2 = fld.torsion_transformation_residuals(cf, sw.v_at, x, 5e-4)
     checks += [config.row("torsion_law", res1["const_norm"]),
@@ -780,13 +778,12 @@ def main(argv=None) -> int:
     try:
         if args.command == "verify":
             config = RunConfig(seed=args.seed, trials=args.trials,
-                               tolerances=_parse_tol(args.tol),
-                               out=args.out)
+                               tolerances=_parse_tol(args.tol))
             report = run_suite(args.suite, config)
             payload = json.dumps(report, indent=1, sort_keys=True)
-            if config.out:
+            if args.out:
                 try:
-                    Path(config.out).write_text(payload + "\n")
+                    Path(args.out).write_text(payload + "\n")
                 except OSError as exc:
                     raise IoError(str(exc)) from exc
             else:

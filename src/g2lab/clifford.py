@@ -12,7 +12,7 @@ import numpy as np
 from .errors import NotImaginary, SignatureMismatch, ZeroReference
 from .exterior import AltTensor
 from .g2linear import G2MetricData
-from .octonion import IMAG_EPS, Octonion, inverse, left_matrix, mul
+from .octonion import Octonion, inverse, left_matrix, mul
 
 def _reorder_sign(a: int, b: int) -> int:
     """Sign from counting transpositions when merging two blades."""
@@ -205,7 +205,7 @@ matrix oracle and the polarized square-norm identity both give 2.
 
 def enveloping_residual(a: Octonion, b: Octonion) -> float:
     """Max-abs residual of the Clifford relation for left translations."""
-    if not a.is_imaginary(IMAG_EPS) or not b.is_imaginary(IMAG_EPS):
+    if not a.is_imaginary() or not b.is_imaginary():
         raise NotImaginary("enveloping relation needs imaginary octonions")
     la, lb = left_matrix(a), left_matrix(b)
     anti = la @ lb + lb @ la

@@ -303,9 +303,15 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.matmul(a[:, None, :], a[:, :, None])[:, 0, 0])
 
 
+# Newton shooting of exp_inverse: the residual within which a row stops,
+# the shot budget, and the finite-difference step of the fallback Jacobian.
+_SHOT_TOL = 1e-11
+_MAX_SHOTS = 50
+_JAC_STEP = 1e-6
+
+
 def _solve_exp(chart: ConnectionChart, e: np.ndarray, y: np.ndarray,
-               h: float, tol: float, max_iter: int, fd_step: float,
-               frame: bool):
+               h: float, tol: float, frame: bool):
     """Damped Newton shooting for exp_e(v) = y over rows e, y of shape
     (N, n); returns v, and with frame set also the parallel frame along
     the shot on which each row converged (the identity where v = 0).
@@ -314,8 +320,6 @@ def _solve_exp(chart: ConnectionChart, e: np.ndarray, y: np.ndarray,
     geodesic_with_frame(e, v) gives.  Without frame the shots go through
     exp_map; the finite-difference Jacobian never carries a frame.
     """
-    if max_iter < 1:
-        raise BadConfig(f"max_iter must be at least 1, got {max_iter}")
     v = y - e
     rows, n = v.shape
     frames = np.empty((rows, n, n)) if frame else None
@@ -323,7 +327,7 @@ def _solve_exp(chart: ConnectionChart, e: np.ndarray, y: np.ndarray,
     has_jac = np.zeros(rows, dtype=bool)
     prev = np.full(rows, np.inf)
     active = np.arange(rows)
-    for _ in range(max_iter):
+    for _ in range(_MAX_SHOTS):
         if frame:
             end, frames[active] = _exp_with_frame(chart, e[active],
                                                   v[active], h)
@@ -342,7 +346,7 @@ def _solve_exp(chart: ConnectionChart, e: np.ndarray, y: np.ndarray,
             fresh = active[stalled]
             e_fresh = e[fresh]
             jac[fresh] = np.transpose(central_diff(
-                lambda w: exp_map(chart, e_fresh, w, h), v[fresh], fd_step),
+                lambda w: exp_map(chart, e_fresh, w, h), v[fresh], _JAC_STEP),
                 (1, 2, 0))
             has_jac[fresh] = True
         step = r
@@ -361,8 +365,7 @@ def _solve_exp(chart: ConnectionChart, e: np.ndarray, y: np.ndarray,
 
 
 def exp_inverse(chart: ConnectionChart, e, y, h: float = 1e-3,
-                tol: float = 1e-11, max_iter: int = 50,
-                fd_step: float = 1e-6) -> np.ndarray:
+                tol: float = _SHOT_TOL) -> np.ndarray:
     """Invert the exponential map by damped shooting.
 
     Newton iteration on v -> exp_e(v) - y, starting from y - e.  The
@@ -371,14 +374,14 @@ def exp_inverse(chart: ConnectionChart, e, y, h: float = 1e-3,
     single points or batches of rows; every row iterates on its own, a
     row stops when its residual is within tol (a NaN residual never is),
     and NoConvergence is raised when any row is still open after
-    max_iter shots (at least 1, else BadConfig).
+    _MAX_SHOTS (50) shots.
     """
     e = np.asarray(e, dtype=float)
     y = np.asarray(y, dtype=float)
     shape = np.broadcast_shapes(e.shape, y.shape)
     e = np.broadcast_to(e, shape).reshape(-1, shape[-1])
     y = np.broadcast_to(y, shape).reshape(-1, shape[-1])
-    v, _ = _solve_exp(chart, e, y, h, tol, max_iter, fd_step, frame=False)
+    v, _ = _solve_exp(chart, e, y, h, tol, frame=False)
     return v.reshape(shape)
 
 
@@ -394,10 +397,9 @@ def loop_product(chart: ConnectionChart, e, x, y,
     e, x, y = np.broadcast_arrays(*(np.asarray(a, dtype=float)
                                     for a in (e, x, y)))
     n = e.shape[-1]
-    # exp_inverse's tol, max_iter and fd_step
     v, frames = _solve_exp(chart, np.concatenate([e, e]).reshape(-1, n),
-                           np.concatenate([x, y]).reshape(-1, n), h, 1e-11,
-                           50, 1e-6, frame=True)
+                           np.concatenate([x, y]).reshape(-1, n), h,
+                           _SHOT_TOL, frame=True)
     w, vy = np.split(v, 2)
     moving = np.max(np.abs(vy), axis=-1) != 0.0
     m = np.split(frames, 2)[1][moving]
@@ -654,7 +656,6 @@ def curvature_data(chart: ConnectionChart, e,
 
 
 def akivis_check(chart: ConnectionChart, e, h_list,
-                 fd_step: float = 1e-5,
                  h_ode: float = 1.0 / 16) -> dict:
     """Convergence study of the loop/connection relations at e.
 
@@ -664,7 +665,7 @@ def akivis_check(chart: ConnectionChart, e, h_list,
         r2(h) = || 4 beta + nabla T + R ||_inf
     are reported against the tensors from ``curvature_data``.
     """
-    data = curvature_data(chart, e, fd_step)
+    data = curvature_data(chart, e)
     mu_fn = _NormalLoop(chart, e, h_ode)
     # each distinct scale is fitted once: h/2 is often the next h
     jets = {h: _fit_jets(mu_fn, chart.n, h)
@@ -707,15 +708,17 @@ def _sphere2_gamma(x: np.ndarray) -> np.ndarray:
     return g
 
 
-def sphere2_chart(margin: float = 0.2) -> ConnectionChart:
-    """Round unit 2-sphere in polar coordinates (theta, phi)."""
+def sphere2_chart() -> ConnectionChart:
+    """Round unit 2-sphere in polar coordinates (theta, phi), on
+    0.2 <= theta <= pi - 0.2 and |phi| <= 12."""
     return ConnectionChart(
-        2, _sphere2_gamma, [[margin, np.pi - margin], [-12.0, 12.0]],
+        2, _sphere2_gamma, [[0.2, np.pi - 0.2], [-12.0, 12.0]],
         metric_field=_sphere2_metric, name="sphere2")
 
 
-def conformal_chart(grad, half_width: float = 2.0) -> ConnectionChart:
-    """Levi-Civita chart of exp(2 f) delta with linear f = <grad, x>."""
+def conformal_chart(grad) -> ConnectionChart:
+    """Levi-Civita chart of exp(2 f) delta with linear f = <grad, x>, on
+    the box |x^i| <= 2."""
     grad = np.asarray(grad, dtype=float)
     n = grad.size
     eye = np.eye(n)
@@ -729,20 +732,19 @@ def conformal_chart(grad, half_width: float = 2.0) -> ConnectionChart:
                 + np.einsum("j,ik->kij", grad, eye)
                 - np.einsum("k,ij->kij", grad, eye))
 
-    return ConnectionChart(n, gamma, [[-half_width, half_width]] * n,
+    return ConnectionChart(n, gamma, [[-2.0, 2.0]] * n,
                            metric_field=metric, name="conformal")
 
 
-def cartan_schouten_chart(alpha_param: float,
-                          half_width: float = 1.0) -> ConnectionChart:
+def cartan_schouten_chart(alpha_param: float) -> ConnectionChart:
     """Normal-coordinate model of the parallelized 7-sphere family:
     Gamma(x) = k c with k = (1 - 2 a)/2, constant, metric-compatible
-    with the Euclidean metric."""
+    with the Euclidean metric, on the box |x^i| <= 1."""
     k = 0.5 * (1.0 - 2.0 * alpha_param)
     const = k * C3
     eye = np.eye(7)
     return ConnectionChart(
-        7, lambda x: const, [[-half_width, half_width]] * 7,
+        7, lambda x: const, [[-1.0, 1.0]] * 7,
         metric_field=lambda x: eye, name=f"cartan_schouten({alpha_param})")
 
 

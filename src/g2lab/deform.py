@@ -40,8 +40,10 @@ def bundle_mul(a: np.ndarray, b: np.ndarray,
 
 
 def bundle_conj(a: np.ndarray) -> np.ndarray:
+    """Conjugate of one octonion, shape (8,), or of every row of a
+    (..., 8) stack."""
     out = a.copy()
-    out[1:] *= -1.0
+    out[..., 1:] *= -1.0
     return out
 
 

@@ -329,11 +329,11 @@ def sharp(w: np.ndarray, g: Metric) -> np.ndarray:
     return g.g_inv @ np.asarray(w, dtype=float)
 
 
-def volume_form(g: Metric, orientation: int = +1) -> AltTensor:
-    """sqrt(det g) dx^1 ^ ... ^ dx^n, times the orientation sign."""
+def volume_form(g: Metric) -> AltTensor:
+    """sqrt(det g) dx^1 ^ ... ^ dx^n."""
     n = g.n
     vol = AltTensor.basis_form(n, tuple(range(n)))
-    return vol * (orientation * g.sqrt_det)
+    return vol * g.sqrt_det
 
 
 def hodge(a: AltTensor, g: Metric, orientation: int = +1) -> AltTensor:
@@ -347,12 +347,12 @@ def hodge(a: AltTensor, g: Metric, orientation: int = +1) -> AltTensor:
     return AltTensor._from_vals(n, n - k, vals[::-1])
 
 
-def interior_star_residual(x: np.ndarray, a: AltTensor, g: Metric,
-                        orientation: int = +1) -> float:
+def interior_star_residual(x: np.ndarray, a: AltTensor,
+                           g: Metric) -> float:
     """Max-abs residual of star(X . w) = (-1)^(k+1) (X-flat ^ star w)."""
     if a.k < 1:
         raise DegreeUnderflow("identity needs degree >= 1")
-    lhs = hodge(interior(x, a), g, orientation)
+    lhs = hodge(interior(x, a), g)
     xb = AltTensor(a.n, 1, flat(x, g))
-    rhs = wedge(xb, hodge(a, g, orientation)) * ((-1.0) ** (a.k + 1))
+    rhs = wedge(xb, hodge(a, g)) * ((-1.0) ** (a.k + 1))
     return (lhs - rhs).max_abs()

@@ -249,36 +249,34 @@ def closedness_probe(field: PhiField, x: np.ndarray,
 
 # -- shipped field catalog ----------------------------------------------------
 
-def constant_field(half_width: float = 1.0) -> PhiField:
+def constant_field() -> PhiField:
+    """phi(x) = c, the structure constants, on the box |x^i| <= 1."""
     from .octonion import C3
     c = C3.copy()
-    return PhiField(lambda x: c, [[-half_width, half_width]] * 7,
-                    name="constant")
+    return PhiField(lambda x: c, [[-1.0, 1.0]] * 7, name="constant")
 
 
-def sigma_warp_field(rate: float = 0.1, axis: int = 0, unit: int = 1,
-                     half_width: float = 1.0) -> PhiField:
-    """phi(x) = sigma_{V(x)}(phi0) with V(x) = exp(rate x^axis e_unit)."""
+def sigma_warp_field() -> PhiField:
+    """phi(x) = sigma_{V(x)}(phi0) with V(x) = exp(0.1 x[0] e_1), on the
+    box |x^i| <= 1."""
     data0 = metric_from_3form(PHI0)
 
     def v_at(x):
-        return exponential(rate * float(x[axis]) * Octonion.basis(unit)).coeffs
+        return exponential(0.1 * float(x[0]) * Octonion.basis(1)).coeffs
 
     def phi_at(x):
         return sigma(Octonion(v_at(x)), data0).comps
 
-    field = PhiField(phi_at, [[-half_width, half_width]] * 7,
-                     name="sigma_warp")
+    field = PhiField(phi_at, [[-1.0, 1.0]] * 7, name="sigma_warp")
     field.v_at = v_at
     return field
 
 
-def pullback_warp_field(strength: float = 0.05, half_width: float = 0.5,
-                        seed: int = 2) -> PhiField:
+def pullback_warp_field(strength: float = 0.05) -> PhiField:
     """phi(x) = A(x)* phi0 with A(x) = I + strength * sum_m x^m C_m for
-    fixed randomly drawn C_m."""
+    C_m drawn once from seed 2, on the box |x^i| <= 0.5."""
     from .octonion import C3
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(2)
     cs = rng.standard_normal((7, 7, 7)) / np.sqrt(7)
 
     def phi_at(x):
@@ -288,5 +286,4 @@ def pullback_warp_field(strength: float = 0.05, half_width: float = 0.5,
         with np.errstate(over="ignore", invalid="ignore"):
             return pullback_3form(a, C3)
 
-    return PhiField(phi_at, [[-half_width, half_width]] * 7,
-                    name="pullback_warp")
+    return PhiField(phi_at, [[-0.5, 0.5]] * 7, name="pullback_warp")

@@ -162,8 +162,8 @@ class Octonion:
     def dot(self, other: "Octonion") -> float:
         return float(self.coeffs @ other.coeffs)
 
-    def is_imaginary(self, eps: float = IMAG_EPS) -> bool:
-        return abs(self.real) <= eps * max(self.norm(), 1e-300)
+    def is_imaginary(self) -> bool:
+        return abs(self.real) <= IMAG_EPS * max(self.norm(), 1e-300)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -207,9 +207,9 @@ def conj(a: Octonion) -> Octonion:
     return Octonion(out)
 
 
-def inverse(a: Octonion, eps: float = ZERO_EPS) -> Octonion:
+def inverse(a: Octonion) -> Octonion:
     n2 = a.norm_sq()
-    if n2 < eps:
+    if n2 < ZERO_EPS:
         raise ZeroDivisor(f"cannot invert octonion with |a|^2 = {n2:.3e}")
     return Octonion(conj(a).coeffs / n2)
 
@@ -222,9 +222,9 @@ def associator(a: Octonion, b: Octonion, c: Octonion) -> Octonion:
     return Octonion(_assoc_raw(a.coeffs, b.coeffs, c.coeffs))
 
 
-def exponential(a: Octonion, eps: float = IMAG_EPS) -> Octonion:
+def exponential(a: Octonion) -> Octonion:
     """exp of a pure imaginary octonion: cos|a| + a sin|a|/|a|."""
-    if not a.is_imaginary(eps):
+    if not a.is_imaginary():
         raise NotImaginary(f"exponential needs Re = 0, got Re = {a.real:.3e}")
     r = float(np.linalg.norm(a.coeffs[1:]))
     if r < 1e-6:
@@ -237,11 +237,11 @@ def exponential(a: Octonion, eps: float = IMAG_EPS) -> Octonion:
     return Octonion(out)
 
 
-def power(b: Octonion, k: int, eps: float = ZERO_EPS) -> Octonion:
+def power(b: Octonion, k: int) -> Octonion:
     """Integer power, well defined because two elements generate an
     associative subalgebra."""
     n2 = b.norm_sq()
-    if k < 0 and n2 < eps:
+    if k < 0 and n2 < ZERO_EPS:
         raise ZeroDivisor("negative power of a (near) zero octonion")
     if k == 0:
         return Octonion.one()

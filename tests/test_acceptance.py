@@ -229,7 +229,7 @@ def test_criterion_11_field_torsion():
     x = np.array([0.05, -0.1, 0.2, 0.0, 0.1, -0.05, 0.15])
     cf = constant_field()
     t0 = np.max(np.abs(g2_torsion(cf, x, 1e-3).T))
-    sw = sigma_warp_field(rate=0.1)
+    sw = sigma_warp_field()
     r1 = torsion_transformation_residuals(cf, sw.v_at, x, 1e-3)["const_norm"]
     r2 = torsion_transformation_residuals(cf, sw.v_at, x, 5e-4)["const_norm"]
     improves = r2 <= 0.4 * r1

@@ -84,9 +84,8 @@ def test_charts_list():
     assert "invalid choice: 'charts'" in res.stderr
 
 
-def test_run_suite_passes_and_reports(tmp_path):
-    out = tmp_path / "report.json"
-    config = cli.RunConfig(seed=7, trials=200, out=str(out))
+def test_run_suite_passes_and_reports():
+    config = cli.RunConfig(seed=7, trials=200)
     report = cli.run_suite("octonion", config)
     assert report["pass"] is True
     assert report["schema"] == 1

@@ -315,8 +315,7 @@ def test_framed_solver_keeps_the_converged_frame(sphere, monkeypatch):
 
     monkeypatch.setattr(cn, "geodesic_with_frame", counted)
     es = np.tile(e, (len(vs), 1))
-    v, frames = cn._solve_exp(sphere, es, ys, h, 1e-11, 50, 1e-6,
-                              frame=True)
+    v, frames = cn._solve_exp(sphere, es, ys, h, cn._SHOT_TOL, frame=True)
     monkeypatch.undo()
     # every shot carries the moving open rows, and they close one by one
     assert len(batches) > 1 and batches[0] == 4 and len(set(batches)) > 2
@@ -326,7 +325,7 @@ def test_framed_solver_keeps_the_converged_frame(sphere, monkeypatch):
         assert np.array_equal(frames[r],
                               cn.geodesic_with_frame(sphere, e, v[r], 1.0,
                                                      h)[2])
-    plain, none = cn._solve_exp(sphere, es, ys, h, 1e-11, 50, 1e-6,
+    plain, none = cn._solve_exp(sphere, es, ys, h, cn._SHOT_TOL,
                                 frame=False)
     assert none is None and np.array_equal(plain, v)
 
@@ -348,13 +347,6 @@ def test_bad_step_size_is_refused(sphere, h):
     for call in calls:
         with pytest.raises(BadConfig, match="step size"):
             call()
-
-
-@pytest.mark.parametrize("max_iter", [0, -1])
-def test_exp_inverse_needs_a_shot(sphere, max_iter):
-    with pytest.raises(BadConfig, match="max_iter"):
-        cn.exp_inverse(sphere, np.array([1.2, 0.3]), np.array([1.3, 0.2]),
-                       1e-2, max_iter=max_iter)
 
 
 def test_exp_map_is_the_path_endpoint(sphere):

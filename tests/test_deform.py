@@ -162,3 +162,18 @@ def test_bundle_mul_rows_keep_single_call_bits():
                 for x, y in zip(*np.broadcast_arrays(lhs, rhs))]
         assert got.shape == (7, 8)
         assert got.tobytes() == np.array(want).tobytes()
+
+
+def test_bundle_conj_rows_keep_single_call_bits():
+    rng = np.random.default_rng(7)
+    rows = rng.standard_normal((3, 4, 8))
+    rows[0, 0] = -0.0
+    got = df.bundle_conj(rows)
+    assert got.shape == rows.shape
+    want = [df.bundle_conj(r) for r in rows.reshape(-1, 8)]
+    assert got.tobytes() == np.array(want).tobytes()
+    single = df.bundle_conj(rows[1, 2])
+    assert single[0] == rows[1, 2, 0]
+    assert single[1:].tobytes() == (-rows[1, 2, 1:]).tobytes()
+    # every row is conjugated, the first one too
+    assert df.bundle_conj(np.ones((2, 8))).tolist() == [[1.0] + [-1.0] * 7] * 2

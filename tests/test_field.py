@@ -19,7 +19,7 @@ X0 = np.array([0.05, -0.1, 0.2, 0.0, 0.1, -0.05, 0.15])
 
 @pytest.fixture(scope="module")
 def warp():
-    return fld.sigma_warp_field(rate=0.1)
+    return fld.sigma_warp_field()
 
 
 @pytest.fixture(scope="module")
@@ -137,7 +137,7 @@ def test_leibniz_defect(warp):
 
 
 @pytest.mark.parametrize("make", [
-    lambda: fld.sigma_warp_field(rate=0.1),
+    lambda: fld.sigma_warp_field(),
     lambda: fld.pullback_warp_field(strength=0.05),
 ], ids=["sigma_warp", "pullback_warp"])
 def test_axis_rows_match_directional_formulas(make):
@@ -248,9 +248,10 @@ def test_closedness_probe_catalog(warp):
 
 
 def test_domain_and_config():
-    cf = fld.constant_field(half_width=0.2)
+    # the constant field lives on the fixed box |x^i| <= 1
+    cf = fld.constant_field()
     with pytest.raises(LeftDomain):
-        fld.g2_torsion(cf, np.full(7, 0.1999), 1e-2)
+        fld.g2_torsion(cf, np.full(7, 0.9999), 1e-2)
 
 
 @pytest.mark.parametrize("domain", [[[-1, 1]], [[-1, 1]] * 3],

@@ -256,3 +256,33 @@ def test_mul_batch_rejects_other_shapes(a_shape, b_shape):
     with pytest.raises(ValueError) as err:
         oc.mul_batch(np.ones(a_shape), np.ones(b_shape))
     assert str(a_shape) in str(err.value) and str(b_shape) in str(err.value)
+
+
+def test_inversion_floor_is_zero_eps():
+    # |a|^2 a factor 2 on either side of the fixed floor
+    below = Octonion.basis(1) * math.sqrt(0.5 * oc.ZERO_EPS)
+    above = Octonion.basis(1) * math.sqrt(2.0 * oc.ZERO_EPS)
+    assert below.norm_sq() < oc.ZERO_EPS < above.norm_sq()
+    for refuse in (oc.inverse, lambda a: oc.power(a, -1)):
+        with pytest.raises(ZeroDivisor):
+            refuse(below)
+    assert oc.inverse(above).allclose(Octonion.basis(1) * -1.0
+                                      / math.sqrt(2.0 * oc.ZERO_EPS), 1e-3)
+    assert oc.power(above, -1).allclose(oc.inverse(above), 1e-3)
+
+
+def test_imaginary_threshold_is_imag_eps():
+    # Re/|a| a factor 2 on either side of the fixed relative threshold,
+    # at |a| = 1 and at |a| = 1e6
+    for scale in (1.0, 1e6):
+        for ratio, imaginary in ((2.0 * oc.IMAG_EPS, False),
+                                 (0.5 * oc.IMAG_EPS, True)):
+            imag = np.zeros(7)
+            imag[2] = math.sqrt(1.0 - ratio ** 2)
+            a = Octonion.from_parts(ratio, imag) * scale
+            assert a.is_imaginary() is imaginary
+            if imaginary:
+                assert oc.exponential(a).norm() == pytest.approx(1.0, 1e-12)
+            else:
+                with pytest.raises(NotImaginary):
+                    oc.exponential(a)
