@@ -106,53 +106,86 @@ def _octonion_block(a, b, ai, bi, ci) -> list:
     """The worst residual over one row block of norm multiplicativity, the
     two alternativity laws, Moufang, the product expansion, the cross
     product norm law, the double cross product and generalized Jacobi;
-    a and b are general octonions, ai, bi and ci pure imaginary."""
-    from .octonion import mul_batch, norm_batch
+    a and b are general octonions, ai, bi and ci pure imaginary, each an
+    (m, 8) block of rows.
+
+    The products run on (8, m) columns, copied once per block.  Norms and
+    dots take (m, 8) rows, contiguous as the draws are, so that einsum
+    sums each row in one order whatever the layout of the products.  The
+    two halves run in turn, so that only one half's arrays are alive."""
+    return _general_laws(a, b) + _imaginary_laws(ai, bi, ci)
+
+
+def _max_ratio(x, scale) -> float:
+    """max |x| / scale, overwriting x."""
+    np.abs(x, out=x)
+    x /= scale
+    return np.max(x)
+
+
+def _general_laws(a, b) -> list:
+    from .octonion import mul_cols, norm_batch
     na, nb = norm_batch(a), norm_batch(b)
-    ab = mul_batch(a, b)
+    a, b = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
+    ab = mul_cols(a, b)
     rhs = na * nb
-    worst = [np.max(np.abs(norm_batch(ab) - rhs) / rhs)]
-    alt1 = mul_batch(mul_batch(a, a), b) - mul_batch(a, ab)
-    alt2 = mul_batch(ab, b) - mul_batch(a, mul_batch(b, b))
-    worst += [np.max(np.abs(alt1) / (na ** 2 * nb)[:, None]),
-              np.max(np.abs(alt2) / (na * nb ** 2)[:, None])]
+    worst = [np.max(np.abs(norm_batch(ab.T.copy()) - rhs) / rhs)]
+    alt = mul_cols(mul_cols(a, a), b)
+    alt -= mul_cols(a, ab)
+    worst.append(_max_ratio(alt, na ** 2 * nb))
+    alt = mul_cols(ab, b)
+    alt -= mul_cols(a, mul_cols(b, b))
+    worst.append(_max_ratio(alt, na * nb ** 2))
+    return worst
+
+
+def _imaginary_laws(ai, bi, ci) -> list:
+    from .octonion import mul_cols, norm_batch
     nai, nbi = norm_batch(ai), norm_batch(bi)
-    ab_dot = np.einsum("nk,nk->n", ai, bi)[:, None]
-    ac_dot = np.einsum("nk,nk->n", ai, ci)[:, None]
-    aibi = mul_batch(ai, bi)
-    bici = mul_batch(bi, ci)
-    ai_bici = mul_batch(ai, bici)
-    moufang = (ai_bici + mul_batch(bi, mul_batch(ai, ci))
-               + 2.0 * ab_dot * ci)
-    nscale = (nai * nbi * norm_batch(ci))[:, None]
-    worst.append(np.max(np.abs(moufang) / nscale))
-    # expansion of A(BC) for imaginary triples
-    assoc = mul_batch(aibi, ci) - ai_bici
-    one = np.zeros(ai.shape)
-    one[:, 0] = 1.0
-    expansion = (ai_bici + 0.5 * assoc
-                 + np.einsum("nk,nk->n", aibi, ci)[:, None] * one
-                 + np.einsum("nk,nk->n", bi, ci)[:, None] * ai
-                 - ac_dot * bi + ab_dot * ci)
-    worst.append(np.max(np.abs(expansion) / nscale))
+    nscale = nai * nbi * norm_batch(ci)
+    ab_dot = np.einsum("nk,nk->n", ai, bi)
+    ac_dot = np.einsum("nk,nk->n", ai, ci)
+    bc_dot = np.einsum("nk,nk->n", bi, ci)
+    ci_rows = ci
+    ai, bi, ci = (np.ascontiguousarray(d.T) for d in (ai, bi, ci))
+    aibi = mul_cols(ai, bi)
+    bici = mul_cols(bi, ci)
+    ai_bici = mul_cols(ai, bici)
+    moufang = ai_bici + mul_cols(bi, mul_cols(ai, ci)) + 2.0 * ab_dot * ci
+    worst = [_max_ratio(moufang, nscale)]
+    # expansion of A(BC) for imaginary triples; <AB, C> is real, so it
+    # enters row 0 alone, in the same place of the sum
+    assoc = mul_cols(aibi, ci)
+    assoc -= ai_bici
+    aibi_rows = aibi.T.copy()
+    expansion = ai_bici
+    expansion += 0.5 * assoc
+    expansion[0] += np.einsum("nk,nk->n", aibi_rows, ci_rows)
+    expansion += bc_dot * ai
+    expansion -= ac_dot * bi
+    expansion += ab_dot * ci
+    worst.append(_max_ratio(expansion, nscale))
     # cross product laws; the full products are not read again
     ab_cross, bc_cross = aibi, bici
-    ab_cross[:, 0] = 0.0
-    bc_cross[:, 0] = 0.0
-    norm_law = (np.einsum("nk,nk->n", ab_cross, ab_cross)
-                - nai ** 2 * nbi ** 2 + ab_dot[:, 0] ** 2)
+    ab_cross[0] = bc_cross[0] = aibi_rows[:, 0] = 0.0
+    norm_law = (np.einsum("nk,nk->n", aibi_rows, aibi_rows)
+                - nai ** 2 * nbi ** 2 + ab_dot ** 2)
     worst.append(np.max(np.abs(norm_law) / (nai * nbi) ** 2))
-    double = mul_batch(ai, bc_cross)
-    double[:, 0] = 0.0
-    double_rhs = -ab_dot * ci + ac_dot * bi - 0.5 * assoc
-    worst.append(np.max(np.abs(double - double_rhs) / nscale))
-    # generalized Jacobi: sum_cyc [x,[y,z]] = -6 [x,y,z]
-    jac = mul_batch(ai, bc_cross * 2) - mul_batch(bc_cross * 2, ai)
-    ca_cross = mul_batch(ci, ai)
-    ca_cross[:, 0] = 0.0
-    jac += mul_batch(bi, ca_cross * 2) - mul_batch(ca_cross * 2, bi)
-    jac += mul_batch(ci, ab_cross * 2) - mul_batch(ab_cross * 2, ci)
-    worst.append(np.max(np.abs(jac + 6.0 * assoc) / nscale))
+    # generalized Jacobi, sum_cyc [x,[y,z]] = -6 [x,y,z], with each cross
+    # product doubled outside: x (2y) = 2 (x y) exactly, so the double
+    # cross product is its first term
+    double = mul_cols(ai, bc_cross)
+    jac = double - mul_cols(bc_cross, ai)
+    double[0] = 0.0
+    double -= -ab_dot * ci + ac_dot * bi - 0.5 * assoc
+    worst.append(_max_ratio(double, nscale))
+    ca_cross = mul_cols(ci, ai)
+    ca_cross[0] = 0.0
+    jac += mul_cols(bi, ca_cross) - mul_cols(ca_cross, bi)
+    jac += mul_cols(ci, ab_cross) - mul_cols(ab_cross, ci)
+    jac *= 2.0
+    jac += 6.0 * assoc
+    worst.append(_max_ratio(jac, nscale))
     return worst
 
 
@@ -167,7 +200,7 @@ def suite_octonion(config: RunConfig) -> list[dict]:
     # a and b general, then ai, bi and ci pure imaginary, from one stream
     draws = [oc.random_octonions(rng, n, imaginary=k >= 2) for k in range(5)]
     # every identity holds row by row, so only the draws are held whole and
-    # the checks run over blocks of mul_batch's own width; np.maximum keeps
+    # the checks run over blocks of _BLOCK_ROWS rows; np.maximum keeps
     # a NaN, and an inf over finite values, as one np.max over all rows does
     worst = np.full(8, -np.inf)
     for start in range(0, n, oc._BLOCK_ROWS):

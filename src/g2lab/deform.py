@@ -47,15 +47,23 @@ def bundle_conj(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def bundle_norm_sq(a: np.ndarray, data: G2MetricData) -> float:
-    return float(a[0] ** 2 + a[1:] @ (data.g.g @ a[1:]))
+def bundle_norm_sq(a: np.ndarray, data: G2MetricData) -> float | np.ndarray:
+    """a0^2 + g(a', a') of one octonion, shape (8,), as a float, or of
+    every row of a (..., 8) stack, as a (...) array; each row gets the
+    bits a single call gives it."""
+    al = a[..., 1:]
+    n2 = (a[..., 0] ** 2
+          + (al[..., None, :] @ (data.g.g @ al[..., None]))[..., 0, 0])
+    return float(n2) if n2.ndim == 0 else n2
 
 
 def bundle_inverse(a: np.ndarray, data: G2MetricData) -> np.ndarray:
+    """Inverse of one octonion, shape (8,), or of every row of a (..., 8)
+    stack; refused if any row's squared norm is below ZERO_EPS."""
     n2 = bundle_norm_sq(a, data)
-    if n2 < ZERO_EPS:
+    if np.any(n2 < ZERO_EPS):
         raise ZeroDivisor("cannot invert near-zero octonion")
-    return bundle_conj(a) / n2
+    return bundle_conj(a) / np.expand_dims(n2, -1)
 
 
 def ad(v: Octonion, a: Octonion) -> Octonion:

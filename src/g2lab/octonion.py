@@ -271,14 +271,16 @@ def right_matrix(b: Octonion) -> np.ndarray:
     return np.einsum("kij,j->ki", MUL_TENSOR, b.coeffs)
 
 
-# -- batched helpers on (N, 8) coefficient arrays ---------------------------
+# -- batched helpers on (8, m) columns and (N, 8) rows ----------------------
 
-# Rows per block of mul_batch; a block's column buffers take 0.8 MB.  On a
-# 2-core host at N = 1e5 (tracemalloc peak in brackets): 1024-row blocks
-# take 24 ms per call [6.7 MB], 4096-row blocks 16 ms [7.3 MB], 16384-row
-# blocks 13 ms [9.8 MB] and the whole array at once 19 ms [26 MB], against
-# 81 ms [6.4 MB] for the dense einsum.  Wider blocks buy little time for
-# memory that grows with the width.
+# Rows per block of mul_batch and of the octonion suite's checks; every
+# product runs through mul_cols on columns this wide.  On a 2-core host at
+# N = 1e5 (tracemalloc peak in brackets), mul_batch takes 5.3 ms per call
+# in 1024-row blocks [6.6 MB], 3.1 ms in 4096-row blocks [7.2 MB], 3.4 ms
+# in 16384-row blocks [9.7 MB] and 5.1 ms on the whole array at once
+# [26 MB], against 26 ms [6.4 MB] for the dense einsum; the suite's checks
+# take 102, 72, 73 and 74 ms [1.0, 3.7, 15 and 90 MB beside the draws].
+# Wider blocks buy no time for memory that grows with the width.
 _BLOCK_ROWS = 4096
 
 
@@ -296,14 +298,42 @@ def _gather_terms() -> tuple:
 _GATHER_TERMS = _gather_terms()
 
 
+def mul_cols(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Column-wise octonion products of two (8, m) column stacks, as an
+    (8, m) array.
+
+    Column c of the result equals ``mul`` of column c of a and column c
+    of b, bitwise, the sign of a zero included: each basis product is a
+    signed permutation e_i e_j = +-e_k, so output k sums the 8 signed
+    terms a_i b_j in the order of the dense einsum, whose other 448
+    terms are zeros.  Each of the 120 ufuncs runs over one coefficient
+    row of m values, so the rows are best contiguous.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.ndim != 2 or a.shape[0] != 8 or a.shape != b.shape:
+        raise ValueError("mul_cols needs two (8, m) arrays with the same "
+                         f"m, got {a.shape} and {b.shape}")
+    out = np.empty(a.shape)
+    term = np.empty(a.shape[1])
+    # one view per coefficient row, made once rather than per term; the
+    # ufuncs take their output positionally, which parses faster
+    a_rows, b_rows = list(a), list(b)
+    for ok, ((i, j, _), *rest) in zip(out, _GATHER_TERMS):
+        np.multiply(a_rows[i], b_rows[j], ok)
+        for i, j, accumulate in rest:
+            np.multiply(a_rows[i], b_rows[j], term)
+            accumulate(ok, term, ok)
+    # + 0.0 turns a -0 into the +0 of the einsum's zero-started sum
+    return np.add(out, 0.0, out=out)
+
+
 def mul_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise octonion products of two (N, 8) arrays, as an (N, 8) array.
 
     Row r of the result equals ``mul`` of row r of a and row r of b,
-    bitwise, the sign of a zero included: each basis product is a signed
-    permutation e_i e_j = +-e_k, so output k sums the 8 signed terms
-    a_i b_j in the order of the dense einsum, whose other 448 terms are
-    zeros.  The rows run in blocks of a fixed 4096 so that the working
+    bitwise, as in ``mul_cols``, which this runs over blocks of a fixed
+    4096 rows, each copied into columns and back, so that the working
     buffers stay small whatever N is; the block size changes the speed
     only, never a result.
     """
@@ -312,25 +342,11 @@ def mul_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.ndim != 2 or a.shape[1] != 8 or a.shape != b.shape:
         raise ValueError("mul_batch needs two (N, 8) arrays with the same "
                          f"N, got {a.shape} and {b.shape}")
-    n = a.shape[0]
-    out = np.empty((n, 8))
-    width = min(n, _BLOCK_ROWS)
-    a_cols, b_cols, out_cols = np.empty((3, 8, width))
-    term = np.empty(width)
-    for start in range(0, n, _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, n)
-        m = stop - start
-        ac, bc, t = a_cols[:, :m], b_cols[:, :m], term[:m]
-        np.copyto(ac, a[start:stop].T)
-        np.copyto(bc, b[start:stop].T)
-        for k, ((i, j, _), *rest) in enumerate(_GATHER_TERMS):
-            ok = out_cols[k, :m]
-            np.multiply(ac[i], bc[j], out=ok)
-            for i, j, accumulate in rest:
-                np.multiply(ac[i], bc[j], out=t)
-                accumulate(ok, t, out=ok)
-        # + 0.0 turns a -0 into the +0 of the einsum's zero-started sum
-        np.add(out_cols[:, :m].T, 0.0, out=out[start:stop])
+    out = np.empty(a.shape)
+    for start in range(0, len(a), _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        out[rows] = mul_cols(np.ascontiguousarray(a[rows].T),
+                             np.ascontiguousarray(b[rows].T)).T
     return out
 
 

@@ -177,3 +177,34 @@ def test_bundle_conj_rows_keep_single_call_bits():
     assert single[1:].tobytes() == (-rows[1, 2, 1:]).tobytes()
     # every row is conjugated, the first one too
     assert df.bundle_conj(np.ones((2, 8))).tolist() == [[1.0] + [-1.0] * 7] * 2
+
+
+def test_bundle_norm_and_inverse_rows_keep_single_call_bits(data0):
+    rng = np.random.default_rng(8)
+    data = g2.metric_from_3form(g2.pullback_3form(g2.random_gl7(rng), oc.C3))
+    rows = rng.standard_normal((3, 4, 8))
+    rows[0, 0, 0] = -0.0
+    flat = rows.reshape(-1, 8)
+    for fn, shape in ((df.bundle_norm_sq, (3, 4)),
+                      (df.bundle_inverse, (3, 4, 8))):
+        got = fn(rows, data)
+        assert got.shape == shape
+        want = np.array([fn(r, data) for r in flat])
+        assert got.tobytes() == want.tobytes()
+    # a single octonion keeps the bits and the float of the one-row formula
+    a = flat[5]
+    n2 = df.bundle_norm_sq(a, data)
+    assert type(n2) is float
+    assert n2 == float(a[0] ** 2 + a[1:] @ (data.g.g @ a[1:]))
+    assert df.bundle_inverse(a, data).tobytes() == \
+        (df.bundle_conj(a) / n2).tobytes()
+    # the stacks that raised numpy's ValueError from matmul
+    for n in (2, 8):
+        ones = np.ones((n, 8))
+        assert np.allclose(df.bundle_norm_sq(ones, data0), 8.0)
+        assert np.allclose(df.bundle_inverse(ones, data0),
+                           df.bundle_conj(ones) / 8.0)
+    # one row below ZERO_EPS refuses the whole stack
+    flat[7] = 0.0
+    with pytest.raises(ZeroDivisor):
+        df.bundle_inverse(flat, data)

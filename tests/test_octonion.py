@@ -258,6 +258,61 @@ def test_mul_batch_rejects_other_shapes(a_shape, b_shape):
     assert str(a_shape) in str(err.value) and str(b_shape) in str(err.value)
 
 
+@pytest.mark.parametrize("m", [0, 1, 7, 4096, 4097])
+@pytest.mark.parametrize("layout", ["contiguous", "strided"])
+def test_mul_cols_bitwise_equals_mul_per_column(m, layout):
+    rng = np.random.default_rng(13)
+    if layout == "contiguous":
+        a, b = rng.standard_normal((2, 8, m))
+    else:
+        # (8, m) views of (m, 8) rows, and of every other column
+        a = rng.standard_normal((m, 8)).T
+        b = rng.standard_normal((8, 2 * m))[:, ::2]
+        assert m < 2 or not (a.flags.c_contiguous or b.flags.c_contiguous)
+    got = oc.mul_cols(a, b)
+    assert got.shape == (8, m) and got.flags.c_contiguous
+    assert np.array_equal(_bits(got), _bits(oc._mul_raw(a.T, b.T).T))
+    for c in sorted({0, m // 2, m - 1} & set(range(m))):
+        single = oc.mul(Octonion(a[:, c]), Octonion(b[:, c])).coeffs
+        assert np.array_equal(_bits(got[:, c]), _bits(single))
+
+
+def test_mul_cols_turns_signed_zeros_positive():
+    # products of +-0 and +-1 only: every term is a signed zero or +-1
+    rng = np.random.default_rng(14)
+    vals = np.array([0.0, -0.0, 1.0, -1.0])
+    a, b = vals[rng.integers(0, 4, (2, 8, 5000))]
+    got = oc.mul_cols(a, b)
+    assert np.array_equal(_bits(got), _bits(oc._mul_raw(a.T, b.T).T))
+    zeros = got[got == 0.0]
+    assert zeros.size and not np.signbit(zeros).any()
+    # an all -0 column times anything finite is +0 in every coefficient
+    a[:, 0] = -0.0
+    assert _bits(oc.mul_cols(a, b)[:, 0]).tolist() == [0] * 8
+
+
+def test_mul_cols_inf_column_fails_closed():
+    rng = np.random.default_rng(15)
+    a, b = rng.standard_normal((2, 8, 4097))
+    a[2, 4096] = np.inf
+    got = oc.mul_cols(a, b)
+    finite = np.isfinite(got).all(axis=0)
+    assert not finite[4096]
+    assert finite.sum() == 4096
+
+
+@pytest.mark.parametrize("a_shape, b_shape", [
+    ((8, 5), (8, 4)),
+    ((5, 8), (5, 8)),
+    ((8,), (8,)),
+    ((2, 8, 5), (2, 8, 5)),
+])
+def test_mul_cols_rejects_other_shapes(a_shape, b_shape):
+    with pytest.raises(ValueError) as err:
+        oc.mul_cols(np.ones(a_shape), np.ones(b_shape))
+    assert str(a_shape) in str(err.value) and str(b_shape) in str(err.value)
+
+
 def test_inversion_floor_is_zero_eps():
     # |a|^2 a factor 2 on either side of the fixed floor
     below = Octonion.basis(1) * math.sqrt(0.5 * oc.ZERO_EPS)

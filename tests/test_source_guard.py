@@ -7,12 +7,14 @@ RK4 stepper, and every integrator steps through it; exp_map steps without
 storing a path, and geodesic_with_frame carries its frame through
 _geodesic_steps with no right-hand side of its own.  Christoffel symbols meet a velocity only in
 connection._gamma_dot, with no three-operand einsum.  The batch products
-gather signed permutations: octonion.mul_batch reads its terms from the
-basis table derived from STRUCTURE_CYCLES, and clifford_mul is one dense
-gather with no np.add.at loop.  Only exterior knows how a form is
-stored: no other module imports or reads its private names, and
-deform.sigma is written with interior, wedge and form arithmetic.  Only
-exterior and cartan touch the dense Levi-Civita symbol.  exterior.wedge
+gather signed permutations: octonion.mul_cols, the one kernel, reads its
+terms from the basis table derived from STRUCTURE_CYCLES, mul_batch only
+adapts rows to it, the octonion suite runs every product through it in
+columns, and clifford_mul is one dense gather with no np.add.at loop.
+Only exterior knows how a form is stored: no other module imports or
+reads its private names, and deform.sigma is written with interior,
+wedge and form arithmetic.  Only exterior and cartan touch the dense
+Levi-Civita symbol.  exterior.wedge
 and exterior.interior work on sorted components through the shuffle
 table, with no dense outer product.  A G2-structure is passed as its
 G2MetricData alone, never beside a phi it could disagree with, and the
@@ -120,14 +122,21 @@ def test_symbols_meet_velocities_only_in_gamma_dot():
     assert "_geodesic_steps" in names and "rhs" not in defs
 
 
-def test_mul_batch_gathers_from_the_basis_table():
+def test_mul_cols_gathers_from_the_basis_table():
     import numpy as np
     from g2lab import octonion as oc
-    tree = ast.parse(inspect.getsource(oc.mul_batch))
+    tree = ast.parse(inspect.getsource(oc.mul_cols))
     names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     attrs = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
     assert "MUL_TENSOR" not in names and "einsum" not in attrs
     assert "_GATHER_TERMS" in names
+    # mul_batch adapts rows to the one kernel, with no product of its own
+    tree = ast.parse(inspect.getsource(oc.mul_batch))
+    called = {n.func.id for n in ast.walk(tree)
+              if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    assert "mul_cols" in called
+    assert not names & {"_GATHER_TERMS", "MUL_TENSOR", "_BASIS_TABLE"}
     # the terms come from _BASIS_TABLE, with no second hand-written list:
     # the builder's only numbers are the dimension 8 and the sign test's 0
     builder = ast.parse(inspect.getsource(oc._gather_terms))
@@ -142,6 +151,26 @@ def test_mul_batch_gathers_from_the_basis_table():
         for i, j, accumulate in terms:
             sign = 1 if accumulate is np.add else -1
             assert table[i][j] == (k, sign)
+
+
+def test_octonion_suite_runs_its_products_in_columns(monkeypatch):
+    from g2lab import cli
+    from g2lab import octonion as oc
+    real = oc.mul_cols
+    widths = []
+
+    def counted(a, b):
+        widths.append(a.shape[1])
+        return real(a, b)
+
+    def refused(a, b):
+        raise AssertionError("the octonion suite called mul_batch")
+
+    monkeypatch.setattr(oc, "mul_cols", counted)
+    monkeypatch.setattr(oc, "mul_batch", refused)
+    report = cli.run_suite("octonion", cli.RunConfig(seed=5, trials=8193))
+    assert report["pass"] is True
+    assert widths == [4096] * 20 + [4096] * 20 + [1] * 20
 
 
 def test_clifford_has_no_add_at():
