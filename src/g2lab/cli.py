@@ -256,24 +256,24 @@ def suite_exterior(config: RunConfig) -> list[dict]:
                  "vol_scale": 0.0, "antisym_proj": 0.0}
         p = int(rng.integers(1, min(3, n - 1) + 1))
         q = int(rng.integers(1, min(3, n - p) + 1))
-        a = ext.AltTensor(n, p, rng.standard_normal((n,) * p))
-        b = ext.AltTensor(n, q, rng.standard_normal((n,) * q))
+        a = ext.random_form(rng, n, p)
+        b = ext.random_form(rng, n, q)
         sc = max(a.max_abs() * b.max_abs(), 1e-30)
         worst["wedge"] = (ext.wedge(a, b)
                           - ((-1.0) ** (p * q)) * ext.wedge(b, a)).max_abs() / sc
         if p + q + 1 <= n:
-            c = ext.AltTensor(n, 1, rng.standard_normal(n))
+            c = ext.random_form(rng, n, 1)
             assoc = (ext.wedge(ext.wedge(c, a), b)
                      - ext.wedge(c, ext.wedge(a, b))).max_abs()
             worst["wedge"] = _worst((worst["wedge"],
                                      assoc / max(sc * c.max_abs(), 1e-30)))
         hodge2, defining = [], []
         for k in range(0, n + 1):
-            w = ext.AltTensor(n, k, rng.standard_normal((n,) * k))
+            w = ext.random_form(rng, n, k)
             hh = ext.hodge(ext.hodge(w, g), g)
             hodge2.append((hh - ((-1.0) ** (k * (n - k))) * w).max_abs()
                           / max(w.max_abs(), 1e-30))
-            al = ext.AltTensor(n, k, rng.standard_normal((n,) * k))
+            al = ext.random_form(rng, n, k)
             lhs = ext.form_inner(w, al, g) * ext.volume_form(g)
             rhs = ext.wedge(w, ext.hodge(al, g))
             defining.append((lhs - rhs).max_abs()
@@ -281,8 +281,7 @@ def suite_exterior(config: RunConfig) -> list[dict]:
         worst["hodge2"] = _worst(hodge2)
         worst["defining"] = _worst(defining)
         x = rng.standard_normal(n)
-        a3 = ext.AltTensor(n, min(3, n), rng.standard_normal(
-            (n,) * min(3, n)))
+        a3 = ext.random_form(rng, n, min(3, n))
         worst["interior"] = ext.interior(
             x, ext.interior(x, a3)).max_abs() / max(a3.max_abs(), 1e-30)
         w1 = rng.standard_normal(n)

@@ -6,7 +6,9 @@ I = (i1 < ... < ik), in ``itertools.combinations`` order, as ``vals``.
 The coefficient convention is w = (1/k!) w_{i1..ik} dx^{i1} ^ ... ^ dx^{ik},
 that is w = sum over sorted I of w_I dx^I.  A dense (n,)*k array passed
 to ``AltTensor`` is projected: each sorted component is the mean of its
-k! signed orderings.  The dense ``comps``, with every index permutation
+k! signed orderings.  ``random_form`` draws a random form by its sorted
+components directly, with the law of such a projected Gaussian draw but
+none of its n^k numbers.  The dense ``comps``, with every index permutation
 populated, is always the scatter of ``vals``, built on first read and
 cached read-only, so it is exactly antisymmetric with exact zeros at
 repeated indices.  Sums, scalings, ``max_abs``, the wedge product and the
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, permutations
-from math import comb
+from math import comb, factorial, sqrt
 
 import numpy as np
 
@@ -201,6 +203,18 @@ class AltTensor:
 
     def __repr__(self) -> str:
         return f"AltTensor(n={self.n}, k={self.k})"
+
+
+def random_form(rng: np.random.Generator, n: int, k: int) -> AltTensor:
+    """A random k-form with the law of the projected dense draw
+    AltTensor(n, k, rng.standard_normal((n,) * k)), drawn as its C(n, k)
+    sorted components.  Each projected component is the mean of k!
+    independent signed N(0, 1) entries, so N(0, 1/k!), and distinct
+    sorted tuples read disjoint entries; for k <= 1 the bits are those of
+    the dense draw."""
+    out = AltTensor(n, k)  # refuses a degree outside 0..n before drawing
+    out.vals = rng.standard_normal(comb(n, k)) / sqrt(factorial(k))
+    return out
 
 
 class Metric:

@@ -138,16 +138,16 @@ def torsion_octonions(t: np.ndarray, data: G2MetricData) -> np.ndarray:
     return out
 
 
-def covariant_octonion(field: PhiField, a_field, x: np.ndarray,
+def covariant_octonion(field: PhiField, x: np.ndarray, a_field,
                        fd_step: float) -> np.ndarray:
     """Levi-Civita covariant derivative of an octonion field along every
     coordinate axis: row m is nabla_m A."""
     x = np.asarray(x, dtype=float)
-    return _covariant_octonion(a_field, x, fd_step,
+    return _covariant_octonion(x, a_field, fd_step,
                                levi_civita_at(field, x, fd_step))
 
 
-def _covariant_octonion(a_field, x: np.ndarray, fd_step: float,
+def _covariant_octonion(x: np.ndarray, a_field, fd_step: float,
                         gam: np.ndarray) -> np.ndarray:
     out = central_diff(a_field, x, fd_step)
     out[:, 1:] += np.einsum("imk,k->mi", gam, np.asarray(a_field(x))[1:])
@@ -159,7 +159,7 @@ def octonion_covariant_derivative(field: PhiField, x: np.ndarray, a_field,
                                   fd_step: float) -> np.ndarray:
     """D_m A = nabla_m A - A T(e_m) for every axis m, one row each."""
     data = field.data(x)
-    na = covariant_octonion(field, a_field, x, fd_step)
+    na = covariant_octonion(field, x, a_field, fd_step)
     return na - bundle_mul(np.asarray(a_field(x)),
                            torsion_octonions(torsion.T, data), data)
 
@@ -177,11 +177,11 @@ def leibniz_defect(field: PhiField, x: np.ndarray, a: Octonion, b: Octonion,
     # one Levi-Civita evaluation serves all three derivatives and T
     gam = levi_civita_at(field, x, fd_step)
     nab_prod = _covariant_octonion(
-        lambda y: bundle_mul(a.coeffs, b.coeffs, field.data(y)), x, fd_step,
+        x, lambda y: bundle_mul(a.coeffs, b.coeffs, field.data(y)), fd_step,
         gam)
     # constant coefficients: nabla_m A has only the Gamma correction
-    na = _covariant_octonion(lambda y: a.coeffs, x, fd_step, gam)
-    nb = _covariant_octonion(lambda y: b.coeffs, x, fd_step, gam)
+    na = _covariant_octonion(x, lambda y: a.coeffs, fd_step, gam)
+    nb = _covariant_octonion(x, lambda y: b.coeffs, fd_step, gam)
     data = field.data(x)
     defect = (nab_prod - bundle_mul(na, b.coeffs, data)
               - bundle_mul(a.coeffs, nb, data))
@@ -225,8 +225,8 @@ def torsion_transformation_residuals(field: PhiField, v_field, x: np.ndarray,
     ad_t = bundle_mul(bundle_mul(vx, torsion_octonions(base_t.T, data),
                                  data), vinv, data)
     nvinv = covariant_octonion(
-        field, lambda y: bundle_inverse(np.asarray(v_field(y)),
-                                        field.data(y)), x, fd_step)
+        field, x, lambda y: bundle_inverse(np.asarray(v_field(y)),
+                                           field.data(y)), fd_step)
     rhs_gen = ad_t + bundle_mul(vx, nvinv, data)
     return {"const_norm": float(np.max(np.abs(lhs - rhs_const)[:, 1:])),
             "general": float(np.max(np.abs(lhs - rhs_gen)[:, 1:]))}

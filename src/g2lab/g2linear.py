@@ -12,7 +12,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import BadTriple, NotPositive
+from .errors import BadTriple, G2LabError, NotPositive
 from .exterior import (AltTensor, Metric, flat, form_inner, hodge, interior,
                        wedge)
 from .octonion import C3
@@ -132,7 +132,7 @@ def is_g2_element(t: np.ndarray) -> bool:
         loose = max(1e6 * G2_TOL, 1e-6)
         if np.max(np.abs(t.T @ t - np.eye(7))) > loose or \
                 abs(np.linalg.det(t) - 1.0) > loose:
-            raise RuntimeError("phi fixed but metric/volume not: table broken")
+            raise G2LabError("phi fixed but metric/volume not: table broken")
     return bool(ok)
 
 

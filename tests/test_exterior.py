@@ -388,3 +388,67 @@ def test_hodge_and_form_inner_stay_below_half_degree_arrays():
     assert all(a._comps is None for a, _ in forms)
     # one dense 8^4 array alone would be 32 kB
     assert peak < 64_000
+
+
+# -- random forms --------------------------------------------------------------
+
+@pytest.mark.parametrize("n, k", [(4, 0), (4, 1), (7, 0), (7, 1)])
+def test_random_form_low_degree_is_the_dense_draw(n, k):
+    dense = AltTensor(n, k, np.random.default_rng(9).standard_normal((n,) * k))
+    drawn = ext.random_form(np.random.default_rng(9), n, k)
+    assert (drawn.n, drawn.k) == (n, k)
+    assert np.array_equal(drawn.vals, dense.vals)
+
+
+@pytest.mark.parametrize("n, k", [(4, 2), (5, 3), (4, 4)])
+def test_random_form_has_the_law_of_the_projected_dense_draw(n, k):
+    # sqrt(k!) times each sorted component is N(0, 1), independent of the
+    # others.  Over N samples the sample mean has standard deviation
+    # 1/sqrt(N) and the sample variance sqrt(2/N), and over T draws a
+    # correlation 1/sqrt(T); each is allowed five of those.
+    draws = {"sorted": lambda rng: ext.random_form(rng, n, k),
+             "dense": lambda rng: AltTensor(n, k,
+                                            rng.standard_normal((n,) * k))}
+    trials = 2000
+    for name, draw in draws.items():
+        rng = np.random.default_rng(10)
+        z = np.sqrt(factorial(k)) * np.array([draw(rng).vals
+                                              for _ in range(trials)])
+        assert z.shape == (trials, comb(n, k)), name
+        assert abs(z.mean()) <= 5 / np.sqrt(z.size), name
+        assert abs(z.var() - 1.0) <= 5 * np.sqrt(2 / z.size), name
+        if z.shape[1] > 1:
+            corr = np.corrcoef(z, rowvar=False)
+            off = corr[~np.eye(len(corr), dtype=bool)]
+            assert np.max(np.abs(off)) <= 5 / np.sqrt(trials), name
+
+
+def test_random_form_sizes_and_degree_range():
+    rng = np.random.default_rng(11)
+    for n in range(1, 9):
+        for k in range(n + 1):
+            form = ext.random_form(rng, n, k)
+            assert (form.n, form.k, form.vals.shape) == (n, k, (comb(n, k),))
+    state = rng.bit_generator.state
+    for k in (-1, 8):
+        with pytest.raises(ValueError, match="outside"):
+            AltTensor(7, k)
+        with pytest.raises(ValueError, match="outside"):
+            ext.random_form(rng, 7, k)
+    # a refused degree draws nothing
+    assert rng.bit_generator.state == state
+
+
+def test_exterior_suite_draws_no_dense_form():
+    import tracemalloc
+    from g2lab import cli
+    cli.run_suite("exterior", cli.RunConfig(seed=56, trials=5))  # warm caches
+    tracemalloc.start()
+    try:
+        cli.run_suite("exterior", cli.RunConfig(seed=56, trials=5))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # seed 56 draws n = 7 in one trial, and a dense 7-form draw alone
+    # would be 7^7 doubles, 6.6 MB
+    assert peak < 256 * 1024

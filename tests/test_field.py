@@ -99,7 +99,7 @@ def test_quasi_derivation_and_metric_compat(warp, warp_torsion):
     prod = lambda y: fld.bundle_mul(afield(y), bfield(y), warp.data(y))
     dab = fld.octonion_covariant_derivative(warp, X0, prod, warp_torsion,
                                             1e-3)
-    na = fld.covariant_octonion(warp, afield, X0, 1e-3)
+    na = fld.covariant_octonion(warp, X0, afield, 1e-3)
     db = fld.octonion_covariant_derivative(warp, X0, bfield, warp_torsion,
                                            1e-3)
     rhs = fld.bundle_mul(na, bfield(X0), data) \
@@ -149,7 +149,7 @@ def test_axis_rows_match_directional_formulas(make):
     t = fld.g2_torsion(field, x, h).T
     gam = fld.levi_civita_at(field, x, h)
     a_field = lambda y: (np.arange(8.0) - 3.0) * (1.0 + y @ np.arange(7.0))
-    nabla = fld.covariant_octonion(field, a_field, x, h)
+    nabla = fld.covariant_octonion(field, x, a_field, h)
     t_rows = fld.torsion_octonions(t, data)
     for m, e_m in enumerate(np.eye(7)):
         nabla_e = (a_field(x + h * e_m) - a_field(x - h * e_m)) / (2 * h)
@@ -182,10 +182,10 @@ def test_leibniz_defect_takes_one_levi_civita(monkeypatch, warp):
     a, b = Octonion(rng.standard_normal(8)), Octonion(rng.standard_normal(8))
     # the same defect through the public derivatives, one Gamma each
     nab = fld.covariant_octonion(
-        warp, lambda y: fld.bundle_mul(a.coeffs, b.coeffs, warp.data(y)), X0,
+        warp, X0, lambda y: fld.bundle_mul(a.coeffs, b.coeffs, warp.data(y)),
         1e-3)
-    na = fld.covariant_octonion(warp, lambda y: a.coeffs, X0, 1e-3)
-    nb = fld.covariant_octonion(warp, lambda y: b.coeffs, X0, 1e-3)
+    na = fld.covariant_octonion(warp, X0, lambda y: a.coeffs, 1e-3)
+    nb = fld.covariant_octonion(warp, X0, lambda y: b.coeffs, 1e-3)
     data = warp.data(X0)
     defect = (nab - fld.bundle_mul(na, b.coeffs, data)
               - fld.bundle_mul(a.coeffs, nb, data))

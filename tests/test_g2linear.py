@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from g2lab import g2linear as g2
-from g2lab.errors import BadTriple, NotPositive
+from g2lab.errors import BadTriple, G2LabError, NotPositive
 from g2lab.exterior import (AltTensor, Metric, form_inner, interior,
                             levi_civita_symbol, volume_form, wedge)
 from g2lab.octonion import C3
@@ -110,6 +110,15 @@ def test_is_g2_element(data0):
     rng = np.random.default_rng(3)
     t = g2.g2_from_triple(*g2.random_admissible_triple(rng))
     assert g2.is_g2_element(t)
+
+
+def test_is_g2_element_broken_table_is_a_package_error(monkeypatch):
+    # a pullback that returns the model form for every T lets a
+    # non-orthogonal T through the 3-form check
+    monkeypatch.setattr(g2, "pullback_3form", lambda t, phi: C3)
+    with pytest.raises(G2LabError, match="table broken"):
+        g2.is_g2_element(2.0 * np.eye(7))
+    assert g2.is_g2_element(np.eye(7))
 
 
 def test_g2_from_triple_examples():
