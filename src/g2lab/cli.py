@@ -575,37 +575,40 @@ def suite_g2field(config: RunConfig) -> list[dict]:
     checks.append(config.row("defining_rate",
                              tb.defining_residual
                              / _worst((ta.defining_residual, 1e-300))))
-    gi = sw.data(x).g.g_inv
+    data = sw.data(x)
+    gi = data.g.g_inv
     t1 = fld.g2_torsion(sw, x, 1e-3)
     parts = [t1.t1, t1.t0, t1.t7, t1.t14]
     ortho = _worst(abs(np.einsum("ij,kl,ik,jl->", parts[i], parts[j], gi, gi))
                    for i in range(4) for j in range(i + 1, 4))
     split_sum = np.max(np.abs(sum(parts) - t1.T))
     checks.append(config.row("torsion_split", (ortho, split_sum)))
-    nphi = fld.nabla_phi(sw, x, 1e-3)
-    s3 = split3(AltTensor(7, 3, nphi[0]), sw.data(x))
+    # the field derivatives below are checked along all seven axes
+    s3 = [split3(AltTensor(7, 3, row), data)
+          for row in fld.nabla_phi(sw, x, 1e-3)]
     checks.append(config.row("vector_part_only",
-                             (abs(s3.f), np.max(np.abs(s3.h0)))))
+                             [r for s in s3
+                              for r in (abs(s.f), np.max(np.abs(s.h0)))]))
     rng = trial_rng(config.seed, "g2field", 0)
     a = Octonion(rng.standard_normal(8))
     b = Octonion(rng.standard_normal(8))
     defect, pred = fld.leibniz_defect(sw, x, a, b, 1e-3)
-    checks.append(config.row(
-        "leibniz_defect", float(np.max(np.abs(defect[0] - pred[0])))))
+    checks.append(config.row("leibniz_defect",
+                             float(np.max(np.abs(defect - pred)))))
     # metric compatibility of D on the warp field
-    data = sw.data(x)
     afield = lambda y: a.coeffs + 0.3 * y[1] * np.eye(8)[3]
     bfield = lambda y: b.coeffs + 0.2 * y[0] * np.eye(8)[5]
-    da = fld.octonion_covariant_derivative(sw, x, afield, t1, 1e-3)[0]
-    db = fld.octonion_covariant_derivative(sw, x, bfield, t1, 1e-3)[0]
+    da = fld.octonion_covariant_derivative(sw, x, afield, 1e-3)
+    db = fld.octonion_covariant_derivative(sw, x, bfield, 1e-3)
 
     def inner(u, v, dat):
         return u[0] * v[0] + u[1:] @ (dat.g.g @ v[1:])
 
     lhs = central_diff(lambda y: inner(afield(y), bfield(y), sw.data(y)),
-                       x, 1e-3)[0]
-    checks.append(config.row("d_metric_compat", abs(
-        lhs - inner(da, bfield(x), data) - inner(afield(x), db, data))))
+                       x, 1e-3)
+    checks.append(config.row("d_metric_compat", [
+        abs(lhs[m] - inner(da[m], bfield(x), data)
+            - inner(afield(x), db[m], data)) for m in range(7)]))
     # closedness probes across the catalog
     dphi0, dpsi0_ = fld.closedness_probe(cf, x, 1e-3)
     dphi1, dpsi1 = fld.closedness_probe(sw, x, 1e-3)

@@ -737,9 +737,10 @@ def conformal_chart(grad) -> ConnectionChart:
 
 
 def cartan_schouten_chart(alpha_param: float) -> ConnectionChart:
-    """Normal-coordinate model of the parallelized 7-sphere family:
-    Gamma(x) = k c with k = (1 - 2 a)/2, constant, metric-compatible
-    with the Euclidean metric, on the box |x^i| <= 1."""
+    """The constant-Gamma model Gamma(x) = k c with k = (1 - 2 a)/2,
+    metric-compatible with the Euclidean metric, on the box |x^i| <= 1.
+    It is not the 7-sphere: at a = 0 its curvature is 0.5, while the
+    sphere's left-parallelizing connection is flat."""
     k = 0.5 * (1.0 - 2.0 * alpha_param)
     const = k * C3
     eye = np.eye(7)

@@ -7,8 +7,9 @@ transformation law under the isometric deformations.
 
 All manifold derivatives are second-order central differences along
 every coordinate axis at once: a derivative of an octonion field returns
-row m for axis m, from one Levi-Civita evaluation.  D takes the torsion
-it uses, and every function takes its finite-difference step.
+row m for axis m.  Every function takes its finite-difference step, and
+a field computes its metric data, Levi-Civita symbol and torsion once
+per point and step, in its one memo.
 """
 
 from __future__ import annotations
@@ -29,14 +30,27 @@ NORM_TOL = 1e-10
 
 
 class PhiField:
-    """A positive 3-form field over an axis-aligned box, with cached
-    pointwise metric data."""
+    """A positive 3-form field over an axis-aligned box, with one memo of
+    the quantities computed at its points."""
 
     def __init__(self, phi_at, domain, name: str = "field") -> None:
         self._phi_at = phi_at
         self.domain = _domain_box(domain, 7)
         self.name = name
-        self._cache: dict[bytes, G2MetricData] = {}
+        self._memo: dict[tuple, object] = {}
+
+    def memo(self, quantity: str, x: np.ndarray, fd_step, compute):
+        """compute(), evaluated once per (quantity, x, fd_step) and kept
+        until the memo outgrows 4096 entries.  compute makes the arrays
+        it returns read-only, so that no caller can change a kept value."""
+        key = (quantity, x.tobytes(), fd_step)
+        hit = self._memo.get(key)
+        if hit is None:
+            if len(self._memo) > 4096:
+                self._memo.clear()
+            hit = compute()
+            self._memo[key] = hit
+        return hit
 
     def check_inside(self, x: np.ndarray) -> None:
         _require_inside(self.domain, x, self.name)
@@ -46,14 +60,14 @@ class PhiField:
 
     def data(self, x: np.ndarray) -> G2MetricData:
         x = np.asarray(x, dtype=float)
-        key = x.tobytes()
-        hit = self._cache.get(key)
-        if hit is None:
-            if len(self._cache) > 4096:
-                self._cache.clear()
-            hit = metric_from_3form(self.phi(x))
-            self._cache[key] = hit
-        return hit
+
+        def compute():
+            data = metric_from_3form(self.phi(x))
+            for a in (data.phi.vals, data.g.g, data.g.g_inv, data.psi.vals):
+                a.setflags(write=False)
+            return data
+
+        return self.memo("data", x, None, compute)
 
     def metric(self, x: np.ndarray) -> np.ndarray:
         return self.data(x).g.g
@@ -65,22 +79,24 @@ class PhiField:
 def levi_civita_at(field: PhiField, x: np.ndarray,
                    fd_step: float) -> np.ndarray:
     """Christoffel symbols of the induced metric by central differences."""
+    x = np.asarray(x, dtype=float)
 
     def metric_inside(y):
         field.check_inside(y)
         return field.metric(y)
 
-    return levi_civita(metric_inside, x, fd_step)
+    def compute():
+        gam = levi_civita(metric_inside, x, fd_step)
+        gam.setflags(write=False)
+        return gam
+
+    return field.memo("levi_civita", x, fd_step, compute)
 
 
 def nabla_phi(field: PhiField, x: np.ndarray, fd_step: float) -> np.ndarray:
     """Covariant derivative of the 3-form field, nabla_m phi_ijk."""
     x = np.asarray(x, dtype=float)
-    return _nabla_phi(field, x, fd_step, levi_civita_at(field, x, fd_step))
-
-
-def _nabla_phi(field: PhiField, x: np.ndarray, fd_step: float,
-               gam: np.ndarray) -> np.ndarray:
+    gam = levi_civita_at(field, x, fd_step)
     dphi = central_diff(field.phi, x, fd_step)
     p = field.phi(x)
     return (dphi
@@ -108,26 +124,27 @@ def g2_torsion(field: PhiField, x: np.ndarray, fd_step: float) -> G2Torsion:
     """T_mn = (1/48) nabla_m phi_ijk psi_n^ijk, with the residual of
     nabla_m phi = 2 T_m^q psi_q... reported alongside."""
     x = np.asarray(x, dtype=float)
-    return _g2_torsion(field, x, fd_step, levi_civita_at(field, x, fd_step))
 
+    def compute():
+        data = field.data(x)
+        nphi = nabla_phi(field, x, fd_step)
+        gi = data.g.g_inv
+        psi_raised = _einsum("nabc,ia,jb,kc->nijk", data.psi.comps,
+                             gi, gi, gi)
+        t = np.einsum("mijk,nijk->mn", nphi, psi_raised) / 48.0
+        recon = 2.0 * _einsum("mp,pq,qijk->mijk", t, gi, data.psi.comps)
+        residual = float(np.max(np.abs(nphi - recon)))
+        trace = float(np.einsum("mn,mn->", t, gi))
+        t1 = trace / 7.0 * data.g.g
+        sym = 0.5 * (t + t.T) - t1
+        parts = split2(AltTensor(7, 2, 0.5 * (t - t.T)), data)
+        # the split's parts are read-only already
+        for a in (t, t1, sym):
+            a.setflags(write=False)
+        return G2Torsion(t, t1, sym, parts.part7.comps, parts.part14.comps,
+                         residual)
 
-def _g2_torsion(field: PhiField, x: np.ndarray, fd_step: float,
-                gam: np.ndarray) -> G2Torsion:
-    data = field.data(x)
-    nphi = _nabla_phi(field, x, fd_step, gam)
-    gi = data.g.g_inv
-    psi_raised = _einsum("nabc,ia,jb,kc->nijk", data.psi.comps, gi, gi, gi)
-    t = np.einsum("mijk,nijk->mn", nphi, psi_raised) / 48.0
-    recon = 2.0 * _einsum("mp,pq,qijk->mijk", t, gi, data.psi.comps)
-    residual = float(np.max(np.abs(nphi - recon)))
-    g = data.g.g
-    trace = float(np.einsum("mn,mn->", t, gi))
-    t1 = trace / 7.0 * g
-    sym = 0.5 * (t + t.T) - t1
-    anti = 0.5 * (t - t.T)
-    parts = split2(AltTensor(7, 2, anti), data)
-    return G2Torsion(t, t1, sym, parts.part7.comps, parts.part14.comps,
-                     residual)
+    return field.memo("torsion", x, fd_step, compute)
 
 
 def torsion_octonions(t: np.ndarray, data: G2MetricData) -> np.ndarray:
@@ -143,25 +160,20 @@ def covariant_octonion(field: PhiField, x: np.ndarray, a_field,
     """Levi-Civita covariant derivative of an octonion field along every
     coordinate axis: row m is nabla_m A."""
     x = np.asarray(x, dtype=float)
-    return _covariant_octonion(x, a_field, fd_step,
-                               levi_civita_at(field, x, fd_step))
-
-
-def _covariant_octonion(x: np.ndarray, a_field, fd_step: float,
-                        gam: np.ndarray) -> np.ndarray:
+    gam = levi_civita_at(field, x, fd_step)
     out = central_diff(a_field, x, fd_step)
     out[:, 1:] += np.einsum("imk,k->mi", gam, np.asarray(a_field(x))[1:])
     return out
 
 
 def octonion_covariant_derivative(field: PhiField, x: np.ndarray, a_field,
-                                  torsion: G2Torsion,
                                   fd_step: float) -> np.ndarray:
-    """D_m A = nabla_m A - A T(e_m) for every axis m, one row each."""
+    """D_m A = nabla_m A - A T(e_m) for every axis m, one row each, with
+    the field's own torsion T at x."""
     data = field.data(x)
     na = covariant_octonion(field, x, a_field, fd_step)
-    return na - bundle_mul(np.asarray(a_field(x)),
-                           torsion_octonions(torsion.T, data), data)
+    tx = torsion_octonions(g2_torsion(field, x, fd_step).T, data)
+    return na - bundle_mul(np.asarray(a_field(x)), tx, data)
 
 
 def leibniz_defect(field: PhiField, x: np.ndarray, a: Octonion, b: Octonion,
@@ -173,19 +185,16 @@ def leibniz_defect(field: PhiField, x: np.ndarray, a: Octonion, b: Octonion,
     The associator orientation of this structure-constant table makes
     the defect equal +[T(X), A, B]; the same identity with the 4-form's
     orientation reads -2 psi(T(X), ., ., .)-sharp."""
-    x = np.asarray(x, dtype=float)
-    # one Levi-Civita evaluation serves all three derivatives and T
-    gam = levi_civita_at(field, x, fd_step)
-    nab_prod = _covariant_octonion(
-        x, lambda y: bundle_mul(a.coeffs, b.coeffs, field.data(y)), fd_step,
-        gam)
+    nab_prod = covariant_octonion(
+        field, x, lambda y: bundle_mul(a.coeffs, b.coeffs, field.data(y)),
+        fd_step)
     # constant coefficients: nabla_m A has only the Gamma correction
-    na = _covariant_octonion(x, lambda y: a.coeffs, fd_step, gam)
-    nb = _covariant_octonion(x, lambda y: b.coeffs, fd_step, gam)
+    na = covariant_octonion(field, x, lambda y: a.coeffs, fd_step)
+    nb = covariant_octonion(field, x, lambda y: b.coeffs, fd_step)
     data = field.data(x)
     defect = (nab_prod - bundle_mul(na, b.coeffs, data)
               - bundle_mul(a.coeffs, nb, data))
-    tx = torsion_octonions(_g2_torsion(field, x, fd_step, gam).T, data)
+    tx = torsion_octonions(g2_torsion(field, x, fd_step).T, data)
     pred = (bundle_mul(bundle_mul(tx, a.coeffs, data), b.coeffs, data)
             - bundle_mul(tx, bundle_mul(a.coeffs, b.coeffs, data), data))
     return defect, pred
@@ -219,7 +228,7 @@ def torsion_transformation_residuals(field: PhiField, v_field, x: np.ndarray,
     base_t = g2_torsion(field, x, fd_step)
     lhs = torsion_octonions(
         g2_torsion(sigma_deformed_field(field, v_field), x, fd_step).T, data)
-    dv = octonion_covariant_derivative(field, x, v_field, base_t, fd_step)
+    dv = octonion_covariant_derivative(field, x, v_field, fd_step)
     rhs_const = -bundle_mul(dv, vinv, data)
     # general law: Ad_V T(e_m) + V nabla_m(V^-1)
     ad_t = bundle_mul(bundle_mul(vx, torsion_octonions(base_t.T, data),

@@ -273,14 +273,13 @@ def right_matrix(b: Octonion) -> np.ndarray:
 
 # -- batched helpers on (8, m) columns and (N, 8) rows ----------------------
 
-# Rows per block of mul_batch and of the octonion suite's checks; every
-# product runs through mul_cols on columns this wide.  On a 2-core host at
-# N = 1e5 (tracemalloc peak in brackets), mul_batch takes 5.3 ms per call
-# in 1024-row blocks [6.6 MB], 3.1 ms in 4096-row blocks [7.2 MB], 3.4 ms
-# in 16384-row blocks [9.7 MB] and 5.1 ms on the whole array at once
-# [26 MB], against 26 ms [6.4 MB] for the dense einsum; the suite's checks
-# take 102, 72, 73 and 74 ms [1.0, 3.7, 15 and 90 MB beside the draws].
-# Wider blocks buy no time for memory that grows with the width.
+# Rows per block of the octonion suite's checks; every product runs
+# through mul_cols on columns this wide.  On a 2-core host at N = 1e5
+# (tracemalloc peak in brackets), the suite's checks take 102 ms in
+# 1024-row blocks [1.0 MB beside the draws], 72 ms in 4096-row blocks
+# [3.7 MB], 73 ms in 16384-row blocks [15 MB] and 74 ms on the whole array
+# at once [90 MB].  Wider blocks buy no time for memory that grows with
+# the width.
 _BLOCK_ROWS = 4096
 
 
@@ -326,28 +325,6 @@ def mul_cols(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             accumulate(ok, term, ok)
     # + 0.0 turns a -0 into the +0 of the einsum's zero-started sum
     return np.add(out, 0.0, out=out)
-
-
-def mul_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise octonion products of two (N, 8) arrays, as an (N, 8) array.
-
-    Row r of the result equals ``mul`` of row r of a and row r of b,
-    bitwise, as in ``mul_cols``, which this runs over blocks of a fixed
-    4096 rows, each copied into columns and back, so that the working
-    buffers stay small whatever N is; the block size changes the speed
-    only, never a result.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 2 or a.shape[1] != 8 or a.shape != b.shape:
-        raise ValueError("mul_batch needs two (N, 8) arrays with the same "
-                         f"N, got {a.shape} and {b.shape}")
-    out = np.empty(a.shape)
-    for start in range(0, len(a), _BLOCK_ROWS):
-        rows = slice(start, start + _BLOCK_ROWS)
-        out[rows] = mul_cols(np.ascontiguousarray(a[rows].T),
-                             np.ascontiguousarray(b[rows].T)).T
-    return out
 
 
 def norm_batch(a: np.ndarray) -> np.ndarray:

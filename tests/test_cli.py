@@ -214,3 +214,18 @@ def test_unwritable_out_exit_code(tmp_path):
     assert cli.main(["verify", "octonion", "--trials", "1",
                      "--out", str(out)]) == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ("verify", "octonion", "--trials", "1", "--out"),
+    ("tables", "--out"),
+], ids=["verify", "tables"])
+def test_io_failure_exits_1_with_one_error_line(tmp_path, command):
+    # a path under a regular file can be neither made nor written
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    res = run_cli(*command, str(blocker / "out"))
+    assert res.returncode == 1
+    assert res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), res.stderr

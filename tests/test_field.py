@@ -72,36 +72,33 @@ def test_derivative_in_vector_type_part(warp):
 
 def test_covariant_derivative_examples(warp, warp_torsion):
     cf = fld.constant_field()
-    t_cf = fld.g2_torsion(cf, X0, 1e-3)
     # constant field, constant octonion
     d0 = fld.octonion_covariant_derivative(
-        cf, X0, lambda y: Octonion.one().coeffs, t_cf, 1e-3)
+        cf, X0, lambda y: Octonion.one().coeffs, 1e-3)
     assert d0.shape == (7, 8)
     assert np.max(np.abs(d0)) < 1e-12
     # plain derivative when torsion-free: row m is d/dx^m
     a_field = lambda y: y[0] * Octonion.basis(2).coeffs
-    d1 = fld.octonion_covariant_derivative(cf, X0, a_field, t_cf, 1e-3)
+    d1 = fld.octonion_covariant_derivative(cf, X0, a_field, 1e-3)
     assert np.max(np.abs(d1[0] - Octonion.basis(2).coeffs)) < 1e-10
     assert np.max(np.abs(d1[1:])) < 1e-10
     # D_m 1 = -T(e_m) on the torsionful field
     d2 = fld.octonion_covariant_derivative(
-        warp, X0, lambda y: Octonion.one().coeffs, warp_torsion, 1e-3)
+        warp, X0, lambda y: Octonion.one().coeffs, 1e-3)
     tx = fld.torsion_octonions(warp_torsion.T, warp.data(X0))
     assert np.max(np.abs(d2 + tx)) < 1e-7
 
 
-def test_quasi_derivation_and_metric_compat(warp, warp_torsion):
+def test_quasi_derivation_and_metric_compat(warp):
     rng = np.random.default_rng(0)
     data = warp.data(X0)
     ca, cb = rng.standard_normal((2, 8))
     afield = lambda y: ca + 0.3 * y[1] * np.eye(8)[3]
     bfield = lambda y: cb + 0.2 * y[0] * np.eye(8)[5]
     prod = lambda y: fld.bundle_mul(afield(y), bfield(y), warp.data(y))
-    dab = fld.octonion_covariant_derivative(warp, X0, prod, warp_torsion,
-                                            1e-3)
+    dab = fld.octonion_covariant_derivative(warp, X0, prod, 1e-3)
     na = fld.covariant_octonion(warp, X0, afield, 1e-3)
-    db = fld.octonion_covariant_derivative(warp, X0, bfield, warp_torsion,
-                                           1e-3)
+    db = fld.octonion_covariant_derivative(warp, X0, bfield, 1e-3)
     rhs = fld.bundle_mul(na, bfield(X0), data) \
         + fld.bundle_mul(afield(X0), db, data)
     assert np.max(np.abs(dab - rhs)) < 1e-6
@@ -109,8 +106,7 @@ def test_quasi_derivation_and_metric_compat(warp, warp_torsion):
     def inner(u, v, dat):
         return u[0] * v[0] + u[1:] @ (dat.g.g @ v[1:])
 
-    da = fld.octonion_covariant_derivative(warp, X0, afield, warp_torsion,
-                                           1e-3)
+    da = fld.octonion_covariant_derivative(warp, X0, afield, 1e-3)
     # d_m <A, B> = <D_m A, B> + <A, D_m B> along every axis m
     lhs = central_diff(
         lambda y: inner(afield(y), bfield(y), warp.data(y)), X0, 1e-3)
@@ -169,12 +165,30 @@ def test_levi_civita_evaluations_counted(monkeypatch, warp):
         return real(*args)
 
     monkeypatch.setattr(fld, "levi_civita", counted)
+    # one for the base field and one for its sigma_V deformation
     fld.torsion_transformation_residuals(fld.constant_field(), warp.v_at, X0,
                                          1e-3)
-    assert len(calls) <= 4
+    assert len(calls) == 2
     calls.clear()
+    # one per distinct (field, point, step) that the suite differentiates
     cli.run_suite("g2field", cli.RunConfig(seed=42))
-    assert len(calls) <= 16
+    assert len(calls) == 7
+
+
+def test_g2field_rows_read_every_axis(monkeypatch):
+    # a Gamma defect on axis 3 alone fails each row built from the field
+    # derivatives, which the suite folds over all seven axes
+    real = fld.levi_civita
+
+    def planted(*args):
+        gam = real(*args).copy()
+        gam[:, 3, :] += 1e-3 * np.arange(49.0).reshape(7, 7) / 49
+        return gam
+
+    monkeypatch.setattr(fld, "levi_civita", planted)
+    report = cli.run_suite("g2field", cli.RunConfig(seed=42))
+    failed = {c["name"] for c in report["checks"] if not c["pass"]}
+    assert {"vector_part_only", "leibniz_defect", "d_metric_compat"} <= failed
 
 
 def test_leibniz_defect_takes_one_levi_civita(monkeypatch, warp):
@@ -198,12 +212,30 @@ def test_leibniz_defect_takes_one_levi_civita(monkeypatch, warp):
         return real(*args)
 
     monkeypatch.setattr(fld, "levi_civita", counted)
-    got, pred = fld.leibniz_defect(warp, X0, a, b, 1e-3)
+    # a fresh field, whose memo holds no Gamma yet
+    got, pred = fld.leibniz_defect(fld.sigma_warp_field(), X0, a, b, 1e-3)
     assert len(calls) == 1
     assert np.array_equal(got, defect)
     ta = fld.bundle_mul(fld.bundle_mul(tx, a.coeffs, data), b.coeffs, data)
     assert np.array_equal(pred, ta - fld.bundle_mul(
         tx, fld.bundle_mul(a.coeffs, b.coeffs, data), data))
+
+
+def test_memo_computes_each_quantity_once_read_only():
+    field = fld.sigma_warp_field()
+    gam = fld.levi_civita_at(field, X0, 1e-3)
+    t = fld.g2_torsion(field, X0, 1e-3)
+    data = field.data(X0)
+    assert fld.levi_civita_at(field, X0.copy(), 1e-3) is gam
+    assert fld.g2_torsion(field, list(X0), 1e-3) is t
+    assert field.data(X0.copy()) is data
+    # another step or point is another entry
+    assert fld.g2_torsion(field, X0, 5e-4) is not t
+    assert fld.levi_civita_at(field, 0.5 * X0, 1e-3) is not gam
+    for kept in (gam, t.T, t.t1, t.t0, t.t7, t.t14, data.g.g, data.g.g_inv,
+                 data.phi.vals, data.psi.vals, data.psi.comps):
+        with pytest.raises(ValueError, match="read-only"):
+            kept[...] = 0.0
 
 
 def test_torsion_law(warp):

@@ -8,9 +8,9 @@ storing a path, and geodesic_with_frame carries its frame through
 _geodesic_steps with no right-hand side of its own.  Christoffel symbols meet a velocity only in
 connection._gamma_dot, with no three-operand einsum.  The batch products
 gather signed permutations: octonion.mul_cols, the one kernel, reads its
-terms from the basis table derived from STRUCTURE_CYCLES, mul_batch only
-adapts rows to it, the octonion suite runs every product through it in
-columns, and clifford_mul is one dense gather with no np.add.at loop.
+terms from the basis table derived from STRUCTURE_CYCLES, the octonion
+suite runs every product through it in columns, and clifford_mul is one
+dense gather with no np.add.at loop.
 Only exterior knows how a form is stored: no other module imports or
 reads its private names, and deform.sigma is written with interior,
 wedge and form arithmetic.  Only exterior and cartan touch the dense
@@ -27,7 +27,8 @@ and the form metric share exterior._raised, the one raise of a form.  Every
 check row of the CLI is built by RunConfig.row from the tolerances its
 suite declares, save the one row of fixed tolerance.  The field
 derivatives take every coordinate axis at once: no field function takes a
-direction vector or a default torsion, and
+direction vector, a Christoffel array or a torsion, none has a private
+twin that takes more, a PhiField holds one memo, and
 torsion_transformation_residuals runs no loop.  The count of
 parameters with defaults may not rise above OPTION_BUDGET.
 """
@@ -130,13 +131,6 @@ def test_mul_cols_gathers_from_the_basis_table():
     attrs = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
     assert "MUL_TENSOR" not in names and "einsum" not in attrs
     assert "_GATHER_TERMS" in names
-    # mul_batch adapts rows to the one kernel, with no product of its own
-    tree = ast.parse(inspect.getsource(oc.mul_batch))
-    called = {n.func.id for n in ast.walk(tree)
-              if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
-    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    assert "mul_cols" in called
-    assert not names & {"_GATHER_TERMS", "MUL_TENSOR", "_BASIS_TABLE"}
     # the terms come from _BASIS_TABLE, with no second hand-written list:
     # the builder's only numbers are the dimension 8 and the sign test's 0
     builder = ast.parse(inspect.getsource(oc._gather_terms))
@@ -163,11 +157,7 @@ def test_octonion_suite_runs_its_products_in_columns(monkeypatch):
         widths.append(a.shape[1])
         return real(a, b)
 
-    def refused(a, b):
-        raise AssertionError("the octonion suite called mul_batch")
-
     monkeypatch.setattr(oc, "mul_cols", counted)
-    monkeypatch.setattr(oc, "mul_batch", refused)
     report = cli.run_suite("octonion", cli.RunConfig(seed=5, trials=8193))
     assert report["pass"] is True
     assert widths == [4096] * 20 + [4096] * 20 + [1] * 20
@@ -353,22 +343,26 @@ def test_rows_are_built_in_one_place():
 
 
 def test_field_derivatives_take_every_axis():
+    import numpy as np
     from g2lab import field as fld
+    params = {}
     offenders = []
     for node in ast.walk(ast.parse((SRC / "field.py").read_text())):
-        if not isinstance(node, ast.FunctionDef):
-            continue
-        args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
-        defaults = dict(zip([a.arg for a in args][::-1],
-                            node.args.defaults[::-1]))
-        defaults.update((a.arg, d) for a, d in zip(node.args.kwonlyargs,
-                                                   node.args.kw_defaults)
-                        if d is not None)
-        if "direction" in {a.arg for a in args}:
-            offenders.append(f"{node.name}: direction")
-        if "torsion" in defaults:
-            offenders.append(f"{node.name}: torsion default")
+        if isinstance(node, ast.FunctionDef):
+            args = node.args.posonlyargs + node.args.args \
+                + node.args.kwonlyargs
+            params[node.name] = {a.arg for a in args}
+            offenders += [f"{node.name}: {arg}" for arg in sorted(
+                params[node.name] & {"direction", "gam", "torsion"})]
+    # a private twin that takes more than its public function, such as a
+    # Christoffel array threaded from one derivative to the next
+    offenders += [f"_{name}: twin of {name}" for name, args in params.items()
+                  if params.get(f"_{name}", args) - args]
     assert offenders == []
+    # the metric data, Levi-Civita symbol and torsion share one memo
+    field = fld.sigma_warp_field()
+    fld.g2_torsion(field, np.zeros(7), 1e-3)
+    assert sum(isinstance(v, dict) for v in vars(field).values()) == 1
     tree = ast.parse(inspect.getsource(fld.torsion_transformation_residuals))
     assert not [n for n in ast.walk(tree)
                 if isinstance(n, (ast.For, ast.comprehension))]
