@@ -531,12 +531,10 @@ def suite_cartan(config: RunConfig) -> list[dict]:
         np.max(np.abs(np.einsum("ijkl,ajkl->ia", psi, psi)
                       - 24.0 * np.eye(7))))))
     # chart fit ratio between two family parameters
-    from .connection import cartan_schouten_chart, fit_fundamental_tensors
-    reps = {}
-    for a in (0.0, 0.25):
-        rep = fit_fundamental_tensors(cartan_schouten_chart(a), np.zeros(7),
-                                      h=1e-2, richardson=False)
-        reps[a] = rep.alpha
+    from .connection import cartan_schouten_chart, fit_alpha
+    reps = {a: fit_alpha(cartan_schouten_chart(a), np.zeros(7), 1e-2,
+                         1.0 / 16)
+            for a in (0.0, 0.25)}
     mask = np.abs(C3) > 0.5
     ratio = reps[0.25][mask] / reps[0.0][mask]
     expect = (1.0 - 2 * 0.25) / (1.0 - 2 * 0.0)

@@ -40,7 +40,10 @@ with each shot carrying the parallel frame through
 on, whose geodesic is the one from e to y, so the product takes two
 integrations: that solve, then one ``exp_map`` from y of the
 transported exp_e^-1(x).  The loop-jet fit evaluates each pass's whole
-stencil in one batched call of each function.
+stencil in one batched call of each function, and shoots each distinct
+(u, v) row once: a diagonal third-order term is a lam row or has a zero
+argument, so it is read, not shot.  ``fit_alpha`` shoots only the lam
+rows, for a caller that reads alpha alone.
 References: Hairer, Norsett & Wanner, Solving ODEs I, II.1 (RK4) and
 II.4 (Richardson extrapolation).
 """
@@ -485,19 +488,33 @@ def _jet_groups(n: int):
     return p, q, np.repeat(np.arange(n), j.size), np.tile(j, n), np.tile(k, n)
 
 
-def _jet_stencil(n: int, h: float):
-    """The (u, v) rows of one fit pass, term by term: 4 lam terms, then 6
-    diagonal and 8 off-diagonal terms with mu(a, w), then the same 14
-    with mu(w, a).  Returns U, V of shape (P, n) and each term's row
-    count."""
+def _lam_stencil(n: int, h: float):
+    """The 4 lam terms mu(+-h e_p, +-h e_q), each over all n * n pairs
+    (p, q) in row-major order."""
     eh = h * np.eye(n)
-    p, q, ol, oj, ok = _jet_groups(n)
-    lam = [(eh[p], eh[q]), (-eh[p], eh[q]), (eh[p], -eh[q]),
-           (-eh[p], -eh[q])]
-    a, w = eh[q], eh[p]      # h e_j and h e_l of the diagonal groups
-    diag = [(a, w), (0 * a, w), (-a, w), (a, -w), (0 * a, -w), (-a, -w)]
+    p, q, *_ = _jet_groups(n)
+    return [(eh[p], eh[q]), (-eh[p], eh[q]), (eh[p], -eh[q]),
+            (-eh[p], -eh[q])]
+
+
+def _lam(t, n: int, h: float) -> np.ndarray:
+    """lam^i_jk from the values t of the 4 terms of ``_lam_stencil``."""
+    lam = np.zeros((n, n, n))
+    p, q, *_ = _jet_groups(n)
+    lam[:, p, q] = ((t[0] - t[1] - t[2] + t[3]) / (4 * h * h)).T
+    return lam
+
+
+def _jet_stencil(n: int, h: float):
+    """The (u, v) rows of one fit pass, term by term: the 4 lam terms,
+    then the 8 off-diagonal terms with mu(a, w), then the same 8 with
+    mu(w, a).  No row repeats: the diagonal third-order terms are lam
+    rows or have a zero argument, and ``_fit_jets`` reads them from
+    those.  Returns U, V of shape (P, n) and each term's row count."""
+    eh = h * np.eye(n)
+    _, _, ol, oj, ok = _jet_groups(n)
     off = [(s1 * eh[oj] + s2 * eh[ok], s3 * eh[ol]) for s1, s2, s3 in _SIGNS3]
-    terms = lam + diag + off + [(v, u) for u, v in diag + off]
+    terms = _lam_stencil(n, h) + off + [(v, u) for u, v in off]
     return (np.concatenate([u for u, _ in terms]),
             np.concatenate([v for _, v in terms]),
             [len(u) for u, _ in terms])
@@ -513,17 +530,20 @@ def _fit_jets(mu_fn, n: int, h: float):
     * mu^i_jkl (symmetric in j, k) from mu(a, +-h e_l) and nu^i_jkl
       (symmetric in k, l) from mu(+-h e_l, a), with a = {1, 0, -1} h e_j
       on the diagonal j = k and a = +-h e_j +- h e_k for j < k.
+
+    The diagonal terms are not shot again: mu(+-h e_j, +-h e_l) is a
+    lam row, and mu(0, w) = mu(w, 0) = w exactly.
     """
     us, vs, sizes = _jet_stencil(n, h)
     t = np.split(mu_fn(us, vs), np.cumsum(sizes)[:-1])
     p, q, ol, oj, ok = _jet_groups(n)
-
-    lam = np.zeros((n, n, n))
-    lam[:, p, q] = ((t[0] - t[1] - t[2] + t[3]) / (4 * h * h)).T
+    lam = _lam(t, n, h)
 
     rows_j = np.concatenate([q, oj])
     rows_k = np.concatenate([q, ok])
     rows_l = np.concatenate([p, ol])
+    w = h * np.eye(n)[p]     # h e_l of the diagonal groups
+    tr = q * n + p           # the lam row of pair (q, p)
 
     def third(d, o, first_double: bool):
         val_d = (d[0] - 2 * d[1] + d[2] - d[3] + 2 * d[4] - d[5]) / (2 * h**3)
@@ -541,8 +561,12 @@ def _fit_jets(mu_fn, n: int, h: float):
             out[:, rows_l, rows_k, rows_j] = val
         return out
 
-    mu3 = third(t[4:10], t[10:18], True)    # mu^i_jkl, symmetric in (j, k)
-    nu3 = third(t[18:24], t[24:32], False)  # nu^i_jkl, symmetric in (k, l)
+    # mu^i_jkl, symmetric in (j, k): mu(a, w), mu(0, w), mu(-a, w),
+    # mu(a, -w), mu(0, -w), mu(-a, -w) with a = h e_j
+    mu3 = third([t[0][tr], w, t[1][tr], t[2][tr], -w, t[3][tr]], t[4:12],
+                True)
+    # nu^i_jkl, symmetric in (k, l): the same terms as mu(w, a)
+    nu3 = third([t[0], w, t[2], t[1], -w, t[3]], t[12:20], False)
     return lam, mu3, nu3
 
 
@@ -581,6 +605,19 @@ def fit_fundamental_tensors(chart: ConnectionChart, e, h: float = 1e-2,
     unit_law = float(np.max(np.abs(back - probe)))
     return LoopExpansionReport(lam, mu3, nu3, alpha, beta,
                                {"unit_law": unit_law})
+
+
+def fit_alpha(chart: ConnectionChart, e, h: float,
+              h_ode: float) -> np.ndarray:
+    """alpha = (lam - lam^T) / 2 from the lam rows alone, with the bits
+    of ``fit_fundamental_tensors(chart, e, h, False, h_ode).alpha``: the
+    4 n^2 rows of ``_lam_stencil`` and 2 n frames, where the full fit
+    shoots the whole third-order stencil."""
+    terms = _lam_stencil(chart.n, h)
+    t = _NormalLoop(chart, e, h_ode)(np.concatenate([u for u, _ in terms]),
+                                     np.concatenate([v for _, v in terms]))
+    lam = _lam(np.split(t, 4), chart.n, h)
+    return 0.5 * (lam - np.swapaxes(lam, 1, 2))
 
 
 # -- torsion, contorsion, curvature ------------------------------------------

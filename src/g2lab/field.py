@@ -8,8 +8,8 @@ transformation law under the isometric deformations.
 All manifold derivatives are second-order central differences along
 every coordinate axis at once: a derivative of an octonion field returns
 row m for axis m.  Every function takes its finite-difference step, and
-a field computes its metric data, Levi-Civita symbol and torsion once
-per point and step, in its one memo.
+a field computes its 3-form, metric data, Levi-Civita symbol and
+torsion once per point and step, in its one memo.
 """
 
 from __future__ import annotations
@@ -56,7 +56,15 @@ class PhiField:
         _require_inside(self.domain, x, self.name)
 
     def phi(self, x: np.ndarray) -> np.ndarray:
-        return self._phi_at(np.asarray(x, dtype=float))
+        x = np.asarray(x, dtype=float)
+
+        def compute():
+            # a read-only view: the array phi_at returned keeps its flags
+            p = np.asarray(self._phi_at(x), dtype=float).view()
+            p.setflags(write=False)
+            return p
+
+        return self.memo("phi", x, None, compute)
 
     def data(self, x: np.ndarray) -> G2MetricData:
         x = np.asarray(x, dtype=float)

@@ -724,6 +724,51 @@ def test_normal_loop_integrates_each_distinct_v_once(monkeypatch):
         assert np.array_equal(got[r], mu(us[r:r + 1], vs[r:r + 1])[0])
 
 
+@pytest.mark.parametrize("n, shot", [(2, 48), (4, 448), (7, 2548)])
+def test_jet_stencil_shoots_each_row_once(n, shot):
+    us, vs, sizes = cn._jet_stencil(n, 1e-2)
+    assert sum(sizes) == len(us) == len(vs)
+    live = np.any(us != 0.0, axis=1) & np.any(vs != 0.0, axis=1)
+    rows = np.hstack([us, vs])[live]
+    # compared by value, so rows that differ only in a signed zero count
+    # as one
+    assert len(rows) == len(np.unique(rows, axis=0)) == shot
+
+
+@pytest.mark.parametrize("make, e", [
+    (lambda: cn.cartan_schouten_chart(0.0), np.zeros(7)),
+    (lambda: cn.cartan_schouten_chart(0.25), np.zeros(7)),
+    (cn.sphere2_chart, np.array([1.2, 0.3])),
+])
+def test_fit_alpha_is_the_full_fits_alpha(make, e):
+    chart = make()
+    rep = cn.fit_fundamental_tensors(chart, e, h=1e-2, richardson=False,
+                                     h_ode=1.0 / 16)
+    assert np.array_equal(cn.fit_alpha(chart, e, 1e-2, 1.0 / 16), rep.alpha)
+
+
+def test_cartan_suite_shoots_only_lam_rows(monkeypatch):
+    from g2lab import cli
+    rows, frames = [], []
+    real_loop = cn._NormalLoop.__call__
+    real_frame = cn.geodesic_with_frame
+
+    def loop(self, us, vs):
+        rows.append(len(us))
+        return real_loop(self, us, vs)
+
+    def frame(chart, x0, v0, t_end=1.0, h=1e-3):
+        frames.append(len(v0))
+        return real_frame(chart, x0, v0, t_end, h)
+
+    monkeypatch.setattr(cn._NormalLoop, "__call__", loop)
+    monkeypatch.setattr(cn, "geodesic_with_frame", frame)
+    assert cli.run_suite("cartan", cli.RunConfig(seed=42))["pass"]
+    # two fits of the 4 * 7^2 lam rows, with one frame per distinct v
+    assert rows == [4 * 7**2] * 2
+    assert frames == [14] * 2
+
+
 def _serial_fit(chart, e, h, richardson, h_ode):
     """The loop-jet fit evaluated one stencil point at a time through
     single-point engine calls, with the pointwise difference formulas."""

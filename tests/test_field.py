@@ -232,10 +232,36 @@ def test_memo_computes_each_quantity_once_read_only():
     # another step or point is another entry
     assert fld.g2_torsion(field, X0, 5e-4) is not t
     assert fld.levi_civita_at(field, 0.5 * X0, 1e-3) is not gam
+    phi = field.phi(X0)
+    assert field.phi(X0.copy()) is phi
     for kept in (gam, t.T, t.t1, t.t0, t.t7, t.t14, data.g.g, data.g.g_inv,
-                 data.phi.vals, data.psi.vals, data.psi.comps):
+                 data.phi.vals, data.psi.vals, data.psi.comps, phi):
         with pytest.raises(ValueError, match="read-only"):
             kept[...] = 0.0
+    # the memo keeps a read-only view; the array phi_at returns stays
+    # writable
+    own = PHI0.comps.copy()
+    fld.PhiField(lambda x: own, field.domain).phi(X0)
+    assert own.flags.writeable
+
+
+def test_g2field_evaluates_phi_once_per_point(monkeypatch):
+    fields, calls = [], {}
+    real_init = fld.PhiField.__init__
+
+    def init(self, phi_at, *args, **kwargs):
+        fields.append(self)    # kept alive, so no id is reused
+
+        def counted(x):
+            key = (id(self), x.tobytes())
+            calls[key] = calls.get(key, 0) + 1
+            return phi_at(x)
+
+        real_init(self, counted, *args, **kwargs)
+
+    monkeypatch.setattr(fld.PhiField, "__init__", init)
+    cli.run_suite("g2field", cli.RunConfig(seed=42))
+    assert calls and set(calls.values()) == {1}
 
 
 def test_torsion_law(warp):

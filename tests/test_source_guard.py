@@ -6,7 +6,9 @@ hand-rolled sign and antisymmetrizer helpers.  connection._rk4 is the one
 RK4 stepper, and every integrator steps through it; exp_map steps without
 storing a path, and geodesic_with_frame carries its frame through
 _geodesic_steps with no right-hand side of its own.  Christoffel symbols meet a velocity only in
-connection._gamma_dot, with no three-operand einsum.  The batch products
+connection._gamma_dot, with no three-operand einsum.  The lam difference
+of the loop-jet fit is written once, in connection._lam, so fit_alpha
+and _fit_jets cannot fork.  The batch products
 gather signed permutations: octonion.mul_cols, the one kernel, reads its
 terms from the basis table derived from STRUCTURE_CYCLES, the octonion
 suite runs every product through it in columns, and clifford_mul is one
@@ -121,6 +123,15 @@ def test_symbols_meet_velocities_only_in_gamma_dot():
     names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     defs = {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
     assert "_geodesic_steps" in names and "rhs" not in defs
+
+
+def test_one_lam_difference():
+    found = [(path.name, path.read_text().count(
+        "(t[0] - t[1] - t[2] + t[3])")) for path in sorted(SRC.glob("*.py"))]
+    assert [f for f in found if f[1]] == [("connection.py", 1)]
+    from g2lab import connection as cn
+    assert "_lam(" in inspect.getsource(cn.fit_alpha)
+    assert "_lam(" in inspect.getsource(cn._fit_jets)
 
 
 def test_mul_cols_gathers_from_the_basis_table():
