@@ -54,7 +54,7 @@ def cs_tensors(alpha_param: float) -> CsFamilyPoint:
     return CsFamilyPoint(a, k, h, s, r)
 
 
-def self_duality_residuals(k_scale: float = 1.0) -> dict[str, float]:
+def self_duality_residuals(k_scale: float) -> dict[str, float]:
     """Residuals of the self-duality identities for alpha = k c3 and
     beta = k^2 c4.
 

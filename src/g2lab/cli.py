@@ -18,6 +18,7 @@ import hashlib
 import json
 import sys
 import time
+from math import inf
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +40,8 @@ def trial_rng(seed: int, suite: str, trial: int) -> np.random.Generator:
 
 class RunConfig:
     """Seed, trial count, tolerance overrides, and the pinned tolerances
-    of the suite being run, set by run_suite."""
+    of the suite being run, set by run_suite.  An override must be a
+    finite number >= 0 (a NaN fails the comparison) or is a BadConfig."""
 
     def __init__(self, seed: int = 42, trials: int | None = None,
                  tolerances: dict | None = None) -> None:
@@ -48,6 +50,10 @@ class RunConfig:
         self.seed = int(seed)
         self.trials = trials
         self.tolerances = dict(tolerances or {})
+        for key, tol in self.tolerances.items():
+            if not 0.0 <= tol < inf:
+                raise BadConfig(f"tolerance {key} must be finite and >= 0, "
+                                f"got {tol}")
         self.pinned = {}
 
     def n_trials(self, default: int) -> int:

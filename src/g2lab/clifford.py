@@ -14,34 +14,16 @@ from .exterior import AltTensor
 from .g2linear import G2MetricData
 from .octonion import Octonion, inverse, left_matrix, mul
 
-def _reorder_sign(a: int, b: int) -> int:
-    """Sign from counting transpositions when merging two blades."""
-    a >>= 1
-    swaps = 0
-    while a:
-        swaps += bin(a & b).count("1")
-        a >>= 1
-    return -1 if swaps & 1 else 1
-
-
-def blade_product(mask_a: int, mask_b: int, p: int, q: int) -> tuple[int, int]:
-    """(result mask, sign) for the product of two basis blades."""
-    sign = _reorder_sign(mask_a, mask_b)
-    common = mask_a & mask_b
-    for bit in range(p, p + q):
-        if common & (1 << bit):
-            sign = -sign
-    return mask_a ^ mask_b, sign
-
 
 @lru_cache(maxsize=None)
 def _tables(p: int, q: int):
     """Dense product tables over blade masks, read-only: result[a, b] =
     a ^ b and sign[a, b], plus the gather signs s2[a, c] = sign[a, a ^ c]
     as floats, so that blade a times blade a ^ c is s2[a, c] * blade c.
-    The sign is blade_product's for all pairs at once: the parity of the
-    merge transpositions, popcount((a >> k) & b) over k >= 1, plus the
-    shared negative-square generators (bits p .. p + q - 1)."""
+    The sign is the one of merging two blades, for all pairs at once: the
+    parity of the merge transpositions, popcount((a >> k) & b) over
+    k >= 1, plus the shared negative-square generators (bits
+    p .. p + q - 1)."""
     dim = 1 << (p + q)
     pop = _grades(dim)
     a = np.arange(dim)[:, None]
@@ -160,21 +142,6 @@ def reversion(x: CliffordElement) -> CliffordElement:
     k = x.grades()
     return CliffordElement(x.p, x.q,
                            x.coeffs * (-1.0) ** (k * (k - 1) // 2))
-
-
-def grade_involution(x: CliffordElement) -> CliffordElement:
-    return CliffordElement(x.p, x.q, x.coeffs * (-1.0) ** x.grades())
-
-
-def clifford_conjugation(x: CliffordElement) -> CliffordElement:
-    k = x.grades()
-    return CliffordElement(x.p, x.q,
-                           x.coeffs * (-1.0) ** (k * (k + 1) // 2))
-
-
-def blade_norm(x: CliffordElement) -> float:
-    """N(a) = |<reversion(a) a>_0|."""
-    return abs(float(clifford_mul(reversion(x), x).coeffs[0]))
 
 
 def vector_inner(p: int, q: int, u, v) -> float:

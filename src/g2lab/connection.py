@@ -206,8 +206,8 @@ def _geodesic_steps(chart: ConnectionChart, state: tuple, t_end: float,
         yield state
 
 
-def integrate_geodesic(chart: ConnectionChart, x0, v0, t_end: float = 1.0,
-                       h: float = 1e-3) -> Path:
+def integrate_geodesic(chart: ConnectionChart, x0, v0, t_end: float,
+                       h: float) -> Path:
     """Classical fixed-step 4th-order integration of the geodesic equation.
 
     x0 and v0 are one point and velocity, shape (n,), or a batch of N,
@@ -241,7 +241,7 @@ def geodesic_with_frame(chart: ConnectionChart, x0, v0, t_end: float = 1.0,
 
 
 def parallel_transport(chart: ConnectionChart, path: Path, w0,
-                       h: float = 1e-3) -> np.ndarray:
+                       h: float) -> np.ndarray:
     """Transport w0 along a sampled path (cubic Hermite interpolated).
 
     w0 is one vector, shape (n,), or N vectors, shape (N, n), carried
@@ -388,8 +388,7 @@ def exp_inverse(chart: ConnectionChart, e, y, h: float = 1e-3,
     return v.reshape(shape)
 
 
-def loop_product(chart: ConnectionChart, e, x, y,
-                 h: float = 1e-3) -> np.ndarray:
+def loop_product(chart: ConnectionChart, e, x, y, h: float) -> np.ndarray:
     """Geodesic loop product: shoot exp_e^-1(x), transport it along the
     geodesic from e to y, and shoot from y.
 
@@ -753,26 +752,6 @@ def sphere2_chart() -> ConnectionChart:
         metric_field=_sphere2_metric, name="sphere2")
 
 
-def conformal_chart(grad) -> ConnectionChart:
-    """Levi-Civita chart of exp(2 f) delta with linear f = <grad, x>, on
-    the box |x^i| <= 2."""
-    grad = np.asarray(grad, dtype=float)
-    n = grad.size
-    eye = np.eye(n)
-
-    def metric(x):
-        return np.exp(2.0 * float(grad @ x)) * eye
-
-    def gamma(x):
-        # G^k_ij = d_i f delta_jk + d_j f delta_ik - d_k f delta_ij
-        return (np.einsum("i,jk->kij", grad, eye)
-                + np.einsum("j,ik->kij", grad, eye)
-                - np.einsum("k,ij->kij", grad, eye))
-
-    return ConnectionChart(n, gamma, [[-2.0, 2.0]] * n,
-                           metric_field=metric, name="conformal")
-
-
 def cartan_schouten_chart(alpha_param: float) -> ConnectionChart:
     """The constant-Gamma model Gamma(x) = k c with k = (1 - 2 a)/2,
     metric-compatible with the Euclidean metric, on the box |x^i| <= 1.
@@ -785,16 +764,3 @@ def cartan_schouten_chart(alpha_param: float) -> ConnectionChart:
         7, lambda x: const, [[-1.0, 1.0]] * 7,
         metric_field=lambda x: eye, name=f"cartan_schouten({alpha_param})")
 
-
-def torsion_offset_chart(base: ConnectionChart,
-                         s: np.ndarray) -> ConnectionChart:
-    """Gamma = base Gamma + S for a constant tensor S (e.g. a totally
-    antisymmetric contorsion added to a Levi-Civita chart)."""
-    s = np.asarray(s, dtype=float)
-
-    def gamma(x):
-        return base.gamma(x) + s
-
-    return ConnectionChart(base.n, gamma, base.domain,
-                           metric_field=base.metric_field,
-                           name=f"{base.name}+S")

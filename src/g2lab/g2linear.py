@@ -1,7 +1,7 @@
 """Pointwise G2 linear algebra on R^7.
 
 The model 3-form, the metric-and-volume recovered from a positive
-3-form, G2 membership and construction, the vector cross product, the
+3-form, G2 elements from admissible triples, the vector cross product, the
 six contraction identities linking phi and psi, and the 2-form / 3-form
 splittings with their projections.
 """
@@ -12,7 +12,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import BadTriple, G2LabError, NotPositive
+from .errors import BadTriple, NotPositive
 from .exterior import (AltTensor, Metric, flat, form_inner, hodge, interior,
                        wedge)
 from .octonion import C3
@@ -22,8 +22,8 @@ EIG_FLOOR = 1e-10
 exceeds EIG_FLOOR times its largest in magnitude."""
 
 G2_TOL = 1e-10
-"""Max-abs tolerance of G2 membership (the pulled-back model form) and of
-an admissible triple (orthonormality and phi0(h1, h2, h4) = 0)."""
+"""Max-abs tolerance of an admissible triple (orthonormality and
+phi0(h1, h2, h4) = 0)."""
 
 _EINSUM_PATHS: dict[tuple, list] = {}
 
@@ -121,19 +121,6 @@ def metric_from_3form(phi: AltTensor | np.ndarray) -> G2MetricData:
 def pullback_3form(t: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """(T* phi)(u, v, w) = phi(Tu, Tv, Tw), on raw components."""
     return _einsum("ijk,im,jn,kp->mnp", phi, t, t, t)
-
-
-def is_g2_element(t: np.ndarray) -> bool:
-    """True iff T preserves the model 3-form; membership in G2."""
-    t = np.asarray(t, dtype=float)
-    ok = np.max(np.abs(pullback_3form(t, C3) - C3)) <= G2_TOL
-    if ok:
-        # preserving the 3-form implies preserving metric and volume
-        loose = max(1e6 * G2_TOL, 1e-6)
-        if np.max(np.abs(t.T @ t - np.eye(7))) > loose or \
-                abs(np.linalg.det(t) - 1.0) > loose:
-            raise G2LabError("phi fixed but metric/volume not: table broken")
-    return bool(ok)
 
 
 def cross(x: np.ndarray, y: np.ndarray) -> np.ndarray:

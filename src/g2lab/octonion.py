@@ -9,8 +9,6 @@ Every sign-sensitive constant downstream (the rank-4 tensor, the model
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
 
 from .errors import NotImaginary, ZeroDivisor
@@ -57,23 +55,6 @@ def basis_table() -> list[list[tuple[int, int]]]:
 
 
 _BASIS_TABLE = basis_table()
-
-
-def mul_exact(a, b):
-    """Multiply octonions with Fraction coefficients using the exact table.
-
-    Only the integer basis table enters, so results are exact rationals.
-    """
-    out = [Fraction(0)] * 8
-    for i in range(8):
-        if a[i] == 0:
-            continue
-        for j in range(8):
-            if b[j] == 0:
-                continue
-            k, sign = _BASIS_TABLE[i][j]
-            out[k] += Fraction(a[i]) * Fraction(b[j]) * sign
-    return tuple(out)
 
 
 def _build_c4() -> np.ndarray:

@@ -33,6 +33,17 @@ def test_bad_tolerance_exit_code():
     assert res.returncode == 2
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_non_finite_or_negative_tolerance_is_a_config_error(value, capsys):
+    # refused as a bad configuration (2), not run into a failed check (1)
+    assert cli.main(["verify", "octonion", "--trials", "1",
+                     "--tol", f"norm_multiplicativity={value}"]) == 2
+    assert "norm_multiplicativity" in capsys.readouterr().err
+    with pytest.raises(BadConfig, match="finite"):
+        cli.RunConfig(tolerances={"alternativity": float(value)})
+    cli.RunConfig(tolerances={"alternativity": 1e-30, "wedge": 0.0})
+
+
 def test_trial_count_refused_before_allocating():
     # 1e13 octonion trials would need ~640 TB; the count is refused first
     assert cli.main(["verify", "octonion", "--trials",

@@ -12,6 +12,27 @@ from g2lab.errors import NotImaginary, SignatureMismatch, ZeroReference
 from g2lab.octonion import Octonion, left_matrix, mul
 
 
+def _reorder_sign(a: int, b: int) -> int:
+    """Sign from counting transpositions when merging two blades."""
+    a >>= 1
+    swaps = 0
+    while a:
+        swaps += bin(a & b).count("1")
+        a >>= 1
+    return -1 if swaps & 1 else 1
+
+
+def blade_product(mask_a: int, mask_b: int, p: int, q: int) -> tuple[int, int]:
+    """(result mask, sign) for the product of two basis blades, one pair
+    at a time: the reference of the dense tables behind clifford_mul."""
+    sign = _reorder_sign(mask_a, mask_b)
+    common = mask_a & mask_b
+    for bit in range(p, p + q):
+        if common & (1 << bit):
+            sign = -sign
+    return mask_a ^ mask_b, sign
+
+
 def test_dimension():
     for p in range(3):
         for q in range(3):
@@ -70,29 +91,12 @@ def test_involutions():
     assert cl.reversion(b2).allclose(-1.0 * b2, 0)
     b3 = cl.CliffordElement.blade(0, 7, [0, 2, 5])
     assert cl.reversion(b3).allclose(-1.0 * b3, 0)
-    assert cl.grade_involution(b3).allclose(-1.0 * b3, 0)
-    assert cl.clifford_conjugation(b2).allclose(-1.0 * b2, 0)
     rng = np.random.default_rng(2)
     x = cl.CliffordElement(0, 4, rng.standard_normal(16))
     y = cl.CliffordElement(0, 4, rng.standard_normal(16))
     assert cl.reversion(cl.clifford_mul(x, y)).allclose(
         cl.clifford_mul(cl.reversion(y), cl.reversion(x)), 1e-12)
     assert cl.reversion(cl.reversion(x)).allclose(x, 0)
-    assert cl.grade_involution(cl.grade_involution(x)).allclose(x, 0)
-
-
-def test_blade_norm():
-    v = cl.CliffordElement.vector(3, 0, [0.6, 0.8, 0.0])
-    assert abs(cl.blade_norm(v) - 1.0) < 1e-14
-    b = cl.CliffordElement.blade(3, 0, [0, 1, 2])
-    assert abs(cl.blade_norm(b) - 1.0) < 1e-14
-    # multiplicativity on versors
-    rng = np.random.default_rng(3)
-    vs = [cl.CliffordElement.vector(0, 7, rng.standard_normal(7))
-          for _ in range(3)]
-    prod = cl.clifford_mul(cl.clifford_mul(vs[0], vs[1]), vs[2])
-    expect = np.prod([cl.blade_norm(v) for v in vs])
-    assert abs(cl.blade_norm(prod) - expect) < 1e-11 * expect
 
 
 def test_cl07_associative_vs_octonion():
@@ -226,7 +230,7 @@ def test_clifford_mul_bitwise_equals_add_at_oracle(p, q):
                                   (1, 4), (0, 7), (3, 5), (8, 0)])
 def test_basis_mul_table_matches_blade_product(p, q):
     dim = 1 << (p + q)
-    want = [[dict(zip(("mask", "sign"), cl.blade_product(a, b, p, q)))
+    want = [[dict(zip(("mask", "sign"), blade_product(a, b, p, q)))
              for b in range(dim)] for a in range(dim)]
     assert cl.basis_mul_table(p, q) == want
 

@@ -21,6 +21,40 @@ def _perm_sign(perm):
     return sign
 
 
+def conformal_chart(grad) -> cn.ConnectionChart:
+    """Levi-Civita chart of exp(2 f) delta with linear f = <grad, x>, on
+    the box |x^i| <= 2."""
+    grad = np.asarray(grad, dtype=float)
+    n = grad.size
+    eye = np.eye(n)
+
+    def metric(x):
+        return np.exp(2.0 * float(grad @ x)) * eye
+
+    def gamma(x):
+        # G^k_ij = d_i f delta_jk + d_j f delta_ik - d_k f delta_ij
+        return (np.einsum("i,jk->kij", grad, eye)
+                + np.einsum("j,ik->kij", grad, eye)
+                - np.einsum("k,ij->kij", grad, eye))
+
+    return cn.ConnectionChart(n, gamma, [[-2.0, 2.0]] * n,
+                              metric_field=metric, name="conformal")
+
+
+def torsion_offset_chart(base: cn.ConnectionChart,
+                         s: np.ndarray) -> cn.ConnectionChart:
+    """Gamma = base Gamma + S for a constant tensor S (e.g. a totally
+    antisymmetric contorsion added to a Levi-Civita chart)."""
+    s = np.asarray(s, dtype=float)
+
+    def gamma(x):
+        return base.gamma(x) + s
+
+    return cn.ConnectionChart(base.n, gamma, base.domain,
+                              metric_field=base.metric_field,
+                              name=f"{base.name}+S")
+
+
 @pytest.fixture(scope="module")
 def sphere():
     return cn.sphere2_chart()
@@ -62,7 +96,7 @@ def test_levi_civita_oracles(sphere):
     assert np.max(np.abs(got - sphere.gamma(x))) < 1e-9
     flat = cn.levi_civita(lambda x: np.eye(3), np.zeros(3))
     assert np.max(np.abs(flat)) < 1e-12
-    conf = cn.conformal_chart(np.array([0.05, -0.02, 0.03]))
+    conf = conformal_chart(np.array([0.05, -0.02, 0.03]))
     x3 = np.array([0.1, 0.2, -0.1])
     assert np.max(np.abs(cn.levi_civita(conf.metric_field, x3)
                          - conf.gamma(x3))) < 1e-10
@@ -154,11 +188,11 @@ def test_sphere_holonomy(sphere):
 
 
 def test_transport_isometry_with_torsion():
-    conf = cn.conformal_chart(np.array([0.05, -0.02, 0.03]))
+    conf = conformal_chart(np.array([0.05, -0.02, 0.03]))
     s = np.zeros((3, 3, 3))
     for p in permutations(range(3)):
         s[tuple(np.array([0, 1, 2])[list(p)])] = _perm_sign(p) * 0.11
-    chart = cn.torsion_offset_chart(conf, s)
+    chart = torsion_offset_chart(conf, s)
     x0 = np.array([0.1, 0.2, -0.1])
     path = cn.integrate_geodesic(chart, x0, np.array([0.2, 0.1, -0.15]),
                                  1.0, 1e-3)
@@ -499,11 +533,11 @@ def test_curvature_data_stencil_leaves_domain(sphere):
 
 
 def test_contorsion_consistency():
-    conf = cn.conformal_chart(np.array([0.05, -0.02, 0.03]))
+    conf = conformal_chart(np.array([0.05, -0.02, 0.03]))
     s = np.zeros((3, 3, 3))
     for p in permutations(range(3)):
         s[tuple(np.array([0, 1, 2])[list(p)])] = _perm_sign(p) * 0.11
-    chart = cn.torsion_offset_chart(conf, s)
+    chart = torsion_offset_chart(conf, s)
     data = cn.curvature_data(chart, np.array([0.1, 0.2, -0.1]))
     # T = -2S exactly for the added antisymmetric tensor
     assert np.max(np.abs(data.torsion + 2.0 * s)) == 0.0
@@ -622,8 +656,8 @@ def test_unreachable_row_raises_no_convergence():
 def test_gamma_contract_batches(sphere):
     s = np.zeros((2, 2, 2))
     s[0, 1, 0], s[0, 0, 1] = 0.1, -0.1
-    charts = [sphere, cn.torsion_offset_chart(sphere, s),
-              cn.conformal_chart(np.array([0.1, 0.0]))]
+    charts = [sphere, torsion_offset_chart(sphere, s),
+              conformal_chart(np.array([0.1, 0.0]))]
     xs = np.array([[[1.2, 0.3], [0.9, -0.4]], [[1.5, 0.1], [2.0, 0.7]]])
     for chart in charts:
         batch = np.broadcast_to(chart.gamma(xs), (2, 2, 2, 2, 2))
