@@ -23,8 +23,11 @@ tuple state whose arrays share optional leading batch axes: (x, v) of
 shape (N, n) for geodesics, (x, v, M) with M of shape (N, n, n) for the
 geodesic with its parallel frame, and (w,) for transport along a sampled
 path; every integrator steps through it, and the geodesic ones check
-the whole batch against the domain once per step.  ``exp_map`` keeps
-only the current state, where ``integrate_geodesic`` stores the path.
+the whole batch against the domain once per step.  ``exp_map`` and
+``geodesic_with_frame`` shoot through ``_shoot``, the one zero-velocity
+and domain rule: it checks every row's start against the domain, steps
+only the rows with v != 0, and keeps only the current state, where
+``integrate_geodesic`` stores the path.
 Every public ODE function and ``loop_product`` take a single point of
 shape (n,) or rows of shape (N, n); each row of a batch gets the bits a
 single-point call gives it, because every contraction is a stacked
@@ -33,7 +36,8 @@ product that acts row by row: the symbols meet a velocity only in
 ``exp_inverse`` is one damped Newton iteration over all rows, with a
 per-row convergence mask and a per-row finite-difference Jacobian
 fallback (the batched ``central_diff`` of ``exp_map``); each iteration
-shoots the rows still active through ``exp_map`` in one call.
+shoots the rows still active through ``exp_map`` in one call, and every
+Newton solve stops at the one residual ``_NEWTON_TOL``.
 ``loop_product`` runs that iteration once over both targets x and y,
 with each shot carrying the parallel frame through
 ``geodesic_with_frame``.  A row keeps the frame of the shot it converged
@@ -206,6 +210,25 @@ def _geodesic_steps(chart: ConnectionChart, state: tuple, t_end: float,
         yield state
 
 
+def _shoot(chart: ConnectionChart, state: tuple, t_end: float,
+           h: float) -> tuple:
+    """The geodesic state (x, v), or (x, v, M) with its parallel frame,
+    after t_end, keeping only the current state while stepping.  Every
+    row's start is checked against the domain; a row with v = 0 is left
+    as given, and only the other rows step through _geodesic_steps.  The
+    arrays of state are written in place and returned."""
+    n_steps = _steps_for(t_end, h)
+    chart.check_inside(state[0])
+    moving = np.max(np.abs(state[1]), axis=-1) != 0.0
+    if moving.any():
+        for end in _geodesic_steps(chart, tuple([s[moving] for s in state]),
+                                   t_end, n_steps):
+            pass
+        for s, part in zip(state, end):
+            s[moving] = part
+    return state
+
+
 def integrate_geodesic(chart: ConnectionChart, x0, v0, t_end: float,
                        h: float) -> Path:
     """Classical fixed-step 4th-order integration of the geodesic equation.
@@ -230,14 +253,12 @@ def geodesic_with_frame(chart: ConnectionChart, x0, v0, t_end: float = 1.0,
 
     Returns (endpoint, end_velocity, M) where M maps a vector at x0 to
     its parallel transport at the endpoint; for a batch of N geodesics
-    the three have shapes (N, n), (N, n) and (N, n, n).
+    the three have shapes (N, n), (N, n) and (N, n, n).  A row with
+    v = 0 returns its x0, its v0 and the identity unintegrated.
     """
-    n_steps = _steps_for(t_end, h)
     x, v = _point_pair(x0, v0)
-    state = (x, v, np.broadcast_to(np.eye(chart.n), x.shape + (chart.n,)))
-    for state in _geodesic_steps(chart, state, t_end, n_steps):
-        pass
-    return state
+    frame = np.broadcast_to(np.eye(chart.n), x.shape + (chart.n,)).copy()
+    return _shoot(chart, (x, v, frame), t_end, h)
 
 
 def parallel_transport(chart: ConnectionChart, path: Path, w0,
@@ -274,30 +295,8 @@ def central_diff(f, x, step: float) -> np.ndarray:
 
 def exp_map(chart: ConnectionChart, e, v, h: float = 1e-3) -> np.ndarray:
     """Geodesic endpoint exp_e(v) at unit time, for one (e, v) pair or
-    for rows of a batch; a row with v = 0 returns its e unintegrated.
-    Only the current state is kept while stepping."""
-    n_steps = _steps_for(1.0, h)
-    out, v = _point_pair(e, v)
-    moving = np.max(np.abs(v), axis=-1) != 0.0
-    if moving.any():
-        for x, _ in _geodesic_steps(chart, (out[moving], v[moving]), 1.0,
-                                    n_steps):
-            pass
-        out[moving] = x
-    return out
-
-
-def _exp_with_frame(chart: ConnectionChart, e: np.ndarray, v: np.ndarray,
-                    h: float) -> tuple[np.ndarray, np.ndarray]:
-    """exp_e(v) and the parallel frame along the geodesic for rows e, v
-    of shape (N, n); a row with v = 0 keeps its e and the identity."""
-    out = e.copy()
-    frames = np.tile(np.eye(e.shape[-1]), (len(e), 1, 1))
-    moving = np.max(np.abs(v), axis=-1) != 0.0
-    if moving.any():
-        out[moving], _, frames[moving] = geodesic_with_frame(
-            chart, e[moving], v[moving], 1.0, h)
-    return out, frames
+    for rows of a batch; a row with v = 0 returns its e unintegrated."""
+    return _shoot(chart, _point_pair(e, v), 1.0, h)[0]
 
 
 def _row_norms(a: np.ndarray) -> np.ndarray:
@@ -308,13 +307,13 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
 
 # Newton shooting of exp_inverse: the residual within which a row stops,
 # the shot budget, and the finite-difference step of the fallback Jacobian.
-_SHOT_TOL = 1e-11
+_NEWTON_TOL = 1e-12
 _MAX_SHOTS = 50
 _JAC_STEP = 1e-6
 
 
 def _solve_exp(chart: ConnectionChart, e: np.ndarray, y: np.ndarray,
-               h: float, tol: float, frame: bool):
+               h: float, frame: bool):
     """Damped Newton shooting for exp_e(v) = y over rows e, y of shape
     (N, n); returns v, and with frame set also the parallel frame along
     the shot on which each row converged (the identity where v = 0).
@@ -332,13 +331,13 @@ def _solve_exp(chart: ConnectionChart, e: np.ndarray, y: np.ndarray,
     active = np.arange(rows)
     for _ in range(_MAX_SHOTS):
         if frame:
-            end, frames[active] = _exp_with_frame(chart, e[active],
-                                                  v[active], h)
+            end, _, frames[active] = geodesic_with_frame(chart, e[active],
+                                                         v[active], 1.0, h)
         else:
             end = exp_map(chart, e[active], v[active], h)
         r = end - y[active]
         err = np.max(np.abs(r), axis=1)
-        open_ = ~(err <= tol)
+        open_ = ~(err <= _NEWTON_TOL)
         active, r, err = active[open_], r[open_], err[open_]
         if active.size == 0:
             return v, frames
@@ -367,24 +366,23 @@ def _solve_exp(chart: ConnectionChart, e: np.ndarray, y: np.ndarray,
                         f"({active.size} of {rows} rows open)")
 
 
-def exp_inverse(chart: ConnectionChart, e, y, h: float = 1e-3,
-                tol: float = _SHOT_TOL) -> np.ndarray:
+def exp_inverse(chart: ConnectionChart, e, y, h: float = 1e-3) -> np.ndarray:
     """Invert the exponential map by damped shooting.
 
     Newton iteration on v -> exp_e(v) - y, starting from y - e.  The
     Jacobian starts as the identity (exact at v = 0) and is replaced by a
     finite-difference Jacobian whenever convergence stalls.  e and y are
     single points or batches of rows; every row iterates on its own, a
-    row stops when its residual is within tol (a NaN residual never is),
-    and NoConvergence is raised when any row is still open after
-    _MAX_SHOTS (50) shots.
+    row stops when its residual is within _NEWTON_TOL (a NaN residual
+    never is), and NoConvergence is raised when any row is still open
+    after _MAX_SHOTS (50) shots.
     """
     e = np.asarray(e, dtype=float)
     y = np.asarray(y, dtype=float)
     shape = np.broadcast_shapes(e.shape, y.shape)
     e = np.broadcast_to(e, shape).reshape(-1, shape[-1])
     y = np.broadcast_to(y, shape).reshape(-1, shape[-1])
-    v, _ = _solve_exp(chart, e, y, h, tol, frame=False)
+    v, _ = _solve_exp(chart, e, y, h, frame=False)
     return v.reshape(shape)
 
 
@@ -393,19 +391,17 @@ def loop_product(chart: ConnectionChart, e, x, y, h: float) -> np.ndarray:
     geodesic from e to y, and shoot from y.
 
     e, x and y are points (n,) or rows (N, n), broadcast together; a row
-    with y = e transports nothing.  One Newton solve covers the targets x
-    and y and keeps the frame of each converged shot, so the geodesic
-    from e to y is not integrated again for the transport."""
+    with y = e shoots no geodesic, and its identity frame keeps
+    exp_e^-1(x).  One Newton solve covers the targets x and y and keeps
+    the frame of each converged shot, so the geodesic from e to y is not
+    integrated again for the transport."""
     e, x, y = np.broadcast_arrays(*(np.asarray(a, dtype=float)
                                     for a in (e, x, y)))
     n = e.shape[-1]
     v, frames = _solve_exp(chart, np.concatenate([e, e]).reshape(-1, n),
                            np.concatenate([x, y]).reshape(-1, n), h,
-                           _SHOT_TOL, frame=True)
-    w, vy = np.split(v, 2)
-    moving = np.max(np.abs(vy), axis=-1) != 0.0
-    m = np.split(frames, 2)[1][moving]
-    w[moving] = (m @ w[moving][..., None])[..., 0]
+                           frame=True)
+    w = (np.split(frames, 2)[1] @ np.split(v, 2)[0][..., None])[..., 0]
     return exp_map(chart, y, w.reshape(e.shape), h)
 
 
@@ -428,10 +424,6 @@ class LoopExpansionReport:
         self.alpha = alpha
         self.beta = beta
         self.residuals = residuals
-
-
-# Newton tolerance of the loop product's exp_inverse solves.
-_NEWTON_TOL = 1e-12
 
 
 class _NormalLoop:
@@ -470,7 +462,7 @@ class _NormalLoop:
                                         h_ode)
         w = np.matmul(ms[which], us[rows][:, :, None])[:, :, 0]
         z = exp_map(chart, ys[which], w, h_ode)
-        out[rows] = exp_inverse(chart, self.e, z, h_ode, tol=_NEWTON_TOL)
+        out[rows] = exp_inverse(chart, self.e, z, h_ode)
         return out
 
 
@@ -600,7 +592,7 @@ def fit_fundamental_tensors(chart: ConnectionChart, e, h: float = 1e-2,
     # short-circuits exact unit arguments
     probe = h * np.eye(chart.n)[0]
     z = exp_map(chart, mu_fn.e, probe, mu_fn.h_ode)
-    back = exp_inverse(chart, mu_fn.e, z, mu_fn.h_ode, tol=_NEWTON_TOL)
+    back = exp_inverse(chart, mu_fn.e, z, mu_fn.h_ode)
     unit_law = float(np.max(np.abs(back - probe)))
     return LoopExpansionReport(lam, mu3, nu3, alpha, beta,
                                {"unit_law": unit_law})
@@ -647,19 +639,22 @@ def _christoffel(g0: np.ndarray, dg: np.ndarray) -> np.ndarray:
     return 0.5 * np.einsum("kl,ijl->kij", np.linalg.inv(g0), comb)
 
 
-def levi_civita(metric_field, x, fd_step: float = 1e-5) -> np.ndarray:
+def levi_civita(metric_field, x, fd_step: float) -> np.ndarray:
     """Christoffel symbols of a metric field by central differences."""
     x = np.asarray(x, dtype=float)
     return _christoffel(np.asarray(metric_field(x), dtype=float),
                         central_diff(metric_field, x, fd_step))
 
 
-def curvature_data(chart: ConnectionChart, e,
-                   fd_step: float = 1e-5) -> CurvatureData:
+# central-difference step of the symbol and metric derivatives at a point
+_FD_STEP = 1e-5
+
+
+def curvature_data(chart: ConnectionChart, e) -> CurvatureData:
     """Torsion symbols T^i_jk = G^i_kj - G^i_jk, curvature per the
     Christoffel formula, nabla T, and (when a metric is present) the
     contorsion S = Gamma - LeviCivita with the metric-compatibility
-    residual of nabla g."""
+    residual of nabla g, all from central differences at step _FD_STEP."""
     e = np.asarray(e, dtype=float)
     g = chart.gamma(e)
     torsion = np.transpose(g, (0, 2, 1)) - g
@@ -668,7 +663,7 @@ def curvature_data(chart: ConnectionChart, e,
         chart.check_inside(y)
         return chart.gamma(y)
 
-    dgam = central_diff(gamma_inside, e, fd_step)
+    dgam = central_diff(gamma_inside, e, _FD_STEP)
     # R^i_jkl = G^m_lj G^i_km - G^m_kj G^i_lm + d_k G^i_lj - d_l G^i_kj
     curv = (np.einsum("mlj,ikm->ijkl", g, g)
             - np.einsum("mkj,ilm->ijkl", g, g)
@@ -683,7 +678,7 @@ def curvature_data(chart: ConnectionChart, e,
     metric_residual = None
     if chart.metric_field is not None:
         g0 = np.asarray(chart.metric_field(e), dtype=float)
-        dgm = central_diff(chart.metric_field, e, fd_step)
+        dgm = central_diff(chart.metric_field, e, _FD_STEP)
         contorsion = g - _christoffel(g0, dgm)
         nabla_g = (dgm - np.einsum("lki,lj->kij", g, g0)
                    - np.einsum("lkj,il->kij", g, g0))

@@ -88,17 +88,17 @@ def test_central_diff_exact_on_quadratic():
 
 def test_levi_civita_oracles(sphere):
     x = np.array([1.05, 0.7])
-    got = cn.levi_civita(sphere.metric_field, x)
+    got = cn.levi_civita(sphere.metric_field, x, 1e-5)
     theta = x[0]
     assert abs(got[0, 1, 1] + np.sin(theta) * np.cos(theta)) < 1e-9
     assert abs(got[1, 0, 1] - np.cos(theta) / np.sin(theta)) < 1e-9
     assert abs(got[1, 1, 0] - np.cos(theta) / np.sin(theta)) < 1e-9
     assert np.max(np.abs(got - sphere.gamma(x))) < 1e-9
-    flat = cn.levi_civita(lambda x: np.eye(3), np.zeros(3))
+    flat = cn.levi_civita(lambda x: np.eye(3), np.zeros(3), 1e-5)
     assert np.max(np.abs(flat)) < 1e-12
     conf = conformal_chart(np.array([0.05, -0.02, 0.03]))
     x3 = np.array([0.1, 0.2, -0.1])
-    assert np.max(np.abs(cn.levi_civita(conf.metric_field, x3)
+    assert np.max(np.abs(cn.levi_civita(conf.metric_field, x3, 1e-5)
                          - conf.gamma(x3))) < 1e-10
 
 
@@ -340,18 +340,19 @@ def test_framed_solver_keeps_the_converged_frame(sphere, monkeypatch):
     vs = np.array([[0.01, 0.02], [0.3, -0.2], [0.0, 0.0], [0.5, 0.6],
                    [-0.4, 0.1]])
     ys = cn.exp_map(sphere, e, vs, h)
-    real = cn.geodesic_with_frame
+    real = cn._geodesic_steps
     batches = []
 
-    def counted(chart, x0, v0, t_end=1.0, h=1e-3):
-        batches.append(len(v0))
-        return real(chart, x0, v0, t_end, h)
+    def counted(chart, state, t_end, n_steps):
+        if len(state) == 3:
+            batches.append(len(state[0]))
+        return real(chart, state, t_end, n_steps)
 
-    monkeypatch.setattr(cn, "geodesic_with_frame", counted)
+    monkeypatch.setattr(cn, "_geodesic_steps", counted)
     es = np.tile(e, (len(vs), 1))
-    v, frames = cn._solve_exp(sphere, es, ys, h, cn._SHOT_TOL, frame=True)
+    v, frames = cn._solve_exp(sphere, es, ys, h, frame=True)
     monkeypatch.undo()
-    # every shot carries the moving open rows, and they close one by one
+    # each framed shot steps the moving open rows; they close one by one
     assert len(batches) > 1 and batches[0] == 4 and len(set(batches)) > 2
     assert np.array_equal(v[2], 0 * e) and np.array_equal(frames[2],
                                                           np.eye(2))
@@ -359,9 +360,51 @@ def test_framed_solver_keeps_the_converged_frame(sphere, monkeypatch):
         assert np.array_equal(frames[r],
                               cn.geodesic_with_frame(sphere, e, v[r], 1.0,
                                                      h)[2])
-    plain, none = cn._solve_exp(sphere, es, ys, h, cn._SHOT_TOL,
-                                frame=False)
+    plain, none = cn._solve_exp(sphere, es, ys, h, frame=False)
     assert none is None and np.array_equal(plain, v)
+
+
+def test_zero_velocity_rows_are_not_integrated(sphere, monkeypatch):
+    xs = np.array([[1.2, 0.3], [1.0, -0.2], [1.4, 0.1]])
+    vs = np.array([[0.2, -0.15], [-0.0, 0.0], [0.05, 0.02]])
+    real = cn._geodesic_steps
+    stepped = []
+
+    def counted(chart, state, t_end, n_steps):
+        stepped.append(state[0].copy())
+        return real(chart, state, t_end, n_steps)
+
+    monkeypatch.setattr(cn, "_geodesic_steps", counted)
+    ends = cn.exp_map(sphere, xs, vs, 0.25)
+    x, v, m = cn.geodesic_with_frame(sphere, xs, vs, 1.0, 0.25)
+    monkeypatch.undo()
+    # each call steps rows 0 and 2 alone, and row 1 comes back as given
+    assert len(stepped) == 2
+    assert all(np.array_equal(rows, xs[[0, 2]]) for rows in stepped)
+    for got in (ends, x):
+        assert np.array_equal(got[1], xs[1])
+    assert np.array_equal(np.signbit(v[1]), np.signbit(vs[1]))
+    assert np.array_equal(v[1], vs[1]) and np.array_equal(m[1], np.eye(2))
+    for r in (0, 2):
+        single = cn.geodesic_with_frame(sphere, xs[r], vs[r], 1.0, 0.25)
+        assert np.array_equal(ends[r], single[0])
+        for batched, one in zip((x, v, m), single):
+            assert np.array_equal(batched[r], one)
+
+
+def test_zero_velocity_outside_the_domain_fails_closed(sphere):
+    # a zero velocity integrates nothing, but its base point is still
+    # checked: theta = 0.05 is below the chart's 0.2 margin
+    bad = np.array([0.05, 0.3])
+    calls = [
+        lambda: cn.exp_map(sphere, bad, 0),
+        lambda: cn.exp_inverse(sphere, bad, bad),
+        lambda: cn.loop_product(sphere, bad, bad, bad, 1e-2),
+        lambda: cn.geodesic_with_frame(sphere, bad, 0),
+    ]
+    for call in calls:
+        with pytest.raises(LeftDomain, match=r"point \[0\.05 0\.3 *\]"):
+            call()
 
 
 @pytest.mark.parametrize("h", [0.0, -1e-3, np.inf, np.nan])
@@ -525,11 +568,11 @@ def test_curvature_data_differentiates_metric_once():
 
 
 def test_curvature_data_stencil_leaves_domain(sphere):
-    # e is inside, but e - fd_step e_theta crosses the theta margin
-    e = np.array([sphere.domain[0, 0] + 5e-6, 0.3])
+    # e is inside, but e - _FD_STEP e_theta crosses the theta margin
+    e = np.array([sphere.domain[0, 0] + cn._FD_STEP / 2, 0.3])
     sphere.check_inside(e)
     with pytest.raises(LeftDomain):
-        cn.curvature_data(sphere, e, fd_step=1e-5)
+        cn.curvature_data(sphere, e)
 
 
 def test_contorsion_consistency():
@@ -821,7 +864,7 @@ def _serial_fit(chart, e, h, richardson, h_ode):
             frames[key] = (y, m)
         y, m = frames[key]
         z = cn.exp_map(chart, y, m @ u, h_ode)
-        return cn.exp_inverse(chart, e, z, h_ode, tol=1e-12)
+        return cn.exp_inverse(chart, e, z, h_ode)
 
     def jets(h):
         lam = np.zeros((n, n, n))

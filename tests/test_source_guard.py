@@ -3,10 +3,13 @@
 exterior._signed_perms is the one table behind every antisymmetric index
 operation; no other module may enumerate permutations or bring back the
 hand-rolled sign and antisymmetrizer helpers.  connection._rk4 is the one
-RK4 stepper, and every integrator steps through it; exp_map steps without
-storing a path, and geodesic_with_frame carries its frame through
-_geodesic_steps with no right-hand side of its own.  Christoffel symbols meet a velocity only in
-connection._gamma_dot, with no three-operand einsum.  The lam difference
+RK4 stepper, and every integrator steps through it; exp_map and
+geodesic_with_frame shoot through connection._shoot, which steps
+_geodesic_steps without storing a path and with no right-hand side of its
+own, and holds the one zero-velocity and domain rule.  Newton shooting has
+one tolerance, and no connection function takes a tol.  Christoffel
+symbols meet a velocity only in connection._gamma_dot, with no
+three-operand einsum.  The lam difference
 of the loop-jet fit is written once, in connection._lam, so fit_alpha
 and _fit_jets cannot fork.  The batch products
 gather signed permutations: octonion.mul_cols, the one kernel, reads its
@@ -50,7 +53,7 @@ import g2lab
 
 SRC = Path(g2lab.__file__).parent
 
-OPTION_BUDGET = 34
+OPTION_BUDGET = 31
 
 # public names with no caller yet, each kept for the claim that will call it
 EXEMPT = {
@@ -107,9 +110,32 @@ def test_exp_map_keeps_no_path():
     text = (SRC / "connection.py").read_text()
     assert "_BLOCK_ROWS" not in text and "GeodesicPath" not in text
     tree = ast.parse(inspect.getsource(cn.exp_map))
+    assert "_shoot" in {n.id for n in ast.walk(tree)
+                        if isinstance(n, ast.Name)}
+    tree = ast.parse(inspect.getsource(cn._shoot))
     names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     assert "integrate_geodesic" not in names
     assert "_geodesic_steps" in names
+
+
+def test_one_shooting_path():
+    from g2lab import connection as cn
+    text = (SRC / "connection.py").read_text()
+    for name in ("_SHOT_TOL", "_exp_with_frame"):
+        assert name not in text
+    tree = ast.parse(text)
+    tols = [t.id for node in tree.body if isinstance(node, ast.Assign)
+            for t in node.targets
+            if isinstance(t, ast.Name) and "TOL" in t.id]
+    assert tols == ["_NEWTON_TOL"]
+    takes_tol = [node.name for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef)
+                 and "tol" in {a.arg for a in node.args.posonlyargs
+                               + node.args.args + node.args.kwonlyargs}]
+    assert takes_tol == []
+    # the zero-velocity mask of a shot is computed in _shoot alone
+    assert text.count("!= 0.0") == 1
+    assert "!= 0.0" in inspect.getsource(cn._shoot)
 
 
 def test_symbols_meet_velocities_only_in_gamma_dot():
@@ -137,6 +163,9 @@ def test_symbols_meet_velocities_only_in_gamma_dot():
     assert "matmul" in attrs and "einsum" not in attrs
     # the frame rides on the geodesic's own right-hand side
     tree = ast.parse(inspect.getsource(cn.geodesic_with_frame))
+    assert "_shoot" in {n.id for n in ast.walk(tree)
+                        if isinstance(n, ast.Name)}
+    tree = ast.parse(inspect.getsource(cn._shoot))
     names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     defs = {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
     assert "_geodesic_steps" in names and "rhs" not in defs
