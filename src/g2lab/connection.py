@@ -43,11 +43,12 @@ with each shot carrying the parallel frame through
 ``geodesic_with_frame``.  A row keeps the frame of the shot it converged
 on, whose geodesic is the one from e to y, so the product takes two
 integrations: that solve, then one ``exp_map`` from y of the
-transported exp_e^-1(x).  The loop-jet fit evaluates each pass's whole
-stencil in one batched call of each function, and shoots each distinct
-(u, v) row once: a diagonal third-order term is a lam row or has a zero
-argument, so it is read, not shot.  ``fit_alpha`` shoots only the lam
-rows, for a caller that reads alpha alone.
+transported exp_e^-1(x).  The loop-jet fit has two ways in, both through
+``_normal_loop``, that product in normal coordinates at e, with one
+batched call per stencil: ``akivis_check`` fits every jet through
+``_fit_jets``, which shoots each distinct (u, v) row once (a diagonal
+third-order term is a lam row or has a zero argument, so it is read, not
+shot), and ``fit_alpha`` shoots only the lam rows.
 References: Hairer, Norsett & Wanner, Solving ODEs I, II.1 (RK4) and
 II.4 (Richardson extrapolation).
 """
@@ -194,8 +195,8 @@ def _geodesic_steps(chart: ConnectionChart, state: tuple, t_end: float,
                     n_steps: int):
     """Yield the geodesic state (x, v), or (x, v, M) with the parallel
     frame M carried along, after each of n_steps _rk4 steps over t_end,
-    with the batch checked against the domain at the start and after
-    every step."""
+    with the batch checked against the domain after every step; the
+    caller checks the start."""
     gamma = chart.gamma
 
     def rhs(t, state):
@@ -204,7 +205,6 @@ def _geodesic_steps(chart: ConnectionChart, state: tuple, t_end: float,
         return (v, -np.matmul(a, v[..., None])[..., 0],
                 *[-np.matmul(a, m) for m in frame])
 
-    chart.check_inside(state[0])
     for state in _rk4(rhs, state, 0.0, t_end / n_steps, n_steps):
         chart.check_inside(state[0])
         yield state
@@ -238,6 +238,7 @@ def integrate_geodesic(chart: ConnectionChart, x0, v0, t_end: float,
     """
     n_steps = _steps_for(t_end, h)
     x, v = _point_pair(x0, v0)
+    chart.check_inside(x)
     xs = np.empty((n_steps + 1,) + x.shape)
     vs = np.empty_like(xs)
     xs[0], vs[0] = x, v
@@ -407,63 +408,35 @@ def loop_product(chart: ConnectionChart, e, x, y, h: float) -> np.ndarray:
 
 # -- loop Taylor coefficients -------------------------------------------------
 
-class LoopExpansionReport:
-    """Fitted Taylor coefficients of a geodesic loop product.
+def _normal_loop(chart: ConnectionChart, e, us: np.ndarray, vs: np.ndarray,
+                 h_ode: float) -> np.ndarray:
+    """The loop product re-expressed in exponential normal coordinates at
+    e: mu(us[r], vs[r]) for every row r of two (P, n) arrays.
 
-    ``beta`` is normalized so that the loop relations 2*alpha = -T and
-    4*beta = -(nabla T) - R hold; it equals one quarter of the raw
-    combination 2*(nu - mu + lam lam - lam lam) of the fitted jets.
+    A zero argument returns the other one.  The remaining rows take one
+    geodesic-with-frame integration per distinct v, all in one batch; the
+    distinct v are told apart by their bytes, so +0.0 and -0.0 entries
+    stay apart.  One forward shot and one Newton solve then cover all of
+    those rows.  The stencil geodesics have amplitude ~h, so a handful of
+    integrator steps (h_ode = 1/16) already sits far below the fit
+    truncation.
     """
-
-    __slots__ = ("lam", "mu", "nu", "alpha", "beta", "residuals")
-
-    def __init__(self, lam, mu, nu, alpha, beta, residuals):
-        self.lam = lam
-        self.mu = mu
-        self.nu = nu
-        self.alpha = alpha
-        self.beta = beta
-        self.residuals = residuals
-
-
-class _NormalLoop:
-    """Loop product re-expressed in exponential normal coordinates at e,
-    evaluated on a whole stencil of (u, v) rows at once."""
-
-    # the stencil geodesics have amplitude ~h, so a handful of integrator
-    # steps (h_ode = 1/16) already sits far below the fit truncation
-    def __init__(self, chart: ConnectionChart, e, h_ode: float) -> None:
-        self.chart = chart
-        self.e = np.asarray(e, dtype=float)
-        self.h_ode = h_ode
-
-    def __call__(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        """mu(us[r], vs[r]) for every row r of two (P, n) arrays.
-
-        A zero argument returns the other one.  The remaining rows take
-        one geodesic-with-frame integration per distinct v, all in one
-        batch; the distinct v are told apart by their bytes, so +0.0 and
-        -0.0 entries stay apart.  One forward shot and one Newton solve
-        then cover all of those rows.
-        """
-        chart, h_ode = self.chart, self.h_ode
-        u_zero = np.max(np.abs(us), axis=1) == 0.0
-        v_zero = np.max(np.abs(vs), axis=1) == 0.0
-        out = vs.copy()
-        out[v_zero & ~u_zero] = us[v_zero & ~u_zero]
-        rows = np.flatnonzero(~u_zero & ~v_zero)
-        if rows.size == 0:
-            return out
-        keys = np.ascontiguousarray(vs[rows]).view(
-            np.dtype((np.void, vs.itemsize * vs.shape[1])))[:, 0]
-        _, firsts, which = np.unique(keys, return_index=True,
-                                     return_inverse=True)
-        ys, _, ms = geodesic_with_frame(chart, self.e, vs[rows[firsts]], 1.0,
-                                        h_ode)
-        w = np.matmul(ms[which], us[rows][:, :, None])[:, :, 0]
-        z = exp_map(chart, ys[which], w, h_ode)
-        out[rows] = exp_inverse(chart, self.e, z, h_ode)
+    u_zero = np.max(np.abs(us), axis=1) == 0.0
+    v_zero = np.max(np.abs(vs), axis=1) == 0.0
+    out = vs.copy()
+    out[v_zero & ~u_zero] = us[v_zero & ~u_zero]
+    rows = np.flatnonzero(~u_zero & ~v_zero)
+    if rows.size == 0:
         return out
+    keys = np.ascontiguousarray(vs[rows]).view(
+        np.dtype((np.void, vs.itemsize * vs.shape[1])))[:, 0]
+    _, firsts, which = np.unique(keys, return_index=True,
+                                 return_inverse=True)
+    ys, _, ms = geodesic_with_frame(chart, e, vs[rows[firsts]], 1.0, h_ode)
+    w = np.matmul(ms[which], us[rows][:, :, None])[:, :, 0]
+    z = exp_map(chart, ys[which], w, h_ode)
+    out[rows] = exp_inverse(chart, e, z, h_ode)
+    return out
 
 
 _SIGNS3 = [(s1, s2, s3) for s1 in (1.0, -1.0) for s2 in (1.0, -1.0)
@@ -564,7 +537,9 @@ def _fit_jets(mu_fn, n: int, h: float):
 def _fundamental_tensors(jets, fine=None):
     """lam, mu, nu and the fundamental tensors alpha, beta from the jets
     fitted at h, Richardson-combined with the jets at h/2 when ``fine``
-    holds them."""
+    holds them.  beta is normalized so that the loop relations
+    2 alpha = -T and 4 beta = -(nabla T) - R hold: one quarter of the
+    raw combination 2 (nu - mu + lam lam - lam lam)."""
     lam, mu3, nu3 = jets
     if fine is not None:
         lam, mu3, nu3 = ((4.0 * f - c) / 3.0 for c, f in zip(jets, fine))
@@ -575,38 +550,16 @@ def _fundamental_tensors(jets, fine=None):
     return lam, mu3, nu3, alpha, beta
 
 
-def fit_fundamental_tensors(chart: ConnectionChart, e, h: float = 1e-2,
-                            richardson: bool = True,
-                            h_ode: float = 1.0 / 16) -> LoopExpansionReport:
-    """Fit lambda, mu, nu by central differences of the loop product and
-    assemble the fundamental tensors alpha and beta.
-
-    The product is evaluated in exponential normal coordinates at e, where
-    the torsion/curvature relations hold.
-    """
-    mu_fn = _NormalLoop(chart, e, h_ode)
-    jets = _fit_jets(mu_fn, chart.n, h)
-    fine = _fit_jets(mu_fn, chart.n, h / 2.0) if richardson else None
-    lam, mu3, nu3, alpha, beta = _fundamental_tensors(jets, fine)
-    # measure the underlying round trip; the normal-coordinate product
-    # short-circuits exact unit arguments
-    probe = h * np.eye(chart.n)[0]
-    z = exp_map(chart, mu_fn.e, probe, mu_fn.h_ode)
-    back = exp_inverse(chart, mu_fn.e, z, mu_fn.h_ode)
-    unit_law = float(np.max(np.abs(back - probe)))
-    return LoopExpansionReport(lam, mu3, nu3, alpha, beta,
-                               {"unit_law": unit_law})
-
-
 def fit_alpha(chart: ConnectionChart, e, h: float,
               h_ode: float) -> np.ndarray:
     """alpha = (lam - lam^T) / 2 from the lam rows alone, with the bits
-    of ``fit_fundamental_tensors(chart, e, h, False, h_ode).alpha``: the
-    4 n^2 rows of ``_lam_stencil`` and 2 n frames, where the full fit
-    shoots the whole third-order stencil."""
+    of the alpha that ``_fundamental_tensors(_fit_jets(...))`` assembles
+    from the full fit at h without Richardson: the 4 n^2 rows of
+    ``_lam_stencil`` and 2 n frames, where the full fit shoots the whole
+    third-order stencil."""
     terms = _lam_stencil(chart.n, h)
-    t = _NormalLoop(chart, e, h_ode)(np.concatenate([u for u, _ in terms]),
-                                     np.concatenate([v for _, v in terms]))
+    t = _normal_loop(chart, e, np.concatenate([u for u, _ in terms]),
+                     np.concatenate([v for _, v in terms]), h_ode)
     lam = _lam(np.split(t, 4), chart.n, h)
     return 0.5 * (lam - np.swapaxes(lam, 1, 2))
 
@@ -697,7 +650,10 @@ def akivis_check(chart: ConnectionChart, e, h_list,
     are reported against the tensors from ``curvature_data``.
     """
     data = curvature_data(chart, e)
-    mu_fn = _NormalLoop(chart, e, h_ode)
+
+    def mu_fn(us, vs):
+        return _normal_loop(chart, e, us, vs, h_ode)
+
     # each distinct scale is fitted once: h/2 is often the next h
     jets = {h: _fit_jets(mu_fn, chart.n, h)
             for h in set(h_list) | {h / 2.0 for h in h_list}}

@@ -60,12 +60,21 @@ def sphere():
     return cn.sphere2_chart()
 
 
+def _full_fit(chart, e, h, richardson, h_ode):
+    """lam, mu, nu, alpha and beta of the loop-jet fit at e: the jets at
+    h, Richardson-combined with the jets at h/2 when richardson is set."""
+    def mu(us, vs):
+        return cn._normal_loop(chart, e, us, vs, h_ode)
+
+    jets = cn._fit_jets(mu, chart.n, h)
+    fine = cn._fit_jets(mu, chart.n, h / 2.0) if richardson else None
+    return cn._fundamental_tensors(jets, fine)
+
+
 @pytest.fixture(scope="module")
 def cs_fit():
     chart = cn.cartan_schouten_chart(0.0)
-    rep = cn.fit_fundamental_tensors(chart, np.zeros(7), h=1e-2,
-                                     richardson=False, h_ode=1.0 / 16)
-    return chart, rep
+    return chart, _full_fit(chart, np.zeros(7), 1e-2, False, 1.0 / 16)
 
 
 def test_central_diff_exact_on_quadratic():
@@ -160,6 +169,14 @@ def test_leaving_domain_raises(sphere):
     with pytest.raises(LeftDomain):
         cn.integrate_geodesic(sphere, np.array([0.3, 0.0]),
                               np.array([-1.0, 0.0]), 1.0, 1e-2)
+
+
+def test_integrate_geodesic_checks_its_start(sphere):
+    # theta = 0.05 is outside the box and one step lands at 0.3, inside:
+    # only the start check sees it
+    with pytest.raises(LeftDomain, match=r"point \[0\.05 0\.3 *\]"):
+        cn.integrate_geodesic(sphere, np.array([0.05, 0.3]),
+                              np.array([0.5, 0.0]), 0.5, 0.5)
 
 
 def test_flat_transport_closed_loop():
@@ -457,8 +474,7 @@ def test_exp_map_memory_does_not_grow_with_steps():
 def test_akivis_fits_each_scale_once(sphere, monkeypatch):
     e = np.array([1.2, 0.3])
     h_list = (1e-2, 5e-3)
-    reps = [cn.fit_fundamental_tensors(sphere, e, h=h, h_ode=1.0 / 16)
-            for h in h_list]
+    fits = [_full_fit(sphere, e, h, True, 1.0 / 16) for h in h_list]
     real = cn._fit_jets
     scales = []
 
@@ -470,38 +486,40 @@ def test_akivis_fits_each_scale_once(sphere, monkeypatch):
     out = cn.akivis_check(sphere, e, h_list, h_ode=1.0 / 16)
     assert sorted(scales) == [2.5e-3, 5e-3, 1e-2]
     data = cn.curvature_data(sphere, e)
-    for i, rep in enumerate(reps):
-        assert out["r1"][i] == float(np.max(np.abs(2.0 * rep.alpha
+    for i, (*_, alpha, beta) in enumerate(fits):
+        assert out["r1"][i] == float(np.max(np.abs(2.0 * alpha
                                                    + data.torsion)))
         assert out["r2"][i] == float(np.max(np.abs(
-            4.0 * rep.beta + data.nabla_torsion + data.curvature)))
-        assert out["alpha_norm"][i] == float(np.max(np.abs(rep.alpha)))
-        assert out["beta_norm"][i] == float(np.max(np.abs(rep.beta)))
+            4.0 * beta + data.nabla_torsion + data.curvature)))
+        assert out["alpha_norm"][i] == float(np.max(np.abs(alpha)))
+        assert out["beta_norm"][i] == float(np.max(np.abs(beta)))
 
 
 def test_fit_reports_unit_law_residual(sphere):
-    rep = cn.fit_fundamental_tensors(sphere, np.array([1.2, 0.3]), h=1e-2,
-                                     richardson=False, h_ode=1.0 / 16)
-    assert rep.residuals["unit_law"] < 1e-10
+    # the unit law under the loop fit: the probe h e_0 at h = 1e-2 survives
+    # exp_inverse(exp_map(.)) at the fit's h_ode
+    es, probe, h_ode = np.array([1.2, 0.3]), np.array([1e-2, 0.0]), 1.0 / 16
+    y = cn.exp_map(sphere, es, probe, h=h_ode)
+    back = cn.exp_inverse(sphere, es, y, h=h_ode)
+    assert np.max(np.abs(back - probe)) < 1e-10
 
 
 def test_fit_flat_chart_vanishes():
     chart = cn.flat_chart(3)
-    rep = cn.fit_fundamental_tensors(chart, np.zeros(3), h=1e-2,
-                                     richardson=False, h_ode=0.25)
-    assert np.max(np.abs(rep.alpha)) < 1e-8
-    assert np.max(np.abs(rep.beta)) < 1e-8
+    *_, alpha, beta = _full_fit(chart, np.zeros(3), 1e-2, False, 0.25)
+    assert np.max(np.abs(alpha)) < 1e-8
+    assert np.max(np.abs(beta)) < 1e-8
 
 
 def test_fit_cartan_schouten(cs_fit):
-    chart, rep = cs_fit
+    chart, (lam, mu, nu, alpha, beta) = cs_fit
     # 2 alpha = c at family parameter 0, within the fit tolerance
-    assert np.max(np.abs(2.0 * rep.alpha - C3)) < 0.05
+    assert np.max(np.abs(2.0 * alpha - C3)) < 0.05
     # alpha antisymmetric by construction
-    assert np.max(np.abs(rep.alpha + np.swapaxes(rep.alpha, 1, 2))) == 0.0
+    assert np.max(np.abs(alpha + np.swapaxes(alpha, 1, 2))) == 0.0
     # mu, nu carry their index symmetries
-    assert np.max(np.abs(rep.mu - np.swapaxes(rep.mu, 1, 2))) == 0.0
-    assert np.max(np.abs(rep.nu - np.swapaxes(rep.nu, 2, 3))) == 0.0
+    assert np.max(np.abs(mu - np.swapaxes(mu, 1, 2))) == 0.0
+    assert np.max(np.abs(nu - np.swapaxes(nu, 2, 3))) == 0.0
 
 
 def test_fit_matches_ch_tensors(cs_fit):
@@ -509,17 +527,19 @@ def test_fit_matches_ch_tensors(cs_fit):
     # alpha with the Campbell-Hausdorff loop of the parallelized sphere,
     # while the third-order jets (and hence beta) belong to the chart
     from g2lab.cartan import ch_fundamental_tensors
-    chart, rep = cs_fit
-    lam, mu, nu, alpha, beta = ch_fundamental_tensors(0.0)
-    assert np.max(np.abs(rep.lam - lam)) < 0.05
-    assert np.max(np.abs(rep.alpha - alpha)) < 0.05
+    chart, (lam, mu, _, alpha, _) = cs_fit
+    ch_lam, _, _, ch_alpha, _ = ch_fundamental_tensors(0.0)
+    assert np.max(np.abs(lam - ch_lam)) < 0.05
+    assert np.max(np.abs(alpha - ch_alpha)) < 0.05
     # constant symbols make the mu-jet vanish on the chart
-    assert np.max(np.abs(rep.mu)) < 1e-6
+    assert np.max(np.abs(mu)) < 1e-6
 
 
-def test_generalized_jacobi_of_fit(cs_fit):
-    chart, rep = cs_fit
-
+def test_beta_formula_on_random_jets():
+    # a unit test of the beta assembly in _fundamental_tensors, not a
+    # claim about the loop: for any lam, and mu, nu symmetric in their
+    # first and last index pairs, Alt(beta) = Alt(alpha alpha).  It pins
+    # the signs of the lam lam terms; mu and nu drop out of Alt.
     def alt3(t):
         out = np.zeros_like(t)
         for p in permutations(range(3)):
@@ -527,10 +547,16 @@ def test_generalized_jacobi_of_fit(cs_fit):
                 1 + np.array(p)))
         return out / 6.0
 
-    lhs = alt3(rep.beta)
-    rhs = alt3(np.einsum("ijm,mkl->ijkl", rep.alpha, rep.alpha))
-    akivis = cn.akivis_check(chart, np.zeros(7), [1e-2], h_ode=1.0 / 16)
-    assert np.max(np.abs(lhs - rhs)) <= max(5 * akivis["r1"][0], 1e-10)
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        lam = rng.standard_normal((7, 7, 7))
+        mu = rng.standard_normal((7, 7, 7, 7))
+        nu = rng.standard_normal((7, 7, 7, 7))
+        jets = (lam, mu + np.swapaxes(mu, 1, 2), nu + np.swapaxes(nu, 2, 3))
+        *_, alpha, beta = cn._fundamental_tensors(jets)
+        lhs = alt3(beta)
+        rhs = alt3(np.einsum("ijm,mkl->ijkl", alpha, alpha))
+        assert np.max(np.abs(lhs - rhs)) < 1e-13
 
 
 def test_curvature_data_flat():
@@ -778,7 +804,10 @@ def test_transport_broadcasts_vectors_and_paths(make, e):
 
 def test_normal_loop_integrates_each_distinct_v_once(monkeypatch):
     chart = cn.cartan_schouten_chart(0.25)
-    mu = cn._NormalLoop(chart, np.zeros(7), h_ode=1.0 / 16)
+
+    def mu(us, vs):
+        return cn._normal_loop(chart, np.zeros(7), us, vs, 1.0 / 16)
+
     d = 1e-2 * np.eye(7)
     z = np.zeros(7)
     neg_zero = d[1] * 1.0
@@ -819,26 +848,25 @@ def test_jet_stencil_shoots_each_row_once(n, shot):
 ])
 def test_fit_alpha_is_the_full_fits_alpha(make, e):
     chart = make()
-    rep = cn.fit_fundamental_tensors(chart, e, h=1e-2, richardson=False,
-                                     h_ode=1.0 / 16)
-    assert np.array_equal(cn.fit_alpha(chart, e, 1e-2, 1.0 / 16), rep.alpha)
+    alpha = _full_fit(chart, e, 1e-2, False, 1.0 / 16)[3]
+    assert np.array_equal(cn.fit_alpha(chart, e, 1e-2, 1.0 / 16), alpha)
 
 
 def test_cartan_suite_shoots_only_lam_rows(monkeypatch):
     from g2lab import cli
     rows, frames = [], []
-    real_loop = cn._NormalLoop.__call__
+    real_loop = cn._normal_loop
     real_frame = cn.geodesic_with_frame
 
-    def loop(self, us, vs):
+    def loop(chart, e, us, vs, h_ode):
         rows.append(len(us))
-        return real_loop(self, us, vs)
+        return real_loop(chart, e, us, vs, h_ode)
 
     def frame(chart, x0, v0, t_end=1.0, h=1e-3):
         frames.append(len(v0))
         return real_frame(chart, x0, v0, t_end, h)
 
-    monkeypatch.setattr(cn._NormalLoop, "__call__", loop)
+    monkeypatch.setattr(cn, "_normal_loop", loop)
     monkeypatch.setattr(cn, "geodesic_with_frame", frame)
     assert cli.run_suite("cartan", cli.RunConfig(seed=42))["pass"]
     # two fits of the 4 * 7^2 lam rows, with one frame per distinct v
@@ -926,8 +954,7 @@ def _serial_fit(chart, e, h, richardson, h_ode):
 ])
 def test_fit_matches_serial_oracle(make, e, richardson):
     chart = make()
-    rep = cn.fit_fundamental_tensors(chart, e, h=1e-2, richardson=richardson,
-                                     h_ode=1.0 / 16)
+    fit = _full_fit(chart, e, 1e-2, richardson, 1.0 / 16)
     want = _serial_fit(chart, e, 1e-2, richardson, 1.0 / 16)
-    for got, ref in zip((rep.lam, rep.mu, rep.nu, rep.alpha, rep.beta), want):
+    for got, ref in zip(fit, want):
         assert np.array_equal(got, ref)
