@@ -315,7 +315,8 @@ def suite_exterior(config: RunConfig) -> list[dict]:
         wedge_star_pack=1e-10)
 def suite_g2linear(config: RunConfig) -> list[dict]:
     from . import g2linear as g2
-    from .exterior import AltTensor, form_inner, volume_form, Metric, wedge
+    from .exterior import (AltTensor, Metric, form_inner, pullback,
+                           volume_form, wedge)
     data0 = g2.metric_from_3form(g2.PHI0)
     id7 = Metric.euclidean(7)
     psi = g2.psi0()
@@ -338,7 +339,7 @@ def suite_g2linear(config: RunConfig) -> list[dict]:
 
     def form_trial(rng, t):
         a = g2.random_gl7(rng)
-        phi = AltTensor(7, 3, g2.pullback_3form(a, g2.PHI0.comps))
+        phi = AltTensor(7, 3, pullback(g2.PHI0.comps, a))
         data = g2.metric_from_3form(phi)
         equiv = np.max(np.abs(data.g.g - a.T @ a)) / np.max(np.abs(a.T @ a))
         t_suite = _worst(g2.contraction_identity_residuals(data).values())
@@ -369,8 +370,7 @@ def suite_g2linear(config: RunConfig) -> list[dict]:
     def triple_trial(rng, t):
         h1, h2, h4 = g2.random_admissible_triple(rng)
         mat = g2.g2_from_triple(h1, h2, h4)
-        member = np.max(np.abs(g2.pullback_3form(mat, g2.PHI0.comps)
-                               - g2.PHI0.comps))
+        member = np.max(np.abs(pullback(g2.PHI0.comps, mat) - g2.PHI0.comps))
         return _worst((member, abs(np.linalg.det(mat) - 1.0)))
 
     checks.append(config.row("g2_from_triple", map_trials(

@@ -9,8 +9,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ZeroDivisor
-from .exterior import AltTensor, interior, wedge
-from .g2linear import G2MetricData, metric_from_3form, pullback_3form
+from .exterior import AltTensor, interior, pullback, wedge
+from .g2linear import G2MetricData, metric_from_3form
 from .octonion import (ZERO_EPS, Octonion, associator, conj, inverse, mul,
                        power)
 
@@ -118,7 +118,7 @@ def conjugation_pullback_residual(v: Octonion, data: G2MetricData) -> float:
     v3 = power(v, 3)
     lhs = sigma(v3, data).comps
     m = ad_matrix7(inverse(v), data)
-    rhs = pullback_3form(m, data.phi.comps)
+    rhs = pullback(data.phi.comps, m)
     return float(np.max(np.abs(lhs - rhs)))
 
 

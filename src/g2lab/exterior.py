@@ -14,8 +14,9 @@ cached read-only, so it is exactly antisymmetric with exact zeros at
 repeated indices.  Sums, scalings, ``max_abs``, the wedge product and the
 interior product work on ``vals`` alone.  The form metric and the Hodge
 star share one raise, ``_raised``, which lowers the complement above
-degree n/2, so it builds no array of more than n^(n//2) entries.  This is
-the only module that knows how a form is stored.
+degree n/2, so it builds no array of more than n^(n//2) entries.  It
+raises through ``pullback``, the one dense pullback of the package.  This
+is the only module that knows how a form is stored.
 
 One cached table of signed permutations, ``_signed_perms``, drives every
 antisymmetric index operation (antisymmetrization, basis forms, the
@@ -303,11 +304,13 @@ def interior(x: np.ndarray, a: AltTensor) -> AltTensor:
     return AltTensor._from_vals(a.n, a.k - 1, vals)
 
 
-def _contract_all(comps: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """Every index of a dense component array contracted with mat;
-    tensordot cycles the axes, so after k passes their order is back."""
+def pullback(comps: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """(T* w)_{m..p} = w_{i..k} T^i_m ... T^k_p on a dense component array.
+    Each pass contracts the first axis by one BLAS product and appends the
+    new index last, so after k passes the axes are back in order."""
     for _ in range(comps.ndim):
-        comps = np.tensordot(comps, mat, axes=(0, 0))
+        comps = np.dot(comps.reshape(len(t), -1).T, t).reshape(
+            comps.shape[1:] + t.shape[1:])
     return comps
 
 
@@ -318,12 +321,12 @@ def _raised(a: AltTensor, g: Metric) -> np.ndarray:
     sign(I, J) a_I / sqrt(det g) at the complement J of I."""
     n, k = a.n, a.k
     if 2 * k <= n:
-        return _sorted_components(_contract_all(a.comps, g.g_inv), n)
+        return _sorted_components(pullback(a.comps, g.g_inv), n)
     signs = _shuffle_signs(n, k)
     # the complements of the sorted k-tuples, in combinations order, are
     # the sorted (n-k)-tuples in reverse combinations order
     complement = _scatter((signs * a.vals)[::-1], n, n - k)
-    lowered = _sorted_components(_contract_all(complement, g.g), n)
+    lowered = _sorted_components(pullback(complement, g.g), n)
     return signs * lowered[::-1] / g.sqrt_det ** 2
 
 

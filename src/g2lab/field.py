@@ -20,9 +20,8 @@ from .connection import (_domain_box, _require_inside, central_diff,
                          levi_civita)
 from .deform import bundle_inverse, bundle_mul, bundle_norm_sq, sigma
 from .errors import NormDrift
-from .exterior import AltTensor, antisymmetrize
-from .g2linear import (G2MetricData, PHI0, _einsum, metric_from_3form,
-                       pullback_3form, split2)
+from .exterior import AltTensor, antisymmetrize, pullback
+from .g2linear import G2MetricData, PHI0, _einsum, metric_from_3form, split2
 from .octonion import Octonion, exponential
 
 NORM_TOL = 1e-10
@@ -301,6 +300,6 @@ def pullback_warp_field(strength: float = 0.05) -> PhiField:
         # a strength that overflows the pullback gives a non-finite form,
         # which metric_from_3form refuses as NotPositive
         with np.errstate(over="ignore", invalid="ignore"):
-            return pullback_3form(a, C3)
+            return pullback(C3, a)
 
     return PhiField(phi_at, [[-0.5, 0.5]] * 7, name="pullback_warp")

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import BadTriple, NotPositive
 from .exterior import (AltTensor, Metric, flat, form_inner, hodge, interior,
-                       wedge)
+                       pullback, wedge)
 from .octonion import C3
 
 EIG_FLOOR = 1e-10
@@ -116,11 +116,6 @@ def metric_from_3form(phi: AltTensor | np.ndarray) -> G2MetricData:
     orientation = int(np.sign(vol_scalar))
     psi = hodge(phi, g, orientation)
     return G2MetricData(phi, g, vol_scalar, psi, orientation)
-
-
-def pullback_3form(t: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """(T* phi)(u, v, w) = phi(Tu, Tv, Tw), on raw components."""
-    return _einsum("ijk,im,jn,kp->mnp", phi, t, t, t)
 
 
 def cross(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -288,7 +283,7 @@ def random_positive_3form(rng: np.random.Generator,
                           cond_max: float = 10.0) -> AltTensor:
     """A* phi0 for a well-conditioned A; positivity is automatic."""
     a = random_gl7(rng, cond_max=cond_max)
-    return AltTensor(7, 3, pullback_3form(a, C3))
+    return AltTensor(7, 3, pullback(C3, a))
 
 
 # -- wedge-and-star identity pack ---------------------------------------------

@@ -43,13 +43,14 @@ def test_criterion_01_model_form_constants():
 
 def test_criterion_02_contraction_identity_suite():
     start = time.perf_counter()
-    from g2lab.g2linear import (metric_from_3form, pullback_3form,
-                                random_gl7, contraction_identity_residuals, PHI0)
+    from g2lab.exterior import pullback
+    from g2lab.g2linear import (metric_from_3form, random_gl7,
+                                contraction_identity_residuals, PHI0)
     rng = np.random.default_rng(2024)
     resids = []
     for _ in range(100):
         a = random_gl7(rng, cond_max=10.0)
-        data = metric_from_3form(pullback_3form(a, PHI0.comps))
+        data = metric_from_3form(pullback(PHI0.comps, a))
         resids.extend(contraction_identity_residuals(data).values())
     worst = _worst(resids)
     elapsed = time.perf_counter() - start
@@ -60,9 +61,8 @@ def test_criterion_02_contraction_identity_suite():
 
 def test_criterion_03_metric_recovery():
     start = time.perf_counter()
-    from g2lab.exterior import Metric, volume_form
-    from g2lab.g2linear import (metric_from_3form, psi0, pullback_3form,
-                                random_gl7, PHI0)
+    from g2lab.exterior import Metric, pullback, volume_form
+    from g2lab.g2linear import metric_from_3form, psi0, random_gl7, PHI0
     data = metric_from_3form(PHI0)
     exact = _worst((np.max(np.abs(data.g.g - np.eye(7))),
                     (data.psi - psi0()).max_abs(),
@@ -71,7 +71,7 @@ def test_criterion_03_metric_recovery():
     resids = []
     for _ in range(100):
         a = random_gl7(rng)
-        d = metric_from_3form(pullback_3form(a, PHI0.comps))
+        d = metric_from_3form(pullback(PHI0.comps, a))
         resids.append(np.max(np.abs(d.g.g - a.T @ a))
                       / np.max(np.abs(a.T @ a)))
     equiv = _worst(resids)
@@ -96,14 +96,15 @@ def test_criterion_04_r_operator_spectrum():
 
 def test_criterion_05_g2_construction():
     start = time.perf_counter()
-    from g2lab.g2linear import (g2_from_triple, pullback_3form,
-                                random_admissible_triple, PHI0)
+    from g2lab.exterior import pullback
+    from g2lab.g2linear import (g2_from_triple, random_admissible_triple,
+                                PHI0)
     rng = np.random.default_rng(5)
     phis, dets = [], []
     for _ in range(1000):
         t = g2_from_triple(*random_admissible_triple(rng))
         phis.append(np.max(np.abs(
-            pullback_3form(t, PHI0.comps) - PHI0.comps)))
+            pullback(PHI0.comps, t) - PHI0.comps)))
         dets.append(abs(np.linalg.det(t) - 1.0))
     worst_phi, worst_det = _worst(phis), _worst(dets)
     elapsed = time.perf_counter() - start

@@ -390,6 +390,61 @@ def test_hodge_and_form_inner_stay_below_half_degree_arrays():
     assert peak < 64_000
 
 
+# -- the one dense pullback ----------------------------------------------------
+
+def _tensordot_pullback(comps, t):
+    for _ in range(comps.ndim):
+        comps = np.tensordot(comps, t, axes=(0, 0))
+    return comps
+
+
+def _signed_zeros(rng, shape):
+    """A normal draw with about a quarter of its entries +0.0 and a
+    quarter -0.0."""
+    comps = rng.standard_normal(shape)
+    pick = rng.integers(0, 4, shape)
+    comps[pick == 0] = 0.0
+    comps[pick == 1] = -0.0
+    return comps
+
+
+def test_pullback_is_the_tensordot_loop():
+    rng = np.random.default_rng(27)
+    for n in range(2, 8):
+        for k in range(5):
+            comps = _signed_zeros(rng, (n,) * k)
+            t = _signed_zeros(rng, (n, n))
+            t[0, 1], t[1, 0] = 1.5, -0.5  # not symmetric
+            got = ext.pullback(comps, t)
+            ref = _tensordot_pullback(comps, t)
+            assert got.shape == ref.shape == (n,) * k
+            assert np.array_equal(got, ref), (n, k)
+            assert np.array_equal(np.signbit(got), np.signbit(ref)), (n, k)
+
+
+def test_pullback_of_a_3form_is_the_einsum():
+    rng = np.random.default_rng(28)
+    for _ in range(20):
+        comps = _signed_zeros(rng, (7, 7, 7))
+        t = rng.standard_normal((7, 7))
+        ref = np.einsum("ijk,im,jn,kp->mnp", comps, t, t, t, optimize=True)
+        assert np.array_equal(ext.pullback(comps, t), ref)
+
+
+def test_pullback_keeps_the_non_finite_pattern():
+    rng = np.random.default_rng(29)
+    comps = _signed_zeros(rng, (7, 7, 7))
+    comps[1, 2, 3] = np.inf
+    t = rng.standard_normal((7, 7))
+    t[1, 0] = 0.0  # inf * 0 is nan: the output mixes nan and +-inf
+    with np.errstate(invalid="ignore"):
+        got = ext.pullback(comps, t)
+        ref = _tensordot_pullback(comps, t)
+    assert np.isnan(got).any() and np.isinf(got).any()
+    for test in (np.isnan, np.isposinf, np.isneginf):
+        assert np.array_equal(test(got), test(ref))
+
+
 # -- random forms --------------------------------------------------------------
 
 @pytest.mark.parametrize("n, k", [(4, 0), (4, 1), (7, 0), (7, 1)])

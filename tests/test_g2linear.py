@@ -8,7 +8,7 @@ import pytest
 from g2lab import g2linear as g2
 from g2lab.errors import BadTriple, NotPositive
 from g2lab.exterior import (AltTensor, Metric, form_inner, interior,
-                            levi_civita_symbol, volume_form, wedge)
+                            levi_civita_symbol, pullback, volume_form, wedge)
 from g2lab.octonion import C3
 
 
@@ -43,7 +43,7 @@ def test_metric_equivariance():
     rng = np.random.default_rng(0)
     for _ in range(20):
         a = g2.random_gl7(rng)
-        data = g2.metric_from_3form(g2.pullback_3form(a, C3))
+        data = g2.metric_from_3form(pullback(C3, a))
         scale = np.max(np.abs(a.T @ a))
         assert np.max(np.abs(data.g.g - a.T @ a)) < 1e-10 * scale
 
@@ -53,7 +53,7 @@ def test_negative_orientation_handled():
     a = g2.random_gl7(rng, det_positive=False)
     if np.linalg.det(a) > 0:
         a[:, 0] = -a[:, 0]
-    data = g2.metric_from_3form(g2.pullback_3form(a, C3))
+    data = g2.metric_from_3form(pullback(C3, a))
     assert data.orientation == -1
     assert np.max(np.abs(data.g.g - a.T @ a)) < 1e-10 * np.max(np.abs(a.T @ a))
 
@@ -108,7 +108,7 @@ def test_g2_from_triple_examples():
     t = g2.g2_from_triple(eye[0], eye[1], eye[3])
     assert np.max(np.abs(t - np.eye(7))) == 0.0
     t2 = g2.g2_from_triple(eye[1], eye[0], eye[3])
-    assert np.max(np.abs(g2.pullback_3form(t2, C3) - C3)) <= g2.G2_TOL
+    assert np.max(np.abs(pullback(C3, t2) - C3)) <= g2.G2_TOL
     assert np.max(np.abs(t2 - np.eye(7))) > 0.5
     with pytest.raises(BadTriple):
         g2.g2_from_triple(eye[0], eye[0], eye[3])
@@ -175,7 +175,7 @@ def _random_structure(rng, det_positive):
     a = g2.random_gl7(rng, det_positive=det_positive)
     if not det_positive and np.linalg.det(a) > 0:
         a[:, 0] = -a[:, 0]
-    return g2.metric_from_3form(g2.pullback_3form(a, C3))
+    return g2.metric_from_3form(pullback(C3, a))
 
 
 def test_r_operator_and_split2_both_orientations():
@@ -238,8 +238,8 @@ def test_map_f(data0):
         + step ** 3 / 6 * (am @ am @ am)
     m_minus = np.eye(7) - step * am + step ** 2 / 2 * (am @ am) \
         - step ** 3 / 6 * (am @ am @ am)
-    fd = (g2.pullback_3form(m_plus, data0.phi.comps)
-          - g2.pullback_3form(m_minus, data0.phi.comps)) / (2 * step)
+    fd = (pullback(data0.phi.comps, m_plus)
+          - pullback(data0.phi.comps, m_minus)) / (2 * step)
     assert np.max(np.abs(fd - g2.map_f(a, data0).comps)) < 1e-8
 
 
@@ -344,16 +344,21 @@ def test_einsum_path_searched_once(monkeypatch):
         searches.append(args[0])
         return real(*args, **kwargs)
 
+    data = g2.metric_from_3form(g2.random_positive_3form(
+        np.random.default_rng(18)))
     monkeypatch.setattr(np, "einsum_path", counted)
     monkeypatch.setattr(g2, "_EINSUM_PATHS", {})
-    t = g2.random_gl7(np.random.default_rng(18))
-    first = g2.pullback_3form(t, g2.PHI0.comps)
-    second = g2.pullback_3form(t, g2.PHI0.comps)
-    assert searches == ["ijk,im,jn,kp->mnp"]
-    assert np.array_equal(first, second)
+    first = g2.contraction_identity_residuals(data)
+    second = g2.contraction_identity_residuals(data)
+    # six contractions, each path searched on the first call only
+    assert len(searches) == len(set(searches)) == 6
+    assert first == second
     # the cached path is the one optimize=True searches: the same bits
-    assert np.array_equal(first, np.einsum("ijk,im,jn,kp->mnp", g2.PHI0.comps,
-                                           t, t, t, optimize=True))
+    sub = "ijk,abc,bj,ck->ia"
+    ops = (data.phi.comps, data.phi.comps, data.g.g_inv, data.g.g_inv)
+    assert sub in searches
+    assert np.array_equal(g2._einsum(sub, *ops),
+                          np.einsum(sub, *ops, optimize=True))
 
 
 def test_g2_forms_are_the_scatter_of_their_sorted_components(monkeypatch):
@@ -363,7 +368,7 @@ def test_g2_forms_are_the_scatter_of_their_sorted_components(monkeypatch):
     from g2lab import field as fld
     from g2lab.octonion import Octonion
     rng = np.random.default_rng(19)
-    data = g2.metric_from_3form(g2.pullback_3form(g2.random_gl7(rng), C3))
+    data = g2.metric_from_3form(pullback(C3, g2.random_gl7(rng)))
     forms = {"phi": data.phi, "psi": data.psi,
              "map_f": g2.map_f(rng.standard_normal((7, 7)), data)}
     sp2 = g2.split2(AltTensor(7, 2, rng.standard_normal((7, 7))), data)

@@ -30,9 +30,12 @@ closed form through bilinear_7form, with no least-squares solve, and
 octonion._assoc_raw is the one associator written out.  Charts and
 fields are built in code: no chart or field config loader, grid chart or
 per-row Levi-Civita chart comes back.  The Hodge star
-and the form metric share exterior._raised, the one raise of a form.  Every
-check row of the CLI is built by RunConfig.row from the tolerances its
-suite declares, save the one row of fixed tolerance.  The field
+and the form metric share exterior._raised, the one raise of a form, and
+it raises through exterior.pullback, the one dense pullback, which every
+3-form pullback calls too: no module names tensordot or writes a full
+pullback as an einsum, and g2linear's own 3-form pullback does not come
+back.  Every check row of the CLI is built by RunConfig.row from the
+tolerances its suite declares, save the one row of fixed tolerance.  The field
 derivatives take every coordinate axis at once: no field function takes a
 direction vector, a Christoffel array or a torsion, none has a private
 twin that takes more, a PhiField holds one memo, and
@@ -394,6 +397,37 @@ def test_one_raise_behind_hodge_and_form_inner():
         assert "_raised" in names
         assert not {"tensordot", "factorial", "_contract_all"} & (names
                                                                   | attrs)
+
+
+def test_one_dense_pullback():
+    from g2lab import cli, deform as df, exterior as ext, field as fld
+    from g2lab import g2linear as g2
+    gone = "pullback" + "_3form"
+    root = Path(__file__).resolve().parents[1]
+    for path in sorted(SRC.glob("*.py")) + sorted(
+            Path(__file__).parent.glob("*.py")) + [root / "README.md"]:
+        assert gone not in path.read_text(), path.name
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        if "tensordot" in _names_read(tree):
+            offenders.append(f"{path.name}: tensordot")
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Constant)
+                    and isinstance(node.value, str) and "->" in node.value):
+                continue
+            first, *mats = node.value.split("->")[0].split(",")
+            # every index of the first operand contracted with its own
+            # matrix is a full pullback
+            hit = sorted(c for m in mats if len(m) == 2 for c in m
+                         if c in first)
+            if first and len(mats) == len(first) and hit == sorted(first):
+                offenders.append(f"{path.name}: einsum {node.value!r}")
+    assert offenders == []
+    for fn in (ext._raised, g2.random_positive_3form, cli.suite_g2linear,
+               df.conjugation_pullback_residual, fld.pullback_warp_field):
+        assert "pullback" in _names_read(ast.parse(
+            inspect.getsource(fn))), fn.__name__
 
 
 def test_rows_are_built_in_one_place():
