@@ -45,10 +45,11 @@ on, whose geodesic is the one from e to y, so the product takes two
 integrations: that solve, then one ``exp_map`` from y of the
 transported exp_e^-1(x).  The loop-jet fit has two ways in, both through
 ``_normal_loop``, that product in normal coordinates at e, with one
-batched call per stencil: ``akivis_check`` fits every jet through
-``_fit_jets``, which shoots each distinct (u, v) row once (a diagonal
+batched call per fit: ``akivis_check`` shoots the stencils of all its
+scales in one call, each distinct (u, v) row once (a diagonal
 third-order term is a lam row or has a zero argument, so it is read, not
-shot), and ``fit_alpha`` shoots only the lam rows.
+shot), and ``_fit_jets`` combines each scale's rows and shoots nothing;
+``fit_alpha`` shoots only the lam rows.
 References: Hairer, Norsett & Wanner, Solving ODEs I, II.1 (RK4) and
 II.4 (Richardson extrapolation).
 """
@@ -474,21 +475,20 @@ def _jet_stencil(n: int, h: float):
     then the 8 off-diagonal terms with mu(a, w), then the same 8 with
     mu(w, a).  No row repeats: the diagonal third-order terms are lam
     rows or have a zero argument, and ``_fit_jets`` reads them from
-    those.  Returns U, V of shape (P, n) and each term's row count."""
+    those.  Returns U, V of shape (P, n)."""
     eh = h * np.eye(n)
     _, _, ol, oj, ok = _jet_groups(n)
     off = [(s1 * eh[oj] + s2 * eh[ok], s3 * eh[ol]) for s1, s2, s3 in _SIGNS3]
     terms = _lam_stencil(n, h) + off + [(v, u) for u, v in off]
     return (np.concatenate([u for u, _ in terms]),
-            np.concatenate([v for _, v in terms]),
-            [len(u) for u, _ in terms])
+            np.concatenate([v for _, v in terms]))
 
 
-def _fit_jets(mu_fn, n: int, h: float):
+def _fit_jets(mus: np.ndarray, n: int, h: float):
     """Second-order central-difference estimates of the loop jets.
 
-    The pass's whole stencil (``_jet_stencil``) is evaluated by one
-    mu_fn(U, V) call and combined term by term:
+    mus holds mu(U, V) for the rows U, V of ``_jet_stencil(n, h)``; they
+    are combined term by term, and nothing is shot:
 
     * lam^i_jk from mu(+-h e_j, +-h e_k);
     * mu^i_jkl (symmetric in j, k) from mu(a, +-h e_l) and nu^i_jkl
@@ -498,9 +498,8 @@ def _fit_jets(mu_fn, n: int, h: float):
     The diagonal terms are not shot again: mu(+-h e_j, +-h e_l) is a
     lam row, and mu(0, w) = mu(w, 0) = w exactly.
     """
-    us, vs, sizes = _jet_stencil(n, h)
-    t = np.split(mu_fn(us, vs), np.cumsum(sizes)[:-1])
     p, q, ol, oj, ok = _jet_groups(n)
+    t = np.split(mus, np.cumsum([p.size] * 4 + [ol.size] * 16)[:-1])
     lam = _lam(t, n, h)
 
     rows_j = np.concatenate([q, oj])
@@ -647,16 +646,24 @@ def akivis_check(chart: ConnectionChart, e, h_list,
     coordinates at e and the residuals
         r1(h) = || 2 alpha + T ||_inf
         r2(h) = || 4 beta + nabla T + R ||_inf
-    are reported against the tensors from ``curvature_data``.
+    are reported against the tensors from ``curvature_data``.  The
+    stencils of every distinct scale, h and h/2 for each h in h_list, are
+    shot in one ``_normal_loop`` call; each row gets the bits a call per
+    scale would give it.  BadConfig unless h_list holds at least one
+    scale and every scale is finite and positive.
     """
+    h_list = [float(h) for h in h_list]
+    if not h_list or not all(0.0 < h < inf for h in h_list):
+        raise BadConfig(f"h_list must hold finite scales > 0, got {h_list}")
     data = curvature_data(chart, e)
-
-    def mu_fn(us, vs):
-        return _normal_loop(chart, e, us, vs, h_ode)
-
     # each distinct scale is fitted once: h/2 is often the next h
-    jets = {h: _fit_jets(mu_fn, chart.n, h)
-            for h in set(h_list) | {h / 2.0 for h in h_list}}
+    scales = sorted(set(h_list) | {h / 2.0 for h in h_list})
+    stencils = [_jet_stencil(chart.n, h) for h in scales]
+    mus = _normal_loop(chart, e, np.concatenate([u for u, _ in stencils]),
+                       np.concatenate([v for _, v in stencils]), h_ode)
+    # every stencil has the same row count
+    jets = {h: _fit_jets(block, chart.n, h)
+            for h, block in zip(scales, np.split(mus, len(scales)))}
     out = {"h": [], "r1": [], "r2": [], "alpha_norm": [], "beta_norm": []}
     for h in h_list:
         _, _, _, alpha, beta = _fundamental_tensors(jets[h], jets[h / 2.0])

@@ -62,13 +62,15 @@ def sphere():
 
 def _full_fit(chart, e, h, richardson, h_ode):
     """lam, mu, nu, alpha and beta of the loop-jet fit at e: the jets at
-    h, Richardson-combined with the jets at h/2 when richardson is set."""
-    def mu(us, vs):
-        return cn._normal_loop(chart, e, us, vs, h_ode)
+    h, Richardson-combined with the jets at h/2 when richardson is set;
+    one _normal_loop call per scale."""
+    def jets(h):
+        us, vs = cn._jet_stencil(chart.n, h)
+        return cn._fit_jets(cn._normal_loop(chart, e, us, vs, h_ode),
+                            chart.n, h)
 
-    jets = cn._fit_jets(mu, chart.n, h)
-    fine = cn._fit_jets(mu, chart.n, h / 2.0) if richardson else None
-    return cn._fundamental_tensors(jets, fine)
+    return cn._fundamental_tensors(jets(h),
+                                   jets(h / 2.0) if richardson else None)
 
 
 @pytest.fixture(scope="module")
@@ -478,9 +480,9 @@ def test_akivis_fits_each_scale_once(sphere, monkeypatch):
     real = cn._fit_jets
     scales = []
 
-    def counted(mu_fn, n, h):
+    def counted(mus, n, h):
         scales.append(h)
-        return real(mu_fn, n, h)
+        return real(mus, n, h)
 
     monkeypatch.setattr(cn, "_fit_jets", counted)
     out = cn.akivis_check(sphere, e, h_list, h_ode=1.0 / 16)
@@ -493,6 +495,40 @@ def test_akivis_fits_each_scale_once(sphere, monkeypatch):
             4.0 * beta + data.nabla_torsion + data.curvature)))
         assert out["alpha_norm"][i] == float(np.max(np.abs(alpha)))
         assert out["beta_norm"][i] == float(np.max(np.abs(beta)))
+
+
+def test_akivis_shoots_all_scales_in_one_call(sphere, monkeypatch):
+    real_loop, real_frame = cn._normal_loop, cn.geodesic_with_frame
+    rows, frames = [], []
+
+    def loop(chart, e, us, vs, h_ode):
+        rows.append(len(us))
+        return real_loop(chart, e, us, vs, h_ode)
+
+    def frame(chart, x0, v0, t_end=1.0, h=1e-3):
+        frames.append(len(v0))
+        return real_frame(chart, x0, v0, t_end, h)
+
+    monkeypatch.setattr(cn, "_normal_loop", loop)
+    monkeypatch.setattr(cn, "geodesic_with_frame", frame)
+    cn.akivis_check(sphere, np.array([1.2, 0.3]), (1e-2, 5e-3),
+                    h_ode=1.0 / 16)
+    # the 48-row stencils of h = 1e-2, 5e-3 and 2.5e-3 in one call
+    assert rows == [3 * 48]
+    assert len(frames) == 1
+
+
+@pytest.mark.parametrize("h_list", [(), (0.0,), (np.nan,), (1e-2, -5e-3),
+                                    (np.inf,)],
+                         ids=["empty", "zero", "nan", "negative", "inf"])
+def test_akivis_rejects_bad_scales_before_any_shot(sphere, monkeypatch,
+                                                   h_list):
+    def never(*args):
+        raise AssertionError("shot before h_list was validated")
+
+    monkeypatch.setattr(cn, "_normal_loop", never)
+    with pytest.raises(BadConfig, match="h_list"):
+        cn.akivis_check(sphere, np.array([1.2, 0.3]), h_list)
 
 
 def test_fit_reports_unit_law_residual(sphere):
@@ -832,8 +868,10 @@ def test_normal_loop_integrates_each_distinct_v_once(monkeypatch):
 
 @pytest.mark.parametrize("n, shot", [(2, 48), (4, 448), (7, 2548)])
 def test_jet_stencil_shoots_each_row_once(n, shot):
-    us, vs, sizes = cn._jet_stencil(n, 1e-2)
-    assert sum(sizes) == len(us) == len(vs)
+    us, vs = cn._jet_stencil(n, 1e-2)
+    # the 4 lam terms over n^2 pairs and 16 off-diagonal terms over
+    # n * (n choose 2) triples
+    assert len(us) == len(vs) == 4 * n * n + 8 * n * n * (n - 1)
     live = np.any(us != 0.0, axis=1) & np.any(vs != 0.0, axis=1)
     rows = np.hstack([us, vs])[live]
     # compared by value, so rows that differ only in a signed zero count

@@ -14,6 +14,7 @@ import pytest
 
 import g2lab
 from g2lab import cli
+from g2lab import connection as cn
 from g2lab import exterior as ext
 
 SEED = 42
@@ -48,11 +49,21 @@ def scale_the_raise(monkeypatch):
                       lambda a, g: 1.001 * real(a, g))
 
 
+def fit_at_the_wrong_scale(monkeypatch):
+    # what a split handing each scale another scale's rows does: the rows
+    # shot at h are differenced as if shot at 2h
+    real = cn._fit_jets
+    monkeypatch.setattr(cn, "_fit_jets",
+                        lambda mus, n, h: real(mus, n, 2.0 * h))
+
+
 CONTROLS = [
     ("g2linear", "equivariance", pull_back_by_transpose),
     ("deform", "conjugation_pullback", pull_back_by_transpose),
     ("exterior", "hodge2", scale_the_raise),
     ("g2linear", "phi0_norm", scale_the_raise),
+    ("akivis", "cs_r1_at_h", fit_at_the_wrong_scale),
+    ("akivis", "torsionless_r2", fit_at_the_wrong_scale),
 ]
 
 

@@ -11,9 +11,11 @@ one tolerance, and no connection function takes a tol.  Christoffel
 symbols meet a velocity only in connection._gamma_dot, with no
 three-operand einsum.  The loop-jet fit has two ways in, akivis_check
 and fit_alpha, both over the one function connection._normal_loop, and
-no full-fit entry point or report class comes back.  The lam difference
-of the fit is written once, in connection._lam, so fit_alpha and
-_fit_jets cannot fork.  The batch products
+no full-fit entry point or report class comes back; one akivis_check
+shoots all its scales in one _normal_loop call, and _fit_jets only
+combines the rows it is given.  The lam difference of the fit is written
+once, in connection._lam, so fit_alpha and _fit_jets cannot fork.  The
+batch products
 gather signed permutations: octonion.mul_cols, the one kernel, reads its
 terms from the basis table derived from STRUCTURE_CYCLES, the octonion
 suite runs every product through it in columns, and clifford_mul is one
@@ -196,6 +198,15 @@ def test_one_loop_fit():
         text = path.read_text()
         for name in gone:
             assert name not in text, f"{path.name}: {name}"
+    # _fit_jets combines the rows it is given: it calls no shooting
+    # function, and none passed in as an argument
+    from g2lab import connection as cn
+    tree = ast.parse(inspect.getsource(cn._fit_jets))
+    calls = {n.func.id for n in ast.walk(tree)
+             if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+    params = {a.arg for a in tree.body[0].args.args}
+    assert not calls & (params | {"_normal_loop", "exp_map", "exp_inverse",
+                                  "geodesic_with_frame", "loop_product"})
 
 
 def test_mul_cols_gathers_from_the_basis_table():
