@@ -18,40 +18,19 @@ from .exterior import antisymmetrize, levi_civita_symbol
 from .g2linear import psi0
 from .octonion import C3
 
-__all__ = [
-    "CsFamilyPoint", "cs_tensors", "self_duality_residuals",
-    "ch_fundamental_tensors", "ch_beta_residual", "C4_SELFDUAL",
-]
-
 C4_SELFDUAL = psi0().comps
 
 
-class CsFamilyPoint:
-    """One member of the family: parameter, torsion scale, torsion and
-    curvature tensors."""
-
-    __slots__ = ("alpha_param", "k", "h", "S", "R")
-
-    def __init__(self, alpha_param: float, k: float, h: float,
-                 s: np.ndarray, r: np.ndarray) -> None:
-        self.alpha_param = alpha_param
-        self.k = k
-        self.h = h
-        self.S = s
-        self.R = r
-
-
-def cs_tensors(alpha_param: float) -> CsFamilyPoint:
-    """Torsion S = k c with k = (1 - 2 a)/2 and the curvature
+def cs_tensors(alpha_param: float) -> tuple[np.ndarray, np.ndarray]:
+    """The pair (S, R) of one family member: the torsion S = k c with
+    k = (1 - 2 a)/2 and the curvature
     R_ijkl = 4 a (1 - a) S_ij^m S_klm - 4 a (2 - 3 a) S_[ij^m S_kl]m."""
     a = alpha_param
-    k = 0.5 * (1.0 - 2.0 * a)
-    s = k * C3
+    s = 0.5 * (1.0 - 2.0 * a) * C3
     ss = np.einsum("ijm,klm->ijkl", s, s)
     r = (4.0 * a * (1.0 - a) * ss
          - 4.0 * a * (2.0 - 3.0 * a) * antisymmetrize(ss))
-    h = np.inf if a == 0.5 else 1.0 / (1.0 - 2.0 * a)
-    return CsFamilyPoint(a, k, h, s, r)
+    return s, r
 
 
 def self_duality_residuals(k_scale: float) -> dict[str, float]:

@@ -76,16 +76,6 @@ class CliffordElement:
             out.coeffs[1 << i] = c
         return out
 
-    @classmethod
-    def blade(cls, p: int, q: int, indices,
-              value: float = 1.0) -> "CliffordElement":
-        mask = 0
-        for i in indices:
-            mask |= 1 << i
-        out = cls(p, q)
-        out.coeffs[mask] = value
-        return out
-
     def _check(self, other: "CliffordElement") -> None:
         if (self.p, self.q) != (other.p, other.q):
             raise SignatureMismatch(

@@ -122,10 +122,6 @@ class Path:
         self.xs = np.asarray(xs, dtype=float)
         self.vs = np.asarray(vs, dtype=float)
 
-    @property
-    def endpoint(self) -> np.ndarray:
-        return self.xs[-1].copy()
-
     def hermite(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """Cubic Hermite value and velocity at parameter t."""
         ts = self.ts
@@ -646,7 +642,8 @@ def akivis_check(chart: ConnectionChart, e, h_list,
     coordinates at e and the residuals
         r1(h) = || 2 alpha + T ||_inf
         r2(h) = || 4 beta + nabla T + R ||_inf
-    are reported against the tensors from ``curvature_data``.  The
+    are reported against the tensors from ``curvature_data``, with
+    alpha_norm = || alpha ||_inf: three lists, one entry per h.  The
     stencils of every distinct scale, h and h/2 for each h in h_list, are
     shot in one ``_normal_loop`` call; each row gets the bits a call per
     scale would give it.  BadConfig unless h_list holds at least one
@@ -664,17 +661,13 @@ def akivis_check(chart: ConnectionChart, e, h_list,
     # every stencil has the same row count
     jets = {h: _fit_jets(block, chart.n, h)
             for h, block in zip(scales, np.split(mus, len(scales)))}
-    out = {"h": [], "r1": [], "r2": [], "alpha_norm": [], "beta_norm": []}
+    out = {"r1": [], "r2": [], "alpha_norm": []}
     for h in h_list:
-        _, _, _, alpha, beta = _fundamental_tensors(jets[h], jets[h / 2.0])
-        r1 = float(np.max(np.abs(2.0 * alpha + data.torsion)))
-        r2 = float(np.max(np.abs(4.0 * beta + data.nabla_torsion
-                                 + data.curvature)))
-        out["h"].append(float(h))
-        out["r1"].append(r1)
-        out["r2"].append(r2)
+        *_, alpha, beta = _fundamental_tensors(jets[h], jets[h / 2.0])
+        out["r1"].append(float(np.max(np.abs(2.0 * alpha + data.torsion))))
+        out["r2"].append(float(np.max(np.abs(
+            4.0 * beta + data.nabla_torsion + data.curvature))))
         out["alpha_norm"].append(float(np.max(np.abs(alpha))))
-        out["beta_norm"].append(float(np.max(np.abs(beta))))
     return out
 
 

@@ -157,10 +157,6 @@ class AltTensor:
         return self._comps
 
     @classmethod
-    def scalar(cls, n: int, value: float) -> "AltTensor":
-        return cls._from_vals(n, 0, np.array([float(value)]))
-
-    @classmethod
     def basis_form(cls, n: int, indices) -> "AltTensor":
         """dx^{i1} ^ ... ^ dx^{ik} for 0-based indices: the sign of the
         sorting permutation at the sorted tuple, zero for a repeated index."""

@@ -248,18 +248,19 @@ def torsion_transformation_residuals(field: PhiField, v_field, x: np.ndarray,
             "general": float(np.max(np.abs(lhs - rhs_gen)[:, 1:]))}
 
 
-def exterior_derivative_at(form_at, x: np.ndarray, k: int,
+def exterior_derivative_at(form_at, x: np.ndarray,
                            fd_step: float) -> np.ndarray:
-    """d of a k-form field by central differences, full components."""
+    """d of a form field by central differences, full components; the
+    degree k + 1 of d is the rank of the stencil."""
     d = central_diff(form_at, x, fd_step)
-    return (k + 1) * antisymmetrize(d)
+    return d.ndim * antisymmetrize(d)
 
 
 def closedness_probe(field: PhiField, x: np.ndarray,
                      fd_step: float) -> tuple[float, float]:
     """Max-abs finite-difference d(phi) and d(psi) at a point."""
-    dphi = exterior_derivative_at(field.phi, x, 3, fd_step)
-    dpsi = exterior_derivative_at(field.psi, x, 4, fd_step)
+    dphi = exterior_derivative_at(field.phi, x, fd_step)
+    dpsi = exterior_derivative_at(field.psi, x, fd_step)
     return float(np.max(np.abs(dphi))), float(np.max(np.abs(dpsi)))
 
 

@@ -266,15 +266,15 @@ def split3(eta: AltTensor, data: G2MetricData) -> FormSplit3:
 
 # -- random positive forms ----------------------------------------------------
 
-def random_gl7(rng: np.random.Generator, cond_max: float = 10.0,
-               det_positive: bool = True) -> np.ndarray:
-    """Well-conditioned random GL(7) matrix."""
+def random_gl7(rng: np.random.Generator,
+               cond_max: float = 10.0) -> np.ndarray:
+    """Well-conditioned random GL(7) matrix with det > 0."""
     q1, _ = np.linalg.qr(rng.standard_normal((7, 7)))
     q2, _ = np.linalg.qr(rng.standard_normal((7, 7)))
     smax = cond_max ** 0.5
     sv = np.exp(rng.uniform(np.log(1.0 / smax), np.log(smax), 7))
     a = q1 @ np.diag(sv) @ q2
-    if det_positive and np.linalg.det(a) < 0:
+    if np.linalg.det(a) < 0:
         a[:, 0] = -a[:, 0]
     return a
 

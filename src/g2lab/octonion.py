@@ -59,16 +59,12 @@ _BASIS_TABLE = basis_table()
 
 def _build_c4() -> np.ndarray:
     # [e_j, e_k, e_l] = 2 c4_ijkl e_i, resolved by brute force over the table
-    # rather than copied from any printed cycle list.
-    c4 = np.zeros((7, 7, 7, 7))
-    basis = np.eye(8)
-    for j in range(1, 8):
-        for k in range(1, 8):
-            for l in range(1, 8):
-                assoc = _assoc_raw(basis[j], basis[k], basis[l])
-                # the associator of imaginary units is imaginary: row 0 drops
-                c4[:, j - 1, k - 1, l - 1] = 0.5 * assoc[1:]
-    return c4
+    # rather than copied from any printed cycle list: one associator
+    # broadcast over every triple of imaginary units.
+    e = np.eye(8)[1:]
+    assoc = _assoc_raw(e[:, None, None], e[None, :, None], e[None, None])
+    # the associator of imaginary units is imaginary: component 0 drops
+    return np.ascontiguousarray(np.moveaxis(0.5 * assoc[..., 1:], -1, 0))
 
 
 def _mul_raw(a: np.ndarray, b: np.ndarray) -> np.ndarray:

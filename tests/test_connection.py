@@ -118,7 +118,7 @@ def test_flat_geodesics_exact():
     x0 = np.array([0.1, -0.2, 0.3, 0.0])
     v0 = np.array([0.5, 0.2, -0.1, 0.4])
     path = cn.integrate_geodesic(chart, x0, v0, 1.0, h=0.25)
-    assert np.max(np.abs(path.endpoint - (x0 + v0))) < 1e-15
+    assert np.max(np.abs(path.xs[-1] - (x0 + v0))) < 1e-15
 
 
 def test_geodesic_integrator_order(sphere):
@@ -138,7 +138,7 @@ def test_geodesic_integrator_order(sphere):
     exact = np.cos(s) * embed(*x0) + np.sin(s) * vec / s
     errs = []
     for h in (1e-2, 5e-3, 2.5e-3):
-        end = cn.integrate_geodesic(sphere, x0, v0, 1.0, h).endpoint
+        end = cn.integrate_geodesic(sphere, x0, v0, 1.0, h).xs[-1]
         errs.append(np.linalg.norm(embed(*end) - exact))
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
     for order in orders:
@@ -218,7 +218,7 @@ def test_transport_isometry_with_torsion():
     w0 = np.array([0.3, -0.2, 0.5])
     w1 = cn.parallel_transport(chart, path, w0, h=1e-3)
     g0 = chart.metric_field(x0)
-    g1 = chart.metric_field(path.endpoint)
+    g1 = chart.metric_field(path.xs[-1])
     assert abs(w1 @ g1 @ w1 - w0 @ g0 @ w0) < 1e-9
 
 
@@ -237,7 +237,7 @@ def test_exp_map_and_inverse(sphere):
     # rescaling: exp(c v) equals the geodesic at time c
     c, v = 0.7, np.array([0.2, -0.15])
     a1 = cn.exp_map(sphere, es, c * v, h=1e-3)
-    a2 = cn.integrate_geodesic(sphere, es, v, c, h=1e-3).endpoint
+    a2 = cn.integrate_geodesic(sphere, es, v, c, h=1e-3).xs[-1]
     assert np.max(np.abs(a1 - a2)) < 1e-12
 
 
@@ -477,24 +477,33 @@ def test_akivis_fits_each_scale_once(sphere, monkeypatch):
     e = np.array([1.2, 0.3])
     h_list = (1e-2, 5e-3)
     fits = [_full_fit(sphere, e, h, True, 1.0 / 16) for h in h_list]
-    real = cn._fit_jets
-    scales = []
+    real_jets, real_tensors = cn._fit_jets, cn._fundamental_tensors
+    scales, tensors = [], []
 
     def counted(mus, n, h):
         scales.append(h)
-        return real(mus, n, h)
+        return real_jets(mus, n, h)
+
+    def recorded(jets, fine=None):
+        out = real_tensors(jets, fine)
+        tensors.append(out[3:])
+        return out
 
     monkeypatch.setattr(cn, "_fit_jets", counted)
+    monkeypatch.setattr(cn, "_fundamental_tensors", recorded)
     out = cn.akivis_check(sphere, e, h_list, h_ode=1.0 / 16)
     assert sorted(scales) == [2.5e-3, 5e-3, 1e-2]
+    assert len(tensors) == len(fits)
     data = cn.curvature_data(sphere, e)
     for i, (*_, alpha, beta) in enumerate(fits):
+        # the alpha and beta behind each report row are the full fit's
+        assert np.array_equal(tensors[i][0], alpha)
+        assert np.array_equal(tensors[i][1], beta)
         assert out["r1"][i] == float(np.max(np.abs(2.0 * alpha
                                                    + data.torsion)))
         assert out["r2"][i] == float(np.max(np.abs(
             4.0 * beta + data.nabla_torsion + data.curvature)))
         assert out["alpha_norm"][i] == float(np.max(np.abs(alpha)))
-        assert out["beta_norm"][i] == float(np.max(np.abs(beta)))
 
 
 def test_akivis_shoots_all_scales_in_one_call(sphere, monkeypatch):
@@ -706,7 +715,7 @@ def test_batched_engine_matches_single_rows(make, e, spread):
     for r in range(5):
         one = cn.integrate_geodesic(chart, xs[r], vs[r], 1.0, h)
         assert np.array_equal(path.xs[:, r], one.xs)
-        assert np.array_equal(path.endpoint[r], one.endpoint)
+        assert np.array_equal(path.xs[-1, r], one.xs[-1])
         for batched, single in zip(frame, cn.geodesic_with_frame(
                 chart, xs[r], vs[r], 1.0, h)):
             assert np.array_equal(batched[r], single)

@@ -45,7 +45,7 @@ def test_interior_examples():
     a = AltTensor(7, 4, rng.standard_normal((7,) * 4))
     assert ext.interior(x, ext.interior(x, a)).max_abs() < 1e-12
     with pytest.raises(DegreeUnderflow):
-        ext.interior(x, AltTensor.scalar(7, 1.0))
+        ext.interior(x, AltTensor(7, 0, 1.0))
 
 
 def test_antisymmetrization_projection():
@@ -87,7 +87,7 @@ def test_hodge_involution_and_defining_identity():
 def test_hodge_scalar_gives_volume():
     rng = np.random.default_rng(6)
     g = _spd(rng, 4)
-    got = ext.hodge(AltTensor.scalar(4, 1.0), g)
+    got = ext.hodge(AltTensor(4, 0, 1.0), g)
     assert got.allclose(ext.volume_form(g), 1e-14)
 
 

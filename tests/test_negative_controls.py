@@ -10,6 +10,7 @@ defect at the same seed and trials, so each failure is the mutation's.
 import importlib
 import pkgutil
 
+import numpy as np
 import pytest
 
 import g2lab
@@ -57,6 +58,18 @@ def fit_at_the_wrong_scale(monkeypatch):
                         lambda mus, n, h: real(mus, n, 2.0 * h))
 
 
+def transpose_the_frame(monkeypatch):
+    # the parallel frame read with its indices swapped: the transport's
+    # first-order term changes, and with it the loop's bilinear term alpha
+    real = cn.geodesic_with_frame
+
+    def transposed(*args):
+        x, v, frame = real(*args)
+        return x, v, np.swapaxes(frame, -1, -2)
+
+    monkeypatch.setattr(cn, "geodesic_with_frame", transposed)
+
+
 CONTROLS = [
     ("g2linear", "equivariance", pull_back_by_transpose),
     ("deform", "conjugation_pullback", pull_back_by_transpose),
@@ -64,6 +77,8 @@ CONTROLS = [
     ("g2linear", "phi0_norm", scale_the_raise),
     ("akivis", "cs_r1_at_h", fit_at_the_wrong_scale),
     ("akivis", "torsionless_r2", fit_at_the_wrong_scale),
+    ("akivis", "torsionless_alpha", transpose_the_frame),
+    ("akivis", "torsionless_alpha_rate", transpose_the_frame),
 ]
 
 
