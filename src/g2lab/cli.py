@@ -467,7 +467,8 @@ def suite_akivis(config: RunConfig) -> list[dict]:
     from .connection import (akivis_check, cartan_schouten_chart, exp_map,
                              sphere2_chart)
     h_list = (1e-2, 5e-3, 2.5e-3)
-    rep = akivis_check(cartan_schouten_chart(0.0), np.zeros(7), h_list)
+    rep = akivis_check(cartan_schouten_chart(0.0), np.zeros(7), h_list,
+                       1.0 / 16)
     checks = [config.row("cs_r1_at_h", rep["r1"][0]),
               config.row("cs_r1_rate",
                          rep["r1"][1] / _worst((rep["r1"][0], 1e-300))),
@@ -480,7 +481,7 @@ def suite_akivis(config: RunConfig) -> list[dict]:
     checks.append(_check("cs_table_decreasing", 0.0 if table_ok else 1.0,
                          0.5))
     sp = sphere2_chart()
-    rep_s = akivis_check(sp, np.array([1.2, 0.3]), h_list[:2])
+    rep_s = akivis_check(sp, np.array([1.2, 0.3]), h_list[:2], 1.0 / 16)
     checks += [config.row("torsionless_alpha", rep_s["alpha_norm"][0]),
                config.row("torsionless_alpha_rate",
                           rep_s["alpha_norm"][1]
@@ -565,12 +566,10 @@ def suite_g2field(config: RunConfig) -> list[dict]:
     t0 = fld.g2_torsion(cf, x, 1e-3)
     checks = [config.row("constant_torsion", np.max(np.abs(t0.T)))]
     sw = fld.sigma_warp_field()
-    res1 = fld.torsion_transformation_residuals(cf, sw.v_at, x, 1e-3)
-    res2 = fld.torsion_transformation_residuals(cf, sw.v_at, x, 5e-4)
-    checks += [config.row("torsion_law", res1["const_norm"]),
-               config.row("torsion_law_rate",
-                          res2["const_norm"]
-                          / _worst((res1["const_norm"], 1e-300)))]
+    res1 = fld.torsion_law_residual(cf, sw, sw.v_at, x, 1e-3)
+    res2 = fld.torsion_law_residual(cf, sw, sw.v_at, x, 5e-4)
+    checks += [config.row("torsion_law", res1),
+               config.row("torsion_law_rate", res2 / _worst((res1, 1e-300)))]
     pw = fld.pullback_warp_field(strength=0.05)
     xs = 0.5 * x
     ta = fld.g2_torsion(pw, xs, 1e-3)

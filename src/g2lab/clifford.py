@@ -106,10 +106,6 @@ class CliffordElement:
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.coeffs)))
 
-    def allclose(self, other, tol: float = 1e-12) -> bool:
-        self._check(other)
-        return bool(np.max(np.abs(self.coeffs - other.coeffs)) <= tol)
-
     def __repr__(self) -> str:
         return f"CliffordElement(p={self.p}, q={self.q})"
 

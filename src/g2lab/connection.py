@@ -96,8 +96,8 @@ class ConnectionChart:
 
     __slots__ = ("n", "gamma", "domain", "metric_field", "name")
 
-    def __init__(self, n: int, gamma, domain, metric_field=None,
-                 name: str = "chart") -> None:
+    def __init__(self, n: int, gamma, domain, metric_field=None, *,
+                 name: str) -> None:
         self.n = n
         self.gamma = gamma
         self.domain = _domain_box(domain, n)
@@ -634,8 +634,7 @@ def curvature_data(chart: ConnectionChart, e) -> CurvatureData:
     return CurvatureData(torsion, contorsion, curv, nabla_t, metric_residual)
 
 
-def akivis_check(chart: ConnectionChart, e, h_list,
-                 h_ode: float = 1.0 / 16) -> dict:
+def akivis_check(chart: ConnectionChart, e, h_list, h_ode: float) -> dict:
     """Convergence study of the loop/connection relations at e.
 
     For each fit scale h the loop product is fitted in normal

@@ -194,10 +194,6 @@ class AltTensor:
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.vals)))
 
-    def allclose(self, other: "AltTensor", tol: float = 1e-12) -> bool:
-        self._check_match(other)
-        return bool(np.max(np.abs(self.vals - other.vals)) <= tol)
-
     def __repr__(self) -> str:
         return f"AltTensor(n={self.n}, k={self.k})"
 

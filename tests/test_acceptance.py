@@ -226,13 +226,13 @@ def test_criterion_10_enveloping_relation():
 def test_criterion_11_field_torsion():
     start = time.perf_counter()
     from g2lab.field import (constant_field, g2_torsion, sigma_warp_field,
-                             torsion_transformation_residuals)
+                             torsion_law_residual)
     x = np.array([0.05, -0.1, 0.2, 0.0, 0.1, -0.05, 0.15])
     cf = constant_field()
     t0 = np.max(np.abs(g2_torsion(cf, x, 1e-3).T))
     sw = sigma_warp_field()
-    r1 = torsion_transformation_residuals(cf, sw.v_at, x, 1e-3)["const_norm"]
-    r2 = torsion_transformation_residuals(cf, sw.v_at, x, 5e-4)["const_norm"]
+    r1 = torsion_law_residual(cf, sw, sw.v_at, x, 1e-3)
+    r2 = torsion_law_residual(cf, sw, sw.v_at, x, 5e-4)
     improves = r2 <= 0.4 * r1
     elapsed = time.perf_counter() - start
     _report(11, "field torsion law", t0 <= 1e-9 and r1 <= 1e-6 and improves,

@@ -204,15 +204,15 @@ def test_nan_in_later_trial_fails_closed(tmp_path, monkeypatch):
 def test_infinite_rate_denominator_fails_closed(monkeypatch):
     # an infinite residual at h must not read as convergence rate 0
     from g2lab import field
-    real = field.torsion_transformation_residuals
+    real = field.torsion_law_residual
     calls = []
 
     def planted(*args, **kwargs):
         calls.append(None)
         res = real(*args, **kwargs)
-        return {**res, "const_norm": float("inf")} if len(calls) == 1 else res
+        return float("inf") if len(calls) == 1 else res
 
-    monkeypatch.setattr(field, "torsion_transformation_residuals", planted)
+    monkeypatch.setattr(field, "torsion_law_residual", planted)
     report = cli.run_suite("g2field", cli.RunConfig(seed=4))
     assert len(calls) == 2
     row = next(c for c in report["checks"] if c["name"] == "torsion_law_rate")

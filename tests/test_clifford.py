@@ -22,6 +22,11 @@ def _reorder_sign(a: int, b: int) -> int:
     return -1 if swaps & 1 else 1
 
 
+def _close(a, b, tol):
+    """Every component of a - b within tol."""
+    return (a - b).max_abs() <= tol
+
+
 def blade_product(mask_a: int, mask_b: int, p: int, q: int) -> tuple[int, int]:
     """(result mask, sign) for the product of two basis blades, one pair
     at a time: the reference of the dense tables behind clifford_mul."""
@@ -46,7 +51,7 @@ def test_cl01_complex_model():
     # commutative
     a = cl.CliffordElement(0, 1, [2.0, 3.0])
     b = cl.CliffordElement(0, 1, [-1.0, 0.5])
-    assert cl.clifford_mul(a, b).allclose(cl.clifford_mul(b, a), 0)
+    assert _close(cl.clifford_mul(a, b), cl.clifford_mul(b, a), 0)
 
 
 def test_cl02_quaternion_model():
@@ -55,17 +60,17 @@ def test_cl02_quaternion_model():
     k = cl.clifford_mul(i, j)
     assert cl.clifford_mul(k, k).coeffs[0] == -1.0
     assert cl.clifford_mul(i, i).coeffs[0] == -1.0
-    assert cl.clifford_mul(j, k).allclose(i, 0)
-    assert cl.clifford_mul(k, i).allclose(j, 0)
-    assert cl.clifford_mul(j, i).allclose(-1.0 * k, 0)
+    assert _close(cl.clifford_mul(j, k), i, 0)
+    assert _close(cl.clifford_mul(k, i), j, 0)
+    assert _close(cl.clifford_mul(j, i), -1.0 * k, 0)
 
 
 def test_unit_element():
     rng = np.random.default_rng(0)
     a = cl.CliffordElement(2, 2, rng.standard_normal(16))
     one = cl.CliffordElement.scalar(2, 2)
-    assert cl.clifford_mul(one, a).allclose(a, 0)
-    assert cl.clifford_mul(a, one).allclose(a, 0)
+    assert _close(cl.clifford_mul(one, a), a, 0)
+    assert _close(cl.clifford_mul(a, one), a, 0)
 
 
 def test_clifford_identity_on_vectors():
@@ -77,7 +82,7 @@ def test_clifford_identity_on_vectors():
         anti = cl.clifford_mul(cu, cv) + cl.clifford_mul(cv, cu)
         want = cl.CliffordElement.scalar(p, q,
                                          2.0 * cl.vector_inner(p, q, u, v))
-        assert anti.allclose(want, 1e-13)
+        assert _close(anti, want, 1e-13)
 
 
 def test_signature_mismatch():
@@ -96,15 +101,15 @@ def _blade(p, q, mask, value=1.0):
 def test_involutions():
     # e1 e3 and e0 e2 e5
     b2 = _blade(0, 7, 0b1010)
-    assert cl.reversion(b2).allclose(-1.0 * b2, 0)
+    assert _close(cl.reversion(b2), -1.0 * b2, 0)
     b3 = _blade(0, 7, 0b100101)
-    assert cl.reversion(b3).allclose(-1.0 * b3, 0)
+    assert _close(cl.reversion(b3), -1.0 * b3, 0)
     rng = np.random.default_rng(2)
     x = cl.CliffordElement(0, 4, rng.standard_normal(16))
     y = cl.CliffordElement(0, 4, rng.standard_normal(16))
-    assert cl.reversion(cl.clifford_mul(x, y)).allclose(
-        cl.clifford_mul(cl.reversion(y), cl.reversion(x)), 1e-12)
-    assert cl.reversion(cl.reversion(x)).allclose(x, 0)
+    assert _close(cl.reversion(cl.clifford_mul(x, y)),
+                  cl.clifford_mul(cl.reversion(y), cl.reversion(x)), 1e-12)
+    assert _close(cl.reversion(cl.reversion(x)), x, 0)
 
 
 def test_cl07_associative_vs_octonion():
@@ -177,7 +182,7 @@ def test_sigma_from_spinor():
     # the structure of a transported spinor A . zeta is sigma_A(phi_zeta)
     rng = np.random.default_rng(8)
     data0 = g2.metric_from_3form(g2.PHI0)
-    assert df.sigma(Octonion.one(), data0).allclose(g2.PHI0, 0)
+    assert _close(df.sigma(Octonion.one(), data0), g2.PHI0, 0)
     u, v = (Octonion(w) for w in oc.random_octonions(rng, 2, unit=True))
     inner = df.sigma(v, data0)
     two_step = df.sigma(u, g2.metric_from_3form(inner))

@@ -537,7 +537,7 @@ def test_akivis_rejects_bad_scales_before_any_shot(sphere, monkeypatch,
 
     monkeypatch.setattr(cn, "_normal_loop", never)
     with pytest.raises(BadConfig, match="h_list"):
-        cn.akivis_check(sphere, np.array([1.2, 0.3]), h_list)
+        cn.akivis_check(sphere, np.array([1.2, 0.3]), h_list, 1.0 / 16)
 
 
 def test_fit_reports_unit_law_residual(sphere):
@@ -668,7 +668,7 @@ def test_akivis_flat_all_h():
 
 def test_chart_domain_fails_closed(sphere):
     with pytest.raises(BadConfig, match=r"shape \(2, 2\)"):
-        cn.ConnectionChart(2, sphere.gamma, [[0.2, 3.0]])
+        cn.ConnectionChart(2, sphere.gamma, [[0.2, 3.0]], name="sphere2")
 
 
 # -- the batched engine -------------------------------------------------------

@@ -17,11 +17,16 @@ def _spd(rng, n, scale=0.3):
     return Metric(np.eye(n) + scale * sym / max(1.0, np.linalg.norm(sym, 2)))
 
 
+def _close(a, b, tol):
+    """Every component of a - b within tol."""
+    return (a - b).max_abs() <= tol
+
+
 def test_basis_wedge():
     got = ext.wedge(AltTensor.basis_form(7, (0,)), AltTensor.basis_form(7, (1,)))
     assert got.comps[0, 1] == 1.0
     assert got.comps[1, 0] == -1.0
-    assert got.allclose(AltTensor.basis_form(7, (0, 1)), 0)
+    assert _close(got, AltTensor.basis_form(7, (0, 1)), 0)
 
 
 def test_wedge_self_vanishes():
@@ -38,8 +43,8 @@ def test_degree_overflow():
 
 def test_interior_examples():
     e1 = np.eye(7)[0]
-    assert ext.interior(e1, AltTensor.basis_form(7, (0, 1))).allclose(
-        AltTensor.basis_form(7, (1,)), 0)
+    assert _close(ext.interior(e1, AltTensor.basis_form(7, (0, 1))),
+                  AltTensor.basis_form(7, (1,)), 0)
     rng = np.random.default_rng(2)
     x = rng.standard_normal(7)
     a = AltTensor(7, 4, rng.standard_normal((7,) * 4))
@@ -88,7 +93,7 @@ def test_hodge_scalar_gives_volume():
     rng = np.random.default_rng(6)
     g = _spd(rng, 4)
     got = ext.hodge(AltTensor(4, 0, 1.0), g)
-    assert got.allclose(ext.volume_form(g), 1e-14)
+    assert _close(got, ext.volume_form(g), 1e-14)
 
 
 def test_orientation_flag():

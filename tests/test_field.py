@@ -9,6 +9,7 @@ import pytest
 from g2lab import cli
 from g2lab import field as fld
 from g2lab.connection import central_diff
+from g2lab.deform import bundle_inverse, bundle_mul, sigma
 from g2lab.errors import BadConfig, LeftDomain, NormDrift, NotPositive
 from g2lab.exterior import AltTensor
 from g2lab.g2linear import PHI0, split3
@@ -165,14 +166,15 @@ def test_levi_civita_evaluations_counted(monkeypatch, warp):
         return real(*args)
 
     monkeypatch.setattr(fld, "levi_civita", counted)
-    # one for the base field and one for its sigma_V deformation
-    fld.torsion_transformation_residuals(fld.constant_field(), warp.v_at, X0,
-                                         1e-3)
+    # one for the base field and one for its sigma_V deformation, both
+    # fresh, so that no memo holds a Gamma yet
+    fld.torsion_law_residual(fld.constant_field(), fld.sigma_warp_field(),
+                             warp.v_at, X0, 1e-3)
     assert len(calls) == 2
     calls.clear()
     # one per distinct (field, point, step) that the suite differentiates
     cli.run_suite("g2field", cli.RunConfig(seed=42))
-    assert len(calls) == 7
+    assert len(calls) == 6
 
 
 def test_g2field_rows_read_every_axis(monkeypatch):
@@ -241,7 +243,7 @@ def test_memo_computes_each_quantity_once_read_only():
     # the memo keeps a read-only view; the array phi_at returns stays
     # writable
     own = PHI0.comps.copy()
-    fld.PhiField(lambda x: own, field.domain).phi(X0)
+    fld.PhiField(lambda x: own, field.domain, "own").phi(X0)
     assert own.flags.writeable
 
 
@@ -264,20 +266,46 @@ def test_g2field_evaluates_phi_once_per_point(monkeypatch):
     assert calls and set(calls.values()) == {1}
 
 
+def _sigma_deformed(field, v_field):
+    """The field x -> sigma_{V(x)}(phi(x))."""
+
+    def phi_at(x):
+        return sigma(Octonion(np.asarray(v_field(x))), field.data(x)).comps
+
+    return fld.PhiField(phi_at, field.domain, f"sigma({field.name})")
+
+
+def _general_law_residual(field, deformed, v_field, x, fd_step):
+    """Max-abs residual of the torsion law for V of any norm: the torsion
+    of deformed = sigma_V(phi) against Im(Ad_V T + V nabla(V^-1))."""
+    data = field.data(x)
+    vx = np.asarray(v_field(x))
+    vinv = bundle_inverse(vx, data)
+    lhs = fld.torsion_octonions(fld.g2_torsion(deformed, x, fd_step).T, data)
+    ad_t = bundle_mul(bundle_mul(vx, fld.torsion_octonions(
+        fld.g2_torsion(field, x, fd_step).T, data), data), vinv, data)
+    nvinv = fld.covariant_octonion(
+        field, x, lambda y: bundle_inverse(np.asarray(v_field(y)),
+                                           field.data(y)), fd_step)
+    rhs = ad_t + bundle_mul(vx, nvinv, data)
+    return float(np.max(np.abs(lhs - rhs)[:, 1:]))
+
+
 def test_torsion_law(warp):
     cf = fld.constant_field()
     # constant V = 1: both sides vanish
-    res = fld.torsion_transformation_residuals(cf, lambda y: Octonion.one().coeffs, X0,
-                                1e-3)
-    assert res["const_norm"] < 1e-10
-    res1 = fld.torsion_transformation_residuals(cf, warp.v_at, X0, 1e-3)
-    assert res1["const_norm"] < 1e-6
-    assert res1["general"] < 1e-6
-    res2 = fld.torsion_transformation_residuals(cf, warp.v_at, X0, 5e-4)
-    assert res2["const_norm"] < 0.4 * res1["const_norm"]
+    one = lambda y: Octonion.one().coeffs
+    assert fld.torsion_law_residual(cf, _sigma_deformed(cf, one), one, X0,
+                                    1e-3) < 1e-10
+    # the warp field is sigma_V of the constant field, bit for bit
+    assert np.array_equal(warp.phi(X0), _sigma_deformed(cf, warp.v_at).phi(X0))
+    res1 = fld.torsion_law_residual(cf, warp, warp.v_at, X0, 1e-3)
+    assert res1 < 1e-6
+    assert _general_law_residual(cf, warp, warp.v_at, X0, 1e-3) < 1e-6
+    res2 = fld.torsion_law_residual(cf, warp, warp.v_at, X0, 5e-4)
+    assert res2 < 0.4 * res1
     with pytest.raises(NormDrift):
-        fld.torsion_transformation_residuals(cf, lambda y: 2.0 * Octonion.one().coeffs,
-                              X0, 1e-3)
+        fld.torsion_law_residual(cf, warp, lambda y: 2.0 * one(y), X0, 1e-3)
 
 
 def test_torsion_law_torsionful_base():
@@ -290,9 +318,9 @@ def test_torsion_law_torsionful_base():
         n2 = v[0] ** 2 + v[1:] @ (d.g.g @ v[1:])
         return v / np.sqrt(n2)
 
-    res = fld.torsion_transformation_residuals(pw, v_at, x, 1e-3)
-    assert res["general"] < 1e-5
-    assert res["const_norm"] < 1e-5
+    deformed = _sigma_deformed(pw, v_at)
+    assert _general_law_residual(pw, deformed, v_at, x, 1e-3) < 1e-5
+    assert fld.torsion_law_residual(pw, deformed, v_at, x, 1e-3) < 1e-5
 
 
 def test_closedness_probe_catalog(warp):
@@ -316,7 +344,7 @@ def test_domain_and_config():
                          ids=["broadcast_domain", "short_domain"])
 def test_field_domain_fails_closed(domain):
     with pytest.raises(BadConfig, match=r"shape \(7, 2\)"):
-        fld.PhiField(lambda x: PHI0, domain)
+        fld.PhiField(lambda x: PHI0, domain, "phi0")
 
 
 def test_overflowing_field_fails_closed_quietly():

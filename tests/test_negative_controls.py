@@ -17,6 +17,7 @@ import g2lab
 from g2lab import cli
 from g2lab import connection as cn
 from g2lab import exterior as ext
+from g2lab import field as fld
 
 SEED = 42
 TRIALS = 3
@@ -70,6 +71,19 @@ def transpose_the_frame(monkeypatch):
     monkeypatch.setattr(cn, "geodesic_with_frame", transposed)
 
 
+def scale_the_torsion(monkeypatch):
+    # every torsion read through field.g2_torsion, its splitting parts
+    # and defining residual left as they are
+    real = fld.g2_torsion
+
+    def scaled(*args):
+        t = real(*args)
+        return fld.G2Torsion(1.001 * t.T, t.t1, t.t0, t.t7, t.t14,
+                             t.defining_residual)
+
+    monkeypatch.setattr(fld, "g2_torsion", scaled)
+
+
 CONTROLS = [
     ("g2linear", "equivariance", pull_back_by_transpose),
     ("deform", "conjugation_pullback", pull_back_by_transpose),
@@ -79,6 +93,10 @@ CONTROLS = [
     ("akivis", "torsionless_r2", fit_at_the_wrong_scale),
     ("akivis", "torsionless_alpha", transpose_the_frame),
     ("akivis", "torsionless_alpha_rate", transpose_the_frame),
+    ("g2field", "torsion_law", scale_the_torsion),
+    ("g2field", "torsion_law_rate", scale_the_torsion),
+    ("g2field", "torsion_split", scale_the_torsion),
+    ("g2field", "leibniz_defect", scale_the_torsion),
 ]
 
 

@@ -41,7 +41,9 @@ tolerances its suite declares, save the one row of fixed tolerance.  The field
 derivatives take every coordinate axis at once: no field function takes a
 direction vector, a Christoffel array or a torsion, none has a private
 twin that takes more, a PhiField holds one memo, and
-torsion_transformation_residuals runs no loop.  The count of
+torsion_law_residual runs no loop.  The torsion law reads the deformed
+field it is given: it builds no PhiField, and no second builder of a
+sigma_V-deformed field comes back.  The count of
 parameters with defaults may not rise above OPTION_BUDGET.
 Every public module-level function and class of the package serves a
 claim: another part of the package names it, it is a registered suite,
@@ -66,7 +68,7 @@ import g2lab
 SRC = Path(g2lab.__file__).parent
 ROOT = Path(__file__).resolve().parents[1]
 
-OPTION_BUDGET = 26
+OPTION_BUDGET = 21
 
 # public names with no caller yet, each kept for the claim that will call it
 EXEMPT = {
@@ -486,9 +488,32 @@ def test_field_derivatives_take_every_axis():
     field = fld.sigma_warp_field()
     fld.g2_torsion(field, np.zeros(7), 1e-3)
     assert sum(isinstance(v, dict) for v in vars(field).values()) == 1
-    tree = ast.parse(inspect.getsource(fld.torsion_transformation_residuals))
+    tree = ast.parse(inspect.getsource(fld.torsion_law_residual))
     assert not [n for n in ast.walk(tree)
                 if isinstance(n, (ast.For, ast.comprehension))]
+
+
+def test_torsion_law_reads_the_deformed_field_it_is_given(monkeypatch):
+    import numpy as np
+    from g2lab import field as fld
+    # sigma_warp_field is the one builder of a sigma_V-deformed field, and
+    # the law returns its one residual with no report dict beside it
+    for path in sorted(SRC.glob("*.py")) + [ROOT / "README.md"]:
+        text = path.read_text()
+        for gone in ("sigma_deformed_field",
+                     "torsion_transformation_residuals"):
+            assert gone not in text, f"{path.name}: {gone}"
+    cf, sw = fld.constant_field(), fld.sigma_warp_field()
+    built = []
+    real_init = fld.PhiField.__init__
+
+    def init(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(fld.PhiField, "__init__", init)
+    fld.torsion_law_residual(cf, sw, sw.v_at, np.zeros(7), 1e-3)
+    assert built == []
 
 
 def _names_read(tree, skip=None, strings=False) -> set:
