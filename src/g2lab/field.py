@@ -7,9 +7,10 @@ transformation law under the isometric deformations.
 
 All manifold derivatives are second-order central differences along
 every coordinate axis at once: a derivative of an octonion field returns
-row m for axis m.  Every function takes its finite-difference step, and
-a field computes its 3-form, metric data, Levi-Civita symbol and
-torsion once per point and step, in its one memo.
+row m for axis m.  Every function takes its finite-difference step.  A
+field computes in its one memo its 3-form once per point, its metric
+data once per distinct 3-form, and its Levi-Civita symbol, nabla phi and
+torsion once per point and step.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ NORM_TOL = 1e-10
 
 class PhiField:
     """A positive 3-form field over an axis-aligned box, with one memo of
-    the quantities computed at its points."""
+    the quantities computed at its points; the metric data, a function of
+    phi alone, is kept once per distinct 3-form."""
 
     def __init__(self, phi_at, domain, name: str) -> None:
         self._phi_at = phi_at
@@ -38,11 +40,12 @@ class PhiField:
         self.name = name
         self._memo: dict[tuple, object] = {}
 
-    def memo(self, quantity: str, x: np.ndarray, fd_step, compute):
-        """compute(), evaluated once per (quantity, x, fd_step) and kept
-        until the memo outgrows 4096 entries.  compute makes the arrays
-        it returns read-only, so that no caller can change a kept value."""
-        key = (quantity, x.tobytes(), fd_step)
+    def memo(self, quantity: str, at: np.ndarray, fd_step, compute):
+        """compute(), evaluated once per (quantity, at, fd_step) and kept
+        until the memo outgrows 4096 entries; at is a point, or the 3-form
+        for the metric data.  compute makes the arrays it returns
+        read-only, so that no caller can change a kept value."""
+        key = (quantity, at.tobytes(), fd_step)
         hit = self._memo.get(key)
         if hit is None:
             if len(self._memo) > 4096:
@@ -66,15 +69,15 @@ class PhiField:
         return self.memo("phi", x, None, compute)
 
     def data(self, x: np.ndarray) -> G2MetricData:
-        x = np.asarray(x, dtype=float)
+        p = self.phi(x)
 
         def compute():
-            data = metric_from_3form(self.phi(x))
+            data = metric_from_3form(p)
             for a in (data.phi.vals, data.g.g, data.g.g_inv, data.psi.vals):
                 a.setflags(write=False)
             return data
 
-        return self.memo("data", x, None, compute)
+        return self.memo("data", p, None, compute)
 
     def metric(self, x: np.ndarray) -> np.ndarray:
         return self.data(x).g.g
@@ -103,13 +106,18 @@ def levi_civita_at(field: PhiField, x: np.ndarray,
 def nabla_phi(field: PhiField, x: np.ndarray, fd_step: float) -> np.ndarray:
     """Covariant derivative of the 3-form field, nabla_m phi_ijk."""
     x = np.asarray(x, dtype=float)
-    gam = levi_civita_at(field, x, fd_step)
-    dphi = central_diff(field.phi, x, fd_step)
-    p = field.phi(x)
-    return (dphi
-            - np.einsum("lmi,ljk->mijk", gam, p)
-            - np.einsum("lmj,ilk->mijk", gam, p)
-            - np.einsum("lmk,ijl->mijk", gam, p))
+
+    def compute():
+        gam = levi_civita_at(field, x, fd_step)
+        p = field.phi(x)
+        out = (central_diff(field.phi, x, fd_step)
+               - np.einsum("lmi,ljk->mijk", gam, p)
+               - np.einsum("lmj,ilk->mijk", gam, p)
+               - np.einsum("lmk,ijl->mijk", gam, p))
+        out.setflags(write=False)
+        return out
+
+    return field.memo("nabla_phi", x, fd_step, compute)
 
 
 class G2Torsion:

@@ -227,17 +227,21 @@ def test_memo_computes_each_quantity_once_read_only():
     field = fld.sigma_warp_field()
     gam = fld.levi_civita_at(field, X0, 1e-3)
     t = fld.g2_torsion(field, X0, 1e-3)
+    nphi = fld.nabla_phi(field, X0, 1e-3)
     data = field.data(X0)
     assert fld.levi_civita_at(field, X0.copy(), 1e-3) is gam
     assert fld.g2_torsion(field, list(X0), 1e-3) is t
+    assert fld.nabla_phi(field, list(X0), 1e-3) is nphi
     assert field.data(X0.copy()) is data
     # another step or point is another entry
     assert fld.g2_torsion(field, X0, 5e-4) is not t
+    assert fld.nabla_phi(field, X0, 5e-4) is not nphi
     assert fld.levi_civita_at(field, 0.5 * X0, 1e-3) is not gam
     phi = field.phi(X0)
     assert field.phi(X0.copy()) is phi
-    for kept in (gam, t.T, t.t1, t.t0, t.t7, t.t14, data.g.g, data.g.g_inv,
-                 data.phi.vals, data.psi.vals, data.psi.comps, phi):
+    for kept in (gam, t.T, t.t1, t.t0, t.t7, t.t14, nphi, data.g.g,
+                 data.g.g_inv, data.phi.vals, data.psi.vals, data.psi.comps,
+                 phi):
         with pytest.raises(ValueError, match="read-only"):
             kept[...] = 0.0
     # the memo keeps a read-only view; the array phi_at returns stays
@@ -245,6 +249,46 @@ def test_memo_computes_each_quantity_once_read_only():
     own = PHI0.comps.copy()
     fld.PhiField(lambda x: own, field.domain, "own").phi(X0)
     assert own.flags.writeable
+
+
+def test_metric_data_kept_once_per_distinct_phi():
+    # the sigma-warp field's phi depends on x[0] alone, the constant
+    # field's on nothing: points whose 3-form repeats share one entry
+    warp, const = fld.sigma_warp_field(), fld.constant_field()
+    off_axis = X0 + 0.3 * np.eye(7)[4] - 0.2 * np.eye(7)[6]
+    assert np.array_equal(warp.phi(X0), warp.phi(off_axis))
+    assert warp.data(off_axis) is warp.data(X0)
+    along = X0 + 0.3 * np.eye(7)[0]
+    assert not np.array_equal(warp.phi(X0), warp.phi(along))
+    assert warp.data(along) is not warp.data(X0)
+    assert const.data(0.5 * X0) is const.data(X0)
+
+
+def test_g2field_computes_each_structure_once(monkeypatch):
+    metric_calls, computed = [], []
+    real_metric, real_memo = fld.metric_from_3form, fld.PhiField.memo
+
+    def counted_metric(phi):
+        metric_calls.append(None)
+        return real_metric(phi)
+
+    def counted_memo(self, quantity, at, fd_step, compute):
+        def counted():
+            computed.append(quantity)
+            return compute()
+
+        return real_memo(self, quantity, at, fd_step, counted)
+
+    monkeypatch.setattr(fld, "metric_from_3form", counted_metric)
+    monkeypatch.setattr(fld.PhiField, "memo", counted_memo)
+    cli.run_suite("g2field", cli.RunConfig(seed=42))
+    # 35 distinct field 3-forms, and the sigma-warp builder's model
+    # structure
+    assert len(metric_calls) == 36
+    assert computed.count("data") == 35
+    # one nabla phi per (field, point, step) whose torsion the suite takes;
+    # vector_part_only reads the one g2_torsion kept
+    assert computed.count("nabla_phi") == 6
 
 
 def test_g2field_evaluates_phi_once_per_point(monkeypatch):
