@@ -88,6 +88,24 @@ def map_trials(fn, n: int, config: RunConfig, suite: str) -> list:
     return [fn(trial_rng(config.seed, suite, t), t) for t in range(n)]
 
 
+def stack_trials(check, draw, trials, block: int, config: RunConfig,
+                 suite: str) -> dict:
+    """check(*draws) over the given trials of a suite in blocks of at
+    most block trials, as one array per key of residuals in trial order.
+
+    Trial t draws draw(trial_rng(seed, suite, t)), a tuple of arrays, as
+    a one-trial loop would; each block stacks its trials' draws into
+    (T, ...) rows, and check returns a dict of (T,) residual arrays.
+    """
+    blocks = []
+    for start in range(0, len(trials), block):
+        drawn = [draw(trial_rng(config.seed, suite, t))
+                 for t in trials[start:start + block]]
+        blocks.append(check(*map(np.stack, zip(*drawn))))
+    return {key: np.concatenate([b[key] for b in blocks])
+            for key in blocks[0]}
+
+
 def _fold(rows, config: RunConfig) -> list[dict]:
     """One row per key of the per-trial dicts, in their order: the worst
     value of that key over the trials."""
@@ -218,30 +236,46 @@ def suite_octonion(config: RunConfig) -> list[dict]:
     checks += [config.row(name, r) for name, r in zip(
         ("moufang_adjacent", "product_expansion", "cross_norm_law",
          "double_cross", "generalized_jacobi"), rest)]
-    # inverse, exponential, power, adjointness on a looped sample
-    m = min(200, n)
-
-    def one_trial(rng, t):
-        from .octonion import (Octonion, conj, exponential, inverse,
-                               left_matrix, mul, power)
-        u = Octonion(oc.random_octonions(rng, 1, unit=True)[0])
-        r1 = np.max(np.abs(mul(u, inverse(u)).coeffs
-                           - Octonion.one().coeffs))
-        w = Octonion(oc.random_octonions(rng, 1, imaginary=True)[0])
-        r = np.linalg.norm(w.coeffs)
-        ex = exponential(w)
-        expect = np.cos(r) * Octonion.one().coeffs + np.sin(r) / r * w.coeffs
-        r2 = np.max(np.abs(ex.coeffs - expect))
-        r3 = np.max(np.abs(power(u, 3).coeffs
-                           - mul(mul(u, u), u).coeffs))
-        bq, aq, cq = (Octonion(v) for v in oc.random_octonions(rng, 3))
-        r4 = abs((left_matrix(bq) @ aq.coeffs) @ cq.coeffs
-                 - aq.coeffs @ (left_matrix(conj(bq)) @ cq.coeffs))
-        r4 /= bq.norm() * aq.norm() * cq.norm()
-        return _worst((r1, r2, r3, r4))
-
+    # inverse, exponential, power and adjointness on a sample of trials
+    sample = _octonion_sample(config, range(min(200, n)))
     return checks + [config.row("inverse_exp_power_adjoint",
-                                map_trials(one_trial, m, config, "octonion"))]
+                                np.concatenate(list(sample.values())))]
+
+
+def _sample_draw(rng) -> tuple:
+    """One trial of the octonion suite's sample, in draw order: a unit u,
+    an imaginary w, then b, a and c."""
+    from .octonion import random_octonions
+    return (random_octonions(rng, 1, unit=True)[0],
+            random_octonions(rng, 1, imaginary=True)[0],
+            *random_octonions(rng, 3))
+
+
+def _sample_check(u, w, b, a, c) -> dict:
+    """Per-trial residuals of u u^-1 = 1, of exp(w) against its closed
+    form, of u^3 = (u u) u, and of the adjointness <bA, C> = <A, conj(b) C>
+    of left translations, each row a trial."""
+    from .octonion import (Octonion, conj, dot, exponential, inverse,
+                           left_matrix, mul, power)
+    one = Octonion.one().coeffs
+    r = np.sqrt(dot(w, w))
+    expect = np.cos(r)[:, None] * one + (np.sin(r) / r)[:, None] * w
+    adjoint = np.abs(dot((left_matrix(b) @ a[..., None])[..., 0], c)
+                     - dot(a, (left_matrix(conj(b)) @ c[..., None])[..., 0]))
+    adjoint /= np.sqrt(dot(b, b)) * np.sqrt(dot(a, a)) * np.sqrt(dot(c, c))
+    return {"inverse": np.max(np.abs(mul(u, inverse(u)) - one), axis=-1),
+            "exponential": np.max(np.abs(exponential(w) - expect), axis=-1),
+            "power": np.max(np.abs(power(u, 3) - mul(mul(u, u), u)),
+                            axis=-1),
+            "adjoint": adjoint}
+
+
+def _octonion_sample(config: RunConfig, trials) -> dict:
+    """The octonion suite's sample residuals of the given trials, each
+    drawn from its own trial_rng(seed, "octonion", t)."""
+    from .octonion import _BLOCK_ROWS
+    return stack_trials(_sample_check, _sample_draw, trials,
+                        _BLOCK_ROWS // 8, config, "octonion")
 
 
 @_suite("exterior", wedge=1e-12, hodge2=1e-11, defining=1e-11,
@@ -629,7 +663,7 @@ def suite_clifford(config: RunConfig) -> list[dict]:
     from . import deform as df
     from . import g2linear as g2
     from . import octonion as oc
-    from .octonion import Octonion, left_matrix, mul
+    from .octonion import Octonion, mul
     # small-signature structural checks
     e1 = cl.CliffordElement.vector(0, 1, [1.0])
     c_model = (cl.clifford_mul(e1, e1)
@@ -643,55 +677,8 @@ def suite_clifford(config: RunConfig) -> list[dict]:
                    (cl.clifford_mul(e12, a1) - a2).max_abs()))
     checks = [config.row("small_models", (c_model, quat))]
     n = config.n_trials(100)
-
-    def one_trial(rng, t):
-        u = rng.standard_normal(7)
-        v = rng.standard_normal(7)
-        cu = cl.CliffordElement.vector(0, 7, u)
-        cv = cl.CliffordElement.vector(0, 7, v)
-        anti = cl.clifford_mul(cu, cv) + cl.clifford_mul(cv, cu)
-        ident = (anti - cl.CliffordElement.scalar(
-            0, 7, 2 * cl.vector_inner(0, 7, u, v))).max_abs()
-        x = cl.CliffordElement(0, 7, rng.standard_normal(128))
-        y = cl.CliffordElement(0, 7, rng.standard_normal(128))
-        z = cl.CliffordElement(0, 7, rng.standard_normal(128))
-        sc = x.max_abs() * y.max_abs() * z.max_abs()
-        assoc = (cl.clifford_mul(cl.clifford_mul(x, y), z)
-                 - cl.clifford_mul(x, cl.clifford_mul(y, z))).max_abs() / sc
-        rev = (cl.reversion(cl.clifford_mul(x, y))
-               - cl.clifford_mul(cl.reversion(y),
-                                 cl.reversion(x))).max_abs() \
-            / (x.max_abs() * y.max_abs())
-        # orthonormal imaginary pair: anticommutator of L-matrices vanishes
-        q1 = rng.standard_normal(7)
-        q1 /= np.linalg.norm(q1)
-        q2 = rng.standard_normal(7)
-        q2 -= (q2 @ q1) * q1
-        q2 /= np.linalg.norm(q2)
-        o1 = Octonion.from_parts(0.0, q1)
-        o2 = Octonion.from_parts(0.0, q2)
-        l1, l2 = left_matrix(o1), left_matrix(o2)
-        anticomm = np.max(np.abs(l1 @ l2 + l2 @ l1))
-        kappa = cl.enveloping_residual(
-            Octonion(oc.random_octonions(rng, 1, imaginary=True)[0]),
-            Octonion(oc.random_octonions(rng, 1, imaginary=True)[0]))
-        # j map and composition
-        xi = cl.SpinorPoint(oc.random_octonions(rng, 1, unit=True)[0])
-        n1 = cl.SpinorPoint(rng.standard_normal(8))
-        n2 = cl.SpinorPoint(rng.standard_normal(8))
-        j_iso = abs(n1.comps @ n2.comps
-                    - cl.j_map(n1, xi).dot(cl.j_map(n2, xi)))
-        big_v = Octonion(oc.random_octonions(rng, 1)[0])
-        equi = np.max(np.abs(
-            cl.j_map(cl.clifford_action(big_v, n1), xi).coeffs
-            - df.deformed_mul(big_v, cl.j_map(n1, xi),
-                              Octonion(xi.comps)).coeffs))
-        return {"clifford_identity": ident, "associativity": assoc,
-                "reversion": rev, "orth_anticommutator": anticomm,
-                "kappa_residual": kappa, "j_isometry": j_iso,
-                "j_equivariance": equi}
-
-    checks += _fold(map_trials(one_trial, n, config, "clifford"), config)
+    checks += [config.row(key, values) for key, values
+               in _clifford_trials(config, range(n)).items()]
     # octonion associator is generically nonzero (paired contrast)
     rng = trial_rng(config.seed, "clifford-contrast", 0)
     a, b, c = (Octonion(w) for w in oc.random_octonions(rng, 3))
@@ -702,6 +689,65 @@ def suite_clifford(config: RunConfig) -> list[dict]:
     comp = (df.sigma(u, g2.metric_from_3form(df.sigma(w, data0)))
             - df.sigma(mul(u, w), data0)).max_abs()
     return checks + [config.row("spinor_sigma_composition", comp)]
+
+
+def _clifford_draw(rng) -> tuple:
+    """One trial of the clifford suite, in draw order: u and v in R^7;
+    x, y and z in Cl(0, 7); the pair q1, q2 that the check makes
+    orthonormal; imaginary ka and kb; a unit reference xi; spinors n1
+    and n2; an octonion big_v."""
+    from .octonion import random_octonions
+    normal = rng.standard_normal
+    return (normal(7), normal(7), normal(128), normal(128), normal(128),
+            normal(7), normal(7),
+            random_octonions(rng, 1, imaginary=True)[0],
+            random_octonions(rng, 1, imaginary=True)[0],
+            random_octonions(rng, 1, unit=True)[0],
+            normal(8), normal(8), random_octonions(rng, 1)[0])
+
+
+def _clifford_check(u, v, x, y, z, q1, q2, ka, kb, xi, n1, n2,
+                    big_v) -> dict:
+    """Per-trial residuals of the clifford suite's trial rows, each row a
+    trial."""
+    from . import clifford as cl
+    from .deform import deformed_mul
+    from .octonion import dot, left_matrix
+    cu, cv = (cl.CliffordElement.vector(0, 7, w) for w in (u, v))
+    anti = cl.clifford_mul(cu, cv) + cl.clifford_mul(cv, cu)
+    ident = (anti - cl.CliffordElement.scalar(
+        0, 7, 2 * cl.vector_inner(0, 7, u, v))).max_abs()
+    x, y, z = (cl.CliffordElement(0, 7, w) for w in (x, y, z))
+    sc = x.max_abs() * y.max_abs() * z.max_abs()
+    assoc = (cl.clifford_mul(cl.clifford_mul(x, y), z)
+             - cl.clifford_mul(x, cl.clifford_mul(y, z))).max_abs() / sc
+    rev = (cl.reversion(cl.clifford_mul(x, y))
+           - cl.clifford_mul(cl.reversion(y), cl.reversion(x))).max_abs() \
+        / (x.max_abs() * y.max_abs())
+    # orthonormal imaginary pair: anticommutator of L-matrices vanishes
+    q1 = q1 / np.sqrt(dot(q1, q1))[:, None]
+    q2 = q2 - dot(q2, q1)[:, None] * q1
+    q2 = q2 / np.sqrt(dot(q2, q2))[:, None]
+    l1, l2 = (left_matrix(np.pad(q, ((0, 0), (1, 0)))) for q in (q1, q2))
+    anticomm = np.max(np.abs(l1 @ l2 + l2 @ l1), axis=(-2, -1))
+    # j map and composition
+    j1 = cl.j_map(n1, xi)
+    equi = np.max(np.abs(cl.j_map(cl.clifford_action(big_v, n1), xi)
+                         - deformed_mul(big_v, j1, xi)), axis=-1)
+    return {"clifford_identity": ident, "associativity": assoc,
+            "reversion": rev, "orth_anticommutator": anticomm,
+            "kappa_residual": cl.enveloping_residual(ka, kb),
+            "j_isometry": np.abs(dot(n1, n2) - dot(j1, cl.j_map(n2, xi))),
+            "j_equivariance": equi}
+
+
+def _clifford_trials(config: RunConfig, trials) -> dict:
+    """The clifford suite's per-trial residuals of the given trials, in
+    blocks of _BLOCK_ROWS // 128 trials: 4 MB of product terms at
+    Cl(0, 7), whatever the trial count."""
+    from .octonion import _BLOCK_ROWS
+    return stack_trials(_clifford_check, _clifford_draw, trials,
+                        _BLOCK_ROWS // 128, config, "clifford")
 
 
 def run_suite(name: str, config: RunConfig) -> dict:

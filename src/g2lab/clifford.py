@@ -6,25 +6,40 @@ spinor <-> octonion dictionary relative to a unit reference.
 from __future__ import annotations
 
 from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
 
-from .errors import NotImaginary, SignatureMismatch, ZeroReference
+from .errors import BadConfig, NotImaginary, SignatureMismatch, ZeroReference
 from .exterior import AltTensor
 from .g2linear import G2MetricData
-from .octonion import Octonion, inverse, left_matrix, mul
+from .octonion import Octonion, dot, inverse, is_imaginary, left_matrix, mul
+
+MAX_GENERATORS = 8
+
+
+def _blade_count(p, q) -> int:
+    """2^(p+q), the blade count of Cl(p, q), once the signature is known
+    to be p, q >= 0 with p + q <= MAX_GENERATORS; else a BadConfig,
+    before anything is allocated."""
+    if not (isinstance(p, Integral) and isinstance(q, Integral)
+            and 0 <= p and 0 <= q and p + q <= MAX_GENERATORS):
+        raise BadConfig(f"Cl(p, q) needs integers p, q >= 0 with p + q <= "
+                        f"{MAX_GENERATORS}, got Cl({p}, {q})")
+    return 1 << (p + q)
 
 
 @lru_cache(maxsize=None)
 def _tables(p: int, q: int):
     """Dense product tables over blade masks, read-only: result[a, b] =
-    a ^ b and sign[a, b], plus the gather signs s2[a, c] = sign[a, a ^ c]
-    as floats, so that blade a times blade a ^ c is s2[a, c] * blade c.
-    The sign is the one of merging two blades, for all pairs at once: the
-    parity of the merge transpositions, popcount((a >> k) & b) over
-    k >= 1, plus the shared negative-square generators (bits
+    a ^ b and sign[a, b], plus the signed gather index of clifford_mul:
+    gather[a, c] = (a ^ c) + dim where sign[a, a ^ c] = -1, else a ^ c,
+    so that blade a times blade a ^ c is (y, -y)[gather[a, c]] times
+    blade c.  The sign is the one of merging two blades, for all pairs at
+    once: the parity of the merge transpositions, popcount((a >> k) & b)
+    over k >= 1, plus the shared negative-square generators (bits
     p .. p + q - 1)."""
-    dim = 1 << (p + q)
+    dim = _blade_count(p, q)
     pop = _grades(dim)
     a = np.arange(dim)[:, None]
     b = np.arange(dim)[None, :]
@@ -33,10 +48,10 @@ def _tables(p: int, q: int):
         flips = flips + pop[(a >> k) & b]
     res = a ^ b
     sgn = 1 - 2 * (flips & 1)
-    s2 = np.take_along_axis(sgn, res, axis=1).astype(float)
-    for table in (res, sgn, s2):
+    gather = res + dim * (np.take_along_axis(sgn, res, axis=1) < 0)
+    for table in (res, sgn, gather):
         table.setflags(write=False)
-    return res, sgn, s2
+    return res, sgn, gather
 
 
 @lru_cache(maxsize=None)
@@ -48,32 +63,43 @@ def _grades(dim: int) -> np.ndarray:
 
 
 class CliffordElement:
-    """Element of Cl(p, q) as 2^(p+q) blade coefficients (bitmask index)."""
+    """Element of Cl(p, q) as 2^(p+q) blade coefficients (bitmask index),
+    or a stack of elements as (..., 2^(p+q)) coefficient rows.  Every
+    operation below acts row by row, and a row of a stack gets the bits
+    that the one-element call gives it."""
 
     __slots__ = ("p", "q", "coeffs")
 
     def __init__(self, p: int, q: int, coeffs=None) -> None:
-        dim = 1 << (p + q)
+        dim = _blade_count(p, q)
         self.p = p
         self.q = q
         if coeffs is None:
             coeffs = np.zeros(dim)
         coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.shape != (dim,):
+        if coeffs.shape[-1:] != (dim,):
             raise ValueError(f"need {dim} blade coefficients")
         self.coeffs = coeffs.copy()
 
     @classmethod
-    def scalar(cls, p: int, q: int, value: float = 1.0) -> "CliffordElement":
-        out = cls(p, q)
-        out.coeffs[0] = value
+    def scalar(cls, p: int, q: int, value=1.0) -> "CliffordElement":
+        """value times the unit; a (...) array of values gives a stack."""
+        value = np.asarray(value, dtype=float)
+        out = cls(p, q, np.zeros(value.shape + (_blade_count(p, q),)))
+        out.coeffs[..., 0] = value
         return out
 
     @classmethod
     def vector(cls, p: int, q: int, comps) -> "CliffordElement":
-        out = cls(p, q)
-        for i, c in enumerate(comps):
-            out.coeffs[1 << i] = c
+        """sum_i comps_i e_i over the p + q generators; (..., p + q)
+        components give a stack."""
+        dim = _blade_count(p, q)
+        comps = np.asarray(comps, dtype=float)
+        if comps.shape[-1:] != (p + q,):
+            raise BadConfig(f"a vector of Cl({p}, {q}) has {p + q} "
+                            f"components, got shape {comps.shape}")
+        out = cls(p, q, np.zeros(comps.shape[:-1] + (dim,)))
+        out.coeffs[..., 1 << np.arange(p + q)] = comps
         return out
 
     def _check(self, other: "CliffordElement") -> None:
@@ -101,46 +127,65 @@ class CliffordElement:
         return CliffordElement(self.p, self.q, -self.coeffs)
 
     def grades(self) -> np.ndarray:
-        return _grades(self.coeffs.size)
+        return _grades(self.coeffs.shape[-1])
 
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.coeffs)))
+    def max_abs(self):
+        """The largest coefficient magnitude: a float, or one per row of a
+        stack."""
+        m = np.max(np.abs(self.coeffs), axis=-1)
+        return float(m) if m.ndim == 0 else m
 
     def __repr__(self) -> str:
         return f"CliffordElement(p={self.p}, q={self.q})"
 
 
 def clifford_mul(x: CliffordElement, y: CliffordElement) -> CliffordElement:
-    """Geometric product as one dense gather over all blade pairs.
+    """Geometric product as one dense gather over all blade pairs, row by
+    row for stacks.
 
     Output blade c sums x_a sign(a, a ^ c) y_(a ^ c) over a in increasing
-    order.  Zero coefficients are not skipped, so a zero times an inf or
-    NaN coefficient gives NaN: a non-finite operand makes the product
-    non-finite and fails closed.
+    order: one take through the gather index of _tables reads every
+    signed y_(a ^ c) from (y, -y), the terms are multiplied by x_a and
+    summed over a.  Zero coefficients are not skipped, so a zero times an
+    inf or NaN coefficient gives NaN: a non-finite operand makes the
+    product non-finite and fails closed.  The terms take dim^2 doubles
+    per row (128 KB at Cl(0, 7)), so a caller with many rows multiplies
+    them in blocks of about _BLOCK_ROWS // dim.
     """
     x._check(y)
-    res, _, s2 = _tables(x.p, x.q)
-    terms = (x.coeffs[:, None] * s2) * y.coeffs[res]
-    return CliffordElement(x.p, x.q, terms.sum(axis=0))
+    _, _, gather = _tables(x.p, x.q)
+    ys = y.coeffs
+    if ys.shape != x.coeffs.shape:
+        ys = np.broadcast_to(ys, np.broadcast_shapes(ys.shape, x.coeffs.shape))
+    terms = np.concatenate((ys, -ys), axis=-1).take(gather, axis=-1)
+    terms *= x.coeffs[..., :, None]
+    return CliffordElement(x.p, x.q, terms.sum(axis=-2))
+
+
+# the reversion sign (-1)^(k(k-1)/2) of a grade-k blade, by k mod 4
+_REVERSION_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
 
 
 def reversion(x: CliffordElement) -> CliffordElement:
-    k = x.grades()
+    """The anti-automorphism that reverses the generators of every blade:
+    a grade-k blade changes sign when k = 2 or 3 mod 4."""
     return CliffordElement(x.p, x.q,
-                           x.coeffs * (-1.0) ** (k * (k - 1) // 2))
+                           x.coeffs * _REVERSION_SIGNS[x.grades() % 4])
 
 
-def vector_inner(p: int, q: int, u, v) -> float:
-    """The quadratic form g(u, v) of the signature."""
+def vector_inner(p: int, q: int, u, v):
+    """The quadratic form g(u, v) of the signature: a float, or one per
+    pair of rows of two (..., p + q) stacks."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     signs = np.concatenate([np.ones(p), -np.ones(q)])
-    return float(np.sum(signs * u * v))
+    g = np.sum(signs * u * v, axis=-1)
+    return float(g) if g.ndim == 0 else g
 
 
 def basis_mul_table(p: int, q: int) -> list[list[dict]]:
     """Full basis-blade multiplication table (for the table emitter)."""
-    dim = 1 << (p + q)
+    dim = _blade_count(p, q)
     res, sgn, _ = _tables(p, q)
     return [[{"mask": int(res[a, b]), "sign": int(sgn[a, b])}
              for b in range(dim)] for a in range(dim)]
@@ -156,14 +201,18 @@ matrix oracle and the polarized square-norm identity both give 2.
 """
 
 
-def enveloping_residual(a: Octonion, b: Octonion) -> float:
-    """Max-abs residual of the Clifford relation for left translations."""
-    if not a.is_imaginary() or not b.is_imaginary():
+def enveloping_residual(a, b):
+    """Max-abs residual of the Clifford relation for left translations:
+    a float for two octonions, one per row for two (..., 8) stacks."""
+    if isinstance(a, Octonion):
+        return float(enveloping_residual(a.coeffs, b.coeffs))
+    if not (np.all(is_imaginary(a)) and np.all(is_imaginary(b))):
         raise NotImaginary("enveloping relation needs imaginary octonions")
     la, lb = left_matrix(a), left_matrix(b)
     anti = la @ lb + lb @ la
-    return float(np.max(np.abs(anti + ENVELOPING_KAPPA * a.dot(b)
-                               * np.eye(8))))
+    kappa_ab = ENVELOPING_KAPPA * dot(a, b)
+    return np.max(np.abs(anti + kappa_ab[..., None, None] * np.eye(8)),
+                  axis=(-2, -1))
 
 
 # -- pointwise spinor <-> octonion dictionary ----------------------------------
@@ -181,25 +230,32 @@ class SpinorPoint:
         self.comps = comps.copy()
 
 
-def clifford_action(v: Octonion, eta: SpinorPoint) -> SpinorPoint:
+# The three maps below take spinor points and octonions, or (..., 8)
+# stacks of coefficient rows, mapped row by row into a stack.
+
+def clifford_action(v, eta):
     """Action of an octonion (vector when imaginary) on a spinor via
     left translation; satisfies the Cl(0, 7) relation on vectors."""
-    return SpinorPoint(left_matrix(v) @ eta.comps)
+    if isinstance(eta, SpinorPoint):
+        return SpinorPoint(clifford_action(v.coeffs, eta.comps))
+    return (left_matrix(v) @ eta[..., None])[..., 0]
 
 
-def j_map(eta: SpinorPoint, xi: SpinorPoint) -> Octonion:
+def j_map(eta, xi):
     """j_xi(eta): the octonion A with eta = A . xi; equals eta xi^-1."""
-    xi_oct = Octonion(xi.comps)
-    if xi_oct.norm_sq() < 1e-24:
+    if isinstance(eta, SpinorPoint):
+        return Octonion(j_map(eta.comps, xi.comps))
+    if np.any(dot(xi, xi) < 1e-24):
         raise ZeroReference("reference spinor must be nonzero")
-    return mul(Octonion(eta.comps), inverse(xi_oct))
+    return mul(eta, inverse(xi))
 
 
-def j_inverse(a: Octonion, xi: SpinorPoint) -> SpinorPoint:
-    xi_oct = Octonion(xi.comps)
-    if xi_oct.norm_sq() < 1e-24:
+def j_inverse(a, xi):
+    if isinstance(xi, SpinorPoint):
+        return SpinorPoint(j_inverse(a.coeffs, xi.comps))
+    if np.any(dot(xi, xi) < 1e-24):
         raise ZeroReference("reference spinor must be nonzero")
-    return SpinorPoint(mul(a, xi_oct).coeffs)
+    return mul(a, xi)
 
 
 def reference_structure(xi: SpinorPoint, data0: G2MetricData) -> AltTensor:

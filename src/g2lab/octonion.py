@@ -97,10 +97,6 @@ class Octonion:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "Octonion":
-        return cls(np.zeros(8))
-
-    @classmethod
     def one(cls) -> "Octonion":
         e = np.zeros(8)
         e[0] = 1.0
@@ -111,13 +107,6 @@ class Octonion:
         """e_0 = 1, e_1 .. e_7 the imaginary units."""
         e = np.zeros(8)
         e[k] = 1.0
-        return cls(e)
-
-    @classmethod
-    def from_parts(cls, real: float, imag) -> "Octonion":
-        e = np.zeros(8)
-        e[0] = real
-        e[1:] = np.asarray(imag, dtype=float)
         return cls(e)
 
     # -- structure ----------------------------------------------------------
@@ -131,16 +120,13 @@ class Octonion:
         return self.coeffs[1:].copy()
 
     def norm_sq(self) -> float:
-        return float(self.coeffs @ self.coeffs)
+        return dot(self, self)
 
     def norm(self) -> float:
         return float(np.sqrt(self.norm_sq()))
 
     def dot(self, other: "Octonion") -> float:
-        return float(self.coeffs @ other.coeffs)
-
-    def is_imaginary(self) -> bool:
-        return abs(self.real) <= IMAG_EPS * max(self.norm(), 1e-300)
+        return dot(self, other)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -173,79 +159,134 @@ class Octonion:
         return bool(np.max(np.abs(self.coeffs - other.coeffs)) <= tol)
 
 
-def mul(a: Octonion, b: Octonion) -> Octonion:
+# Each function below takes octonions, or (..., 8) stacks of coefficient
+# rows that it works on row by row; the one-octonion call is the one-row
+# case, and every row of a stack gets the bits that call gives it.
+
+
+def dot(a, b):
+    """Euclidean inner product: of two octonions as a float, or of each
+    pair of rows of two (..., n) stacks as a (...) array, with the bits of
+    the one-row product a @ b (a BLAS dot).  A row must be contiguous: the
+    dot of a strided row, such as a column of mul_cols output read
+    through .T, may sum in another order."""
+    if isinstance(a, Octonion):
+        return float(dot(a.coeffs, b.coeffs))
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def is_imaginary(a):
+    """|Re a| <= IMAG_EPS |a|: a bool for an octonion, a (...) bool array
+    for a stack."""
+    if isinstance(a, Octonion):
+        return bool(is_imaginary(a.coeffs))
+    return np.abs(a[..., 0]) <= IMAG_EPS * np.maximum(np.sqrt(dot(a, a)),
+                                                      1e-300)
+
+
+def mul(a, b):
     """Octonion product from the structure-constant tensor."""
-    return Octonion(_mul_raw(a.coeffs, b.coeffs))
+    if isinstance(a, Octonion):
+        return Octonion(_mul_raw(a.coeffs, b.coeffs))
+    return _mul_raw(a, b)
 
 
-def conj(a: Octonion) -> Octonion:
-    out = a.coeffs.copy()
-    out[1:] *= -1.0
-    return Octonion(out)
+def conj(a):
+    if isinstance(a, Octonion):
+        return Octonion(conj(a.coeffs))
+    out = np.array(a, dtype=float)
+    out[..., 1:] *= -1.0
+    return out
 
 
-def inverse(a: Octonion) -> Octonion:
-    n2 = a.norm_sq()
-    if n2 < ZERO_EPS:
-        raise ZeroDivisor(f"cannot invert octonion with |a|^2 = {n2:.3e}")
-    return Octonion(conj(a).coeffs / n2)
+def inverse(a):
+    if isinstance(a, Octonion):
+        return Octonion(inverse(a.coeffs))
+    n2 = dot(a, a)
+    small = n2 < ZERO_EPS
+    if np.any(small):
+        raise ZeroDivisor("cannot invert octonion with |a|^2 = "
+                          f"{np.min(n2[small]):.3e}")
+    return conj(a) / n2[..., None]
 
 
-def commutator(a: Octonion, b: Octonion) -> Octonion:
+def commutator(a, b):
     return mul(a, b) - mul(b, a)
 
 
-def associator(a: Octonion, b: Octonion, c: Octonion) -> Octonion:
-    return Octonion(_assoc_raw(a.coeffs, b.coeffs, c.coeffs))
+def associator(a, b, c):
+    if isinstance(a, Octonion):
+        return Octonion(_assoc_raw(a.coeffs, b.coeffs, c.coeffs))
+    return _assoc_raw(a, b, c)
 
 
-def exponential(a: Octonion) -> Octonion:
+def exponential(a):
     """exp of a pure imaginary octonion: cos|a| + a sin|a|/|a|."""
-    if not a.is_imaginary():
-        raise NotImaginary(f"exponential needs Re = 0, got Re = {a.real:.3e}")
-    r = float(np.linalg.norm(a.coeffs[1:]))
-    if r < 1e-6:
-        # 4th-order Taylor polynomial of sin(r)/r around the removable zero
-        s = 1.0 - r**2 / 6.0 + r**4 / 120.0
-    else:
-        s = np.sin(r) / r
-    out = a.coeffs * s
-    out[0] = np.cos(r)
-    return Octonion(out)
+    if isinstance(a, Octonion):
+        return Octonion(exponential(a.coeffs))
+    if not np.all(is_imaginary(a)):
+        raise NotImaginary("exponential needs Re = 0, got |Re| up to "
+                           f"{np.max(np.abs(a[..., 0])):.3e}")
+    im = a[..., 1:]
+    r = np.sqrt(dot(im, im))
+    # below 1e-6, the 4th-order Taylor polynomial of sin(r)/r around the
+    # removable zero
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.where(r < 1e-6, 1.0 - r**2 / 6.0 + r**4 / 120.0,
+                     np.sin(r) / r)
+    out = a * s[..., None]
+    out[..., 0] = np.cos(r)
+    return out
 
 
-def power(b: Octonion, k: int) -> Octonion:
+def _pow(x: np.ndarray, k: int) -> np.ndarray:
+    """x ** k elementwise through the C library's pow, which the ** of a
+    float64 scalar calls: numpy's array power may round otherwise (it
+    runs SVML code on AVX-512 hosts)."""
+    x = np.asarray(x)
+    return np.array([v ** k for v in x.ravel()]).reshape(x.shape)
+
+
+def power(b, k: int):
     """Integer power, well defined because two elements generate an
-    associative subalgebra."""
-    n2 = b.norm_sq()
-    if k < 0 and n2 < ZERO_EPS:
+    associative subalgebra: |b|^k (cos k theta + sin k theta beta/|beta|)
+    with theta = arg(Re b, |beta|) for b = Re b + beta, and the plain real
+    power where beta = 0."""
+    if isinstance(b, Octonion):
+        return Octonion(power(b.coeffs, k))
+    n2 = dot(b, b)
+    if k < 0 and np.any(n2 < ZERO_EPS):
         raise ZeroDivisor("negative power of a (near) zero octonion")
+    out = np.zeros(np.shape(b))
     if k == 0:
-        return Octonion.one()
-    n = np.sqrt(n2)
-    if n == 0.0:
-        return Octonion.zero()
-    beta = b.coeffs[1:]
-    r = float(np.linalg.norm(beta))
-    if r == 0.0:
-        # real octonion: plain real power
-        return Octonion.from_parts(float(b.real) ** k, np.zeros(7))
-    theta = float(np.arctan2(r, b.real))
-    scale = n**k
-    out = np.zeros(8)
-    out[0] = scale * np.cos(k * theta)
-    out[1:] = scale * np.sin(k * theta) * beta / r
-    return Octonion(out)
+        out[..., 0] = 1.0
+        return out
+    beta = b[..., 1:]
+    r = np.sqrt(dot(beta, beta))
+    real = r == 0.0
+    theta = np.arctan2(r, b[..., 0])
+    scale = _pow(np.sqrt(n2), k)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out[..., 0] = np.where(real, _pow(b[..., 0], k),
+                               scale * np.cos(k * theta))
+        out[..., 1:] = np.where(real[..., None], 0.0,
+                                (scale * np.sin(k * theta))[..., None]
+                                * beta / r[..., None])
+    return out
 
 
-def left_matrix(b: Octonion) -> np.ndarray:
+def left_matrix(b) -> np.ndarray:
     """8x8 matrix of A -> bA acting on coefficient vectors."""
-    return np.einsum("kij,i->kj", MUL_TENSOR, b.coeffs)
+    if isinstance(b, Octonion):
+        return left_matrix(b.coeffs)
+    return np.einsum("kij,...i->...kj", MUL_TENSOR, b)
 
 
-def right_matrix(b: Octonion) -> np.ndarray:
+def right_matrix(b) -> np.ndarray:
     """8x8 matrix of A -> Ab acting on coefficient vectors."""
-    return np.einsum("kij,j->ki", MUL_TENSOR, b.coeffs)
+    if isinstance(b, Octonion):
+        return right_matrix(b.coeffs)
+    return np.einsum("kij,...j->...ki", MUL_TENSOR, b)
 
 
 # -- batched helpers on (8, m) columns and (N, 8) rows ----------------------

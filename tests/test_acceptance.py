@@ -208,8 +208,8 @@ def test_criterion_10_enveloping_relation():
         q2 = rng.standard_normal(7)
         q2 -= (q2 @ q1) * q1
         q2 /= np.linalg.norm(q2)
-        l1 = left_matrix(Octonion.from_parts(0.0, q1))
-        l2 = left_matrix(Octonion.from_parts(0.0, q2))
+        l1 = left_matrix(Octonion(np.r_[0.0, q1]))
+        l2 = left_matrix(Octonion(np.r_[0.0, q2]))
         orth.append(np.max(np.abs(l1 @ l2 + l2 @ l1)))
         a = Octonion(oc.random_octonions(rng, 1, imaginary=True)[0])
         b = Octonion(oc.random_octonions(rng, 1, imaginary=True)[0])

@@ -125,7 +125,7 @@ def test_leibniz_defect(warp):
     assert d0.shape == p0.shape == (7, 8)
     assert np.max(np.abs(d0)) < 1e-9
     # real argument kills the associator
-    ar = Octonion.from_parts(1.3, np.zeros(7))
+    ar = 1.3 * Octonion.one()
     d1, _ = fld.leibniz_defect(warp, X0, ar, b, 1e-3)
     assert np.max(np.abs(d1)) < 1e-9
     d2, p2 = fld.leibniz_defect(warp, X0, a, b, 1e-3)
