@@ -8,7 +8,8 @@ from g2lab import clifford as cl
 from g2lab import deform as df
 from g2lab import g2linear as g2
 from g2lab import octonion as oc
-from g2lab.errors import NotImaginary, SignatureMismatch, ZeroReference
+from g2lab.errors import (BadConfig, NotImaginary, SignatureMismatch,
+                          ZeroReference)
 from g2lab.octonion import Octonion, left_matrix, mul
 
 
@@ -265,3 +266,50 @@ def test_grades_cached_read_only():
     assert not x.grades().flags.writeable
     assert x.grades().tolist() == [bin(m).count("1") for m in range(128)]
     assert x.grades().dtype == np.array([1]).dtype
+
+
+@pytest.mark.parametrize("p, q", [(-1, 2), (2, -1), (5, 4), (0, 40),
+                                  (1.5, 1)])
+def test_signature_is_refused_before_allocation(p, q):
+    # Cl(0, 40) would need 2^40 doubles; the check comes first
+    for build in (cl.CliffordElement, cl.CliffordElement.scalar,
+                  cl.basis_mul_table):
+        with pytest.raises(BadConfig):
+            build(p, q)
+    with pytest.raises(BadConfig):
+        cl.CliffordElement.vector(p, q, [])
+
+
+def test_vector_needs_one_component_per_generator():
+    for comps in ([1.0, 2.0, 3.0], [1.0], np.ones((4, 3))):
+        with pytest.raises(BadConfig):
+            cl.CliffordElement.vector(0, 2, comps)
+    stack = cl.CliffordElement.vector(0, 2, [[1.0, 2.0], [3.0, 4.0]])
+    assert stack.coeffs.tolist() == [[0, 1, 2, 0], [0, 3, 4, 0]]
+
+
+def test_stacked_rows_get_one_element_bits():
+    rng = np.random.default_rng(21)
+    xs, ys = rng.standard_normal((2, 5, 128))
+    x, y = cl.CliffordElement(0, 7, xs), cl.CliffordElement(0, 7, ys)
+    one = [cl.CliffordElement(0, 7, row) for row in ys]
+    prod = cl.clifford_mul(x, y).coeffs
+    assert prod.shape == (5, 128)
+    for k, yk in enumerate(one):
+        xk = cl.CliffordElement(0, 7, xs[k])
+        assert _bits(prod[k]).tolist() == _bits(
+            cl.clifford_mul(xk, yk).coeffs).tolist()
+        assert _bits(cl.reversion(x).coeffs[k]).tolist() == _bits(
+            cl.reversion(xk).coeffs).tolist()
+        # one element against a stack, on either side
+        assert _bits(cl.clifford_mul(xk, y).coeffs[k]).tolist() == _bits(
+            cl.clifford_mul(x, yk).coeffs[k]).tolist() == _bits(
+            prod[k]).tolist()
+    assert cl.reversion(x).max_abs().shape == (5,)
+    assert cl.vector_inner(0, 7, xs[:, :7], ys[:, :7]).tolist() == [
+        cl.vector_inner(0, 7, u, v) for u, v in zip(xs[:, :7], ys[:, :7])]
+    a, b = oc.random_octonions(rng, 2, imaginary=True)
+    rows = np.stack([a, b, a])
+    assert cl.enveloping_residual(rows, rows[::-1]).tolist() == [
+        cl.enveloping_residual(Octonion(u), Octonion(v))
+        for u, v in zip(rows, rows[::-1])]

@@ -336,3 +336,39 @@ def test_imaginary_threshold_is_imag_eps():
             else:
                 with pytest.raises(NotImaginary):
                     oc.exponential(a)
+
+
+def test_stacked_rows_get_one_octonion_bits():
+    # a stack of rows, real and zero rows among them, through every
+    # function that takes one: each row has the bits of its one-row call
+    rng = np.random.default_rng(22)
+    rows = oc.random_octonions(rng, 6)
+    rows[1, 1:] = 0.0
+    rows[2] = 0.0
+    imag = oc.random_octonions(rng, 6, imaginary=True)
+    imag[3] = 0.0
+    one = [Octonion(r) for r in rows]
+
+    def same(stacked, single):
+        got = np.asarray(stacked)
+        want = np.array([getattr(s, "coeffs", s) for s in single])
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    same(oc.mul(rows, rows[::-1]), [oc.mul(a, b)
+                                    for a, b in zip(one, one[::-1])])
+    same(oc.conj(rows), map(oc.conj, one))
+    same(oc.dot(rows, rows[::-1]), [oc.dot(a, b)
+                                    for a, b in zip(one, one[::-1])])
+    for k in (0, 1, 2, 3, 5):
+        same(oc.power(rows, k), [oc.power(a, k) for a in one])
+    same(oc.left_matrix(rows), map(oc.left_matrix, one))
+    same(oc.right_matrix(rows), map(oc.right_matrix, one))
+    same(oc.exponential(imag), map(oc.exponential, map(Octonion, imag)))
+    same(oc.is_imaginary(imag), map(oc.is_imaginary, map(Octonion, imag)))
+    nonzero = np.delete(rows, 2, axis=0)
+    same(oc.inverse(nonzero), map(oc.inverse, map(Octonion, nonzero)))
+    same(oc.power(nonzero, -2), [oc.power(Octonion(r), -2) for r in nonzero])
+    with pytest.raises(ZeroDivisor):
+        oc.inverse(rows)
+    with pytest.raises(NotImaginary):
+        oc.exponential(rows)

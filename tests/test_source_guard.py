@@ -19,7 +19,9 @@ batch products
 gather signed permutations: octonion.mul_cols, the one kernel, reads its
 terms from the basis table derived from STRUCTURE_CYCLES, the octonion
 suite runs every product through it in columns, and clifford_mul is one
-dense gather with no np.add.at loop.
+dense gather with no np.add.at loop.  The octonion suite's sample and the
+clifford suite's trial rows read the library functions they check, on
+stacked rows, and cli.py writes none of that math out again.
 Only exterior knows how a form is stored: no other module imports or
 reads its private names, and deform.sigma is written with interior,
 wedge and form arithmetic.  Only exterior and cartan touch the dense
@@ -260,6 +262,38 @@ def test_octonion_suite_runs_its_products_in_columns(monkeypatch):
 def test_clifford_has_no_add_at():
     text = (SRC / "clifford.py").read_text()
     assert ".add.at" not in text and "np.nonzero" not in text
+
+
+def _reached_from(name: str) -> list:
+    """cli's function name and every cli function it reaches through the
+    names it reads, as AST nodes."""
+    tree = ast.parse((SRC / "cli.py").read_text())
+    functions = {node.name: node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
+    todo, seen = [name], {}
+    while todo:
+        fn = todo.pop()
+        if fn not in seen:
+            seen[fn] = functions[fn]
+            todo += sorted(_names_read(seen[fn]) & set(functions))
+    return list(seen.values())
+
+
+def test_batched_rows_read_the_library():
+    wanted = {"suite_octonion": {"inverse", "conj", "exponential", "power",
+                                 "left_matrix", "mul"},
+              "suite_clifford": {"clifford_mul", "reversion", "vector_inner",
+                                 "enveloping_residual", "j_map",
+                                 "clifford_action", "deformed_mul",
+                                 "left_matrix"}}
+    for suite, names in wanted.items():
+        reached = _reached_from(suite)
+        assert names <= set().union(*map(_names_read, reached)), suite
+        # no second power or reversion sign beside the rows; the exterior
+        # suite's graded signs (-1)^(pq) are claims of its own
+        code = "\n".join(map(ast.unparse, reached))
+        assert "arctan2" not in code and "(-1.0) **" not in code, suite
+    assert "MUL_TENSOR" not in (SRC / "cli.py").read_text()
 
 
 def test_g2linear_has_no_dense_symbol():
