@@ -5,7 +5,10 @@ reports.
 Per-trial random streams are counter-based (Philox keyed by a digest of
 seed, suite and trial index), so trial t of a suite can be replayed alone
 from ``trial_rng(seed, suite, t)``.  Residuals are folded across trials so
-that a NaN or inf in any trial fails the report.
+that a NaN or inf in any trial fails the report.  The octonion suite's
+sample and the clifford suite's trials are drawn one trial at a time and
+checked as stacked rows (``stack_trials``); each trial's residual has the
+bits a one-trial loop gives it.
 
 Each suite declares its pinned tolerances once, where it is registered,
 and every check row is built in one place, ``RunConfig.row``.
@@ -218,6 +221,9 @@ def _imaginary_laws(ai, bi, ci) -> list:
         cross_norm_law=1e-12, double_cross=1e-12, generalized_jacobi=1e-12,
         inverse_exp_power_adjoint=1e-13)
 def suite_octonion(config: RunConfig) -> list[dict]:
+    """Octonion identities over --trials rows drawn from stream 0 and
+    checked in row blocks, then the inverse, exponential, power and
+    adjointness on a stacked sample of up to 200 trials, streams 1..m."""
     from . import octonion as oc
     n = config.n_trials(10000)
     rng = trial_rng(config.seed, "octonion", 0)
@@ -660,6 +666,10 @@ def suite_g2field(config: RunConfig) -> list[dict]:
         kappa_residual=1e-13, j_isometry=1e-12, j_equivariance=1e-12,
         octonion_nonassoc_contrast=10.0, spinor_sigma_composition=1e-10)
 def suite_clifford(config: RunConfig) -> list[dict]:
+    """Small-signature models, then seven rows over --trials trials of
+    Cl(0, 7) algebra, left translations and the spinor map j, stacked in
+    blocks of 32 trials, then the octonion contrast and the sigma
+    composition of spinors."""
     from . import clifford as cl
     from . import deform as df
     from . import g2linear as g2
