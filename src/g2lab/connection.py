@@ -61,7 +61,7 @@ from math import ceil, inf
 import numpy as np
 
 from .errors import BadConfig, LeftDomain, NoConvergence, SingularMetric
-from .octonion import C3
+from .octonion import C3, dot
 
 
 def _require_inside(domain: np.ndarray, x, name: str) -> None:
@@ -297,12 +297,6 @@ def exp_map(chart: ConnectionChart, e, v, h: float = 1e-3) -> np.ndarray:
     return _shoot(chart, _point_pair(e, v), 1.0, h)[0]
 
 
-def _row_norms(a: np.ndarray) -> np.ndarray:
-    """Euclidean norm of every row, with the bits np.linalg.norm gives a
-    single row (a dot product)."""
-    return np.sqrt(np.matmul(a[:, None, :], a[:, :, None])[:, 0, 0])
-
-
 # Newton shooting of exp_inverse: the residual within which a row stops,
 # the shot budget, and the finite-difference step of the fallback Jacobian.
 _NEWTON_TOL = 1e-12
@@ -355,9 +349,11 @@ def _solve_exp(chart: ConnectionChart, e: np.ndarray, y: np.ndarray,
             step[solved] = np.linalg.solve(jac[active[solved]],
                                            r[solved][:, :, None])[:, :, 0]
         va = v[active]
-        # damp when the full step would overshoot badly
-        scale = np.where(_row_norms(step)
-                         > 0.5 * np.maximum(_row_norms(va), 1.0), 0.5, 1.0)
+        # damp when the full step would overshoot badly; each row's norm
+        # has the bits np.linalg.norm gives that row alone
+        scale = np.where(np.sqrt(dot(step, step))
+                         > 0.5 * np.maximum(np.sqrt(dot(va, va)), 1.0),
+                         0.5, 1.0)
         v[active] = va - scale[:, None] * step
         prev[active] = err
     raise NoConvergence(f"exp_inverse stalled at residual {np.max(err):.3e} "

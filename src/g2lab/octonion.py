@@ -172,6 +172,8 @@ def dot(a, b):
     through .T, may sum in another order."""
     if isinstance(a, Octonion):
         return float(dot(a.coeffs, b.coeffs))
+    if a.ndim == 1:
+        return a @ b
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
@@ -194,7 +196,7 @@ def mul(a, b):
 def conj(a):
     if isinstance(a, Octonion):
         return Octonion(conj(a.coeffs))
-    out = np.array(a, dtype=float)
+    out = a.astype(float)
     out[..., 1:] *= -1.0
     return out
 
@@ -203,10 +205,9 @@ def inverse(a):
     if isinstance(a, Octonion):
         return Octonion(inverse(a.coeffs))
     n2 = dot(a, a)
-    small = n2 < ZERO_EPS
-    if np.any(small):
+    if (n2 < ZERO_EPS).any():
         raise ZeroDivisor("cannot invert octonion with |a|^2 = "
-                          f"{np.min(n2[small]):.3e}")
+                          f"{np.min(n2):.3e}")
     return conj(a) / n2[..., None]
 
 
@@ -224,54 +225,52 @@ def exponential(a):
     """exp of a pure imaginary octonion: cos|a| + a sin|a|/|a|."""
     if isinstance(a, Octonion):
         return Octonion(exponential(a.coeffs))
-    if not np.all(is_imaginary(a)):
+    if not is_imaginary(a).all():
         raise NotImaginary("exponential needs Re = 0, got |Re| up to "
                            f"{np.max(np.abs(a[..., 0])):.3e}")
     im = a[..., 1:]
     r = np.sqrt(dot(im, im))
-    # below 1e-6, the 4th-order Taylor polynomial of sin(r)/r around the
-    # removable zero
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s = np.where(r < 1e-6, 1.0 - r**2 / 6.0 + r**4 / 120.0,
-                     np.sin(r) / r)
+    small = r < 1e-6
+    if small.any():
+        # the 4th-order Taylor polynomial of sin(r)/r around the
+        # removable zero
+        s = np.where(small, 1.0 - r**2 / 6.0 + r**4 / 120.0,
+                     np.sin(r) / np.where(small, 1.0, r))
+    else:
+        s = np.sin(r) / r
     out = a * s[..., None]
     out[..., 0] = np.cos(r)
     return out
 
 
-def _pow(x: np.ndarray, k: int) -> np.ndarray:
-    """x ** k elementwise through the C library's pow, which the ** of a
-    float64 scalar calls: numpy's array power may round otherwise (it
-    runs SVML code on AVX-512 hosts)."""
-    x = np.asarray(x)
-    return np.array([v ** k for v in x.ravel()]).reshape(x.shape)
-
-
 def power(b, k: int):
     """Integer power, well defined because two elements generate an
     associative subalgebra: |b|^k (cos k theta + sin k theta beta/|beta|)
-    with theta = arg(Re b, |beta|) for b = Re b + beta, and the plain real
-    power where beta = 0."""
+    for b = Re b + beta, with theta = arctan2(|beta|, Re b), and the plain
+    real power where beta = 0."""
     if isinstance(b, Octonion):
         return Octonion(power(b.coeffs, k))
     n2 = dot(b, b)
-    if k < 0 and np.any(n2 < ZERO_EPS):
+    if k < 0 and (n2 < ZERO_EPS).any():
         raise ZeroDivisor("negative power of a (near) zero octonion")
-    out = np.zeros(np.shape(b))
+    out = np.zeros(b.shape)
     if k == 0:
         out[..., 0] = 1.0
         return out
     beta = b[..., 1:]
     r = np.sqrt(dot(beta, beta))
     real = r == 0.0
-    theta = np.arctan2(r, b[..., 0])
-    scale = _pow(np.sqrt(n2), k)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out[..., 0] = np.where(real, _pow(b[..., 0], k),
-                               scale * np.cos(k * theta))
-        out[..., 1:] = np.where(real[..., None], 0.0,
-                                (scale * np.sin(k * theta))[..., None]
-                                * beta / r[..., None])
+    # float_power runs the C library's pow, as the ** of a float64 scalar
+    # does; np.power may round otherwise (SVML code on AVX-512 hosts)
+    scale = np.float_power(np.sqrt(n2), k)
+    k_theta = k * np.arctan2(r, b[..., 0])
+    out[..., 0] = scale * np.cos(k_theta)
+    out[..., 1:] = ((scale * np.sin(k_theta))[..., None] * beta
+                    / np.where(real, 1.0, r)[..., None])
+    if real.any():
+        out[..., 0] = np.where(real, np.float_power(b[..., 0], k),
+                               out[..., 0])
+        out[..., 1:] = np.where(real[..., None], 0.0, out[..., 1:])
     return out
 
 
