@@ -140,8 +140,8 @@ class CliffordElement:
 
 
 def clifford_mul(x: CliffordElement, y: CliffordElement) -> CliffordElement:
-    """Geometric product as one dense gather over all blade pairs, row by
-    row for stacks.
+    """Geometric product as one dense gather over all blade pairs: of two
+    elements, or row by row of two stacks of the same shape.
 
     Output blade c sums x_a sign(a, a ^ c) y_(a ^ c) over a in increasing
     order: one take through the gather index of _tables reads every
@@ -150,14 +150,12 @@ def clifford_mul(x: CliffordElement, y: CliffordElement) -> CliffordElement:
     inf or NaN coefficient gives NaN: a non-finite operand makes the
     product non-finite and fails closed.  The terms take dim^2 doubles
     per row (128 KB at Cl(0, 7)), so a caller with many rows multiplies
-    them in blocks of about _BLOCK_ROWS // dim.
+    them in blocks.
     """
     x._check(y)
     _, _, gather = _tables(x.p, x.q)
-    ys = y.coeffs
-    if ys.shape != x.coeffs.shape:
-        ys = np.broadcast_to(ys, np.broadcast_shapes(ys.shape, x.coeffs.shape))
-    terms = np.concatenate((ys, -ys), axis=-1).take(gather, axis=-1)
+    signed = np.concatenate((y.coeffs, -y.coeffs), axis=-1)
+    terms = signed.take(gather, axis=-1)
     terms *= x.coeffs[..., :, None]
     return CliffordElement(x.p, x.q, terms.sum(axis=-2))
 

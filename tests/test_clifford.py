@@ -301,10 +301,6 @@ def test_stacked_rows_get_one_element_bits():
             cl.clifford_mul(xk, yk).coeffs).tolist()
         assert _bits(cl.reversion(x).coeffs[k]).tolist() == _bits(
             cl.reversion(xk).coeffs).tolist()
-        # one element against a stack, on either side
-        assert _bits(cl.clifford_mul(xk, y).coeffs[k]).tolist() == _bits(
-            cl.clifford_mul(x, yk).coeffs[k]).tolist() == _bits(
-            prod[k]).tolist()
     assert cl.reversion(x).max_abs().shape == (5,)
     assert cl.vector_inner(0, 7, xs[:, :7], ys[:, :7]).tolist() == [
         cl.vector_inner(0, 7, u, v) for u, v in zip(xs[:, :7], ys[:, :7])]
