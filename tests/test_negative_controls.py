@@ -120,8 +120,8 @@ def raise_one_power_higher(monkeypatch):
 
 
 def scale_the_product(monkeypatch):
-    # the one-element product and the associator, both read through
-    # _mul_raw at call time; mul_cols and the left matrices are untouched
+    # mul and the associator, both read through _mul_raw at call time;
+    # mul_cols and the left matrices are untouched
     real = oc._mul_raw
     monkeypatch.setattr(oc, "_mul_raw", lambda a, b: (1 + 1e-9) * real(a, b))
 
