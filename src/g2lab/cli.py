@@ -8,7 +8,10 @@ from ``trial_rng(seed, suite, t)``.  Residuals are folded across trials so
 that a NaN or inf in any trial fails the report.  The octonion suite's
 sample and the clifford suite's trials are drawn one trial at a time and
 checked as stacked rows (``stack_trials``); each trial's residual has the
-bits a one-trial loop gives it.
+bits a one-trial loop gives it.  The octonion suite's bulk rows come from
+one stream, drawn block by block on a producer thread while the calling
+thread checks the blocks that have landed (``_BulkDraws``); a fill in
+blocks has the bits of one fill, so no residual depends on the timing.
 
 Each suite declares its pinned tolerances once, where it is registered,
 and every check row is built in one place, ``RunConfig.row``.
@@ -20,6 +23,7 @@ import argparse
 import hashlib
 import json
 import sys
+import threading
 import time
 from math import inf
 from pathlib import Path
@@ -129,20 +133,6 @@ def _suite(name: str, **tolerances: float):
     return register
 
 
-def _octonion_block(a, b, ai, bi, ci) -> list:
-    """The worst residual over one row block of norm multiplicativity, the
-    two alternativity laws, Moufang, the product expansion, the cross
-    product norm law, the double cross product and generalized Jacobi;
-    a and b are general octonions, ai, bi and ci pure imaginary, each an
-    (m, 8) block of rows.
-
-    The products run on (8, m) columns, copied once per block.  Norms and
-    dots take (m, 8) rows, contiguous as the draws are, so that einsum
-    sums each row in one order whatever the layout of the products.  The
-    two halves run in turn, so that only one half's arrays are alive."""
-    return _general_laws(a, b) + _imaginary_laws(ai, bi, ci)
-
-
 def _max_ratio(x, scale) -> float:
     """max |x| / scale, overwriting x."""
     np.abs(x, out=x)
@@ -151,6 +141,14 @@ def _max_ratio(x, scale) -> float:
 
 
 def _general_laws(a, b) -> list:
+    """The worst residual over one row block of norm multiplicativity and
+    the two alternativity laws; a and b are (m, 8) blocks of general
+    octonions.
+
+    The products run on (8, m) columns, copied once per block.  Norms and
+    dots take (m, 8) rows, contiguous as the draws are, so that einsum sums
+    each row in one order whatever the layout of the products; the same
+    holds in _imaginary_laws."""
     from .octonion import mul_cols, norm_batch
     na, nb = norm_batch(a), norm_batch(b)
     a, b = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
@@ -167,6 +165,10 @@ def _general_laws(a, b) -> list:
 
 
 def _imaginary_laws(ai, bi, ci) -> list:
+    """The worst residual over one row block of Moufang, the product
+    expansion, the cross product norm law, the double cross product and
+    generalized Jacobi; ai, bi and ci are (m, 8) blocks of pure imaginary
+    octonions."""
     from .octonion import mul_cols, norm_batch
     nai, nbi = norm_batch(ai), norm_batch(bi)
     nscale = nai * nbi * norm_batch(ci)
@@ -216,35 +218,108 @@ def _imaginary_laws(ai, bi, ci) -> list:
     return worst
 
 
+def _draw_rows(rng, out, imaginary) -> None:
+    """Fill out, a C-contiguous (m, 8) block of rows, with standard normals
+    from rng, zeroing the real parts of imaginary rows.  Blocks filled in
+    turn get the bits of one random_octonions call over all their rows."""
+    rng.standard_normal(out=out)
+    if imaginary:
+        out[:, 0] = 0.0
+
+
+class _BulkDraws:
+    """The octonion suite's five (n, 8) draws from one generator, in stream
+    order: a and b general, then ai, bi and ci pure imaginary.
+
+    A producer thread fills them block by block of _BLOCK_ROWS rows, and
+    rows(k, i) waits until block i of draw k has landed.  numpy's Generator
+    releases the GIL while it fills an array, so the draws run beside the
+    calling thread's checks; a fill in blocks gives the bits of one fill.  The
+    producer calls no public g2lab function, because perfbench's tracer
+    keeps one span stack for one thread.  An exception in the producer is
+    stored and raised unchanged by rows(); close() stops the producer
+    before its next block and joins it.
+    """
+
+    def __init__(self, rng, n: int) -> None:
+        from .octonion import _BLOCK_ROWS
+        self.arrays = [np.empty((n, 8)) for _ in range(5)]
+        self.blocks = [slice(start, start + _BLOCK_ROWS)
+                       for start in range(0, n, _BLOCK_ROWS)]
+        self._landed = [[threading.Event() for _ in self.blocks]
+                        for _ in self.arrays]
+        self._stop = threading.Event()
+        self._failure = None
+        self._thread = threading.Thread(target=self._fill, args=(rng,),
+                                        name="g2lab-octonion-draws")
+        self._thread.start()
+
+    def _fill(self, rng) -> None:
+        try:
+            for k, (draw, landed) in enumerate(zip(self.arrays, self._landed)):
+                for rows, event in zip(self.blocks, landed):
+                    if self._stop.is_set():
+                        return
+                    _draw_rows(rng, draw[rows], k >= 2)
+                    event.set()
+        except BaseException as exc:
+            # not re-raised here: rows() raises it on the calling thread,
+            # and every event is set so that no wait outlasts the failure
+            self._failure = exc
+            for landed in self._landed:
+                for event in landed:
+                    event.set()
+
+    def rows(self, k: int, i: int) -> np.ndarray:
+        """Block i of draw k, once the producer has filled it."""
+        self._landed[k][i].wait()
+        if self._failure is not None:
+            raise self._failure
+        return self.arrays[k][self.blocks[i]]
+
+    def close(self) -> None:
+        self._stop.set()
+        self._thread.join()
+
+
 @_suite("octonion", norm_multiplicativity=1e-12, alternativity=1e-13,
         moufang_adjacent=1e-12, product_expansion=1e-12,
         cross_norm_law=1e-12, double_cross=1e-12, generalized_jacobi=1e-12,
         inverse_exp_power_adjoint=1e-13)
 def suite_octonion(config: RunConfig) -> list[dict]:
-    """Octonion identities over --trials rows drawn from stream 0 and
-    checked in row blocks, then the inverse, exponential, power and
-    adjointness on a stacked sample of up to 200 trials, streams 1..m."""
-    from . import octonion as oc
+    """Octonion identities over --trials rows drawn from stream 0, then the
+    inverse, exponential, power and adjointness on a stacked sample of up
+    to 200 trials, streams 1..m.
+
+    A producer thread draws the rows (_BulkDraws) while this thread checks
+    them.  The sample runs first, while a is drawn; then the laws of the
+    general pair a, b run on each block of rows as it lands, and a and b
+    are dropped; then the laws of the imaginary triple ai, bi, ci.  Every
+    identity holds row by row, so only the draws are held whole."""
     n = config.n_trials(10000)
-    rng = trial_rng(config.seed, "octonion", 0)
-    # a and b general, then ai, bi and ci pure imaginary, from one stream
-    draws = [oc.random_octonions(rng, n, imaginary=k >= 2) for k in range(5)]
-    # every identity holds row by row, so only the draws are held whole and
-    # the checks run over blocks of _BLOCK_ROWS rows; np.maximum keeps
-    # a NaN, and an inf over finite values, as one np.max over all rows does
-    worst = np.full(8, -np.inf)
-    for start in range(0, n, oc._BLOCK_ROWS):
-        rows = slice(start, start + oc._BLOCK_ROWS)
-        worst = np.maximum(worst, _octonion_block(*(d[rows] for d in draws)))
-    norm_mult, alt1, alt2, *rest = worst
+    draws = _BulkDraws(trial_rng(config.seed, "octonion", 0), n)
+    try:
+        # trial 0's stream draws the rows, so the sample starts at 1
+        sample = _octonion_sample(config, range(1, min(200, n) + 1))
+        # np.maximum keeps a NaN, and an inf over finite values, as one
+        # np.max over all rows does
+        general = np.full(3, -np.inf)
+        for i in range(len(draws.blocks)):
+            general = np.maximum(general, _general_laws(draws.rows(0, i),
+                                                        draws.rows(1, i)))
+        draws.arrays[:2] = [None, None]
+        imaginary = np.full(5, -np.inf)
+        for i in range(len(draws.blocks)):
+            imaginary = np.maximum(imaginary, _imaginary_laws(
+                *(draws.rows(k, i) for k in (2, 3, 4))))
+    finally:
+        draws.close()
+    norm_mult, alt1, alt2 = general
     checks = [config.row("norm_multiplicativity", norm_mult),
               config.row("alternativity", (alt1, alt2))]
     checks += [config.row(name, r) for name, r in zip(
         ("moufang_adjacent", "product_expansion", "cross_norm_law",
-         "double_cross", "generalized_jacobi"), rest)]
-    # inverse, exponential, power and adjointness on a sample of trials;
-    # trial 0's stream drew the rows above, so the sample starts at 1
-    sample = _octonion_sample(config, range(1, min(200, n) + 1))
+         "double_cross", "generalized_jacobi"), imaginary)]
     return checks + [config.row("inverse_exp_power_adjoint",
                                 np.concatenate(list(sample.values())))]
 

@@ -290,13 +290,15 @@ def right_matrix(b) -> np.ndarray:
 
 # -- batched helpers on (8, m) columns and (N, 8) rows ----------------------
 
-# Rows per block of the octonion suite's checks; every product runs
-# through mul_cols on columns this wide.  On a 2-core host at N = 1e5
-# (tracemalloc peak in brackets), the suite's checks take 102 ms in
-# 1024-row blocks [1.0 MB beside the draws], 72 ms in 4096-row blocks
-# [3.7 MB], 73 ms in 16384-row blocks [15 MB] and 74 ms on the whole array
-# at once [90 MB].  Wider blocks buy no time for memory that grows with
-# the width.
+# Rows per block of the octonion suite's draws and checks; every product
+# runs through mul_cols on columns this wide, and the clifford suite's
+# blocks hold _BLOCK_ROWS // 128 trials.  With the draws on a producer
+# thread, on a 2-core host at N = 1e5 (tracemalloc peak in brackets, the
+# five draws being 32 MB of it), the suite takes 88.5 ms in 2048-row
+# blocks [33.2 MB], 73.6 ms in 4096-row blocks [33.9 MB] and 70.4 ms in
+# 8192-row blocks [35.5 MB].  8192 rows would save 3 % of the
+# octonion-batch benchmark's wall time for 1.5 MB more peak RSS, and
+# would double the clifford blocks with them.
 _BLOCK_ROWS = 4096
 
 

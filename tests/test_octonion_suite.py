@@ -1,7 +1,13 @@
 """The octonion suite's batched identity checks run over row blocks: the
 same residuals as whole-array arithmetic, bit for bit, and a NaN or inf in
-any block fails its rows."""
+any block fails its rows.  A producer thread draws the rows: it leaves no
+thread behind, hands its failures to the caller unchanged, and calls no
+public octonion function."""
 
+import inspect
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -15,20 +21,24 @@ BATCH_ROWS = ("norm_multiplicativity", "alternativity", "moufang_adjacent",
               "generalized_jacobi")
 
 
-def whole_array_residuals(seed: int, n: int) -> dict:
-    """The batched rows of the octonion suite over all n rows at once."""
+def oracle_draws(seed: int, n: int) -> list:
+    """The suite's five (n, 8) draws, a and b general and ai, bi, ci pure
+    imaginary, each drawn whole from stream 0."""
+    rng = cli.trial_rng(seed, "octonion", 0)
+    return [oc.random_octonions(rng, n, imaginary=k >= 2) for k in range(5)]
+
+
+def whole_array_residuals(draws: list) -> dict:
+    """The batched rows of the octonion suite over all rows at once."""
     nb = oc.norm_batch
+    a, b, ai, bi, ci = draws
+    n = len(a)
 
     def mb(a, b):
         # rows in C order, as whole-array code holds them: einsum may sum
         # a row in another order when its terms are strided
         return np.ascontiguousarray(oc.mul_cols(a.T, b.T).T)
 
-    rng = cli.trial_rng(seed, "octonion", 0)
-    a = oc.random_octonions(rng, n)
-    b = oc.random_octonions(rng, n)
-    ai, bi, ci = (oc.random_octonions(rng, n, imaginary=True)
-                  for _ in range(3))
     out = {}
     rhs = nb(a) * nb(b)
     out["norm_multiplicativity"] = np.max(np.abs(nb(mb(a, b)) - rhs) / rhs)
@@ -84,7 +94,7 @@ def test_blocks_give_whole_array_bits(n):
     assert oc._BLOCK_ROWS == 4096
     got = batch_rows(cli.run_suite("octonion", cli.RunConfig(seed=7,
                                                              trials=n)))
-    ref = whole_array_residuals(7, n)
+    ref = whole_array_residuals(oracle_draws(7, n))
     assert list(got) == list(BATCH_ROWS)
     assert {k: v.hex() for k, v in got.items()} == \
         {k: v.hex() for k, v in ref.items()}
@@ -93,24 +103,26 @@ def test_blocks_give_whole_array_bits(n):
 @pytest.mark.parametrize("draw", range(5))
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_row_in_second_block_fails(monkeypatch, draw, bad):
+    # the producer fills draw after draw in blocks of 4096, 4096 and 1
+    # rows, so its call 3 draw + 1 fills rows 4096..8191 of that draw
     n = 8193
-    real = oc.random_octonions
+    real = cli._draw_rows
     seen = []
 
-    def planted(rng, size, **kwargs):
-        out = real(rng, size, **kwargs)
-        if size == n:
-            if len(seen) % 5 == draw:
-                out[5000, 3] = bad
-            seen.append(size)
-        return out
+    def planted(rng, out, imaginary):
+        real(rng, out, imaginary)
+        if len(seen) == 3 * draw + 1:
+            out[5000 - 4096, 3] = bad
+        seen.append(len(out))
 
-    monkeypatch.setattr(oc, "random_octonions", planted)
+    monkeypatch.setattr(cli, "_draw_rows", planted)
+    draws = oracle_draws(3, n)
+    draws[draw][5000, 3] = bad
     with np.errstate(all="ignore"):
         report = cli.run_suite("octonion", cli.RunConfig(seed=3, trials=n))
-        ref = whole_array_residuals(3, n)
+        ref = whole_array_residuals(draws)
     got = batch_rows(report)
-    assert len(seen) == 10
+    assert seen == [4096, 4096, 1] * 5
     assert all(same_float(got[k], ref[k]) for k in BATCH_ROWS), (got, ref)
     assert not all(np.isfinite(list(got.values())))
     assert report["pass"] is False
@@ -118,21 +130,30 @@ def test_non_finite_row_in_second_block_fails(monkeypatch, draw, bad):
 
 def test_fold_keeps_inf_and_nan_across_blocks(monkeypatch):
     # an inf in block 2 over finite values reads inf, as np.max does; a
-    # NaN in any block reads NaN whatever the other blocks hold
-    real = cli._octonion_block
+    # NaN in any block reads NaN whatever the other blocks hold.  The keys
+    # index the suite's eight batched residuals, the first three from
+    # _general_laws and the other five from _imaginary_laws.
     plant = {1: {0: np.inf, 3: np.nan}, 2: {3: np.inf, 5: np.nan}}
-    blocks = []
+    blocks = {"_general_laws": [], "_imaginary_laws": []}
 
-    def planted(*draws):
-        worst = real(*draws)
-        for k, value in plant.get(len(blocks), {}).items():
-            worst[k] = value
-        blocks.append(len(draws[0]))
-        return worst
+    def planter(name, offset):
+        real = getattr(cli, name)
 
-    monkeypatch.setattr(cli, "_octonion_block", planted)
+        def planted(*draws):
+            worst = real(*draws)
+            for k, value in plant.get(len(blocks[name]), {}).items():
+                if 0 <= k - offset < len(worst):
+                    worst[k - offset] = value
+            blocks[name].append(len(draws[0]))
+            return worst
+        return planted
+
+    monkeypatch.setattr(cli, "_general_laws", planter("_general_laws", 0))
+    monkeypatch.setattr(cli, "_imaginary_laws",
+                        planter("_imaginary_laws", 3))
     report = cli.run_suite("octonion", cli.RunConfig(seed=3, trials=8193))
-    assert blocks == [4096, 4096, 1]
+    assert blocks == {"_general_laws": [4096, 4096, 1],
+                      "_imaginary_laws": [4096, 4096, 1]}
     got = batch_rows(report)
     assert got["norm_multiplicativity"] == np.inf
     assert np.isnan(got["moufang_adjacent"])
@@ -143,12 +164,154 @@ def test_fold_keeps_inf_and_nan_across_blocks(monkeypatch):
 
 def test_suite_peak_memory_is_bounded():
     # the five draws take 32 MB at 1e5 trials; every other array lives
-    # for one 4096-row block
+    # for one 4096-row block.  The peak measured 33.9 MB (all five draws
+    # and one block of the general pair's pass); 40 MB leaves 6 MB.
     config = cli.RunConfig(seed=1, trials=10 ** 5)
     tracemalloc.start()
     try:
-        cli.run_suite("octonion", config)
+        report = cli.run_suite("octonion", config)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 48e6
+    assert peak <= 40e6
+    # at this size the checks wait on the producer, so a block read
+    # before it is filled would fail the report
+    assert report["pass"] is True
+
+
+class Boom(Exception):
+    pass
+
+
+def run_on_a_thread(config: cli.RunConfig):
+    """run_suite("octonion", config) on a caller thread joined with a
+    timeout, so that a lost wake-up fails the test instead of hanging it;
+    returns the report, or the exception that left run_suite, and the
+    caller thread."""
+    out = []
+
+    def call():
+        try:
+            out.append(cli.run_suite("octonion", config))
+        except BaseException as exc:
+            out.append(exc)
+
+    # a daemon, so that a caller that never returns cannot hold the
+    # interpreter open after the test has failed
+    caller = threading.Thread(target=call, daemon=True)
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive()
+    return out[0], caller
+
+
+def test_suite_leaves_no_thread_behind():
+    before = threading.enumerate()
+    report = cli.run_suite("octonion", cli.RunConfig(seed=1, trials=8193))
+    assert report["pass"] is True
+    assert threading.enumerate() == before
+
+
+@pytest.mark.parametrize("where", ["_general_laws", "_draw_rows"])
+def test_failure_leaves_run_suite_unchanged(monkeypatch, where):
+    # a check on the caller's thread fails at its second block, or the
+    # producer's draw fails at the second block of ai, its eighth call,
+    # late enough that the caller is waiting on that block
+    boom = Boom(where)
+    real = getattr(cli, where)
+    threads = []
+
+    def failing(*args):
+        threads.append(threading.current_thread())
+        if len(threads) == 2 and where == "_general_laws":
+            raise boom
+        if len(threads) == 8:
+            time.sleep(0.05)
+            raise boom
+        return real(*args)
+
+    monkeypatch.setattr(cli, where, failing)
+    before = threading.enumerate()
+    got, caller = run_on_a_thread(cli.RunConfig(seed=1, trials=3 * 4096))
+    assert got is boom
+    assert threading.enumerate() == before
+    # the checks ran on the caller, the draws on the producer
+    assert {t is caller for t in threads} == {where == "_general_laws"}
+
+
+def test_producer_stops_after_a_failed_check(monkeypatch):
+    # the first check fails while the producer is held in its fill of b's
+    # second block (its fifth call at three blocks a draw); released, it
+    # finishes that block and draws no other
+    boom, failed = Boom(), threading.Event()
+    real = cli._draw_rows
+    calls = []
+
+    def held(rng, out, imaginary):
+        calls.append(len(out))
+        real(rng, out, imaginary)
+        if len(calls) == 5:
+            failed.wait(timeout=10)
+            time.sleep(0.05)
+
+    def failing(a, b):
+        failed.set()
+        raise boom
+
+    monkeypatch.setattr(cli, "_draw_rows", held)
+    monkeypatch.setattr(cli, "_general_laws", failing)
+    got, _ = run_on_a_thread(cli.RunConfig(seed=1, trials=3 * 4096))
+    assert got is boom
+    assert calls == [4096] * 5
+
+
+def test_public_octonion_functions_run_on_the_calling_thread(monkeypatch):
+    seen = {}
+
+    def recorded(name, fn):
+        def call(*args, **kwargs):
+            seen.setdefault(name, set()).add(threading.current_thread())
+            return fn(*args, **kwargs)
+        return call
+
+    for name, fn in list(vars(oc).items()):
+        if (inspect.isfunction(fn) and not name.startswith("_")
+                and fn.__module__ == oc.__name__):
+            monkeypatch.setattr(oc, name, recorded(name, fn))
+    report = cli.run_suite("octonion", cli.RunConfig(seed=2, trials=8193))
+    assert report["pass"] is True
+    assert {"mul_cols", "norm_batch", "mul", "random_octonions"} <= set(seen)
+    assert set().union(*seen.values()) == {threading.main_thread()}
+
+
+def test_concurrent_suites_keep_their_bits():
+    # more threads than cores, switching every microsecond: each caller's
+    # producer fills its own draws, and every report keeps the bits of the
+    # whole-array oracle
+    n = 4097
+    ref = {seed: whole_array_residuals(oracle_draws(seed, n))
+           for seed in (1, 2, 3)}
+    got = {}
+
+    def call(seed):
+        for _ in range(2):
+            rows = batch_rows(cli.run_suite(
+                "octonion", cli.RunConfig(seed=seed, trials=n)))
+            got.setdefault(seed, []).append(rows)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=call, args=(seed,))
+                   for seed in ref]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    for seed, rows in ref.items():
+        want = {k: v.hex() for k, v in rows.items()}
+        assert [{k: v.hex() for k, v in r.items()} for r in got[seed]] \
+            == [want, want]

@@ -256,7 +256,10 @@ def test_octonion_suite_runs_its_products_in_columns(monkeypatch):
     monkeypatch.setattr(oc, "mul_cols", counted)
     report = cli.run_suite("octonion", cli.RunConfig(seed=5, trials=8193))
     assert report["pass"] is True
-    assert widths == [4096] * 20 + [4096] * 20 + [1] * 20
+    # the general pair's pass over the three blocks, 7 products a block,
+    # then the imaginary triple's, 13 a block
+    assert widths == ([4096] * 7 + [4096] * 7 + [1] * 7
+                      + [4096] * 13 + [4096] * 13 + [1] * 13)
 
 
 def test_clifford_has_no_add_at():
