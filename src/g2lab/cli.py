@@ -9,9 +9,9 @@ that a NaN or inf in any trial fails the report.  The octonion suite's
 sample and the clifford suite's trials are drawn one trial at a time and
 checked as stacked rows (``stack_trials``); each trial's residual has the
 bits a one-trial loop gives it.  The octonion suite's bulk rows come from
-one stream, drawn block by block on a producer thread while the calling
-thread checks the blocks that have landed (``_BulkDraws``); a fill in
-blocks has the bits of one fill, so no residual depends on the timing.
+one stream, drawn block by block by a one-thread pool while the calling
+thread checks the blocks that have landed; a fill in blocks has the bits
+of one fill, so no residual depends on the timing.
 
 Each suite declares its pinned tolerances once, where it is registered,
 and every check row is built in one place, ``RunConfig.row``.
@@ -23,7 +23,6 @@ import argparse
 import hashlib
 import json
 import sys
-import threading
 import time
 from math import inf
 from pathlib import Path
@@ -218,70 +217,6 @@ def _imaginary_laws(ai, bi, ci) -> list:
     return worst
 
 
-def _draw_rows(rng, out, imaginary) -> None:
-    """Fill out, a C-contiguous (m, 8) block of rows, with standard normals
-    from rng, zeroing the real parts of imaginary rows.  Blocks filled in
-    turn get the bits of one random_octonions call over all their rows."""
-    rng.standard_normal(out=out)
-    if imaginary:
-        out[:, 0] = 0.0
-
-
-class _BulkDraws:
-    """The octonion suite's five (n, 8) draws from one generator, in stream
-    order: a and b general, then ai, bi and ci pure imaginary.
-
-    A producer thread fills them block by block of _BLOCK_ROWS rows, and
-    rows(k, i) waits until block i of draw k has landed.  numpy's Generator
-    releases the GIL while it fills an array, so the draws run beside the
-    calling thread's checks; a fill in blocks gives the bits of one fill.  The
-    producer calls no public g2lab function, because perfbench's tracer
-    keeps one span stack for one thread.  An exception in the producer is
-    stored and raised unchanged by rows(); close() stops the producer
-    before its next block and joins it.
-    """
-
-    def __init__(self, rng, n: int) -> None:
-        from .octonion import _BLOCK_ROWS
-        self.arrays = [np.empty((n, 8)) for _ in range(5)]
-        self.blocks = [slice(start, start + _BLOCK_ROWS)
-                       for start in range(0, n, _BLOCK_ROWS)]
-        self._landed = [[threading.Event() for _ in self.blocks]
-                        for _ in self.arrays]
-        self._stop = threading.Event()
-        self._failure = None
-        self._thread = threading.Thread(target=self._fill, args=(rng,),
-                                        name="g2lab-octonion-draws")
-        self._thread.start()
-
-    def _fill(self, rng) -> None:
-        try:
-            for k, (draw, landed) in enumerate(zip(self.arrays, self._landed)):
-                for rows, event in zip(self.blocks, landed):
-                    if self._stop.is_set():
-                        return
-                    _draw_rows(rng, draw[rows], k >= 2)
-                    event.set()
-        except BaseException as exc:
-            # not re-raised here: rows() raises it on the calling thread,
-            # and every event is set so that no wait outlasts the failure
-            self._failure = exc
-            for landed in self._landed:
-                for event in landed:
-                    event.set()
-
-    def rows(self, k: int, i: int) -> np.ndarray:
-        """Block i of draw k, once the producer has filled it."""
-        self._landed[k][i].wait()
-        if self._failure is not None:
-            raise self._failure
-        return self.arrays[k][self.blocks[i]]
-
-    def close(self) -> None:
-        self._stop.set()
-        self._thread.join()
-
-
 @_suite("octonion", norm_multiplicativity=1e-12, alternativity=1e-13,
         moufang_adjacent=1e-12, product_expansion=1e-12,
         cross_norm_law=1e-12, double_cross=1e-12, generalized_jacobi=1e-12,
@@ -291,29 +226,51 @@ def suite_octonion(config: RunConfig) -> list[dict]:
     inverse, exponential, power and adjointness on a stacked sample of up
     to 200 trials, streams 1..m.
 
-    A producer thread draws the rows (_BulkDraws) while this thread checks
-    them.  The sample runs first, while a is drawn; then the laws of the
-    general pair a, b run on each block of rows as it lands, and a and b
-    are dropped; then the laws of the imaginary triple ai, bi, ci.  Every
-    identity holds row by row, so only the draws are held whole."""
+    The five (n, 8) draws, a and b general, then ai, bi and ci pure
+    imaginary, are filled in stream order, one task per block of
+    _BLOCK_ROWS rows, by a one-thread pool, whose worker runs its tasks in
+    turn.  numpy's Generator releases the GIL while it fills, so the
+    draws run beside this thread's checks, and a fill in blocks gives the
+    bits of one fill.  This thread runs the sample first, while a is
+    drawn; then the laws of the general pair on each block of rows as it
+    lands, and drops a and b; then the laws of the imaginary triple.
+    Every identity holds row by row, so only the draws are held whole.  A
+    failed draw is raised here unchanged by its block's result(); on any
+    exit the pool cancels the blocks not yet begun and joins its worker.
+    The worker calls no public g2lab function, because perfbench's tracer
+    keeps one span stack for one thread."""
+    from concurrent.futures import ThreadPoolExecutor
+    from .octonion import _BLOCK_ROWS, _fill_octonions
     n = config.n_trials(10000)
-    draws = _BulkDraws(trial_rng(config.seed, "octonion", 0), n)
+    rng = trial_rng(config.seed, "octonion", 0)
+    draws = [np.empty((n, 8)) for _ in range(5)]
+    blocks = [slice(start, start + _BLOCK_ROWS)
+              for start in range(0, n, _BLOCK_ROWS)]
+    pool = ThreadPoolExecutor(max_workers=1,
+                              thread_name_prefix="g2lab-octonion-draws")
     try:
+        landed = [[pool.submit(_fill_octonions, rng, draw[rows], k >= 2)
+                   for rows in blocks] for k, draw in enumerate(draws)]
+
+        def rows(k, i):
+            landed[k][i].result()
+            return draws[k][blocks[i]]
+
         # trial 0's stream draws the rows, so the sample starts at 1
         sample = _octonion_sample(config, range(1, min(200, n) + 1))
         # np.maximum keeps a NaN, and an inf over finite values, as one
         # np.max over all rows does
         general = np.full(3, -np.inf)
-        for i in range(len(draws.blocks)):
-            general = np.maximum(general, _general_laws(draws.rows(0, i),
-                                                        draws.rows(1, i)))
-        draws.arrays[:2] = [None, None]
+        for i in range(len(blocks)):
+            general = np.maximum(general, _general_laws(rows(0, i),
+                                                        rows(1, i)))
+        draws[:2] = [None, None]
         imaginary = np.full(5, -np.inf)
-        for i in range(len(draws.blocks)):
+        for i in range(len(blocks)):
             imaginary = np.maximum(imaginary, _imaginary_laws(
-                *(draws.rows(k, i) for k in (2, 3, 4))))
+                *(rows(k, i) for k in (2, 3, 4))))
     finally:
-        draws.close()
+        pool.shutdown(cancel_futures=True)
     norm_mult, alt1, alt2 = general
     checks = [config.row("norm_multiplicativity", norm_mult),
               config.row("alternativity", (alt1, alt2))]

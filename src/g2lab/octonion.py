@@ -292,10 +292,10 @@ def right_matrix(b) -> np.ndarray:
 
 # Rows per block of the octonion suite's draws and checks; every product
 # runs through mul_cols on columns this wide, and the clifford suite's
-# blocks hold _BLOCK_ROWS // 128 trials.  With the draws on a producer
-# thread, on a 2-core host at N = 1e5 (tracemalloc peak in brackets, the
-# five draws being 32 MB of it), the suite takes 88.5 ms in 2048-row
-# blocks [33.2 MB], 73.6 ms in 4096-row blocks [33.9 MB] and 70.4 ms in
+# blocks hold _BLOCK_ROWS // 128 trials.  With the draws on a one-thread
+# pool, on a 2-core host at N = 1e5 (tracemalloc peak in brackets, the
+# five draws being 32 MB of it), the suite takes 85.2 ms in 2048-row
+# blocks [33.3 MB], 72.7 ms in 4096-row blocks [34.0 MB] and 69.0 ms in
 # 8192-row blocks [35.5 MB].  8192 rows would save 3 % of the
 # octonion-batch benchmark's wall time for 1.5 MB more peak RSS, and
 # would double the clifford blocks with them.
@@ -353,9 +353,18 @@ def norm_batch(a: np.ndarray) -> np.ndarray:
 def random_octonions(rng: np.random.Generator, n: int,
                      unit: bool = False, imaginary: bool = False) -> np.ndarray:
     """(n, 8) array of Gaussian octonions, optionally unit / pure imaginary."""
-    out = rng.standard_normal((n, 8))
-    if imaginary:
-        out[:, 0] = 0.0
+    out = np.empty((n, 8))
+    _fill_octonions(rng, out, imaginary)
     if unit:
         out /= norm_batch(out)[:, None]
     return out
+
+
+def _fill_octonions(rng: np.random.Generator, out: np.ndarray,
+                    imaginary: bool) -> None:
+    """Fill out, C-contiguous (m, 8) rows, with Gaussian octonions, pure
+    imaginary if asked.  Row blocks filled in turn from one generator get
+    the bits of one fill over all their rows."""
+    rng.standard_normal(out=out)
+    if imaginary:
+        out[:, 0] = 0.0

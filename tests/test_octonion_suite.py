@@ -80,6 +80,12 @@ def whole_array_residuals(draws: list) -> dict:
     return {name: float(r) for name, r in out.items()}
 
 
+def on_producer() -> bool:
+    """Whether the caller is the suite's draw worker; the sample's draws
+    on the calling thread go through oc._fill_octonions too."""
+    return threading.current_thread().name.startswith("g2lab-octonion-draws")
+
+
 def same_float(x: float, y: float) -> bool:
     return x == y or (np.isnan(x) and np.isnan(y))
 
@@ -106,18 +112,20 @@ def test_non_finite_row_in_second_block_fails(monkeypatch, draw, bad):
     # the producer fills draw after draw in blocks of 4096, 4096 and 1
     # rows, so its call 3 draw + 1 fills rows 4096..8191 of that draw
     n = 8193
-    real = cli._draw_rows
+    draws = oracle_draws(3, n)
+    draws[draw][5000, 3] = bad
+    real = oc._fill_octonions
     seen = []
 
     def planted(rng, out, imaginary):
         real(rng, out, imaginary)
+        if not on_producer():
+            return
         if len(seen) == 3 * draw + 1:
             out[5000 - 4096, 3] = bad
         seen.append(len(out))
 
-    monkeypatch.setattr(cli, "_draw_rows", planted)
-    draws = oracle_draws(3, n)
-    draws[draw][5000, 3] = bad
+    monkeypatch.setattr(oc, "_fill_octonions", planted)
     with np.errstate(all="ignore"):
         report = cli.run_suite("octonion", cli.RunConfig(seed=3, trials=n))
         ref = whole_array_residuals(draws)
@@ -164,7 +172,7 @@ def test_fold_keeps_inf_and_nan_across_blocks(monkeypatch):
 
 def test_suite_peak_memory_is_bounded():
     # the five draws take 32 MB at 1e5 trials; every other array lives
-    # for one 4096-row block.  The peak measured 33.9 MB (all five draws
+    # for one 4096-row block.  The peak measured 33.95 MB (all five draws
     # and one block of the general pair's pass); 40 MB leaves 6 MB.
     config = cli.RunConfig(seed=1, trials=10 ** 5)
     tracemalloc.start()
@@ -212,16 +220,21 @@ def test_suite_leaves_no_thread_behind():
     assert threading.enumerate() == before
 
 
-@pytest.mark.parametrize("where", ["_general_laws", "_draw_rows"])
+@pytest.mark.parametrize("where", [(cli, "_general_laws"),
+                                   (oc, "_fill_octonions")],
+                         ids=lambda where: where[1])
 def test_failure_leaves_run_suite_unchanged(monkeypatch, where):
     # a check on the caller's thread fails at its second block, or the
     # producer's draw fails at the second block of ai, its eighth call,
     # late enough that the caller is waiting on that block
+    module, where = where
     boom = Boom(where)
-    real = getattr(cli, where)
+    real = getattr(module, where)
     threads = []
 
     def failing(*args):
+        if where == "_fill_octonions" and not on_producer():
+            return real(*args)
         threads.append(threading.current_thread())
         if len(threads) == 2 and where == "_general_laws":
             raise boom
@@ -230,12 +243,12 @@ def test_failure_leaves_run_suite_unchanged(monkeypatch, where):
             raise boom
         return real(*args)
 
-    monkeypatch.setattr(cli, where, failing)
+    monkeypatch.setattr(module, where, failing)
     before = threading.enumerate()
     got, caller = run_on_a_thread(cli.RunConfig(seed=1, trials=3 * 4096))
     assert got is boom
     assert threading.enumerate() == before
-    # the checks ran on the caller, the draws on the producer
+    # the checks ran on the caller, the bulk draws on the producer
     assert {t is caller for t in threads} == {where == "_general_laws"}
 
 
@@ -244,12 +257,14 @@ def test_producer_stops_after_a_failed_check(monkeypatch):
     # second block (its fifth call at three blocks a draw); released, it
     # finishes that block and draws no other
     boom, failed = Boom(), threading.Event()
-    real = cli._draw_rows
+    real = oc._fill_octonions
     calls = []
 
     def held(rng, out, imaginary):
-        calls.append(len(out))
         real(rng, out, imaginary)
+        if not on_producer():
+            return
+        calls.append(len(out))
         if len(calls) == 5:
             failed.wait(timeout=10)
             time.sleep(0.05)
@@ -258,7 +273,7 @@ def test_producer_stops_after_a_failed_check(monkeypatch):
         failed.set()
         raise boom
 
-    monkeypatch.setattr(cli, "_draw_rows", held)
+    monkeypatch.setattr(oc, "_fill_octonions", held)
     monkeypatch.setattr(cli, "_general_laws", failing)
     got, _ = run_on_a_thread(cli.RunConfig(seed=1, trials=3 * 4096))
     assert got is boom
