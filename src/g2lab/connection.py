@@ -1,7 +1,7 @@
 """Affine connections on coordinate charts: geodesics, parallel transport,
 the exponential map and its inverse, the geodesic loop product, loop
-Taylor coefficients, and torsion/contorsion/curvature from Christoffel
-symbols.
+Taylor coefficients, and torsion/curvature from the chart's closed-form
+∂Γ.
 
 Index conventions, fixed package-wide:
 
@@ -85,23 +85,26 @@ def _domain_box(domain, n: int) -> np.ndarray:
 
 
 class ConnectionChart:
-    """Coordinate chart carrying Christoffel symbols as a smooth field.
+    """Coordinate chart carrying Christoffel symbols as a smooth field,
+    with their first derivatives in closed form.
 
     ``gamma`` maps points x of shape (..., n) to symbols of shape
     (..., n, n, n), one (n, n, n) block per point; a chart whose symbols
     do not depend on x may return one constant (n, n, n) array for any
     batch.  The integrators contract with either form by broadcasting, so
-    they never ask which kind of chart they hold.
+    they never ask which kind of chart they hold.  ``dgamma`` maps the
+    same points to the derivatives dgamma(x)[..., m, i, j, k] = d_m G^i_jk,
+    shape (..., n, n, n, n), the layout ``central_diff`` of ``gamma``
+    stacks at one point; a chart with constant symbols returns zeros.
     """
 
-    __slots__ = ("n", "gamma", "domain", "metric_field", "name")
+    __slots__ = ("n", "gamma", "dgamma", "domain", "name")
 
-    def __init__(self, n: int, gamma, domain, metric_field=None, *,
-                 name: str) -> None:
+    def __init__(self, n: int, gamma, dgamma, domain, *, name: str) -> None:
         self.n = n
         self.gamma = gamma
+        self.dgamma = dgamma
         self.domain = _domain_box(domain, n)
-        self.metric_field = metric_field
         self.name = name
 
     def check_inside(self, x: np.ndarray) -> None:
@@ -555,22 +558,18 @@ def fit_alpha(chart: ConnectionChart, e, h: float,
     return 0.5 * (lam - np.swapaxes(lam, 1, 2))
 
 
-# -- torsion, contorsion, curvature ------------------------------------------
+# -- torsion, curvature -------------------------------------------------------
 
 class CurvatureData:
-    """Torsion symbols, contorsion, curvature, and the covariant
-    derivative of the torsion at a point."""
+    """Torsion symbols, curvature, and the covariant derivative of the
+    torsion at a point."""
 
-    __slots__ = ("torsion", "contorsion", "curvature", "nabla_torsion",
-                 "metric_residual")
+    __slots__ = ("torsion", "curvature", "nabla_torsion")
 
-    def __init__(self, torsion, contorsion, curvature, nabla_torsion,
-                 metric_residual) -> None:
+    def __init__(self, torsion, curvature, nabla_torsion) -> None:
         self.torsion = torsion
-        self.contorsion = contorsion
         self.curvature = curvature
         self.nabla_torsion = nabla_torsion
-        self.metric_residual = metric_residual
 
 
 def _christoffel(g0: np.ndarray, dg: np.ndarray) -> np.ndarray:
@@ -583,31 +582,22 @@ def _christoffel(g0: np.ndarray, dg: np.ndarray) -> np.ndarray:
     return 0.5 * np.einsum("kl,ijl->kij", np.linalg.inv(g0), comb)
 
 
-def levi_civita(metric_field, x, fd_step: float) -> np.ndarray:
+def levi_civita(metric, x, fd_step: float) -> np.ndarray:
     """Christoffel symbols of a metric field by central differences."""
     x = np.asarray(x, dtype=float)
-    return _christoffel(np.asarray(metric_field(x), dtype=float),
-                        central_diff(metric_field, x, fd_step))
-
-
-# central-difference step of the symbol and metric derivatives at a point
-_FD_STEP = 1e-5
+    return _christoffel(np.asarray(metric(x), dtype=float),
+                        central_diff(metric, x, fd_step))
 
 
 def curvature_data(chart: ConnectionChart, e) -> CurvatureData:
     """Torsion symbols T^i_jk = G^i_kj - G^i_jk, curvature per the
-    Christoffel formula, nabla T, and (when a metric is present) the
-    contorsion S = Gamma - LeviCivita with the metric-compatibility
-    residual of nabla g, all from central differences at step _FD_STEP."""
+    Christoffel formula, and nabla T at the point e, checked against the
+    domain, all from the chart's own gamma and dgamma."""
     e = np.asarray(e, dtype=float)
+    chart.check_inside(e)
     g = chart.gamma(e)
     torsion = np.transpose(g, (0, 2, 1)) - g
-
-    def gamma_inside(y):
-        chart.check_inside(y)
-        return chart.gamma(y)
-
-    dgam = central_diff(gamma_inside, e, _FD_STEP)
+    dgam = chart.dgamma(e)
     # R^i_jkl = G^m_lj G^i_km - G^m_kj G^i_lm + d_k G^i_lj - d_l G^i_kj
     curv = (np.einsum("mlj,ikm->ijkl", g, g)
             - np.einsum("mkj,ilm->ijkl", g, g)
@@ -618,16 +608,7 @@ def curvature_data(chart: ConnectionChart, e) -> CurvatureData:
                + np.einsum("ilm,mjk->ijkl", g, torsion)
                - np.einsum("mlj,imk->ijkl", g, torsion)
                - np.einsum("mlk,ijm->ijkl", g, torsion))
-    contorsion = None
-    metric_residual = None
-    if chart.metric_field is not None:
-        g0 = np.asarray(chart.metric_field(e), dtype=float)
-        dgm = central_diff(chart.metric_field, e, _FD_STEP)
-        contorsion = g - _christoffel(g0, dgm)
-        nabla_g = (dgm - np.einsum("lki,lj->kij", g, g0)
-                   - np.einsum("lkj,il->kij", g, g0))
-        metric_residual = float(np.max(np.abs(nabla_g)))
-    return CurvatureData(torsion, contorsion, curv, nabla_t, metric_residual)
+    return CurvatureData(torsion, curv, nabla_t)
 
 
 def akivis_check(chart: ConnectionChart, e, h_list, h_ode: float) -> dict:
@@ -670,14 +651,9 @@ def akivis_check(chart: ConnectionChart, e, h_list, h_ode: float) -> dict:
 
 def flat_chart(n: int, half_width: float = 10.0) -> ConnectionChart:
     zero = np.zeros((n, n, n))
-    eye = np.eye(n)
-    return ConnectionChart(
-        n, lambda x: zero, [[-half_width, half_width]] * n,
-        metric_field=lambda x: eye, name="flat")
-
-
-def _sphere2_metric(x: np.ndarray) -> np.ndarray:
-    return np.diag([1.0, np.sin(x[0]) ** 2])
+    dzero = np.zeros((n, n, n, n))
+    return ConnectionChart(n, lambda x: zero, lambda x: dzero,
+                           [[-half_width, half_width]] * n, name="flat")
 
 
 def _sphere2_gamma(x: np.ndarray) -> np.ndarray:
@@ -690,12 +666,22 @@ def _sphere2_gamma(x: np.ndarray) -> np.ndarray:
     return g
 
 
+def _sphere2_dgamma(x: np.ndarray) -> np.ndarray:
+    """d_theta of the symbols of _sphere2_gamma; every d_phi is 0."""
+    theta = np.asarray(x)[..., 0]
+    d = np.zeros(theta.shape + (2, 2, 2, 2))
+    d[..., 0, 0, 1, 1] = -np.cos(2.0 * theta)
+    d[..., 0, 1, 0, 1] = -1.0 / np.sin(theta) ** 2
+    d[..., 0, 1, 1, 0] = d[..., 0, 1, 0, 1]
+    return d
+
+
 def sphere2_chart() -> ConnectionChart:
     """Round unit 2-sphere in polar coordinates (theta, phi), on
     0.2 <= theta <= pi - 0.2 and |phi| <= 12."""
     return ConnectionChart(
-        2, _sphere2_gamma, [[0.2, np.pi - 0.2], [-12.0, 12.0]],
-        metric_field=_sphere2_metric, name="sphere2")
+        2, _sphere2_gamma, _sphere2_dgamma,
+        [[0.2, np.pi - 0.2], [-12.0, 12.0]], name="sphere2")
 
 
 def cartan_schouten_chart(alpha_param: float) -> ConnectionChart:
@@ -705,8 +691,8 @@ def cartan_schouten_chart(alpha_param: float) -> ConnectionChart:
     sphere's left-parallelizing connection is flat."""
     k = 0.5 * (1.0 - 2.0 * alpha_param)
     const = k * C3
-    eye = np.eye(7)
+    dzero = np.zeros((7, 7, 7, 7))
     return ConnectionChart(
-        7, lambda x: const, [[-1.0, 1.0]] * 7,
-        metric_field=lambda x: eye, name=f"cartan_schouten({alpha_param})")
+        7, lambda x: const, lambda x: dzero, [[-1.0, 1.0]] * 7,
+        name=f"cartan_schouten({alpha_param})")
 

@@ -1,5 +1,5 @@
 """Connection charts: geodesics, transport, exponential maps, the loop
-product and its Taylor tensors, torsion/contorsion/curvature."""
+product and its Taylor tensors, torsion/curvature."""
 
 from itertools import permutations
 
@@ -21,24 +21,31 @@ def _perm_sign(perm):
     return sign
 
 
+def sphere2_metric(x: np.ndarray) -> np.ndarray:
+    """The round metric of sphere2_chart in (theta, phi)."""
+    return np.diag([1.0, np.sin(x[0]) ** 2])
+
+
+def conformal_metric(grad):
+    """The metric exp(2 f) delta with linear f = <grad, x>."""
+    grad = np.asarray(grad, dtype=float)
+    eye = np.eye(grad.size)
+    return lambda x: np.exp(2.0 * float(grad @ x)) * eye
+
+
 def conformal_chart(grad) -> cn.ConnectionChart:
-    """Levi-Civita chart of exp(2 f) delta with linear f = <grad, x>, on
-    the box |x^i| <= 2."""
+    """Levi-Civita chart of ``conformal_metric(grad)``, on the box
+    |x^i| <= 2.  Its symbols are constant."""
     grad = np.asarray(grad, dtype=float)
     n = grad.size
     eye = np.eye(n)
-
-    def metric(x):
-        return np.exp(2.0 * float(grad @ x)) * eye
-
-    def gamma(x):
-        # G^k_ij = d_i f delta_jk + d_j f delta_ik - d_k f delta_ij
-        return (np.einsum("i,jk->kij", grad, eye)
-                + np.einsum("j,ik->kij", grad, eye)
-                - np.einsum("k,ij->kij", grad, eye))
-
-    return cn.ConnectionChart(n, gamma, [[-2.0, 2.0]] * n,
-                              metric_field=metric, name="conformal")
+    # G^k_ij = d_i f delta_jk + d_j f delta_ik - d_k f delta_ij
+    const = (np.einsum("i,jk->kij", grad, eye)
+             + np.einsum("j,ik->kij", grad, eye)
+             - np.einsum("k,ij->kij", grad, eye))
+    dzero = np.zeros((n, n, n, n))
+    return cn.ConnectionChart(n, lambda x: const, lambda x: dzero,
+                              [[-2.0, 2.0]] * n, name="conformal")
 
 
 def torsion_offset_chart(base: cn.ConnectionChart,
@@ -50,9 +57,46 @@ def torsion_offset_chart(base: cn.ConnectionChart,
     def gamma(x):
         return base.gamma(x) + s
 
-    return cn.ConnectionChart(base.n, gamma, base.domain,
-                              metric_field=base.metric_field,
+    return cn.ConnectionChart(base.n, gamma, base.dgamma, base.domain,
                               name=f"{base.name}+S")
+
+
+def poincare_disk_chart() -> cn.ConnectionChart:
+    """Levi-Civita chart of the Poincare disk, exp(2 f) delta with
+    f = -log(1 - |x|^2) + log 2, on the box |x^i| <= 2, which holds the
+    unit circle at infinite distance from the origin."""
+    eye = np.eye(2)
+
+    def spread(d):
+        # G^k_ij = d_i f delta_jk + d_j f delta_ik - d_k f delta_ij from
+        # d f; from d_m d_i f, with its leading axis m, the same gives d_m G
+        return (np.einsum("...i,jk->...kij", d, eye)
+                + np.einsum("...j,ik->...kij", d, eye)
+                - np.einsum("...k,ij->...kij", d, eye))
+
+    def gamma(x):
+        return spread(2.0 * x / (1.0 - np.sum(x * x, axis=-1,
+                                              keepdims=True)))
+
+    def dgamma(x):
+        w = 1.0 - np.sum(x * x, axis=-1)[..., None, None]
+        hess = 2.0 * eye / w + 4.0 * x[..., :, None] * x[..., None, :] / w**2
+        return spread(hess)
+
+    return cn.ConnectionChart(2, gamma, dgamma, [[-2.0, 2.0]] * 2,
+                              name="disk")
+
+
+def _nabla_metric(chart: cn.ConnectionChart, metric, x) -> float:
+    """max |nabla g| of a metric under the chart's connection at x, with
+    d g from central differences: nabla_k g_ij = d_k g_ij - G^l_ki g_lj
+    - G^l_kj g_il."""
+    g0 = metric(x)
+    gam = chart.gamma(x)
+    nabla_g = (cn.central_diff(metric, x, 1e-5)
+               - np.einsum("lki,lj->kij", gam, g0)
+               - np.einsum("lkj,il->kij", gam, g0))
+    return float(np.max(np.abs(nabla_g)))
 
 
 @pytest.fixture(scope="module")
@@ -99,7 +143,7 @@ def test_central_diff_exact_on_quadratic():
 
 def test_levi_civita_oracles(sphere):
     x = np.array([1.05, 0.7])
-    got = cn.levi_civita(sphere.metric_field, x, 1e-5)
+    got = cn.levi_civita(sphere2_metric, x, 1e-5)
     theta = x[0]
     assert abs(got[0, 1, 1] + np.sin(theta) * np.cos(theta)) < 1e-9
     assert abs(got[1, 0, 1] - np.cos(theta) / np.sin(theta)) < 1e-9
@@ -107,10 +151,10 @@ def test_levi_civita_oracles(sphere):
     assert np.max(np.abs(got - sphere.gamma(x))) < 1e-9
     flat = cn.levi_civita(lambda x: np.eye(3), np.zeros(3), 1e-5)
     assert np.max(np.abs(flat)) < 1e-12
-    conf = conformal_chart(np.array([0.05, -0.02, 0.03]))
+    grad = np.array([0.05, -0.02, 0.03])
     x3 = np.array([0.1, 0.2, -0.1])
-    assert np.max(np.abs(cn.levi_civita(conf.metric_field, x3, 1e-5)
-                         - conf.gamma(x3))) < 1e-10
+    assert np.max(np.abs(cn.levi_civita(conformal_metric(grad), x3, 1e-5)
+                         - conformal_chart(grad).gamma(x3))) < 1e-10
 
 
 def test_flat_geodesics_exact():
@@ -199,7 +243,7 @@ def test_sphere_holonomy(sphere):
     vs = np.stack([np.zeros(m + 1), np.ones(m + 1)], axis=1)
     w0 = np.array([1.0, 0.0])
     w1 = cn.parallel_transport(sphere, cn.Path(ts, xs, vs), w0, h=1e-3)
-    g = sphere.metric_field(xs[0])
+    g = sphere2_metric(xs[0])
     cosang = (w0 @ g @ w1) / np.sqrt((w0 @ g @ w0) * (w1 @ g @ w1))
     angle = np.arccos(np.clip(cosang, -1.0, 1.0))
     assert abs(angle - 2 * np.pi * (1 - np.cos(theta0))) < 1e-6
@@ -207,7 +251,8 @@ def test_sphere_holonomy(sphere):
 
 
 def test_transport_isometry_with_torsion():
-    conf = conformal_chart(np.array([0.05, -0.02, 0.03]))
+    grad = np.array([0.05, -0.02, 0.03])
+    conf = conformal_chart(grad)
     s = np.zeros((3, 3, 3))
     for p in permutations(range(3)):
         s[tuple(np.array([0, 1, 2])[list(p)])] = _perm_sign(p) * 0.11
@@ -217,8 +262,9 @@ def test_transport_isometry_with_torsion():
                                  1.0, 1e-3)
     w0 = np.array([0.3, -0.2, 0.5])
     w1 = cn.parallel_transport(chart, path, w0, h=1e-3)
-    g0 = chart.metric_field(x0)
-    g1 = chart.metric_field(path.xs[-1])
+    metric = conformal_metric(grad)
+    g0 = metric(x0)
+    g1 = metric(path.xs[-1])
     assert abs(w1 @ g1 @ w1 - w0 @ g0 @ w0) < 1e-9
 
 
@@ -611,52 +657,46 @@ def test_curvature_data_flat():
 
 
 def test_curvature_data_sphere(sphere):
-    e = np.array([1.2, 0.3])
-    data = cn.curvature_data(sphere, e)
-    assert np.max(np.abs(data.torsion)) == 0.0  # symmetric symbols
-    gauss = data.curvature[0, 1, 0, 1] / np.sin(e[0]) ** 2
-    assert abs(gauss - 1.0) < 1e-6
-    # antisymmetry in the last index pair
-    assert np.max(np.abs(data.curvature
-                         + np.transpose(data.curvature, (0, 1, 3, 2)))) \
-        < 1e-8
-    assert data.metric_residual < 1e-9
+    for theta in (0.5, 1.2, 2.3):
+        e = np.array([theta, 0.3])
+        data = cn.curvature_data(sphere, e)
+        assert np.max(np.abs(data.torsion)) == 0.0  # symmetric symbols
+        gauss = data.curvature[0, 1, 0, 1] / np.sin(theta) ** 2
+        assert abs(gauss - 1.0) < 1e-14
+        # antisymmetry in the last index pair
+        assert np.max(np.abs(data.curvature + np.transpose(
+            data.curvature, (0, 1, 3, 2)))) == 0.0
+        assert _nabla_metric(sphere, sphere2_metric, e) < 1e-9
 
 
-def test_curvature_data_differentiates_metric_once():
-    chart = cn.sphere2_chart()
-    real = chart.metric_field
-    calls = []
-
-    def counted(x):
-        calls.append(None)
-        return real(x)
-
-    chart.metric_field = counted
-    cn.curvature_data(chart, np.array([1.2, 0.3]))
-    # the metric at e and its central difference at 2 n = 4 points
-    assert len(calls) == 5
-
-
-def test_curvature_data_stencil_leaves_domain(sphere):
-    # e is inside, but e - _FD_STEP e_theta crosses the theta margin
-    e = np.array([sphere.domain[0, 0] + cn._FD_STEP / 2, 0.3])
-    sphere.check_inside(e)
+def test_curvature_data_fails_closed_on_the_point(sphere):
     with pytest.raises(LeftDomain):
-        cn.curvature_data(sphere, e)
+        cn.curvature_data(sphere, np.array([0.1, 0.3]))
+    with pytest.raises(LeftDomain, match="nan"):
+        cn.curvature_data(sphere, np.array([np.nan, 0.3]))
+    # a point 5e-6 inside the theta margin, where a central difference at
+    # step 1e-5 would leave the domain
+    e = np.array([sphere.domain[0, 0] + 5e-6, 0.3])
+    data = cn.curvature_data(sphere, e)
+    assert abs(data.curvature[0, 1, 0, 1] / np.sin(e[0]) ** 2 - 1.0) < 1e-14
 
 
 def test_contorsion_consistency():
-    conf = conformal_chart(np.array([0.05, -0.02, 0.03]))
+    grad = np.array([0.05, -0.02, 0.03])
+    conf = conformal_chart(grad)
     s = np.zeros((3, 3, 3))
     for p in permutations(range(3)):
         s[tuple(np.array([0, 1, 2])[list(p)])] = _perm_sign(p) * 0.11
     chart = torsion_offset_chart(conf, s)
-    data = cn.curvature_data(chart, np.array([0.1, 0.2, -0.1]))
+    x = np.array([0.1, 0.2, -0.1])
+    data = cn.curvature_data(chart, x)
     # T = -2S exactly for the added antisymmetric tensor
     assert np.max(np.abs(data.torsion + 2.0 * s)) == 0.0
-    assert np.max(np.abs(data.contorsion - s)) < 1e-10
-    assert data.metric_residual < 1e-9
+    # the contorsion Gamma - LeviCivita is S, and the metric stays parallel
+    metric = conformal_metric(grad)
+    assert np.max(np.abs(chart.gamma(x) - cn.levi_civita(metric, x, 1e-5)
+                         - s)) < 1e-10
+    assert _nabla_metric(chart, metric, x) < 1e-9
 
 
 def test_akivis_flat_all_h():
@@ -668,7 +708,31 @@ def test_akivis_flat_all_h():
 
 def test_chart_domain_fails_closed(sphere):
     with pytest.raises(BadConfig, match=r"shape \(2, 2\)"):
-        cn.ConnectionChart(2, sphere.gamma, [[0.2, 3.0]], name="sphere2")
+        cn.ConnectionChart(2, sphere.gamma, sphere.dgamma, [[0.2, 3.0]],
+                           name="sphere2")
+
+
+def _offset_sphere():
+    s = np.zeros((2, 2, 2))
+    s[0, 1, 0], s[0, 0, 1] = 0.1, -0.1
+    return torsion_offset_chart(cn.sphere2_chart(), s)
+
+
+@pytest.mark.parametrize("make, e, spread", [
+    (lambda: cn.flat_chart(4), np.array([0.1, -0.2, 0.3, 0.0]), 0.5),
+    (lambda: cn.cartan_schouten_chart(0.0), np.zeros(7), 0.5),
+    (lambda: cn.cartan_schouten_chart(0.25), np.zeros(7), 0.5),
+    (cn.sphere2_chart, np.array([1.2, 0.3]), 0.7),
+    (lambda: conformal_chart([0.05, -0.02, 0.03]), np.zeros(3), 1.0),
+    (_offset_sphere, np.array([1.2, 0.3]), 0.7),
+    (poincare_disk_chart, np.zeros(2), 0.4),
+], ids=["flat", "cs0", "cs025", "sphere2", "conformal", "offset", "disk"])
+def test_dgamma_matches_central_diff(make, e, spread):
+    chart = make()
+    rng = np.random.default_rng(5)
+    for x in e + rng.uniform(-spread, spread, (4, chart.n)):
+        fd = cn.central_diff(chart.gamma, x, 1e-5)
+        assert np.max(np.abs(chart.dgamma(x) - fd)) < 1e-8
 
 
 # -- the batched engine -------------------------------------------------------
@@ -748,17 +812,8 @@ def test_batched_fd_fallback_matches_single_rows(sphere, monkeypatch):
 
 
 def test_unreachable_row_raises_no_convergence():
-    # Poincare disk: the unit circle lies at infinite distance from the
-    # origin, so (1, 0) is inside the chart box but no geodesic reaches it
-    eye = np.eye(2)
-
-    def gamma(x):
-        df = 2.0 * x / (1.0 - np.sum(x * x, axis=-1, keepdims=True))
-        return (np.einsum("...i,jk->...kij", df, eye)
-                + np.einsum("...j,ik->...kij", df, eye)
-                - np.einsum("...k,ij->...kij", df, eye))
-
-    disk = cn.ConnectionChart(2, gamma, [[-2.0, 2.0]] * 2, name="disk")
+    # (1, 0) is inside the chart box but no geodesic reaches it
+    disk = poincare_disk_chart()
     ys = np.array([[0.3, 0.1], [1.0, 0.0], [-0.2, 0.4]])
     reach = cn.exp_inverse(disk, np.zeros(2), ys[[0, 2]], h=0.05)
     assert np.max(np.abs(cn.exp_map(disk, np.zeros(2), reach, h=0.05)
@@ -768,15 +823,15 @@ def test_unreachable_row_raises_no_convergence():
 
 
 def test_gamma_contract_batches(sphere):
-    s = np.zeros((2, 2, 2))
-    s[0, 1, 0], s[0, 0, 1] = 0.1, -0.1
-    charts = [sphere, torsion_offset_chart(sphere, s),
-              conformal_chart(np.array([0.1, 0.0]))]
+    charts = [sphere, _offset_sphere(),
+              conformal_chart(np.array([0.1, 0.0])), poincare_disk_chart()]
     xs = np.array([[[1.2, 0.3], [0.9, -0.4]], [[1.5, 0.1], [2.0, 0.7]]])
     for chart in charts:
         batch = np.broadcast_to(chart.gamma(xs), (2, 2, 2, 2, 2))
+        dbatch = np.broadcast_to(chart.dgamma(xs), (2, 2, 2, 2, 2, 2))
         for idx in np.ndindex(2, 2):
             assert np.array_equal(batch[idx], chart.gamma(xs[idx]))
+            assert np.array_equal(dbatch[idx], chart.dgamma(xs[idx]))
 
 
 @pytest.mark.parametrize("rows", [1, 5, 5000])

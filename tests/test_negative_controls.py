@@ -77,6 +77,20 @@ def transpose_the_frame(monkeypatch):
     monkeypatch.setattr(cn, "geodesic_with_frame", transposed)
 
 
+def flip_the_sphere_dgamma(monkeypatch):
+    # one closed-form derivative of the sphere's symbols, d_theta
+    # G^phi_theta phi, with its sign flipped: curvature_data reads it, the
+    # loop fit does not
+    real = cn._sphere2_dgamma
+
+    def flipped(x):
+        d = real(x)
+        d[..., 0, 1, 0, 1] *= -1.0
+        return d
+
+    monkeypatch.setattr(cn, "_sphere2_dgamma", flipped)
+
+
 def scale_the_torsion(monkeypatch):
     # every torsion read through field.g2_torsion, its splitting parts
     # and defining residual left as they are
@@ -204,6 +218,7 @@ CONTROLS = [
     ("g2linear", "phi0_norm", scale_the_raise),
     ("akivis", "cs_r1_at_h", fit_at_the_wrong_scale),
     ("akivis", "torsionless_r2", fit_at_the_wrong_scale),
+    ("akivis", "torsionless_r2", flip_the_sphere_dgamma),
     ("akivis", "torsionless_alpha", transpose_the_frame),
     ("akivis", "torsionless_alpha_rate", transpose_the_frame),
     ("g2field", "torsion_law", scale_the_torsion),

@@ -70,7 +70,7 @@ import g2lab
 SRC = Path(g2lab.__file__).parent
 ROOT = Path(__file__).resolve().parents[1]
 
-OPTION_BUDGET = 21
+OPTION_BUDGET = 20
 
 # public names with no caller yet, each kept for the claim that will call it
 EXEMPT = {
