@@ -13,7 +13,7 @@ import numpy as np
 from .errors import BadConfig, NotImaginary, SignatureMismatch, ZeroReference
 from .exterior import AltTensor
 from .g2linear import G2MetricData
-from .octonion import Octonion, dot, inverse, is_imaginary, left_matrix, mul
+from .octonion import dot, inverse, is_imaginary, left_matrix, mul
 
 MAX_GENERATORS = 8
 
@@ -201,9 +201,7 @@ matrix oracle and the polarized square-norm identity both give 2.
 
 def enveloping_residual(a, b):
     """Max-abs residual of the Clifford relation for left translations:
-    a float for two octonions, one per row for two (..., 8) stacks."""
-    if isinstance(a, Octonion):
-        return float(enveloping_residual(a.coeffs, b.coeffs))
+    a scalar for two (8,) rows, one per row for two (..., 8) stacks."""
     if not (np.all(is_imaginary(a)) and np.all(is_imaginary(b))):
         raise NotImaginary("enveloping relation needs imaginary octonions")
     la, lb = left_matrix(a), left_matrix(b)
@@ -215,49 +213,31 @@ def enveloping_residual(a, b):
 
 # -- pointwise spinor <-> octonion dictionary ----------------------------------
 
-class SpinorPoint:
-    """An 8-component spinor value at a point, identified with an
-    octonion through a unit reference spinor."""
-
-    __slots__ = ("comps",)
-
-    def __init__(self, comps) -> None:
-        comps = np.asarray(comps, dtype=float)
-        if comps.shape != (8,):
-            raise ValueError("spinor point needs 8 components")
-        self.comps = comps.copy()
-
-
-# The three maps below take spinor points and octonions, or (..., 8)
-# stacks of coefficient rows, mapped row by row into a stack.
+# A spinor at a point is 8 components, identified with an octonion through
+# a unit reference spinor xi.  The maps below take one (8,) row of each,
+# or (..., 8) stacks mapped row by row into a stack.
 
 def clifford_action(v, eta):
     """Action of an octonion (vector when imaginary) on a spinor via
     left translation; satisfies the Cl(0, 7) relation on vectors."""
-    if isinstance(eta, SpinorPoint):
-        return SpinorPoint(clifford_action(v.coeffs, eta.comps))
     return (left_matrix(v) @ eta[..., None])[..., 0]
 
 
 def j_map(eta, xi):
     """j_xi(eta): the octonion A with eta = A . xi; equals eta xi^-1."""
-    if isinstance(eta, SpinorPoint):
-        return Octonion(j_map(eta.comps, xi.comps))
     if np.any(dot(xi, xi) < 1e-24):
         raise ZeroReference("reference spinor must be nonzero")
     return mul(eta, inverse(xi))
 
 
 def j_inverse(a, xi):
-    if isinstance(xi, SpinorPoint):
-        return SpinorPoint(j_inverse(a.coeffs, xi.comps))
     if np.any(dot(xi, xi) < 1e-24):
         raise ZeroReference("reference spinor must be nonzero")
     return mul(a, xi)
 
 
-def reference_structure(xi: SpinorPoint, data0: G2MetricData) -> AltTensor:
+def reference_structure(xi: np.ndarray, data0: G2MetricData) -> AltTensor:
     """The 3-form associated with a unit reference spinor,
     phi_xi = sigma_xi(phi0), with data0 the G2-structure of phi0."""
     from .deform import sigma
-    return sigma(Octonion(xi.comps), data0)
+    return sigma(xi, data0)

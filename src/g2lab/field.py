@@ -23,7 +23,7 @@ from .deform import bundle_inverse, bundle_mul, bundle_norm_sq, sigma
 from .errors import NormDrift
 from .exterior import AltTensor, antisymmetrize, pullback
 from .g2linear import G2MetricData, PHI0, _einsum, metric_from_3form, split2
-from .octonion import Octonion, exponential
+from .octonion import exponential
 
 NORM_TOL = 1e-10
 """How far |V|^2 may drift from 1 in the torsion transformation law."""
@@ -191,27 +191,26 @@ def octonion_covariant_derivative(field: PhiField, x: np.ndarray, a_field,
     return na - bundle_mul(np.asarray(a_field(x)), tx, data)
 
 
-def leibniz_defect(field: PhiField, x: np.ndarray, a: Octonion, b: Octonion,
+def leibniz_defect(field: PhiField, x: np.ndarray, a: np.ndarray,
+                   b: np.ndarray,
                    fd_step: float) -> tuple[np.ndarray, np.ndarray]:
     """Measured defect nabla_m(AB) - (nabla_m A)B - A(nabla_m B) for
-    constant-coefficient octonions, and its prediction [T(e_m), A, B],
-    one row per axis m.
+    constant-coefficient octonions a and b, two (8,) rows, and its
+    prediction [T(e_m), A, B], one row per axis m.
 
     The associator orientation of this structure-constant table makes
     the defect equal +[T(X), A, B]; the same identity with the 4-form's
     orientation reads -2 psi(T(X), ., ., .)-sharp."""
     nab_prod = covariant_octonion(
-        field, x, lambda y: bundle_mul(a.coeffs, b.coeffs, field.data(y)),
-        fd_step)
+        field, x, lambda y: bundle_mul(a, b, field.data(y)), fd_step)
     # constant coefficients: nabla_m A has only the Gamma correction
-    na = covariant_octonion(field, x, lambda y: a.coeffs, fd_step)
-    nb = covariant_octonion(field, x, lambda y: b.coeffs, fd_step)
+    na = covariant_octonion(field, x, lambda y: a, fd_step)
+    nb = covariant_octonion(field, x, lambda y: b, fd_step)
     data = field.data(x)
-    defect = (nab_prod - bundle_mul(na, b.coeffs, data)
-              - bundle_mul(a.coeffs, nb, data))
+    defect = nab_prod - bundle_mul(na, b, data) - bundle_mul(a, nb, data)
     tx = torsion_octonions(g2_torsion(field, x, fd_step).T, data)
-    pred = (bundle_mul(bundle_mul(tx, a.coeffs, data), b.coeffs, data)
-            - bundle_mul(tx, bundle_mul(a.coeffs, b.coeffs, data), data))
+    pred = (bundle_mul(bundle_mul(tx, a, data), b, data)
+            - bundle_mul(tx, bundle_mul(a, b, data), data))
     return defect, pred
 
 
@@ -261,12 +260,13 @@ def sigma_warp_field() -> PhiField:
     """phi(x) = sigma_{V(x)}(phi0) with V(x) = exp(0.1 x[0] e_1), on the
     box |x^i| <= 1."""
     data0 = metric_from_3form(PHI0)
+    e1 = np.eye(8)[1]
 
     def v_at(x):
-        return exponential(0.1 * float(x[0]) * Octonion.basis(1)).coeffs
+        return exponential(0.1 * float(x[0]) * e1)
 
     def phi_at(x):
-        return sigma(Octonion(v_at(x)), data0).comps
+        return sigma(v_at(x), data0).comps
 
     field = PhiField(phi_at, [[-1.0, 1.0]] * 7, name="sigma_warp")
     field.v_at = v_at

@@ -62,7 +62,7 @@ def _build_c4() -> np.ndarray:
     # rather than copied from any printed cycle list: one associator
     # broadcast over every triple of imaginary units.
     e = np.eye(8)[1:]
-    assoc = _assoc_raw(e[:, None, None], e[None, :, None], e[None, None])
+    assoc = associator(e[:, None, None], e[None, :, None], e[None, None])
     # the associator of imaginary units is imaginary: component 0 drops
     return np.ascontiguousarray(np.moveaxis(0.5 * assoc[..., 1:], -1, 0))
 
@@ -71,7 +71,7 @@ def _mul_raw(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("kij,...i,...j->...k", MUL_TENSOR, a, b)
 
 
-def _assoc_raw(a, b, c):
+def associator(a, b, c):
     return _mul_raw(_mul_raw(a, b), c) - _mul_raw(a, _mul_raw(b, c))
 
 
@@ -80,7 +80,9 @@ C4.setflags(write=False)
 
 
 class Octonion:
-    """An element of the octonion algebra, held as 8 real coefficients."""
+    """Eight real coefficients, held read-only, whose * is mul.  The
+    package passes octonions as (8,) rows and (..., 8) stacks; the class
+    remains only for perfbench's alias test, which multiplies one."""
 
     __slots__ = ("coeffs",)
 
@@ -94,116 +96,48 @@ class Octonion:
     def __setattr__(self, name, value):
         raise AttributeError("Octonion is immutable")
 
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def one(cls) -> "Octonion":
-        e = np.zeros(8)
-        e[0] = 1.0
-        return cls(e)
-
-    @classmethod
-    def basis(cls, k: int) -> "Octonion":
-        """e_0 = 1, e_1 .. e_7 the imaginary units."""
-        e = np.zeros(8)
-        e[k] = 1.0
-        return cls(e)
-
-    # -- structure ----------------------------------------------------------
-
-    @property
-    def real(self) -> float:
-        return float(self.coeffs[0])
-
-    @property
-    def imag(self) -> np.ndarray:
-        return self.coeffs[1:].copy()
-
-    def norm_sq(self) -> float:
-        return dot(self, self)
-
-    def norm(self) -> float:
-        return float(np.sqrt(self.norm_sq()))
-
-    def dot(self, other: "Octonion") -> float:
-        return dot(self, other)
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def __add__(self, other: "Octonion") -> "Octonion":
-        return Octonion(self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "Octonion") -> "Octonion":
-        return Octonion(self.coeffs - other.coeffs)
-
-    def __neg__(self) -> "Octonion":
-        return Octonion(-self.coeffs)
-
     def __mul__(self, other):
-        if isinstance(other, Octonion):
-            return mul(self, other)
-        return Octonion(self.coeffs * float(other))
-
-    def __rmul__(self, other) -> "Octonion":
-        return Octonion(self.coeffs * float(other))
-
-    def __truediv__(self, other) -> "Octonion":
-        if isinstance(other, Octonion):
-            return mul(self, inverse(other))
-        return Octonion(self.coeffs / float(other))
-
-    def __repr__(self) -> str:
-        return f"Octonion({np.array2string(self.coeffs, precision=6)})"
-
-    def allclose(self, other: "Octonion", tol: float = 1e-12) -> bool:
-        return bool(np.max(np.abs(self.coeffs - other.coeffs)) <= tol)
+        return mul(self, other)
 
 
-# Each function below takes octonions, or (..., 8) stacks of coefficient
-# rows that it works on row by row; the one-octonion call is the one-row
-# case, and every row of a stack gets the bits that call gives it.
+# Each function below takes one (8,) coefficient row, or a (..., 8) stack
+# of rows that it works on row by row; every row of a stack gets the bits
+# that its one-row call gives it.
 
 
 def dot(a, b):
-    """Euclidean inner product: of two octonions as a float, or of each
+    """Euclidean inner product: of two (n,) rows as a scalar, or of each
     pair of rows of two (..., n) stacks as a (...) array, with the bits of
     the one-row product a @ b (a BLAS dot).  A row must be contiguous: the
     dot of a strided row, such as a column of mul_cols output read
     through .T, may sum in another order."""
-    if isinstance(a, Octonion):
-        return float(dot(a.coeffs, b.coeffs))
     if a.ndim == 1:
         return a @ b
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
 def is_imaginary(a):
-    """|Re a| <= IMAG_EPS |a|: a bool for an octonion, a (...) bool array
-    for a stack."""
-    if isinstance(a, Octonion):
-        return bool(is_imaginary(a.coeffs))
+    """|Re a| <= IMAG_EPS |a|: a bool for one row, a (...) bool array for
+    a stack."""
     return np.abs(a[..., 0]) <= IMAG_EPS * np.maximum(np.sqrt(dot(a, a)),
                                                       1e-300)
 
 
 def mul(a, b):
-    """Octonion product from the structure-constant tensor."""
+    """Octonion product from the structure-constant tensor; an Octonion
+    operand gives an Octonion."""
     if isinstance(a, Octonion):
         return Octonion(_mul_raw(a.coeffs, b.coeffs))
     return _mul_raw(a, b)
 
 
 def conj(a):
-    if isinstance(a, Octonion):
-        return Octonion(conj(a.coeffs))
     out = a.astype(float)
     out[..., 1:] *= -1.0
     return out
 
 
 def inverse(a):
-    if isinstance(a, Octonion):
-        return Octonion(inverse(a.coeffs))
     n2 = dot(a, a)
     if (n2 < ZERO_EPS).any():
         raise ZeroDivisor("cannot invert octonion with |a|^2 = "
@@ -215,16 +149,8 @@ def commutator(a, b):
     return mul(a, b) - mul(b, a)
 
 
-def associator(a, b, c):
-    if isinstance(a, Octonion):
-        return Octonion(_assoc_raw(a.coeffs, b.coeffs, c.coeffs))
-    return _assoc_raw(a, b, c)
-
-
 def exponential(a):
     """exp of a pure imaginary octonion: cos|a| + a sin|a|/|a|."""
-    if isinstance(a, Octonion):
-        return Octonion(exponential(a.coeffs))
     if not is_imaginary(a).all():
         raise NotImaginary("exponential needs Re = 0, got |Re| up to "
                            f"{np.max(np.abs(a[..., 0])):.3e}")
@@ -248,8 +174,6 @@ def power(b, k: int):
     associative subalgebra: |b|^k (cos k theta + sin k theta beta/|beta|)
     for b = Re b + beta, with theta = arctan2(|beta|, Re b), and the plain
     real power where beta = 0."""
-    if isinstance(b, Octonion):
-        return Octonion(power(b.coeffs, k))
     n2 = dot(b, b)
     if k < 0 and (n2 < ZERO_EPS).any():
         raise ZeroDivisor("negative power of a (near) zero octonion")
@@ -276,15 +200,11 @@ def power(b, k: int):
 
 def left_matrix(b) -> np.ndarray:
     """8x8 matrix of A -> bA acting on coefficient vectors."""
-    if isinstance(b, Octonion):
-        return left_matrix(b.coeffs)
     return np.einsum("kij,...i->...kj", MUL_TENSOR, b)
 
 
 def right_matrix(b) -> np.ndarray:
     """8x8 matrix of A -> Ab acting on coefficient vectors."""
-    if isinstance(b, Octonion):
-        return right_matrix(b.coeffs)
     return np.einsum("kij,...j->...ki", MUL_TENSOR, b)
 
 

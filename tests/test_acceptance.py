@@ -119,12 +119,11 @@ def test_criterion_06_deformation_laws():
     from g2lab import octonion as oc
     from g2lab.deform import sigma, conjugation_pullback_residual, composition_residual
     from g2lab.g2linear import metric_from_3form, random_positive_3form, PHI0
-    from g2lab.octonion import Octonion
     rng = np.random.default_rng(6)
     data0 = metric_from_3form(PHI0)
     r36, r40, riso = [], [], []
     for _ in range(100):
-        u, v = (Octonion(w) for w in oc.random_octonions(rng, 2, unit=True))
+        u, v = oc.random_octonions(rng, 2, unit=True)
         r36.append(conjugation_pullback_residual(v, data0))
         r40.append(composition_residual(u, v, data0))
         phi = random_positive_3form(rng, cond_max=4.0)
@@ -199,7 +198,7 @@ def test_criterion_10_enveloping_relation():
     start = time.perf_counter()
     from g2lab import octonion as oc
     from g2lab.clifford import ENVELOPING_KAPPA, enveloping_residual
-    from g2lab.octonion import Octonion, left_matrix
+    from g2lab.octonion import left_matrix
     rng = np.random.default_rng(10)
     orth, kappa = [], []
     for _ in range(100):
@@ -208,11 +207,11 @@ def test_criterion_10_enveloping_relation():
         q2 = rng.standard_normal(7)
         q2 -= (q2 @ q1) * q1
         q2 /= np.linalg.norm(q2)
-        l1 = left_matrix(Octonion(np.r_[0.0, q1]))
-        l2 = left_matrix(Octonion(np.r_[0.0, q2]))
+        l1 = left_matrix(np.r_[0.0, q1])
+        l2 = left_matrix(np.r_[0.0, q2])
         orth.append(np.max(np.abs(l1 @ l2 + l2 @ l1)))
-        a = Octonion(oc.random_octonions(rng, 1, imaginary=True)[0])
-        b = Octonion(oc.random_octonions(rng, 1, imaginary=True)[0])
+        a = oc.random_octonions(rng, 1, imaginary=True)[0]
+        b = oc.random_octonions(rng, 1, imaginary=True)[0]
         kappa.append(enveloping_residual(a, b))
     worst_orth, worst_kappa = _worst(orth), _worst(kappa)
     elapsed = time.perf_counter() - start

@@ -13,9 +13,8 @@ from g2lab.deform import bundle_inverse, bundle_mul, sigma
 from g2lab.errors import BadConfig, LeftDomain, NormDrift, NotPositive
 from g2lab.exterior import AltTensor
 from g2lab.g2linear import PHI0, split3
-from g2lab.octonion import Octonion
-
 X0 = np.array([0.05, -0.1, 0.2, 0.0, 0.1, -0.05, 0.15])
+ONE = np.eye(8)[0]
 
 
 @pytest.fixture(scope="module")
@@ -75,17 +74,17 @@ def test_covariant_derivative_examples(warp, warp_torsion):
     cf = fld.constant_field()
     # constant field, constant octonion
     d0 = fld.octonion_covariant_derivative(
-        cf, X0, lambda y: Octonion.one().coeffs, 1e-3)
+        cf, X0, lambda y: ONE, 1e-3)
     assert d0.shape == (7, 8)
     assert np.max(np.abs(d0)) < 1e-12
     # plain derivative when torsion-free: row m is d/dx^m
-    a_field = lambda y: y[0] * Octonion.basis(2).coeffs
+    a_field = lambda y: y[0] * np.eye(8)[2]
     d1 = fld.octonion_covariant_derivative(cf, X0, a_field, 1e-3)
-    assert np.max(np.abs(d1[0] - Octonion.basis(2).coeffs)) < 1e-10
+    assert np.max(np.abs(d1[0] - np.eye(8)[2])) < 1e-10
     assert np.max(np.abs(d1[1:])) < 1e-10
     # D_m 1 = -T(e_m) on the torsionful field
     d2 = fld.octonion_covariant_derivative(
-        warp, X0, lambda y: Octonion.one().coeffs, 1e-3)
+        warp, X0, lambda y: ONE, 1e-3)
     tx = fld.torsion_octonions(warp_torsion.T, warp.data(X0))
     assert np.max(np.abs(d2 + tx)) < 1e-7
 
@@ -119,13 +118,13 @@ def test_quasi_derivation_and_metric_compat(warp):
 def test_leibniz_defect(warp):
     cf = fld.constant_field()
     rng = np.random.default_rng(1)
-    a = Octonion(rng.standard_normal(8))
-    b = Octonion(rng.standard_normal(8))
+    a = rng.standard_normal(8)
+    b = rng.standard_normal(8)
     d0, p0 = fld.leibniz_defect(cf, X0, a, b, 1e-3)
     assert d0.shape == p0.shape == (7, 8)
     assert np.max(np.abs(d0)) < 1e-9
     # real argument kills the associator
-    ar = 1.3 * Octonion.one()
+    ar = 1.3 * ONE
     d1, _ = fld.leibniz_defect(warp, X0, ar, b, 1e-3)
     assert np.max(np.abs(d1)) < 1e-9
     d2, p2 = fld.leibniz_defect(warp, X0, a, b, 1e-3)
@@ -195,16 +194,14 @@ def test_g2field_rows_read_every_axis(monkeypatch):
 
 def test_leibniz_defect_takes_one_levi_civita(monkeypatch, warp):
     rng = np.random.default_rng(3)
-    a, b = Octonion(rng.standard_normal(8)), Octonion(rng.standard_normal(8))
+    a, b = rng.standard_normal(8), rng.standard_normal(8)
     # the same defect through the public derivatives, one Gamma each
     nab = fld.covariant_octonion(
-        warp, X0, lambda y: fld.bundle_mul(a.coeffs, b.coeffs, warp.data(y)),
-        1e-3)
-    na = fld.covariant_octonion(warp, X0, lambda y: a.coeffs, 1e-3)
-    nb = fld.covariant_octonion(warp, X0, lambda y: b.coeffs, 1e-3)
+        warp, X0, lambda y: fld.bundle_mul(a, b, warp.data(y)), 1e-3)
+    na = fld.covariant_octonion(warp, X0, lambda y: a, 1e-3)
+    nb = fld.covariant_octonion(warp, X0, lambda y: b, 1e-3)
     data = warp.data(X0)
-    defect = (nab - fld.bundle_mul(na, b.coeffs, data)
-              - fld.bundle_mul(a.coeffs, nb, data))
+    defect = nab - fld.bundle_mul(na, b, data) - fld.bundle_mul(a, nb, data)
     tx = fld.torsion_octonions(fld.g2_torsion(warp, X0, 1e-3).T, data)
     calls = []
     real = fld.levi_civita
@@ -218,9 +215,9 @@ def test_leibniz_defect_takes_one_levi_civita(monkeypatch, warp):
     got, pred = fld.leibniz_defect(fld.sigma_warp_field(), X0, a, b, 1e-3)
     assert len(calls) == 1
     assert np.array_equal(got, defect)
-    ta = fld.bundle_mul(fld.bundle_mul(tx, a.coeffs, data), b.coeffs, data)
+    ta = fld.bundle_mul(fld.bundle_mul(tx, a, data), b, data)
     assert np.array_equal(pred, ta - fld.bundle_mul(
-        tx, fld.bundle_mul(a.coeffs, b.coeffs, data), data))
+        tx, fld.bundle_mul(a, b, data), data))
 
 
 def test_memo_computes_each_quantity_once_read_only():
@@ -314,7 +311,7 @@ def _sigma_deformed(field, v_field):
     """The field x -> sigma_{V(x)}(phi(x))."""
 
     def phi_at(x):
-        return sigma(Octonion(np.asarray(v_field(x))), field.data(x)).comps
+        return sigma(np.asarray(v_field(x)), field.data(x)).comps
 
     return fld.PhiField(phi_at, field.domain, f"sigma({field.name})")
 
@@ -338,7 +335,7 @@ def _general_law_residual(field, deformed, v_field, x, fd_step):
 def test_torsion_law(warp):
     cf = fld.constant_field()
     # constant V = 1: both sides vanish
-    one = lambda y: Octonion.one().coeffs
+    one = lambda y: ONE
     assert fld.torsion_law_residual(cf, _sigma_deformed(cf, one), one, X0,
                                     1e-3) < 1e-10
     # the warp field is sigma_V of the constant field, bit for bit
@@ -357,7 +354,7 @@ def test_torsion_law_torsionful_base():
     x = 0.5 * X0
 
     def v_at(y):
-        v = fld.exponential(0.1 * float(y[0]) * Octonion.basis(1)).coeffs
+        v = fld.exponential(0.1 * float(y[0]) * np.eye(8)[1])
         d = pw.data(y)
         n2 = v[0] ** 2 + v[1:] @ (d.g.g @ v[1:])
         return v / np.sqrt(n2)

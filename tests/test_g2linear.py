@@ -365,7 +365,6 @@ def test_g2_forms_are_the_scatter_of_their_sorted_components(monkeypatch):
     from g2lab import deform as df
     from g2lab import exterior as ext
     from g2lab import field as fld
-    from g2lab.octonion import Octonion
     rng = np.random.default_rng(19)
     data = g2.metric_from_3form(pullback(C3, g2.random_gl7(rng)))
     forms = {"phi": data.phi, "psi": data.psi,
@@ -375,7 +374,7 @@ def test_g2_forms_are_the_scatter_of_their_sorted_components(monkeypatch):
     sp3 = g2.split3(AltTensor(7, 3, rng.standard_normal((7,) * 3)), data)
     for part in ("part1", "part7", "part27"):
         forms[f"split3.{part}"] = getattr(sp3, part)
-    forms["sigma"] = df.sigma(Octonion(rng.standard_normal(8)), data)
+    forms["sigma"] = df.sigma(rng.standard_normal(8), data)
     forms["interior"] = ext.interior(rng.standard_normal(7), data.psi)
     # the antisymmetric part of the torsion, as g2_torsion splits it
     seen = []

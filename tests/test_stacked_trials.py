@@ -1,8 +1,8 @@
 """The octonion suite's sample and the clifford suite's trial rows run as
 stacked rows: every trial draws from its own trial_rng stream as a
 one-trial loop would, and each per-trial residual has the bits that loop
-gives it.  The loops below are the suites' former one-trial code, kept
-here as oracles."""
+gives it.  The loops below are the suites' former one-trial code on
+(8,) rows, kept here as oracles."""
 
 import tracemalloc
 
@@ -13,28 +13,32 @@ from g2lab import cli
 from g2lab import clifford as cl
 from g2lab import deform as df
 from g2lab import octonion as oc
-from g2lab.octonion import Octonion, left_matrix
+from g2lab.octonion import left_matrix
 
 # trials per block of the clifford suite
 BLOCK = oc._BLOCK_ROWS // 128
 COUNTS = [1, BLOCK - 1, BLOCK, BLOCK + 1]
+ONE = np.eye(8)[0]
+
+
+def norm(a):
+    return np.sqrt(a @ a)
 
 
 def sample_one_trial(rng) -> dict:
     from g2lab.octonion import (conj, exponential, inverse, left_matrix, mul,
                                 power)
-    u = Octonion(oc.random_octonions(rng, 1, unit=True)[0])
-    r1 = np.max(np.abs(mul(u, inverse(u)).coeffs - Octonion.one().coeffs))
-    w = Octonion(oc.random_octonions(rng, 1, imaginary=True)[0])
-    r = np.linalg.norm(w.coeffs)
-    ex = exponential(w)
-    expect = np.cos(r) * Octonion.one().coeffs + np.sin(r) / r * w.coeffs
-    r2 = np.max(np.abs(ex.coeffs - expect))
-    r3 = np.max(np.abs(power(u, 3).coeffs - mul(mul(u, u), u).coeffs))
-    bq, aq, cq = (Octonion(v) for v in oc.random_octonions(rng, 3))
-    r4 = abs((left_matrix(bq) @ aq.coeffs) @ cq.coeffs
-             - aq.coeffs @ (left_matrix(conj(bq)) @ cq.coeffs))
-    r4 /= bq.norm() * aq.norm() * cq.norm()
+    u = oc.random_octonions(rng, 1, unit=True)[0]
+    r1 = np.max(np.abs(mul(u, inverse(u)) - ONE))
+    w = oc.random_octonions(rng, 1, imaginary=True)[0]
+    r = np.linalg.norm(w)
+    expect = np.cos(r) * ONE + np.sin(r) / r * w
+    r2 = np.max(np.abs(exponential(w) - expect))
+    r3 = np.max(np.abs(power(u, 3) - mul(mul(u, u), u)))
+    bq, aq, cq = oc.random_octonions(rng, 3)
+    r4 = abs((left_matrix(bq) @ aq) @ cq
+             - aq @ (left_matrix(conj(bq)) @ cq))
+    r4 /= norm(bq) * norm(aq) * norm(cq)
     return {"inverse": r1, "exponential": r2, "power": r3, "adjoint": r4}
 
 
@@ -61,22 +65,20 @@ def clifford_one_trial(rng) -> dict:
     q2 = rng.standard_normal(7)
     q2 -= (q2 @ q1) * q1
     q2 /= np.linalg.norm(q2)
-    l1 = left_matrix(Octonion(np.r_[0.0, q1]))
-    l2 = left_matrix(Octonion(np.r_[0.0, q2]))
+    l1 = left_matrix(np.r_[0.0, q1])
+    l2 = left_matrix(np.r_[0.0, q2])
     anticomm = np.max(np.abs(l1 @ l2 + l2 @ l1))
     kappa = cl.enveloping_residual(
-        Octonion(oc.random_octonions(rng, 1, imaginary=True)[0]),
-        Octonion(oc.random_octonions(rng, 1, imaginary=True)[0]))
-    xi = cl.SpinorPoint(oc.random_octonions(rng, 1, unit=True)[0])
-    n1 = cl.SpinorPoint(rng.standard_normal(8))
-    n2 = cl.SpinorPoint(rng.standard_normal(8))
-    j_iso = abs(n1.comps @ n2.comps
-                - cl.j_map(n1, xi).dot(cl.j_map(n2, xi)))
-    big_v = Octonion(oc.random_octonions(rng, 1)[0])
+        oc.random_octonions(rng, 1, imaginary=True)[0],
+        oc.random_octonions(rng, 1, imaginary=True)[0])
+    xi = oc.random_octonions(rng, 1, unit=True)[0]
+    n1 = rng.standard_normal(8)
+    n2 = rng.standard_normal(8)
+    j_iso = abs(n1 @ n2 - cl.j_map(n1, xi) @ cl.j_map(n2, xi))
+    big_v = oc.random_octonions(rng, 1)[0]
     equi = np.max(np.abs(
-        cl.j_map(cl.clifford_action(big_v, n1), xi).coeffs
-        - df.deformed_mul(big_v, cl.j_map(n1, xi),
-                          Octonion(xi.comps)).coeffs))
+        cl.j_map(cl.clifford_action(big_v, n1), xi)
+        - df.deformed_mul(big_v, cl.j_map(n1, xi), xi)))
     return {"clifford_identity": ident, "associativity": assoc,
             "reversion": rev, "orth_anticommutator": anticomm,
             "kappa_residual": kappa, "j_isometry": j_iso,
