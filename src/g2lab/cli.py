@@ -36,6 +36,12 @@ SCHEMA_VERSION = 1
 # Largest trial count a run accepts (the octonion benchmark runs 1e5).
 MAX_TRIALS = 10 ** 5
 
+# Trials per block of the stacked rows: the clifford suite's blocks hold
+# 4 MB of product terms at Cl(0, 7), and the octonion sample's 512 trials
+# cover its 200 in one block.
+_CLIFFORD_BLOCK = 32
+_SAMPLE_BLOCK = 512
+
 
 def trial_rng(seed: int, suite: str, trial: int) -> np.random.Generator:
     digest = hashlib.blake2b(f"{seed}:{suite}:{trial}".encode(),
@@ -311,10 +317,10 @@ def _sample_check(u, w, b, a, c) -> dict:
 
 def _octonion_sample(config: RunConfig, trials) -> dict:
     """The octonion suite's sample residuals of the given trials, each
-    drawn from its own trial_rng(seed, "octonion", t)."""
-    from .octonion import _BLOCK_ROWS
+    drawn from its own trial_rng(seed, "octonion", t), in blocks of
+    _SAMPLE_BLOCK trials."""
     return stack_trials(_sample_check, _sample_draw, trials,
-                        _BLOCK_ROWS // 8, config, "octonion")
+                        _SAMPLE_BLOCK, config, "octonion")
 
 
 @_suite("exterior", wedge=1e-12, hodge2=1e-11, defining=1e-11,
@@ -699,8 +705,8 @@ def suite_g2field(config: RunConfig) -> list[dict]:
 def suite_clifford(config: RunConfig) -> list[dict]:
     """Small-signature models, then seven rows over --trials trials of
     Cl(0, 7) algebra, left translations and the spinor map j, stacked in
-    blocks of 32 trials, then the octonion contrast and the sigma
-    composition of spinors."""
+    blocks of _CLIFFORD_BLOCK trials, then the octonion contrast and the
+    sigma composition of spinors."""
     from . import clifford as cl
     from . import deform as df
     from . import g2linear as g2
@@ -761,9 +767,10 @@ def _clifford_check(u, v, x, y, z, q1, q2, ka, kb, xi, n1, n2,
         0, 7, 2 * cl.vector_inner(0, 7, u, v))).max_abs()
     x, y, z = (cl.CliffordElement(0, 7, w) for w in (x, y, z))
     sc = x.max_abs() * y.max_abs() * z.max_abs()
-    assoc = (cl.clifford_mul(cl.clifford_mul(x, y), z)
+    xy = cl.clifford_mul(x, y)
+    assoc = (cl.clifford_mul(xy, z)
              - cl.clifford_mul(x, cl.clifford_mul(y, z))).max_abs() / sc
-    rev = (cl.reversion(cl.clifford_mul(x, y))
+    rev = (cl.reversion(xy)
            - cl.clifford_mul(cl.reversion(y), cl.reversion(x))).max_abs() \
         / (x.max_abs() * y.max_abs())
     # orthonormal imaginary pair: anticommutator of L-matrices vanishes
@@ -785,11 +792,9 @@ def _clifford_check(u, v, x, y, z, q1, q2, ka, kb, xi, n1, n2,
 
 def _clifford_trials(config: RunConfig, trials) -> dict:
     """The clifford suite's per-trial residuals of the given trials, in
-    blocks of _BLOCK_ROWS // 128 trials: 4 MB of product terms at
-    Cl(0, 7), whatever the trial count."""
-    from .octonion import _BLOCK_ROWS
+    blocks of _CLIFFORD_BLOCK trials."""
     return stack_trials(_clifford_check, _clifford_draw, trials,
-                        _BLOCK_ROWS // 128, config, "clifford")
+                        _CLIFFORD_BLOCK, config, "clifford")
 
 
 def run_suite(name: str, config: RunConfig) -> dict:

@@ -140,23 +140,29 @@ class CliffordElement:
 
 
 def clifford_mul(x: CliffordElement, y: CliffordElement) -> CliffordElement:
-    """Geometric product as one dense gather over all blade pairs: of two
+    """Geometric product as one dense gather over the blades of x: of two
     elements, or row by row of two stacks of the same shape.
 
     Output blade c sums x_a sign(a, a ^ c) y_(a ^ c) over a in increasing
     order: one take through the gather index of _tables reads every
     signed y_(a ^ c) from (y, -y), the terms are multiplied by x_a and
-    summed over a.  Zero coefficients are not skipped, so a zero times an
-    inf or NaN coefficient gives NaN: a non-finite operand makes the
-    product non-finite and fails closed.  The terms take dim^2 doubles
-    per row (128 KB at Cl(0, 7)), so a caller with many rows multiplies
-    them in blocks.
+    summed over a.  When y is finite, a blade of x that is zero in every
+    row adds only signed zeros and is left out; the sum starts from +0,
+    so the other blades give it the same bits.  Against a non-finite y
+    every blade is kept, so a zero times an inf or NaN coefficient gives
+    NaN and the product fails closed.  The terms take dim^2 doubles per
+    row of dense x (128 KB at Cl(0, 7)), so a caller with many rows
+    multiplies them in blocks.
     """
     x._check(y)
     _, _, gather = _tables(x.p, x.q)
+    xc = x.coeffs
+    used = xc.reshape(-1, xc.shape[-1]).any(axis=0)
+    if not used.all() and np.isfinite(y.coeffs).all():
+        gather, xc = gather[used], xc[..., used]
     signed = np.concatenate((y.coeffs, -y.coeffs), axis=-1)
     terms = signed.take(gather, axis=-1)
-    terms *= x.coeffs[..., :, None]
+    terms *= xc[..., :, None]
     return CliffordElement(x.p, x.q, terms.sum(axis=-2))
 
 

@@ -9,6 +9,8 @@ Every sign-sensitive constant downstream (the rank-4 tensor, the model
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .errors import NotImaginary, ZeroDivisor
@@ -211,15 +213,14 @@ def right_matrix(b) -> np.ndarray:
 # -- batched helpers on (8, m) columns and (N, 8) rows ----------------------
 
 # Rows per block of the octonion suite's draws and checks; every product
-# runs through mul_cols on columns this wide, and the clifford suite's
-# blocks hold _BLOCK_ROWS // 128 trials.  With the draws on a one-thread
-# pool, on a 2-core host at N = 1e5 (tracemalloc peak in brackets, the
-# five draws being 32 MB of it), the suite takes 85.2 ms in 2048-row
-# blocks [33.3 MB], 72.7 ms in 4096-row blocks [34.0 MB] and 69.0 ms in
-# 8192-row blocks [35.5 MB].  8192 rows would save 3 % of the
-# octonion-batch benchmark's wall time for 1.5 MB more peak RSS, and
-# would double the clifford blocks with them.
-_BLOCK_ROWS = 4096
+# runs through mul_cols on columns this wide.  The clifford suite and the
+# octonion sample stack their trials in blocks of their own (cli.py).
+# With the draws on a one-thread pool, on a 2-core host at N = 1e5, the
+# suite's time against 4096-row blocks [tracemalloc peak 33.9 MB, the
+# five draws being 32 MB of it] is 0.91x in 8192-row blocks [35.5 MB],
+# 0.99x in 16384 [38.9 MB] and 1.15x in 32768 [50.7 MB], in medians of
+# 30 interleaved runs each.
+_BLOCK_ROWS = 8192
 
 
 def _gather_terms() -> tuple:
@@ -236,6 +237,38 @@ def _gather_terms() -> tuple:
 _GATHER_TERMS = _gather_terms()
 
 
+_FLIPPED = {np.add: np.subtract, np.subtract: np.add}
+
+
+@lru_cache(maxsize=None)
+def _term_plan(terms: tuple, skip_a0: bool, skip_b0: bool) -> tuple:
+    """The sums of mul_cols from the gather terms, less the terms a_0 b_j
+    when skip_a0 and a_i b_0 when skip_b0: per output, the first term's
+    (i, j), the other terms and whether the sum is negated.
+
+    A sum whose first kept term is subtracted starts from the second
+    term, -t0 + t1 being t1 - t0 to the bit; where the second is
+    subtracted too, every sign flips and the sum is negated after, as
+    rounding to nearest is symmetric in sign.  A skipped term is a signed
+    zero, so the kept terms sum to the same value but for the sign of a
+    zero."""
+    plan = []
+    for row in terms:
+        kept = [(i, j, accumulate) for i, j, accumulate in row
+                if not (skip_a0 and i == 0 or skip_b0 and j == 0)]
+        negate = False
+        if kept[0][2] is np.subtract:
+            if kept[1][2] is np.add:
+                kept[:2] = [kept[1][:2] + (np.add,),
+                            kept[0][:2] + (np.subtract,)]
+            else:
+                negate = True
+                kept = [(i, j, _FLIPPED[accumulate])
+                        for i, j, accumulate in kept]
+        plan.append((kept[0][:2], tuple(kept[1:]), negate))
+    return tuple(plan)
+
+
 def mul_cols(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Column-wise octonion products of two (8, m) column stacks, as an
     (8, m) array.
@@ -244,24 +277,35 @@ def mul_cols(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     of b, bitwise, the sign of a zero included: each basis product is a
     signed permutation e_i e_j = +-e_k, so output k sums the 8 signed
     terms a_i b_j in the order of the dense einsum, whose other 448
-    terms are zeros.  Each of the 120 ufuncs runs over one coefficient
-    row of m values, so the rows are best contiguous.
+    terms are zeros.  When row 0 of a is all zero and b is finite, the
+    terms a_0 b_j are signed zeros and are not formed, and the same with
+    a and b swapped: a pure imaginary operand takes 56 of the 64 terms,
+    two take 49.  A non-finite operand keeps every term, so a zero times
+    its inf or NaN still gives NaN and the product fails closed.  Each
+    ufunc runs over one coefficient row of m values, so the rows are
+    best contiguous.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.ndim != 2 or a.shape[0] != 8 or a.shape != b.shape:
         raise ValueError("mul_cols needs two (8, m) arrays with the same "
                          f"m, got {a.shape} and {b.shape}")
+    # row 0 alone is tested first: the finite test costs more
+    plan = _term_plan(_GATHER_TERMS,
+                      bool(not a[0].any() and np.isfinite(b).all()),
+                      bool(not b[0].any() and np.isfinite(a).all()))
     out = np.empty(a.shape)
     term = np.empty(a.shape[1])
     # one view per coefficient row, made once rather than per term; the
     # ufuncs take their output positionally, which parses faster
     a_rows, b_rows = list(a), list(b)
-    for ok, ((i, j, _), *rest) in zip(out, _GATHER_TERMS):
+    for ok, ((i, j), rest, negate) in zip(out, plan):
         np.multiply(a_rows[i], b_rows[j], ok)
         for i, j, accumulate in rest:
             np.multiply(a_rows[i], b_rows[j], term)
             accumulate(ok, term, ok)
+        if negate:
+            np.negative(ok, ok)
     # + 0.0 turns a -0 into the +0 of the einsum's zero-started sum
     return np.add(out, 0.0, out=out)
 

@@ -232,6 +232,20 @@ def test_clifford_mul_bitwise_equals_add_at_oracle(p, q):
             x, y = make_x(), make_y()
             got = cl.clifford_mul(x, y).coeffs
             assert np.array_equal(_bits(got), _bits(_add_at_oracle(x, y)))
+    # 2-row stacks of a vector row and a dense row: a stack leaves out
+    # only the blades that no row of x uses, and each row keeps the bits
+    # of its one-row call
+    rows = [(vector(), dense()), (dense(), vector()), (vector(), vector())]
+    for xs in rows:
+        for ys in rows:
+            x, y = (cl.CliffordElement(p, q, np.stack([r.coeffs for r in e]))
+                    for e in (xs, ys))
+            got = cl.clifford_mul(x, y).coeffs
+            for r, (xr, yr) in enumerate(zip(xs, ys)):
+                one = cl.clifford_mul(xr, yr).coeffs
+                assert np.array_equal(_bits(got[r]), _bits(one))
+                assert np.array_equal(_bits(one),
+                                      _bits(_add_at_oracle(xr, yr)))
 
 
 @pytest.mark.parametrize("p, q", [(0, 0), (0, 1), (1, 1), (0, 3), (2, 2),
@@ -243,9 +257,17 @@ def test_basis_mul_table_matches_blade_product(p, q):
     assert cl.basis_mul_table(p, q) == want
 
 
+def _dense_gather(x, y):
+    # every blade pair of x and y, zero coefficients included
+    _, _, gather = cl._tables(x.p, x.q)
+    signed = np.concatenate((y.coeffs, -y.coeffs), axis=-1)
+    return (signed.take(gather, axis=-1) * x.coeffs[..., :, None]).sum(-2)
+
+
 def test_clifford_mul_zero_times_inf_fails_closed():
-    # the dense gather multiplies every pair, so the zero coefficients of
-    # x meet the inf of y and the product is NaN rather than finite
+    # against a non-finite y every blade of x is kept, so the zero
+    # coefficients of x meet the inf of y and the product is NaN rather
+    # than finite
     x = cl.CliffordElement.scalar(0, 2, 2.0)
     y = cl.CliffordElement(0, 2, [1.0, 0.0, 0.0, np.inf])
     with np.errstate(invalid="ignore"):
@@ -253,6 +275,23 @@ def test_clifford_mul_zero_times_inf_fails_closed():
     assert np.isnan(got[:3]).all() and got[3] == np.inf
     # the skipping loop never formed 0 * inf and left these finite
     assert np.array_equal(_add_at_oracle(x, y), [2.0, 0.0, 0.0, np.inf])
+    # a vector x, and a stack of vectors in which one row of y holds an
+    # inf: the NaNs fall where the dense gather puts them, and the finite
+    # row keeps the bits of its one-row call
+    vec = cl.CliffordElement.vector(0, 2, [[1.0, 2.0], [-3.0, 0.5]])
+    finite_y = [0.5, -1.0, 2.0, 0.25]
+    stacked_y = cl.CliffordElement(0, 2, [finite_y, [1.0, 0.0, 0.0, np.inf]])
+    for x, y in ((cl.CliffordElement(0, 2, vec.coeffs[0]), y),
+                 (vec, stacked_y)):
+        with np.errstate(invalid="ignore"):
+            got, want = cl.clifford_mul(x, y).coeffs, _dense_gather(x, y)
+        assert np.isnan(got).any()
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        finite = np.isfinite(want)
+        assert np.array_equal(_bits(got[finite]), _bits(want[finite]))
+    one = cl.clifford_mul(cl.CliffordElement(0, 2, vec.coeffs[0]),
+                          cl.CliffordElement(0, 2, finite_y)).coeffs
+    assert np.array_equal(_bits(got[0]), _bits(one))
 
 
 def test_grades_cached_read_only():

@@ -211,8 +211,8 @@ def _mul_rows(a, b):
     return oc.mul_cols(a.T, b.T).T
 
 
-@pytest.mark.parametrize("n", [0, 1, 7, oc._BLOCK_ROWS - 1, oc._BLOCK_ROWS,
-                               oc._BLOCK_ROWS + 1, 2 * oc._BLOCK_ROWS + 3])
+# mul_cols takes any column count; these straddle a power of two
+@pytest.mark.parametrize("n", [0, 1, 7, 4095, 4096, 4097, 8195])
 def test_mul_batch_bitwise_equals_einsum(n):
     # the row route of the whole-array oracles: the bits of _mul_raw on
     # rows and of mul on each row
@@ -253,21 +253,44 @@ def test_mul_batch_rejects_other_shapes(a_shape, b_shape):
 
 @pytest.mark.parametrize("m", [0, 1, 7, 4096, 4097])
 @pytest.mark.parametrize("layout", ["contiguous", "strided"])
-def test_mul_cols_bitwise_equals_mul_per_column(m, layout):
+def test_mul_cols_bitwise_equals_mul_per_column(monkeypatch, m, layout):
     rng = np.random.default_rng(13)
-    if layout == "contiguous":
-        a, b = rng.standard_normal((2, 8, m))
-    else:
+    real_plan = oc._term_plan
+    formed = []
+
+    def counted(terms, skip_a0, skip_b0):
+        plan = real_plan(terms, skip_a0, skip_b0)
+        formed.append(sum(1 + len(rest) for _, rest, _ in plan))
+        return plan
+
+    monkeypatch.setattr(oc, "_term_plan", counted)
+
+    def operands():
+        if layout == "contiguous":
+            return rng.standard_normal((2, 8, m))
         # (8, m) views of (m, 8) rows, and of every other column
         a = rng.standard_normal((m, 8)).T
         b = rng.standard_normal((8, 2 * m))[:, ::2]
         assert m < 2 or not (a.flags.c_contiguous or b.flags.c_contiguous)
-    got = oc.mul_cols(a, b)
-    assert got.shape == (8, m) and got.flags.c_contiguous
-    assert np.array_equal(_bits(got), _bits(oc._mul_raw(a.T, b.T).T))
-    for c in sorted({0, m // 2, m - 1} & set(range(m))):
-        single = oc.mul(a[:, c].copy(), b[:, c].copy())
-        assert np.array_equal(_bits(got[:, c]), _bits(single))
+        return a, b
+
+    # general operands, then a, b or both pure imaginary, whose real-part
+    # terms mul_cols leaves out, and both with a real part of -0.0
+    for real_a, real_b in ((None, None), (0.0, None), (None, 0.0),
+                           (0.0, 0.0), (-0.0, -0.0)):
+        a, b = operands()
+        for x, real in ((a, real_a), (b, real_b)):
+            if real is not None:
+                x[0] = real
+        got = oc.mul_cols(a, b)
+        assert got.shape == (8, m) and got.flags.c_contiguous
+        assert np.array_equal(_bits(got), _bits(oc._mul_raw(a.T, b.T).T))
+        for c in sorted({0, m // 2, m - 1} & set(range(m))):
+            single = oc.mul(a[:, c].copy(), b[:, c].copy())
+            assert np.array_equal(_bits(got[:, c]), _bits(single))
+    # 64 terms a column for general operands, 56 with one imaginary and 49
+    # with two; zero columns have no nonzero real part
+    assert formed == ([64, 56, 56, 49, 49] if m else [49] * 5)
 
 
 def test_mul_cols_turns_signed_zeros_positive():
@@ -284,6 +307,17 @@ def test_mul_cols_turns_signed_zeros_positive():
     assert _bits(oc.mul_cols(a, b)[:, 0]).tolist() == [0] * 8
 
 
+def _all_64_terms(a, b):
+    # mul_cols before it left out zero terms: every gather term, summed in
+    # the einsum's order
+    out = np.empty(a.shape)
+    for ok, ((i, j, _), *rest) in zip(out, oc._GATHER_TERMS):
+        np.multiply(a[i], b[j], ok)
+        for i, j, accumulate in rest:
+            accumulate(ok, a[i] * b[j], ok)
+    return out + 0.0
+
+
 def test_mul_cols_inf_column_fails_closed():
     rng = np.random.default_rng(15)
     a, b = rng.standard_normal((2, 8, 4097))
@@ -292,6 +326,24 @@ def test_mul_cols_inf_column_fails_closed():
     finite = np.isfinite(got).all(axis=0)
     assert not finite[4096]
     assert finite.sum() == 4096
+    # a pure imaginary a against a b that holds an inf and a NaN keeps its
+    # real-part terms, so 0 * inf and 0 * NaN still give NaN; an
+    # imaginary a that holds a NaN fails the columns it is in
+    ai = rng.standard_normal((8, 4097))
+    ai[0] = 0.0
+    b[3, 7] = np.inf
+    b[5, 4000] = np.nan
+    nan_a = ai.copy()
+    nan_a[6, 100] = np.nan
+    for x, y in ((ai, b), (nan_a, rng.standard_normal((8, 4097)))):
+        with np.errstate(invalid="ignore"):
+            got, want = oc.mul_cols(x, y), _all_64_terms(x, y)
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        assert np.array_equal(np.isinf(got), np.isinf(want))
+        finite = np.isfinite(want)
+        assert np.array_equal(_bits(got[finite]), _bits(want[finite]))
+    # the NaN of nan_a reaches all eight outputs of its column
+    assert np.isnan(got[:, 100]).all()
 
 
 @pytest.mark.parametrize("a_shape, b_shape", [

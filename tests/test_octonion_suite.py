@@ -16,6 +16,8 @@ import pytest
 from g2lab import cli
 from g2lab import octonion as oc
 
+# rows per block of the suite's draws and checks
+W = oc._BLOCK_ROWS
 BATCH_ROWS = ("norm_multiplicativity", "alternativity", "moufang_adjacent",
               "product_expansion", "cross_norm_law", "double_cross",
               "generalized_jacobi")
@@ -95,9 +97,8 @@ def batch_rows(report: dict) -> dict:
             if c["name"] in BATCH_ROWS}
 
 
-@pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 8193])
+@pytest.mark.parametrize("n", [1, W - 1, W, W + 1, 2 * W + 1])
 def test_blocks_give_whole_array_bits(n):
-    assert oc._BLOCK_ROWS == 4096
     got = batch_rows(cli.run_suite("octonion", cli.RunConfig(seed=7,
                                                              trials=n)))
     ref = whole_array_residuals(oracle_draws(7, n))
@@ -109,11 +110,11 @@ def test_blocks_give_whole_array_bits(n):
 @pytest.mark.parametrize("draw", range(5))
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_row_in_second_block_fails(monkeypatch, draw, bad):
-    # the producer fills draw after draw in blocks of 4096, 4096 and 1
-    # rows, so its call 3 draw + 1 fills rows 4096..8191 of that draw
-    n = 8193
+    # the producer fills draw after draw in blocks of W, W and 1 rows, so
+    # its call 3 draw + 1 fills rows W..2W-1 of that draw
+    n, row = 2 * W + 1, W + 904
     draws = oracle_draws(3, n)
-    draws[draw][5000, 3] = bad
+    draws[draw][row, 3] = bad
     real = oc._fill_octonions
     seen = []
 
@@ -122,7 +123,7 @@ def test_non_finite_row_in_second_block_fails(monkeypatch, draw, bad):
         if not on_producer():
             return
         if len(seen) == 3 * draw + 1:
-            out[5000 - 4096, 3] = bad
+            out[row - W, 3] = bad
         seen.append(len(out))
 
     monkeypatch.setattr(oc, "_fill_octonions", planted)
@@ -130,7 +131,7 @@ def test_non_finite_row_in_second_block_fails(monkeypatch, draw, bad):
         report = cli.run_suite("octonion", cli.RunConfig(seed=3, trials=n))
         ref = whole_array_residuals(draws)
     got = batch_rows(report)
-    assert seen == [4096, 4096, 1] * 5
+    assert seen == [W, W, 1] * 5
     assert all(same_float(got[k], ref[k]) for k in BATCH_ROWS), (got, ref)
     assert not all(np.isfinite(list(got.values())))
     assert report["pass"] is False
@@ -159,9 +160,10 @@ def test_fold_keeps_inf_and_nan_across_blocks(monkeypatch):
     monkeypatch.setattr(cli, "_general_laws", planter("_general_laws", 0))
     monkeypatch.setattr(cli, "_imaginary_laws",
                         planter("_imaginary_laws", 3))
-    report = cli.run_suite("octonion", cli.RunConfig(seed=3, trials=8193))
-    assert blocks == {"_general_laws": [4096, 4096, 1],
-                      "_imaginary_laws": [4096, 4096, 1]}
+    report = cli.run_suite("octonion",
+                           cli.RunConfig(seed=3, trials=2 * W + 1))
+    assert blocks == {"_general_laws": [W, W, 1],
+                      "_imaginary_laws": [W, W, 1]}
     got = batch_rows(report)
     assert got["norm_multiplicativity"] == np.inf
     assert np.isnan(got["moufang_adjacent"])
@@ -172,8 +174,8 @@ def test_fold_keeps_inf_and_nan_across_blocks(monkeypatch):
 
 def test_suite_peak_memory_is_bounded():
     # the five draws take 32 MB at 1e5 trials; every other array lives
-    # for one 4096-row block.  The peak measured 33.95 MB (all five draws
-    # and one block of the general pair's pass); 40 MB leaves 6 MB.
+    # for one 8192-row block.  The peak measured 35.54 MB (all five draws
+    # and one block of the general pair's pass); 40 MB leaves 4.4 MB.
     config = cli.RunConfig(seed=1, trials=10 ** 5)
     tracemalloc.start()
     try:
@@ -245,7 +247,7 @@ def test_failure_leaves_run_suite_unchanged(monkeypatch, where):
 
     monkeypatch.setattr(module, where, failing)
     before = threading.enumerate()
-    got, caller = run_on_a_thread(cli.RunConfig(seed=1, trials=3 * 4096))
+    got, caller = run_on_a_thread(cli.RunConfig(seed=1, trials=3 * W))
     assert got is boom
     assert threading.enumerate() == before
     # the checks ran on the caller, the bulk draws on the producer
@@ -275,9 +277,9 @@ def test_producer_stops_after_a_failed_check(monkeypatch):
 
     monkeypatch.setattr(oc, "_fill_octonions", held)
     monkeypatch.setattr(cli, "_general_laws", failing)
-    got, _ = run_on_a_thread(cli.RunConfig(seed=1, trials=3 * 4096))
+    got, _ = run_on_a_thread(cli.RunConfig(seed=1, trials=3 * W))
     assert got is boom
-    assert calls == [4096] * 5
+    assert calls == [W] * 5
 
 
 def test_public_octonion_functions_run_on_the_calling_thread(monkeypatch):

@@ -257,12 +257,14 @@ def test_octonion_suite_runs_its_products_in_columns(monkeypatch):
         return real(a, b)
 
     monkeypatch.setattr(oc, "mul_cols", counted)
-    report = cli.run_suite("octonion", cli.RunConfig(seed=5, trials=8193))
+    w = oc._BLOCK_ROWS
+    report = cli.run_suite("octonion",
+                           cli.RunConfig(seed=5, trials=2 * w + 1))
     assert report["pass"] is True
     # the general pair's pass over the three blocks, 7 products a block,
     # then the imaginary triple's, 13 a block
-    assert widths == ([4096] * 7 + [4096] * 7 + [1] * 7
-                      + [4096] * 13 + [4096] * 13 + [1] * 13)
+    assert widths == ([w] * 7 + [w] * 7 + [1] * 7
+                      + [w] * 13 + [w] * 13 + [1] * 13)
 
 
 def test_clifford_has_no_add_at():

@@ -16,7 +16,7 @@ from g2lab import octonion as oc
 from g2lab.octonion import left_matrix
 
 # trials per block of the clifford suite
-BLOCK = oc._BLOCK_ROWS // 128
+BLOCK = cli._CLIFFORD_BLOCK
 COUNTS = [1, BLOCK - 1, BLOCK, BLOCK + 1]
 ONE = np.eye(8)[0]
 
