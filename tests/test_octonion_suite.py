@@ -97,7 +97,8 @@ def batch_rows(report: dict) -> dict:
             if c["name"] in BATCH_ROWS}
 
 
-@pytest.mark.parametrize("n", [1, W - 1, W, W + 1, 2 * W + 1])
+# W // 2 + 1: an odd count that ends inside the first block
+@pytest.mark.parametrize("n", [1, W // 2 + 1, W - 1, W, W + 1, 2 * W + 1])
 def test_blocks_give_whole_array_bits(n):
     got = batch_rows(cli.run_suite("octonion", cli.RunConfig(seed=7,
                                                              trials=n)))
