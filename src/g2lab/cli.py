@@ -95,6 +95,10 @@ def _worst(values) -> float:
     return float(vals.max()) if np.isfinite(vals).all() else float("nan")
 
 
+def _max_abs(rows):
+    return np.max(np.abs(rows), axis=-1)
+
+
 def map_trials(fn, n: int, config: RunConfig, suite: str) -> list:
     """Evaluate fn(rng, trial) over the per-trial streams of a suite."""
     return [fn(trial_rng(config.seed, suite, t), t) for t in range(n)]
@@ -308,10 +312,9 @@ def _sample_check(u, w, b, a, c) -> dict:
     adjoint = np.abs(dot((left_matrix(b) @ a[..., None])[..., 0], c)
                      - dot(a, (left_matrix(conj(b)) @ c[..., None])[..., 0]))
     adjoint /= np.sqrt(dot(b, b)) * np.sqrt(dot(a, a)) * np.sqrt(dot(c, c))
-    return {"inverse": np.max(np.abs(mul(u, inverse(u)) - one), axis=-1),
-            "exponential": np.max(np.abs(exponential(w) - expect), axis=-1),
-            "power": np.max(np.abs(power(u, 3) - mul(mul(u, u), u)),
-                            axis=-1),
+    return {"inverse": _max_abs(mul(u, inverse(u)) - one),
+            "exponential": _max_abs(exponential(w) - expect),
+            "power": _max_abs(power(u, 3) - mul(mul(u, u), u)),
             "adjoint": adjoint}
 
 
@@ -478,7 +481,7 @@ def suite_deform(config: RunConfig) -> list[dict]:
         u = oc.random_octonions(rng, 1, unit=True)[0]
         t_conj = df.conjugation_pullback_residual(v, data0)
         t_comp = df.composition_residual(u, v, data0)
-        phi = g2.random_positive_3form(rng, cond_max=4.0)
+        phi = g2.random_positive_3form(rng)
         dp = g2.metric_from_3form(phi)
         sv = df.sigma(v, dp)
         iso = np.max(np.abs(g2.metric_from_3form(sv).g.g - dp.g.g)) \
@@ -641,8 +644,8 @@ def suite_g2field(config: RunConfig) -> list[dict]:
     from .exterior import AltTensor
     x = np.array([0.05, -0.1, 0.2, 0.0, 0.1, -0.05, 0.15])
     cf = fld.constant_field()
-    t0 = fld.g2_torsion(cf, x, 1e-3)
-    checks = [config.row("constant_torsion", np.max(np.abs(t0.T)))]
+    flat = fld.g2_torsion(cf, x, 1e-3)
+    checks = [config.row("constant_torsion", np.max(np.abs(flat.T)))]
     sw = fld.sigma_warp_field()
     res1 = fld.torsion_law_residual(cf, sw, sw.v_at, x, 1e-3)
     res2 = fld.torsion_law_residual(cf, sw, sw.v_at, x, 5e-4)
@@ -657,11 +660,11 @@ def suite_g2field(config: RunConfig) -> list[dict]:
                              / _worst((ta.defining_residual, 1e-300))))
     data = sw.data(x)
     gi = data.g.g_inv
-    t1 = fld.g2_torsion(sw, x, 1e-3)
-    parts = [t1.t1, t1.t0, t1.t7, t1.t14]
+    warped = fld.g2_torsion(sw, x, 1e-3)
+    parts = [warped.t1, warped.t27, warped.t7, warped.t14]
     ortho = _worst(abs(np.einsum("ij,kl,ik,jl->", parts[i], parts[j], gi, gi))
                    for i in range(4) for j in range(i + 1, 4))
-    split_sum = np.max(np.abs(sum(parts) - t1.T))
+    split_sum = np.max(np.abs(sum(parts) - warped.T))
     checks.append(config.row("torsion_split", (ortho, split_sum)))
     # the field derivatives below are checked along all seven axes
     s3 = [split3(AltTensor(7, 3, row), data)
@@ -713,16 +716,14 @@ def suite_clifford(config: RunConfig) -> list[dict]:
     from . import octonion as oc
     from .octonion import mul
     # small-signature structural checks
-    e1 = cl.CliffordElement.vector(0, 1, [1.0])
-    c_model = (cl.clifford_mul(e1, e1)
-               + cl.CliffordElement.scalar(0, 1)).max_abs()
-    a1 = cl.CliffordElement.vector(0, 2, [1, 0])
-    a2 = cl.CliffordElement.vector(0, 2, [0, 1])
-    e12 = cl.clifford_mul(a1, a2)
-    quat = _worst(((cl.clifford_mul(e12, e12)
-                    + cl.CliffordElement.scalar(0, 2)).max_abs(),
-                   (cl.clifford_mul(a2, e12) - a1).max_abs(),
-                   (cl.clifford_mul(e12, a1) - a2).max_abs()))
+    e1 = cl.vector(0, 1, [1.0])
+    c_model = _max_abs(cl.clifford_mul(0, 1, e1, e1) + cl.scalar(0, 1))
+    a1, a2 = cl.vector(0, 2, [[1, 0], [0, 1]])
+    e12 = cl.clifford_mul(0, 2, a1, a2)
+    quat = _worst((_max_abs(cl.clifford_mul(0, 2, e12, e12)
+                            + cl.scalar(0, 2)),
+                   _max_abs(cl.clifford_mul(0, 2, a2, e12) - a1),
+                   _max_abs(cl.clifford_mul(0, 2, e12, a1) - a2)))
     checks = [config.row("small_models", (c_model, quat))]
     n = config.n_trials(100)
     checks += [config.row(key, values) for key, values
@@ -761,18 +762,18 @@ def _clifford_check(u, v, x, y, z, q1, q2, ka, kb, xi, n1, n2,
     from . import clifford as cl
     from .deform import deformed_mul
     from .octonion import dot, left_matrix
-    cu, cv = (cl.CliffordElement.vector(0, 7, w) for w in (u, v))
-    anti = cl.clifford_mul(cu, cv) + cl.clifford_mul(cv, cu)
-    ident = (anti - cl.CliffordElement.scalar(
-        0, 7, 2 * cl.vector_inner(0, 7, u, v))).max_abs()
-    x, y, z = (cl.CliffordElement(0, 7, w) for w in (x, y, z))
-    sc = x.max_abs() * y.max_abs() * z.max_abs()
-    xy = cl.clifford_mul(x, y)
-    assoc = (cl.clifford_mul(xy, z)
-             - cl.clifford_mul(x, cl.clifford_mul(y, z))).max_abs() / sc
-    rev = (cl.reversion(xy)
-           - cl.clifford_mul(cl.reversion(y), cl.reversion(x))).max_abs() \
-        / (x.max_abs() * y.max_abs())
+    def mul(a, b):
+        return cl.clifford_mul(0, 7, a, b)
+
+    cu, cv = cl.vector(0, 7, u), cl.vector(0, 7, v)
+    ident = _max_abs(mul(cu, cv) + mul(cv, cu)
+                     - cl.scalar(0, 7, 2 * cl.vector_inner(0, 7, u, v)))
+    xy = mul(x, y)
+    assoc = _max_abs(mul(xy, z) - mul(x, mul(y, z))) \
+        / (_max_abs(x) * _max_abs(y) * _max_abs(z))
+    rev = _max_abs(cl.reversion(xy)
+                   - mul(cl.reversion(y), cl.reversion(x))) \
+        / (_max_abs(x) * _max_abs(y))
     # orthonormal imaginary pair: anticommutator of L-matrices vanishes
     q1 = q1 / np.sqrt(dot(q1, q1))[:, None]
     q2 = q2 - dot(q2, q1)[:, None] * q1
@@ -781,8 +782,8 @@ def _clifford_check(u, v, x, y, z, q1, q2, ka, kb, xi, n1, n2,
     anticomm = np.max(np.abs(l1 @ l2 + l2 @ l1), axis=(-2, -1))
     # j map and composition
     j1 = cl.j_map(n1, xi)
-    equi = np.max(np.abs(cl.j_map(cl.clifford_action(big_v, n1), xi)
-                         - deformed_mul(big_v, j1, xi)), axis=-1)
+    equi = _max_abs(cl.j_map(cl.clifford_action(big_v, n1), xi)
+                    - deformed_mul(big_v, j1, xi))
     return {"clifford_identity": ident, "associativity": assoc,
             "reversion": rev, "orth_anticommutator": anticomm,
             "kappa_residual": cl.enveloping_residual(ka, kb),

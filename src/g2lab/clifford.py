@@ -1,6 +1,9 @@
 """Blade-based Clifford algebras Cl(p, q) for p + q <= 8, the enveloping
 Clifford relation of octonion left translations, and the pointwise
-spinor <-> octonion dictionary relative to a unit reference.
+spinor <-> octonion dictionary relative to a unit reference.  An
+element of Cl(p, q) is a row of 2^(p+q) blade coefficients (bitmask
+index), or a (..., 2^(p+q)) stack of rows, each row with the bits of its
+one-row call; the functions that need the signature take p, q first.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import BadConfig, NotImaginary, SignatureMismatch, ZeroReference
+from .errors import BadConfig, NotImaginary, ZeroReference
 from .exterior import AltTensor
 from .g2linear import G2MetricData
 from .octonion import dot, inverse, is_imaginary, left_matrix, mul
@@ -62,86 +65,30 @@ def _grades(dim: int) -> np.ndarray:
     return g
 
 
-class CliffordElement:
-    """Element of Cl(p, q) as 2^(p+q) blade coefficients (bitmask index),
-    or a stack of elements as (..., 2^(p+q)) coefficient rows.  Every
-    operation below acts row by row, and a row of a stack gets the bits
-    that the one-element call gives it."""
-
-    __slots__ = ("p", "q", "coeffs")
-
-    def __init__(self, p: int, q: int, coeffs=None) -> None:
-        dim = _blade_count(p, q)
-        self.p = p
-        self.q = q
-        if coeffs is None:
-            coeffs = np.zeros(dim)
-        coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.shape[-1:] != (dim,):
-            raise ValueError(f"need {dim} blade coefficients")
-        self.coeffs = coeffs.copy()
-
-    @classmethod
-    def scalar(cls, p: int, q: int, value=1.0) -> "CliffordElement":
-        """value times the unit; a (...) array of values gives a stack."""
-        value = np.asarray(value, dtype=float)
-        out = cls(p, q, np.zeros(value.shape + (_blade_count(p, q),)))
-        out.coeffs[..., 0] = value
-        return out
-
-    @classmethod
-    def vector(cls, p: int, q: int, comps) -> "CliffordElement":
-        """sum_i comps_i e_i over the p + q generators; (..., p + q)
-        components give a stack."""
-        dim = _blade_count(p, q)
-        comps = np.asarray(comps, dtype=float)
-        if comps.shape[-1:] != (p + q,):
-            raise BadConfig(f"a vector of Cl({p}, {q}) has {p + q} "
-                            f"components, got shape {comps.shape}")
-        out = cls(p, q, np.zeros(comps.shape[:-1] + (dim,)))
-        out.coeffs[..., 1 << np.arange(p + q)] = comps
-        return out
-
-    def _check(self, other: "CliffordElement") -> None:
-        if (self.p, self.q) != (other.p, other.q):
-            raise SignatureMismatch(
-                f"Cl({self.p},{self.q}) vs Cl({other.p},{other.q})")
-
-    def __add__(self, other):
-        self._check(other)
-        return CliffordElement(self.p, self.q, self.coeffs + other.coeffs)
-
-    def __sub__(self, other):
-        self._check(other)
-        return CliffordElement(self.p, self.q, self.coeffs - other.coeffs)
-
-    def __mul__(self, other):
-        if isinstance(other, CliffordElement):
-            return clifford_mul(self, other)
-        return CliffordElement(self.p, self.q, self.coeffs * float(other))
-
-    __rmul__ = lambda self, other: CliffordElement(self.p, self.q,
-                                                   self.coeffs * float(other))
-
-    def __neg__(self):
-        return CliffordElement(self.p, self.q, -self.coeffs)
-
-    def grades(self) -> np.ndarray:
-        return _grades(self.coeffs.shape[-1])
-
-    def max_abs(self):
-        """The largest coefficient magnitude: a float, or one per row of a
-        stack."""
-        m = np.max(np.abs(self.coeffs), axis=-1)
-        return float(m) if m.ndim == 0 else m
-
-    def __repr__(self) -> str:
-        return f"CliffordElement(p={self.p}, q={self.q})"
+def scalar(p: int, q: int, value=1.0) -> np.ndarray:
+    """value times the unit; a (...) array of values gives a stack."""
+    value = np.asarray(value, dtype=float)
+    out = np.zeros(value.shape + (_blade_count(p, q),))
+    out[..., 0] = value
+    return out
 
 
-def clifford_mul(x: CliffordElement, y: CliffordElement) -> CliffordElement:
-    """Geometric product as one dense gather over the blades of x: of two
-    elements, or row by row of two stacks of the same shape.
+def vector(p: int, q: int, comps) -> np.ndarray:
+    """sum_i comps_i e_i over the p + q generators; (..., p + q)
+    components give a stack."""
+    dim = _blade_count(p, q)
+    comps = np.asarray(comps, dtype=float)
+    if comps.shape[-1:] != (p + q,):
+        raise BadConfig(f"a vector of Cl({p}, {q}) has {p + q} "
+                        f"components, got shape {comps.shape}")
+    out = np.zeros(comps.shape[:-1] + (dim,))
+    out[..., 1 << np.arange(p + q)] = comps
+    return out
+
+
+def clifford_mul(p: int, q: int, x, y) -> np.ndarray:
+    """Geometric product in Cl(p, q) as one dense gather over the blades
+    of x: of two rows, or row by row of two stacks of the same shape.
 
     Output blade c sums x_a sign(a, a ^ c) y_(a ^ c) over a in increasing
     order: one take through the gather index of _tables reads every
@@ -152,29 +99,38 @@ def clifford_mul(x: CliffordElement, y: CliffordElement) -> CliffordElement:
     every blade is kept, so a zero times an inf or NaN coefficient gives
     NaN and the product fails closed.  The terms take dim^2 doubles per
     row of dense x (128 KB at Cl(0, 7)), so a caller with many rows
-    multiplies them in blocks.
+    multiplies them in blocks.  Rows of another width, or two shapes, are
+    a BadConfig before anything is allocated.
     """
-    x._check(y)
-    _, _, gather = _tables(x.p, x.q)
-    xc = x.coeffs
-    used = xc.reshape(-1, xc.shape[-1]).any(axis=0)
-    if not used.all() and np.isfinite(y.coeffs).all():
-        gather, xc = gather[used], xc[..., used]
-    signed = np.concatenate((y.coeffs, -y.coeffs), axis=-1)
+    dim = _blade_count(p, q)
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if x.shape[-1:] != (dim,) or x.shape != y.shape:
+        raise BadConfig(f"Cl({p}, {q}) needs {dim} blade coefficients a "
+                        f"row, x and y of one shape: {x.shape}, {y.shape}")
+    _, _, gather = _tables(p, q)
+    used = x.reshape(-1, dim).any(axis=0)
+    if not used.all() and np.isfinite(y).all():
+        gather, x = gather[used], x[..., used]
+    signed = np.concatenate((y, -y), axis=-1)
     terms = signed.take(gather, axis=-1)
-    terms *= xc[..., :, None]
-    return CliffordElement(x.p, x.q, terms.sum(axis=-2))
+    terms *= x[..., :, None]
+    return terms.sum(axis=-2)
 
 
 # the reversion sign (-1)^(k(k-1)/2) of a grade-k blade, by k mod 4
 _REVERSION_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
 
 
-def reversion(x: CliffordElement) -> CliffordElement:
+def reversion(x) -> np.ndarray:
     """The anti-automorphism that reverses the generators of every blade:
-    a grade-k blade changes sign when k = 2 or 3 mod 4."""
-    return CliffordElement(x.p, x.q,
-                           x.coeffs * _REVERSION_SIGNS[x.grades() % 4])
+    a grade-k blade changes sign when k = 2 or 3 mod 4.  The grades are
+    read from the row width, 2^n blades with n <= MAX_GENERATORS."""
+    x = np.asarray(x, dtype=float)
+    dim = x.shape[-1] if x.ndim else 0
+    if dim & (dim - 1) or not 0 < dim <= 1 << MAX_GENERATORS:
+        raise BadConfig(f"a Clifford row has 2^n blades with n <= "
+                        f"{MAX_GENERATORS}, got shape {x.shape}")
+    return x * _REVERSION_SIGNS[_grades(dim) % 4]
 
 
 def vector_inner(p: int, q: int, u, v):

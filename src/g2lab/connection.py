@@ -544,13 +544,22 @@ def _fundamental_tensors(jets, fine=None):
     return lam, mu3, nu3, alpha, beta
 
 
+def _fit_scales(name: str, hs) -> list:
+    """hs as floats; BadConfig unless there is one and all are finite > 0."""
+    hs = [float(h) for h in hs]
+    if not hs or not all(0.0 < h < inf for h in hs):
+        raise BadConfig(f"fit scales must be finite and > 0: {name} = {hs}")
+    return hs
+
+
 def fit_alpha(chart: ConnectionChart, e, h: float,
               h_ode: float) -> np.ndarray:
     """alpha = (lam - lam^T) / 2 from the lam rows alone, with the bits
     of the alpha that ``_fundamental_tensors(_fit_jets(...))`` assembles
     from the full fit at h without Richardson: the 4 n^2 rows of
     ``_lam_stencil`` and 2 n frames, where the full fit shoots the whole
-    third-order stencil."""
+    third-order stencil.  A bad h is a BadConfig before any shot."""
+    h, = _fit_scales("h", [h])
     terms = _lam_stencil(chart.n, h)
     t = _normal_loop(chart, e, np.concatenate([u for u, _ in terms]),
                      np.concatenate([v for _, v in terms]), h_ode)
@@ -625,9 +634,7 @@ def akivis_check(chart: ConnectionChart, e, h_list, h_ode: float) -> dict:
     scale would give it.  BadConfig unless h_list holds at least one
     scale and every scale is finite and positive.
     """
-    h_list = [float(h) for h in h_list]
-    if not h_list or not all(0.0 < h < inf for h in h_list):
-        raise BadConfig(f"h_list must hold finite scales > 0, got {h_list}")
+    h_list = _fit_scales("h_list", h_list)
     data = curvature_data(chart, e)
     # each distinct scale is fitted once: h/2 is often the next h
     scales = sorted(set(h_list) | {h / 2.0 for h in h_list})

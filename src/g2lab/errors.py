@@ -45,10 +45,6 @@ class NormDrift(G2LabError):
     """A field that must have unit norm deviates beyond tolerance."""
 
 
-class SignatureMismatch(G2LabError):
-    """Clifford elements from different Cl(p,q) were combined."""
-
-
 class ZeroReference(G2LabError):
     """The reference spinor/octonion must be nonzero."""
 

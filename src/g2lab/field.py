@@ -121,15 +121,15 @@ def nabla_phi(field: PhiField, x: np.ndarray, fd_step: float) -> np.ndarray:
 
 
 class G2Torsion:
-    """Full torsion 2-tensor of a G2-structure field with its four-part
-    splitting and the residual of the defining relation."""
+    """Full torsion 2-tensor T of a G2-structure field, its parts t1 =
+    (tr_g T / 7) g, t7, t14 and t27, and the defining relation's residual."""
 
-    __slots__ = ("T", "t1", "t0", "t7", "t14", "defining_residual")
+    __slots__ = ("T", "t1", "t27", "t7", "t14", "defining_residual")
 
-    def __init__(self, t, t1, t0, t7, t14, defining_residual) -> None:
+    def __init__(self, t, t1, t27, t7, t14, defining_residual) -> None:
         self.T = t
         self.t1 = t1
-        self.t0 = t0
+        self.t27 = t27
         self.t7 = t7
         self.t14 = t14
         self.defining_residual = defining_residual

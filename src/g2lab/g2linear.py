@@ -279,10 +279,9 @@ def random_gl7(rng: np.random.Generator,
     return a
 
 
-def random_positive_3form(rng: np.random.Generator,
-                          cond_max: float = 10.0) -> AltTensor:
-    """A* phi0 for a well-conditioned A; positivity is automatic."""
-    a = random_gl7(rng, cond_max=cond_max)
+def random_positive_3form(rng: np.random.Generator) -> AltTensor:
+    """A* phi0 for an A of condition number <= 4; positivity is automatic."""
+    a = random_gl7(rng, cond_max=4.0)
     return AltTensor(7, 3, pullback(C3, a))
 
 

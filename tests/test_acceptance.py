@@ -126,7 +126,7 @@ def test_criterion_06_deformation_laws():
         u, v = oc.random_octonions(rng, 2, unit=True)
         r36.append(conjugation_pullback_residual(v, data0))
         r40.append(composition_residual(u, v, data0))
-        phi = random_positive_3form(rng, cond_max=4.0)
+        phi = random_positive_3form(rng)
         dp = metric_from_3form(phi)
         dv = metric_from_3form(sigma(v, dp))
         riso.append(np.max(np.abs(dv.g.g - dp.g.g))

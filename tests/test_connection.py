@@ -586,6 +586,18 @@ def test_akivis_rejects_bad_scales_before_any_shot(sphere, monkeypatch,
         cn.akivis_check(sphere, np.array([1.2, 0.3]), h_list, 1.0 / 16)
 
 
+@pytest.mark.parametrize("h", [0.0, np.nan, -1e-2, np.inf],
+                         ids=["zero", "nan", "negative", "inf"])
+def test_fit_alpha_rejects_bad_scales_before_any_shot(sphere, monkeypatch,
+                                                      h):
+    def never(*args):
+        raise AssertionError("shot before h was validated")
+
+    monkeypatch.setattr(cn, "_normal_loop", never)
+    with pytest.raises(BadConfig, match="fit scales .* h = "):
+        cn.fit_alpha(sphere, np.array([1.2, 0.3]), h, 1.0 / 16)
+
+
 def test_fit_reports_unit_law_residual(sphere):
     # the unit law under the loop fit: the probe h e_0 at h = 1e-2 survives
     # exp_inverse(exp_map(.)) at the fit's h_ode

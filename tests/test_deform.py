@@ -73,7 +73,7 @@ def test_sigma_examples(data0):
 def test_sigma_isometry_random_base():
     rng = np.random.default_rng(3)
     for _ in range(10):
-        phi = g2.random_positive_3form(rng, cond_max=4.0)
+        phi = g2.random_positive_3form(rng)
         dp = g2.metric_from_3form(phi)
         v = oc.random_octonions(rng, 1, unit=True)[0]
         sv = df.sigma(v, dp)

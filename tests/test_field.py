@@ -42,7 +42,7 @@ def test_warp_field_torsion(warp, warp_torsion):
     assert t.defining_residual < 1e-9
     # parts sum to T and are mutually orthogonal in the induced metric
     gi = warp.data(X0).g.g_inv
-    parts = [t.t1, t.t0, t.t7, t.t14]
+    parts = [t.t1, t.t27, t.t7, t.t14]
     assert np.max(np.abs(sum(parts) - t.T)) < 1e-12
 
     def ip(a, b):
@@ -236,7 +236,7 @@ def test_memo_computes_each_quantity_once_read_only():
     assert fld.levi_civita_at(field, 0.5 * X0, 1e-3) is not gam
     phi = field.phi(X0)
     assert field.phi(X0.copy()) is phi
-    for kept in (gam, t.T, t.t1, t.t0, t.t7, t.t14, nphi, data.g.g,
+    for kept in (gam, t.T, t.t1, t.t27, t.t7, t.t14, nphi, data.g.g,
                  data.g.g_inv, data.phi.vals, data.psi.vals, data.psi.comps,
                  phi):
         with pytest.raises(ValueError, match="read-only"):

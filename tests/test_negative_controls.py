@@ -98,7 +98,7 @@ def scale_the_torsion(monkeypatch):
 
     def scaled(*args):
         t = real(*args)
-        return fld.G2Torsion(1.001 * t.T, t.t1, t.t0, t.t7, t.t14,
+        return fld.G2Torsion(1.001 * t.T, t.t1, t.t27, t.t7, t.t14,
                              t.defining_residual)
 
     monkeypatch.setattr(fld, "g2_torsion", scaled)

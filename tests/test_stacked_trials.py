@@ -45,21 +45,24 @@ def sample_one_trial(rng) -> dict:
 def clifford_one_trial(rng) -> dict:
     u = rng.standard_normal(7)
     v = rng.standard_normal(7)
-    cu = cl.CliffordElement.vector(0, 7, u)
-    cv = cl.CliffordElement.vector(0, 7, v)
-    anti = cl.clifford_mul(cu, cv) + cl.clifford_mul(cv, cu)
-    ident = (anti - cl.CliffordElement.scalar(
-        0, 7, 2 * cl.vector_inner(0, 7, u, v))).max_abs()
-    x = cl.CliffordElement(0, 7, rng.standard_normal(128))
-    y = cl.CliffordElement(0, 7, rng.standard_normal(128))
-    z = cl.CliffordElement(0, 7, rng.standard_normal(128))
-    sc = x.max_abs() * y.max_abs() * z.max_abs()
-    assoc = (cl.clifford_mul(cl.clifford_mul(x, y), z)
-             - cl.clifford_mul(x, cl.clifford_mul(y, z))).max_abs() / sc
-    rev = (cl.reversion(cl.clifford_mul(x, y))
-           - cl.clifford_mul(cl.reversion(y),
-                             cl.reversion(x))).max_abs() \
-        / (x.max_abs() * y.max_abs())
+    def cmul(a, b):
+        return cl.clifford_mul(0, 7, a, b)
+
+    def max_abs(a):
+        return np.max(np.abs(a))
+
+    cu = cl.vector(0, 7, u)
+    cv = cl.vector(0, 7, v)
+    anti = cmul(cu, cv) + cmul(cv, cu)
+    ident = max_abs(anti - cl.scalar(0, 7, 2 * cl.vector_inner(0, 7, u, v)))
+    x = rng.standard_normal(128)
+    y = rng.standard_normal(128)
+    z = rng.standard_normal(128)
+    sc = max_abs(x) * max_abs(y) * max_abs(z)
+    assoc = max_abs(cmul(cmul(x, y), z) - cmul(x, cmul(y, z))) / sc
+    rev = max_abs(cl.reversion(cmul(x, y))
+                  - cmul(cl.reversion(y), cl.reversion(x))) \
+        / (max_abs(x) * max_abs(y))
     q1 = rng.standard_normal(7)
     q1 /= np.linalg.norm(q1)
     q2 = rng.standard_normal(7)
