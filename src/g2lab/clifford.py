@@ -92,15 +92,15 @@ def clifford_mul(p: int, q: int, x, y) -> np.ndarray:
 
     Output blade c sums x_a sign(a, a ^ c) y_(a ^ c) over a in increasing
     order: one take through the gather index of _tables reads every
-    signed y_(a ^ c) from (y, -y), the terms are multiplied by x_a and
-    summed over a.  When y is finite, a blade of x that is zero in every
-    row adds only signed zeros and is left out; the sum starts from +0,
-    so the other blades give it the same bits.  Against a non-finite y
-    every blade is kept, so a zero times an inf or NaN coefficient gives
-    NaN and the product fails closed.  The terms take dim^2 doubles per
-    row of dense x (128 KB at Cl(0, 7)), so a caller with many rows
-    multiplies them in blocks.  Rows of another width, or two shapes, are
-    a BadConfig before anything is allocated.
+    signed y_(a ^ c) from (y, -y), and one einsum multiplies the terms by
+    x_a and sums them over a.  When y is finite, a blade of x that is
+    zero in every row adds only signed zeros and is left out; the sum
+    starts from +0, so the other blades give it the same bits.  Against
+    a non-finite y every blade is kept, so a zero times an inf or NaN
+    coefficient gives NaN and the product fails closed.  The terms take
+    dim^2 doubles per row of dense x (128 KB at Cl(0, 7)), so a caller
+    with many rows multiplies them in blocks.  Rows of another width, or
+    two shapes, are a BadConfig before anything is allocated.
     """
     dim = _blade_count(p, q)
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
@@ -112,9 +112,7 @@ def clifford_mul(p: int, q: int, x, y) -> np.ndarray:
     if not used.all() and np.isfinite(y).all():
         gather, x = gather[used], x[..., used]
     signed = np.concatenate((y, -y), axis=-1)
-    terms = signed.take(gather, axis=-1)
-    terms *= x[..., :, None]
-    return terms.sum(axis=-2)
+    return np.einsum("...a,...ac->...c", x, signed.take(gather, axis=-1))
 
 
 # the reversion sign (-1)^(k(k-1)/2) of a grade-k blade, by k mod 4

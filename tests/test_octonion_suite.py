@@ -1,8 +1,8 @@
 """The octonion suite's batched identity checks run over row blocks: the
 same residuals as whole-array arithmetic, bit for bit, and a NaN or inf in
-any block fails its rows.  A producer thread draws the rows: it leaves no
-thread behind, hands its failures to the caller unchanged, and calls no
-public octonion function."""
+any block fails its rows.  A producer thread draws the rows into two
+reused slot rings: it leaves no thread behind, hands its failures to the
+caller unchanged, and calls no public octonion function."""
 
 import inspect
 import sys
@@ -97,8 +97,10 @@ def batch_rows(report: dict) -> dict:
             if c["name"] in BATCH_ROWS}
 
 
-# W // 2 + 1: an odd count that ends inside the first block
-@pytest.mark.parametrize("n", [1, W // 2 + 1, W - 1, W, W + 1, 2 * W + 1])
+# W // 2 + 1: an odd count that ends inside the first block; at 6 W + 1
+# both of the draws' slot rings are refilled
+@pytest.mark.parametrize("n", [1, W // 2 + 1, W - 1, W, W + 1, 2 * W + 1,
+                               6 * W + 1])
 def test_blocks_give_whole_array_bits(n):
     got = batch_rows(cli.run_suite("octonion", cli.RunConfig(seed=7,
                                                              trials=n)))
@@ -174,9 +176,11 @@ def test_fold_keeps_inf_and_nan_across_blocks(monkeypatch):
 
 
 def test_suite_peak_memory_is_bounded():
-    # the five draws take 32 MB at 1e5 trials; every other array lives
-    # for one 8192-row block.  The peak measured 35.54 MB (all five draws
-    # and one block of the general pair's pass); 40 MB leaves 4.4 MB.
+    # at 1e5 trials (13 blocks a draw) the two slot rings take 24.6 MB, 17
+    # and 30 blocks of 0.5 MB; every other array lives for one block.  The
+    # peak measured 28.15 MB at seeds 1, 42 and 7 once the suite had run
+    # in the process, and 29.66 MB on a process's first run.  31 MB
+    # leaves 1.3 MB over the first run; the five whole draws read 35.5 MB.
     config = cli.RunConfig(seed=1, trials=10 ** 5)
     tracemalloc.start()
     try:
@@ -184,7 +188,7 @@ def test_suite_peak_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 40e6
+    assert peak <= 31e6
     # at this size the checks wait on the producer, so a block read
     # before it is filled would fail the report
     assert report["pass"] is True
@@ -214,6 +218,66 @@ def run_on_a_thread(config: cli.RunConfig):
     caller.join(timeout=60)
     assert not caller.is_alive()
     return out[0], caller
+
+
+def address(rows) -> int:
+    return rows.__array_interface__["data"][0]
+
+
+# nb blocks a draw: up to 3 W + 1 rows both rings hold every block, and
+# at 6 W + 1 (nb = 7) 14 pair blocks share 11 slots and 21 triple blocks
+# share 18
+@pytest.mark.parametrize("n", [1, W + 1, 2 * W + 1, 3 * W + 1, 6 * W + 1])
+def test_draws_reuse_two_slot_rings(monkeypatch, n):
+    nb = -(-n // W)
+    sizes = [W] * (nb - 1) + [n - (nb - 1) * W]
+    events = []
+    real_fill = oc._fill_octonions
+
+    def fill(rng, out, imaginary):
+        # recorded as the fill begins, before it writes a row
+        if on_producer():
+            events.append(("fill", address(out), len(out), imaginary))
+        real_fill(rng, out, imaginary)
+
+    def spy(name):
+        real = getattr(cli, name)
+
+        def check(*blocks):
+            worst = real(*blocks)
+            # recorded once the check has returned
+            events.append((name, tuple(map(address, blocks))))
+            return worst
+        return check
+
+    monkeypatch.setattr(oc, "_fill_octonions", fill)
+    for name in ("_general_laws", "_imaginary_laws"):
+        monkeypatch.setattr(cli, name, spy(name))
+    report, _ = run_on_a_thread(cli.RunConfig(seed=4, trials=n))
+    assert report["pass"] is True
+    # (address, rows, imaginary) of each fill, in stream order: five draws
+    # of nb blocks each, the j-th fill block j % nb of draw j // nb
+    fills = [e[1:] for e in events if e[0] == "fill"]
+    assert [f[1:] for f in fills] == [(size, k >= 2) for k in range(5)
+                                      for size in sizes]
+    assert len({f[0] for f in fills}) <= 3 * nb + 8
+    draws = {"_general_laws": (0, 1), "_imaginary_laws": (2, 3, 4)}
+    held, checked, filled = {}, dict.fromkeys(draws, 0), 0
+    for event in events:
+        if event[0] == "fill":
+            # no buffer is refilled before its block has been checked
+            assert event[1] not in held
+            held[event[1]] = divmod(filled, nb)
+            filled += 1
+        else:
+            # each check reads the buffers its blocks were filled into
+            name, addresses = event
+            i = checked[name]
+            assert [held.pop(a) for a in addresses] == \
+                [(k, i) for k in draws[name]]
+            checked[name] += 1
+    assert checked == dict.fromkeys(draws, nb)
+    assert held == {}
 
 
 def test_suite_leaves_no_thread_behind():
