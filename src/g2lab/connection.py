@@ -33,16 +33,18 @@ shape (n,) or rows of shape (N, n); each row of a batch gets the bits a
 single-point call gives it, because every contraction is a stacked
 product that acts row by row: the symbols meet a velocity only in
 ``_gamma_dot``, and each right-hand side applies its A = G·v.
-``exp_inverse`` is one damped Newton iteration over all rows, with a
+``exp_inverse`` is one damped Newton iteration over the distinct (e, y)
+rows (``_distinct_rows``, the package's one row-dedup rule), with a
 per-row convergence mask and a per-row finite-difference Jacobian
-fallback (the batched ``central_diff`` of ``exp_map``); each iteration
-shoots the rows still active through ``exp_map`` in one call, and every
-Newton solve stops at the one residual ``_NEWTON_TOL``.
-``loop_product`` runs that iteration once over both targets x and y,
-with each shot carrying the parallel frame through
-``geodesic_with_frame``.  A row keeps the frame of the shot it converged
-on, whose geodesic is the one from e to y, so the product takes two
-integrations: that solve, then one ``exp_map`` from y of the
+fallback (the batched ``central_diff`` of ``exp_map``); a repeated row
+takes the result of its first, each iteration shoots the rows still
+active through ``exp_map`` in one call, and every Newton solve stops at
+the one residual ``_NEWTON_TOL``.  ``loop_product`` runs that iteration
+once over both targets x and y, with each shot carrying the parallel
+frame through ``geodesic_with_frame``, so a point that several rows
+target from one e is shot once.  A row keeps the frame of the shot it
+converged on, whose geodesic is the one from e to y, so the product
+takes two integrations: that solve, then one ``exp_map`` from y of the
 transported exp_e^-1(x).  The loop-jet fit has two ways in, both through
 ``_normal_loop``, that product in normal coordinates at e, with one
 batched call per fit: ``akivis_check`` shoots the stencils of all its
@@ -186,7 +188,7 @@ def _gamma_dot(g: np.ndarray, v: np.ndarray) -> np.ndarray:
     block G[j, (i, k)], so each row of a batch gets the bits a
     single-point call gives it."""
     n = v.shape[-1]
-    blocks = np.swapaxes(g, -3, -2).reshape(g.shape[:-3] + (n, n * n))
+    blocks = g.swapaxes(-3, -2).reshape(g.shape[:-3] + (n, n * n))
     a = np.matmul(v[..., None, :], blocks)
     return a.reshape(a.shape[:-2] + (n, n))
 
@@ -300,6 +302,20 @@ def exp_map(chart: ConnectionChart, e, v, h: float = 1e-3) -> np.ndarray:
     return _shoot(chart, _point_pair(e, v), 1.0, h)[0]
 
 
+def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a 2-D array a, told apart by their bytes (so
+    +0.0 and -0.0 stay apart): firsts indexes the first row of each, in
+    the order they first appear, and a[firsts][which] is a."""
+    a = np.ascontiguousarray(a)
+    keys = a.view(np.dtype((np.void, a.itemsize * a.shape[1])))[:, 0]
+    _, firsts, which = np.unique(keys, return_index=True,
+                                 return_inverse=True)
+    # the stable sort is the one np.unique already runs; the default one
+    # maps 256 kB more of numpy's sort code into memory on first use
+    order = np.argsort(firsts, kind="stable")
+    return firsts[order], np.argsort(order, kind="stable")[which]
+
+
 # Newton shooting of exp_inverse: the residual within which a row stops,
 # the shot budget, and the finite-difference step of the fallback Jacobian.
 _NEWTON_TOL = 1e-12
@@ -313,10 +329,15 @@ def _solve_exp(chart: ConnectionChart, e: np.ndarray, y: np.ndarray,
     (N, n); returns v, and with frame set also the parallel frame along
     the shot on which each row converged (the identity where v = 0).
 
-    A converged row keeps the v of its last shot, so its frame is the one
-    geodesic_with_frame(e, v) gives.  Without frame the shots go through
-    exp_map; the finite-difference Jacobian never carries a frame.
+    Only the distinct (e, y) rows iterate, and a repeated row gets the v
+    and frame of its first: rows are independent, so it would have taken
+    the same shots.  A converged row keeps the v of its last shot, so its
+    frame is the one geodesic_with_frame(e, v) gives.  Without frame the
+    shots go through exp_map; the finite-difference Jacobian never
+    carries a frame.
     """
+    firsts, which = _distinct_rows(np.concatenate([e, y], axis=1))
+    e, y = e[firsts], y[firsts]
     v = y - e
     rows, n = v.shape
     frames = np.empty((rows, n, n)) if frame else None
@@ -335,7 +356,7 @@ def _solve_exp(chart: ConnectionChart, e: np.ndarray, y: np.ndarray,
         open_ = ~(err <= _NEWTON_TOL)
         active, r, err = active[open_], r[open_], err[open_]
         if active.size == 0:
-            return v, frames
+            return v[which], None if frames is None else frames[which]
         stalled = ~has_jac[active] & (err > 0.5 * prev[active])
         if stalled.any():
             if jac is None:
@@ -360,7 +381,8 @@ def _solve_exp(chart: ConnectionChart, e: np.ndarray, y: np.ndarray,
         v[active] = va - scale[:, None] * step
         prev[active] = err
     raise NoConvergence(f"exp_inverse stalled at residual {np.max(err):.3e} "
-                        f"({active.size} of {rows} rows open)")
+                        f"({np.isin(which, active).sum()} of {which.size} "
+                        "rows open)")
 
 
 def exp_inverse(chart: ConnectionChart, e, y, h: float = 1e-3) -> np.ndarray:
@@ -410,12 +432,11 @@ def _normal_loop(chart: ConnectionChart, e, us: np.ndarray, vs: np.ndarray,
     e: mu(us[r], vs[r]) for every row r of two (P, n) arrays.
 
     A zero argument returns the other one.  The remaining rows take one
-    geodesic-with-frame integration per distinct v, all in one batch; the
-    distinct v are told apart by their bytes, so +0.0 and -0.0 entries
-    stay apart.  One forward shot and one Newton solve then cover all of
-    those rows.  The stencil geodesics have amplitude ~h, so a handful of
-    integrator steps (h_ode = 1/16) already sits far below the fit
-    truncation.
+    geodesic-with-frame integration per distinct v (``_distinct_rows``,
+    so +0.0 and -0.0 entries stay apart), all in one batch.  One forward
+    shot and one Newton solve then cover all of those rows.  The stencil
+    geodesics have amplitude ~h, so a handful of integrator steps
+    (h_ode = 1/16) already sits far below the fit truncation.
     """
     u_zero = np.max(np.abs(us), axis=1) == 0.0
     v_zero = np.max(np.abs(vs), axis=1) == 0.0
@@ -424,10 +445,7 @@ def _normal_loop(chart: ConnectionChart, e, us: np.ndarray, vs: np.ndarray,
     rows = np.flatnonzero(~u_zero & ~v_zero)
     if rows.size == 0:
         return out
-    keys = np.ascontiguousarray(vs[rows]).view(
-        np.dtype((np.void, vs.itemsize * vs.shape[1])))[:, 0]
-    _, firsts, which = np.unique(keys, return_index=True,
-                                 return_inverse=True)
+    firsts, which = _distinct_rows(vs[rows])
     ys, _, ms = geodesic_with_frame(chart, e, vs[rows[firsts]], 1.0, h_ode)
     w = np.matmul(ms[which], us[rows][:, :, None])[:, :, 0]
     z = exp_map(chart, ys[which], w, h_ode)
@@ -665,9 +683,10 @@ def flat_chart(n: int, half_width: float = 10.0) -> ConnectionChart:
 
 def _sphere2_gamma(x: np.ndarray) -> np.ndarray:
     theta = np.asarray(x)[..., 0]
+    sin, cos = np.sin(theta), np.cos(theta)
     g = np.zeros(theta.shape + (2, 2, 2))
-    g[..., 0, 1, 1] = -np.sin(theta) * np.cos(theta)
-    cot = np.cos(theta) / np.sin(theta)
+    g[..., 0, 1, 1] = -sin * cos
+    cot = cos / sin
     g[..., 1, 0, 1] = cot
     g[..., 1, 1, 0] = cot
     return g

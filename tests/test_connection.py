@@ -6,6 +6,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+from g2lab import cli
 from g2lab import connection as cn
 from g2lab.errors import BadConfig, LeftDomain, NoConvergence
 from g2lab.octonion import C3
@@ -397,6 +398,69 @@ def test_loop_product_runs_two_integrations(monkeypatch):
     cn.loop_product(chart, e, xs, ys, 0.25)
     # one framed Newton shot for both targets, then the closing exp_map
     assert len(calls) == 2
+
+
+def _spy_row_steps(monkeypatch) -> list:
+    """(rows, steps) of every _geodesic_steps call from now on."""
+    real = cn._geodesic_steps
+    calls = []
+
+    def counted(chart, state, t_end, n_steps):
+        calls.append((len(state[0]), n_steps))
+        return real(chart, state, t_end, n_steps)
+
+    monkeypatch.setattr(cn, "_geodesic_steps", counted)
+    return calls
+
+
+def test_newton_solve_shoots_each_distinct_row_once(sphere, monkeypatch):
+    calls = _spy_row_steps(monkeypatch)
+    assert cli.run_suite("flat-loop", cli.RunConfig(trials=10))["pass"]
+    # the first solve shoots x, y and z once a trial where it is given 80
+    # moving rows, and its exp_map skips the 10 ey rows (w = 0); the
+    # second solve shoots xy, x, z and yz, and its exp_map 20 rows
+    assert [rows for rows, _ in calls] == [30, 40, 40, 20]
+    # repeats, the same y from another e, and rows apart only by -0.0
+    e = np.array([[1.2, 0.3], [1.0, -0.2], [1.2, 0.0], [1.2, -0.0]])
+    y = np.array([[1.3, 0.5], [1.1, 0.1], [1.0, 0.0], [1.0, -0.0]])
+    i, j = np.array([(0, 0), (0, 1), (0, 0), (1, 0), (2, 1), (3, 1), (0, 1),
+                     (0, 2), (0, 3)]).T
+    es, ys = e[i], y[j]
+    del calls[:]
+    v, frames = cn._solve_exp(sphere, es, ys, 1e-2, frame=True)
+    # 7 distinct (e, y) pairs in 9 rows
+    assert calls[0][0] == 7
+    monkeypatch.undo()
+    for r in range(len(es)):
+        one = cn._solve_exp(sphere, es[r:r + 1], ys[r:r + 1], 1e-2,
+                            frame=True)
+        assert np.array_equal(v[r], one[0][0])
+        assert np.array_equal(frames[r], one[1][0])
+    # the caller's rows are counted, a repeat as often as it is given
+    disk = poincare_disk_chart()
+    ys = np.array([[0.3, 0.1], [1.0, 0.0], [-0.2, 0.4], [1.0, 0.0]])
+    with pytest.raises(NoConvergence, match="2 of 4 rows"):
+        cn.exp_inverse(disk, np.zeros(2), ys, h=0.05)
+    # both far rows leave at the same step; the first in caller order is
+    # named, though [0, 1.5] sorts before [1.5, 0] by its bytes
+    box = cn.flat_chart(2, half_width=1.0)
+    near, far = np.array([0.2, 0.1]), np.array([[1.5, 0.0], [0.0, 1.5]])
+    for a, b in ((0, 1), (1, 0)):
+        with pytest.raises(LeftDomain) as first:
+            cn.exp_inverse(box, np.zeros(2), far[a], h=0.25)
+        with pytest.raises(LeftDomain) as both:
+            cn.exp_inverse(box, np.zeros(2),
+                           np.array([near, far[a], far[b], far[a]]), h=0.25)
+        assert str(both.value) == str(first.value)
+
+
+def test_flat_loop_row_step_count(monkeypatch):
+    # a count guard on the Newton dedup: 300 + 400 + 400 + 200 moving rows
+    # of 100 steps each at the suite's default 100 trials (1800 rows when
+    # every row of a solve is shot)
+    calls = _spy_row_steps(monkeypatch)
+    assert cli.run_suite("flat-loop", cli.RunConfig())["pass"]
+    assert sum(rows * steps for rows, steps in calls) == 130_000
 
 
 def test_framed_solver_keeps_the_converged_frame(sphere, monkeypatch):
