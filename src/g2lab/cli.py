@@ -6,12 +6,13 @@ Per-trial random streams are counter-based (Philox keyed by a digest of
 seed, suite and trial index), so trial t of a suite can be replayed alone
 from ``trial_rng(seed, suite, t)``.  Residuals are folded across trials so
 that a NaN or inf in any trial fails the report.  The octonion suite's
-sample and the clifford suite's trials are drawn one trial at a time and
-checked as stacked rows (``stack_trials``); each trial's residual has the
-bits a one-trial loop gives it.  The octonion suite's bulk rows come from
-one stream, drawn block by block into reused slots by a one-thread pool
-while the calling thread checks the blocks that have landed; a fill in
-blocks has the bits of one fill, so no residual depends on the timing.
+sample and the deform and clifford suites' trials are drawn one trial at
+a time and checked as stacked rows (``stack_trials``); each trial's
+residual has the bits a one-trial loop gives it.  The octonion suite's
+bulk rows come from one stream, drawn block by block into reused slots
+by a one-thread pool while the calling thread checks the blocks that
+have landed; a fill in blocks has the bits of one fill, so no residual
+depends on the timing.
 
 Each suite declares its pinned tolerances once, where it is registered,
 and every check row is built in one place, ``RunConfig.row``.
@@ -19,9 +20,7 @@ and every check row is built in one place, ``RunConfig.row``.
 
 from __future__ import annotations
 
-import argparse
 import hashlib
-import json
 import sys
 import time
 from math import inf
@@ -38,9 +37,11 @@ MAX_TRIALS = 10 ** 5
 
 # Trials per block of the stacked rows: the clifford suite's blocks hold
 # 4 MB of product terms at Cl(0, 7), and the octonion sample's 512 trials
-# cover its 200 in one block.
+# cover its 200 in one block.  A deform block's stacked rows cost 0.6 ms
+# plus 50 us a trial (0.6 ms a trial looped), so 32 trials lose little.
 _CLIFFORD_BLOCK = 32
 _SAMPLE_BLOCK = 512
+_DEFORM_BLOCK = 32
 
 
 def trial_rng(seed: int, suite: str, trial: int) -> np.random.Generator:
@@ -504,34 +505,12 @@ def suite_g2linear(config: RunConfig) -> list[dict]:
 def suite_deform(config: RunConfig) -> list[dict]:
     from . import deform as df
     from . import g2linear as g2
-    from . import octonion as oc
-    from .octonion import exponential, mul, power
+    from .octonion import exponential, power
     data0 = g2.metric_from_3form(g2.PHI0)
     n = config.n_trials(100)
-
-    def one_trial(rng, t):
-        v = oc.random_octonions(rng, 1, unit=True)[0]
-        u = oc.random_octonions(rng, 1, unit=True)[0]
-        t_conj = df.conjugation_pullback_residual(v, data0)
-        t_comp = df.composition_residual(u, v, data0)
-        phi = g2.random_positive_3form(rng)
-        dp = g2.metric_from_3form(phi)
-        sv = df.sigma(v, dp)
-        iso = np.max(np.abs(g2.metric_from_3form(sv).g.g - dp.g.g)) \
-            / np.max(np.abs(dp.g.g))
-        a, b = oc.random_octonions(rng, 2)
-        r1 = df.deformed_mul(a, b, v)
-        r2 = mul(mul(a, v), mul(df.inverse(v), b))
-        scale = max(np.sqrt(a @ a) * np.sqrt(b @ b), 1e-30)
-        routes = np.max(np.abs(r1 - r2)) / scale
-        adj = _worst(df.adjoint_product_residuals(v, a, b).values()) / scale
-        m = df.ad_matrix7(v, data0)
-        so7 = _worst((np.max(np.abs(m.T @ m - np.eye(7))),
-                      abs(np.linalg.det(m) - 1.0)))
-        return {"conjugation_pullback": t_conj, "composition_law": t_comp, "isometry": iso,
-                "routes": routes, "adjoint_ids": adj, "ad_so7": so7}
-
-    checks = _fold(map_trials(one_trial, n, config, "deform"), config)
+    checks = [config.row(key, values) for key, values in stack_trials(
+        lambda *rows: _deform_check(data0, *rows), _deform_draw, range(n),
+        _DEFORM_BLOCK, config, "deform").items()]
     # fixed-product sweep: sigma_{V^3}(phi0) = phi0 exactly when V^3 real
     fixed, moved = [], []
     for theta, fixes in ((0.0, True), (np.pi / 3, True), (np.pi / 2, False),
@@ -543,6 +522,43 @@ def suite_deform(config: RunConfig) -> list[dict]:
     least_move = -_worst(-r for r in moved)
     return checks + [config.row("v6_sweep_fixed", fixed),
                      config.row("v6_sweep_moved", 1.0 / least_move)]
+
+
+def _deform_draw(rng) -> tuple:
+    """One trial of the deform suite, in draw order: units v and u, the
+    dense components of a positive 3-form, then a and b."""
+    from .g2linear import random_positive_3form
+    from .octonion import random_octonions
+    v, u = random_octonions(rng, 2, unit=True)
+    return (v, u, random_positive_3form(rng).comps, *random_octonions(rng, 2))
+
+
+def _deform_check(data0, v, u, phi, a, b) -> dict:
+    """Per-trial residuals of the deform suite, each row a trial: the four
+    G2 rows one trial at a time, as sigma and metric_from_3form take one
+    form, then the product routes and adjoint identities stacked."""
+    from . import deform as df
+    from . import g2linear as g2
+    from .octonion import dot, inverse, mul
+    g2_rows = []
+    for vt, ut, phit in zip(v, u, phi):
+        dp = g2.metric_from_3form(phit)
+        iso = np.max(np.abs(g2.metric_from_3form(df.sigma(vt, dp)).g.g
+                            - dp.g.g)) / np.max(np.abs(dp.g.g))
+        m = df.ad_matrix7(vt, data0)
+        g2_rows.append((df.conjugation_pullback_residual(vt, data0),
+                        df.composition_residual(ut, vt, data0), iso,
+                        _worst((np.max(np.abs(m.T @ m - np.eye(7))),
+                                abs(np.linalg.det(m) - 1.0)))))
+    pullback, composition, isometry, so7 = np.array(g2_rows).T
+    routes = df.deformed_mul(a, b, v) - mul(mul(a, v), mul(inverse(v), b))
+    scale = np.maximum(np.sqrt(dot(a, a)) * np.sqrt(dot(b, b)), 1e-30)
+    # np.max keeps a NaN of any identity
+    adjoint = np.max(np.stack(list(
+        df.adjoint_product_residuals(v, a, b).values())), axis=0)
+    return {"conjugation_pullback": pullback, "composition_law": composition,
+            "isometry": isometry, "routes": _max_abs(routes) / scale,
+            "adjoint_ids": adjoint / scale, "ad_so7": so7}
 
 
 @_suite("flat-loop", linear=1e-12, commutative=1e-12, associative=1e-12,
@@ -864,6 +880,7 @@ def run_suite(name: str, config: RunConfig) -> dict:
 
 def emit_tables(out_dir) -> list[str]:
     """Write the octonion, resolved rank-4, and Cl(p,q) tables as JSON."""
+    import json
     from . import clifford as cl
     from . import octonion as oc
     out_dir = Path(out_dir)
@@ -916,7 +933,8 @@ def _parse_tol(items) -> dict:
     return out
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    import argparse
     parser = argparse.ArgumentParser(
         prog="g2lab",
         description="randomized verification suites for the octonion / "
@@ -934,6 +952,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    import json
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

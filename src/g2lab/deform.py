@@ -57,7 +57,7 @@ def bundle_inverse(a: np.ndarray, data: G2MetricData) -> np.ndarray:
     return conj(a) / np.expand_dims(n2, -1)
 
 
-# The functions below take octonions as (8,) coefficient rows.
+# Below, ad_matrix7, sigma and the two sigma laws take one (8,) row.
 
 def ad(v: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Adjoint map V A V^-1 (standard octonion product)."""
@@ -126,9 +126,10 @@ def composition_residual(u: np.ndarray, v: np.ndarray,
 
 
 def adjoint_product_residuals(v: np.ndarray, a: np.ndarray,
-                              b: np.ndarray) -> dict[str, float]:
-    """Residuals of the adjoint/associator product identities (standard
-    octonion product).
+                              b: np.ndarray) -> dict:
+    """Max-abs residuals of the adjoint/associator product identities
+    (standard octonion product) of (8,) rows, or of each row of (..., 8)
+    stacks as (...) arrays with the bits of its one-row call.
 
     Every associator term enters with the sign the two-route oracle
     resolves, which is opposite to some printed accounts:
@@ -143,19 +144,19 @@ def adjoint_product_residuals(v: np.ndarray, a: np.ndarray,
     out = {}
     lhs = mul(mul(v, a), mul(b, vi))
     rhs = ad(v, mul(a, b)) - mul(assoc_inv, v + conj(v))
-    out["split_translation_1"] = float(np.max(np.abs(lhs - rhs)))
+    out["split_translation_1"] = np.max(np.abs(lhs - rhs), axis=-1)
     lhs = mul(mul(a, vi), mul(v, b))
     rhs = mul(a, b) - mul(assoc_inv, v)
-    out["split_translation_2"] = float(np.max(np.abs(lhs - rhs)))
+    out["split_translation_2"] = np.max(np.abs(lhs - rhs), axis=-1)
     lhs = mul(ad(v, a), ad(v, b))
-    rhs = ad(v, mul(a, b)) - mul(assoc_inv,
-                                 v + conj(v) + power(v, 3) * (1.0 / n2))
-    out["adjoint_product"] = float(np.max(np.abs(lhs - rhs)))
+    rhs = ad(v, mul(a, b)) - mul(assoc_inv, v + conj(v)
+                                 + power(v, 3) * (1.0 / n2[..., None]))
+    out["adjoint_product"] = np.max(np.abs(lhs - rhs), axis=-1)
     v3 = power(v, 3)
     assoc_v3inv = associator(a, b, inverse(v3))
     lhs = ad(inverse(v), mul(ad(v, a), ad(v, b)))
     rhs = mul(a, b) - mul(assoc_v3inv, v3)
-    out["conjugated_product"] = float(np.max(np.abs(lhs - rhs)))
+    out["conjugated_product"] = np.max(np.abs(lhs - rhs), axis=-1)
     rhs2 = mul(mul(a, inverse(v3)), mul(v3, b))
-    out["cubed_translation"] = float(np.max(np.abs(lhs - rhs2)))
+    out["cubed_translation"] = np.max(np.abs(lhs - rhs2), axis=-1)
     return out

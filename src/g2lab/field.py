@@ -22,7 +22,7 @@ from .connection import (_domain_box, _require_inside, central_diff,
 from .deform import bundle_inverse, bundle_mul, bundle_norm_sq, sigma
 from .errors import NormDrift
 from .exterior import AltTensor, antisymmetrize, pullback
-from .g2linear import G2MetricData, PHI0, _einsum, metric_from_3form, split2
+from .g2linear import G2MetricData, PHI0, _raises, metric_from_3form, split2
 from .octonion import exponential
 
 NORM_TOL = 1e-10
@@ -143,11 +143,10 @@ def g2_torsion(field: PhiField, x: np.ndarray, fd_step: float) -> G2Torsion:
     def compute():
         data = field.data(x)
         nphi = nabla_phi(field, x, fd_step)
-        gi = data.g.g_inv
-        psi_raised = _einsum("nabc,ia,jb,kc->nijk", data.psi.comps,
-                             gi, gi, gi)
+        gi, psi = data.g.g_inv, data.psi.comps
+        psi_raised = _raises(psi, gi, 3)[-1].reshape(psi.shape)
         t = np.einsum("mijk,nijk->mn", nphi, psi_raised) / 48.0
-        recon = 2.0 * _einsum("mp,pq,qijk->mijk", t, gi, data.psi.comps)
+        recon = 2.0 * ((t @ gi) @ psi.reshape(7, -1)).reshape(psi.shape)
         residual = float(np.max(np.abs(nphi - recon)))
         trace = float(np.einsum("mn,mn->", t, gi))
         t1 = trace / 7.0 * data.g.g

@@ -25,21 +25,6 @@ G2_TOL = 1e-10
 """Max-abs tolerance of an admissible triple (orthonormality and
 phi0(h1, h2, h4) = 0)."""
 
-_EINSUM_PATHS: dict[tuple, list] = {}
-
-
-def _einsum(subscripts: str, *operands: np.ndarray) -> np.ndarray:
-    """np.einsum(subscripts, *operands, optimize=True) with the contraction
-    path searched once per subscripts and operand shapes, then reused; the
-    same path gives the same bits."""
-    key = (subscripts,) + tuple(np.shape(op) for op in operands)
-    path = _EINSUM_PATHS.get(key)
-    if path is None:
-        path = np.einsum_path(subscripts, *operands, optimize=True)[0]
-        _EINSUM_PATHS[key] = path
-    return np.einsum(subscripts, *operands, optimize=path)
-
-
 PHI0 = AltTensor(7, 3, C3)
 _EUCLIDEAN7 = Metric.euclidean(7)
 
@@ -156,36 +141,42 @@ def g2_from_triple(h1, h2, h4) -> np.ndarray:
 
 # -- the six contraction identities ------------------------------------------
 
-def contraction_identity_residuals(data: G2MetricData) -> dict[str, float]:
-    """Max-abs residual of each contraction identity, with the induced metric."""
-    p = data.phi.comps
-    q = data.psi.comps
-    g = data.g.g
-    gi = data.g.g_inv
-    out = {}
-    lhs = _einsum("ijk,abc,ck->ijab", p, p, gi)
-    rhs = np.einsum("ia,jb->ijab", g, g) - np.einsum("ib,ja->ijab", g, g) \
-        + q
-    out["phiphi_c"] = float(np.max(np.abs(lhs - rhs)))
-    lhs = _einsum("ijk,abc,bj,ck->ia", p, p, gi, gi)
-    out["phiphi_bc"] = float(np.max(np.abs(lhs - 6.0 * g)))
-    lhs = _einsum("ijk,abcd,dk->ijabc", p, q, gi)
-    rhs = (- np.einsum("ia,jbc->ijabc", g, p)
-           - np.einsum("ib,ajc->ijabc", g, p)
-           - np.einsum("ic,abj->ijabc", g, p)
-           + np.einsum("aj,ibc->ijabc", g, p)
-           + np.einsum("bj,aic->ijabc", g, p)
-           + np.einsum("cj,abi->ijabc", g, p))
-    out["phipsi_d"] = float(np.max(np.abs(lhs - rhs)))
-    lhs = _einsum("ijk,abcd,cj,dk->iab", p, q, gi, gi)
-    out["phipsi_cd"] = float(np.max(np.abs(lhs - 4.0 * p)))
-    lhs = _einsum("ijkl,abcd,ck,dl->ijab", q, q, gi, gi)
-    rhs = 4.0 * np.einsum("ia,jb->ijab", g, g) \
-        - 4.0 * np.einsum("ib,ja->ijab", g, g) + 2.0 * q
-    out["psipsi_cd"] = float(np.max(np.abs(lhs - rhs)))
-    lhs = _einsum("ijkl,abcd,bj,ck,dl->ia", q, q, gi, gi, gi)
-    out["psipsi_bcd"] = float(np.max(np.abs(lhs - 24.0 * g)))
+def _raises(comps: np.ndarray, gi: np.ndarray, k: int) -> list:
+    """comps with its last 1, .., k indices raised by the symmetric g^-1,
+    each raise one BLAS product of the previous one reshaped."""
+    out = [comps.reshape(-1, 7) @ gi]
+    for j in range(1, k):
+        out.append(gi @ out[-1].reshape(-1, 7, 7 ** j))
     return out
+
+
+def _identities(data: G2MetricData):
+    """Yield each contraction identity as (name, left, right), one at a
+    time: the left side one BLAS product of index-raised arrays, reshaped
+    to a matrix, the right read from the outer products g g and g phi
+    through transposes."""
+    p, q, g, gi = data.phi.comps, data.psi.comps, data.g.g, data.g.g_inv
+    (p1, p2), (_, q2, q3) = _raises(p, gi, 2), _raises(q, gi, 3)
+    p2, q2, q3 = p2.reshape(7, 49), q2.reshape(49, 49), q3.reshape(7, 343)
+    gg = np.multiply.outer(g, g)
+    gg_ijab, gg_ijba = gg.transpose(0, 2, 1, 3), gg.transpose(0, 2, 3, 1)
+    yield "phiphi_c", p1 @ p.reshape(49, 7).T, gg_ijab - gg_ijba + q
+    yield "phiphi_bc", p2 @ p.reshape(7, 49).T, 6.0 * g
+    gp = np.multiply.outer(g, p)
+    yield "phipsi_d", p1 @ q.reshape(343, 7).T, (
+        - gp.transpose(0, 2, 1, 3, 4) - gp.transpose(0, 3, 2, 1, 4)
+        - gp.transpose(0, 4, 2, 3, 1) + gp.transpose(2, 1, 0, 3, 4)
+        + gp.transpose(3, 1, 2, 0, 4) + gp.transpose(4, 1, 2, 3, 0))
+    yield "phipsi_cd", p2 @ q.reshape(49, 49).T, 4.0 * p
+    yield "psipsi_cd", q2 @ q.reshape(49, 49).T, \
+        4.0 * gg_ijab - 4.0 * gg_ijba + 2.0 * q
+    yield "psipsi_bcd", q3 @ q.reshape(7, 343).T, 24.0 * g
+
+
+def contraction_identity_residuals(data: G2MetricData) -> dict[str, float]:
+    """Max-abs residual of each contraction identity."""
+    return {name: float(np.max(np.abs(lhs.reshape(rhs.shape) - rhs)))
+            for name, lhs, rhs in _identities(data)}
 
 
 # -- 2-form splitting ---------------------------------------------------------

@@ -130,6 +130,30 @@ def test_adjoint_product_identities():
     assert max(res2.values()) < 1e-13
 
 
+def test_adjoint_residual_rows_are_the_stack_bits():
+    rng = np.random.default_rng(8)
+    v = oc.random_octonions(rng, 6)
+    v[0] = ONE
+    a, b = oc.random_octonions(rng, 6), oc.random_octonions(rng, 6)
+    stacked = df.adjoint_product_residuals(v, a, b)
+    assert list(stacked) == ["split_translation_1", "split_translation_2",
+                             "adjoint_product", "conjugated_product",
+                             "cubed_translation"]
+    for i in range(6):
+        row = df.adjoint_product_residuals(v[i], a[i], b[i])
+        assert list(row) == list(stacked)
+        for key, value in row.items():
+            assert isinstance(value, float)
+            assert np.float64(value).tobytes() == stacked[key][i].tobytes()
+    # a (2, 3, 8) stack gives (2, 3) residuals, row for row
+    shaped = df.adjoint_product_residuals(v.reshape(2, 3, 8),
+                                          a.reshape(2, 3, 8),
+                                          b.reshape(2, 3, 8))
+    for key, value in shaped.items():
+        assert value.shape == (2, 3)
+        assert value.tobytes() == stacked[key].tobytes()
+
+
 def test_fixed_structure_sweep(data0):
     # sigma_{V^3}(phi0) = phi0 exactly when V^3 is real
     for theta, fixes in ((0.0, True), (math.pi / 3, True),

@@ -341,28 +341,54 @@ def test_volume_form_is_scalar_times_basis_form():
                           data.vol_scalar * levi_civita_symbol(7))
 
 
-def test_einsum_path_searched_once(monkeypatch):
-    real = np.einsum_path
-    searches = []
+# each contraction identity's left side, and g2_torsion's raise of psi,
+# as the einsum it replaced, with its operands: phi, psi and g^-1
+EINSUMS = {"phiphi_c": ("ijk,abc,ck->ijab", "ppg"),
+           "phiphi_bc": ("ijk,abc,bj,ck->ia", "ppgg"),
+           "phipsi_d": ("ijk,abcd,dk->ijabc", "pqg"),
+           "phipsi_cd": ("ijk,abcd,cj,dk->iab", "pqgg"),
+           "psipsi_cd": ("ijkl,abcd,ck,dl->ijab", "qqgg"),
+           "psipsi_bcd": ("ijkl,abcd,bj,ck,dl->ia", "qqggg")}
+PSI_RAISE = ("nabc,ia,jb,kc->nijk", "qggg")
 
-    def counted(*args, **kwargs):
-        searches.append(args[0])
-        return real(*args, **kwargs)
 
-    data = g2.metric_from_3form(_wide_form(np.random.default_rng(18)))
-    monkeypatch.setattr(np, "einsum_path", counted)
-    monkeypatch.setattr(g2, "_EINSUM_PATHS", {})
-    first = g2.contraction_identity_residuals(data)
-    second = g2.contraction_identity_residuals(data)
-    # six contractions, each path searched on the first call only
-    assert len(searches) == len(set(searches)) == 6
-    assert first == second
-    # the cached path is the one optimize=True searches: the same bits
-    sub = "ijk,abc,bj,ck->ia"
-    ops = (data.phi.comps, data.phi.comps, data.g.g_inv, data.g.g_inv)
-    assert sub in searches
-    assert np.array_equal(g2._einsum(sub, *ops),
-                          np.einsum(sub, *ops, optimize=True))
+def _einsum_error(got, sub, names, ops) -> float:
+    """max |got - einsum| over the einsum's largest entry."""
+    want = np.einsum(sub, *(ops[c] for c in names), optimize=True)
+    return np.max(np.abs(got.reshape(want.shape) - want)) \
+        / np.max(np.abs(want))
+
+
+def test_blas_contractions_match_einsum(monkeypatch):
+    from g2lab import field as fld
+    rng = np.random.default_rng(18)
+    worst = dict.fromkeys(list(EINSUMS) + ["psi_raised"], 0.0)
+    for _ in range(50):
+        data = g2.metric_from_3form(_wide_form(rng))
+        ops = {"p": data.phi.comps, "q": data.psi.comps, "g": data.g.g_inv}
+        identities = list(g2._identities(data))
+        assert [name for name, _, _ in identities] == list(EINSUMS)
+        for name, lhs, _ in identities:
+            worst[name] = max(worst[name],
+                              _einsum_error(lhs, *EINSUMS[name], ops))
+    # g2_torsion raises psi's last three indices through the same helper
+    raised = []
+
+    def recording(comps, gi, k):
+        out = g2._raises(comps, gi, k)
+        raised.append(({"q": comps, "g": gi}, out[-1]))
+        return out
+
+    monkeypatch.setattr(fld, "_raises", recording)
+    for _ in range(10):
+        wide = _wide_form(rng).comps
+        fld.g2_torsion(fld.PhiField(lambda x: wide, [[-1.0, 1.0]] * 7,
+                                    "wide"), np.zeros(7), 1e-3)
+    assert len(raised) == 10
+    for ops, got in raised:
+        worst["psi_raised"] = max(worst["psi_raised"],
+                                  _einsum_error(got, *PSI_RAISE, ops))
+    assert max(worst.values()) <= 256 * np.finfo(float).eps, worst
 
 
 def test_g2_forms_are_the_scatter_of_their_sorted_components(monkeypatch):

@@ -475,7 +475,8 @@ def test_functions_leave_read_only_rows_unchanged():
             "composition_residual":
                 lambda: df.composition_residual(u, v, data0),
             "adjoint_product_residuals":
-                lambda: df.adjoint_product_residuals(u, a, b),
+                lambda: (df.adjoint_product_residuals(u, a, b),
+                         df.adjoint_product_residuals(stack, imag, stack)),
         },
         cl: {
             "enveloping_residual": lambda: (cl.enveloping_residual(w, x),

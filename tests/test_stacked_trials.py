@@ -1,10 +1,11 @@
-"""The octonion suite's sample and the clifford suite's trial rows run as
-stacked rows: every trial draws from its own trial_rng stream as a
-one-trial loop would, and each per-trial residual has the bits that loop
-gives it.  The loops below are the suites' former one-trial code on
+"""The octonion suite's sample and the deform and clifford suites' trial
+rows run as stacked rows: every trial draws from its own trial_rng stream
+as a one-trial loop would, and each per-trial residual has the bits that
+loop gives it.  The loops below are the suites' former one-trial code on
 (8,) rows, kept here as oracles."""
 
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ import pytest
 from g2lab import cli
 from g2lab import clifford as cl
 from g2lab import deform as df
+from g2lab import g2linear as g2
 from g2lab import octonion as oc
 from g2lab.octonion import left_matrix
 
@@ -19,6 +21,9 @@ from g2lab.octonion import left_matrix
 BLOCK = cli._CLIFFORD_BLOCK
 COUNTS = [1, BLOCK - 1, BLOCK, BLOCK + 1]
 ONE = np.eye(8)[0]
+# trials per block of the deform suite, and its model structure
+DEFORM_BLOCK = cli._DEFORM_BLOCK
+DATA0 = g2.metric_from_3form(g2.PHI0)
 
 
 def norm(a):
@@ -88,6 +93,38 @@ def clifford_one_trial(rng) -> dict:
             "j_equivariance": equi}
 
 
+def deform_one_trial(rng) -> dict:
+    from g2lab.octonion import mul
+    v = oc.random_octonions(rng, 1, unit=True)[0]
+    u = oc.random_octonions(rng, 1, unit=True)[0]
+    t_conj = df.conjugation_pullback_residual(v, DATA0)
+    t_comp = df.composition_residual(u, v, DATA0)
+    phi = g2.random_positive_3form(rng)
+    dp = g2.metric_from_3form(phi)
+    sv = df.sigma(v, dp)
+    iso = np.max(np.abs(g2.metric_from_3form(sv).g.g - dp.g.g)) \
+        / np.max(np.abs(dp.g.g))
+    a, b = oc.random_octonions(rng, 2)
+    r1 = df.deformed_mul(a, b, v)
+    r2 = mul(mul(a, v), mul(df.inverse(v), b))
+    scale = max(np.sqrt(a @ a) * np.sqrt(b @ b), 1e-30)
+    routes = np.max(np.abs(r1 - r2)) / scale
+    adj = cli._worst(df.adjoint_product_residuals(v, a, b).values()) / scale
+    m = df.ad_matrix7(v, DATA0)
+    so7 = cli._worst((np.max(np.abs(m.T @ m - np.eye(7))),
+                      abs(np.linalg.det(m) - 1.0)))
+    return {"conjugation_pullback": t_conj, "composition_law": t_comp,
+            "isometry": iso, "routes": routes, "adjoint_ids": adj,
+            "ad_so7": so7}
+
+
+def deform_rows(config, trials) -> dict:
+    """The deform suite's stacked per-trial residuals of the given trials."""
+    return cli.stack_trials(partial(cli._deform_check, DATA0),
+                            cli._deform_draw, trials, DEFORM_BLOCK, config,
+                            "deform")
+
+
 def looped(one_trial, suite, seed, trials) -> dict:
     """The oracle's residuals, one array per key in trial order."""
     rows = [one_trial(cli.trial_rng(seed, suite, t)) for t in trials]
@@ -119,6 +156,21 @@ def test_clifford_rows_are_the_loop_bits(seed, n):
     assert list(got) == list(cli.SUITES["clifford"][1])[1:8]
     assert bits(got) == bits(looped(clifford_one_trial, "clifford", seed,
                                     range(n)))
+
+
+@pytest.mark.parametrize("seed", [1, 42])
+@pytest.mark.parametrize("n", [1, DEFORM_BLOCK - 1, DEFORM_BLOCK,
+                               DEFORM_BLOCK + 1, 100])
+def test_deform_rows_are_the_loop_bits(seed, n):
+    config = cli.RunConfig(seed=seed, trials=n)
+    got = deform_rows(config, range(n))
+    assert list(got) == list(cli.SUITES["deform"][1])[:6]
+    assert bits(got) == bits(looped(deform_one_trial, "deform", seed,
+                                    range(n)))
+    # the suite's rows are these trials' worst values
+    report = cli.run_suite("deform", config)
+    assert [row["max_residual"] for row in report["checks"][:6]] == [
+        cli._worst(values) for values in got.values()]
 
 
 def test_sample_streams_skip_the_bulk_stream(monkeypatch):
@@ -167,6 +219,39 @@ def test_nan_in_a_middle_block_fails_its_rows(monkeypatch):
     failed = {name for name, row in rows.items() if not row["pass"]}
     assert failed == {"j_isometry", "j_equivariance"}
     assert np.isnan(rows["j_isometry"]["max_residual"])
+    assert report["pass"] is False
+
+
+def test_a_deform_trial_replays_alone():
+    config = cli.RunConfig(seed=7)
+    whole = deform_rows(config, range(3 * DEFORM_BLOCK))
+    for t in (0, DEFORM_BLOCK - 1, DEFORM_BLOCK, 2 * DEFORM_BLOCK + 1):
+        alone = deform_rows(config, [t])
+        assert bits(alone) == bits({k: v[t:t + 1] for k, v in whole.items()})
+
+
+def test_nan_in_a_middle_deform_block_fails_its_rows(monkeypatch):
+    # a NaN in a of trial DEFORM_BLOCK + 8, in the second of three blocks,
+    # reaches the product routes and the adjoint identities and no other
+    real = cli._deform_draw
+    drawn = []
+
+    def planted(rng):
+        out = list(real(rng))
+        if len(drawn) == DEFORM_BLOCK + 8:
+            out[3] = np.full(8, np.nan)
+        drawn.append(out)
+        return tuple(out)
+
+    monkeypatch.setattr(cli, "_deform_draw", planted)
+    report = cli.run_suite("deform", cli.RunConfig(seed=3,
+                                                   trials=3 * DEFORM_BLOCK))
+    rows = {row["name"]: row for row in report["checks"]}
+    assert len(drawn) == 3 * DEFORM_BLOCK
+    failed = {name for name, row in rows.items() if not row["pass"]}
+    assert failed == {"routes", "adjoint_ids"}
+    assert np.isnan(rows["routes"]["max_residual"])
+    assert np.isnan(rows["adjoint_ids"]["max_residual"])
     assert report["pass"] is False
 
 
